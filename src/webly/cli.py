@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import hashlib
 import json
 import shutil
 import sys
@@ -31,6 +30,7 @@ from .data import (
     Dataset,
     NoiseSpec,
     WebCorpus,
+    canonical_json,
     grouped_split,
     load_dataset,
     load_web_corpus,
@@ -39,7 +39,7 @@ from .data import (
     synth_web_corpus,
     write_dataset_csv,
 )
-from .errors import WeblyError
+from .errors import ValidationError, WeblyError
 from .metrics import (
     evaluate,
     report_timestamp,
@@ -47,8 +47,14 @@ from .metrics import (
     write_eval_json,
     write_features_csv,
 )
-from .model import ModelConfig, load_checkpoint, penultimate_features, save_checkpoint
-from .noise import _corpus_fingerprint, estimate_transition, save_transition, validate_transition
+from .model import (
+    ModelConfig,
+    fingerprint,
+    load_checkpoint,
+    penultimate_features,
+    save_checkpoint,
+)
+from .noise import estimate_transition, save_transition, validate_transition
 from .train import ARMS, TrainConfig, run_arm
 
 DEFAULT_CONFIG = {
@@ -106,8 +112,8 @@ DEFAULT_CONFIG = {
     "output_dir": "runs",
 }
 
-SUMMARY_FIELDS = ["arm", "seed", "status", "accuracy", "macro_recall",
-                  "kappa", "auc_mean", "error"]
+SCORES = ("accuracy", "macro_recall", "kappa", "auc_mean")
+SUMMARY_FIELDS = ["arm", "seed", "status", *SCORES, "error"]
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -137,23 +143,22 @@ def load_config(path: str | None) -> dict:
     return merged
 
 
-def _canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def _parse_seeds(text: str) -> list[int]:
+    """Comma-separated non-negative integers from a ``--seed`` value."""
+    parts = text.split(",")
+    if not all(part.strip().isdecimal() for part in parts):
+        raise ValidationError(f"--seed {text!r}: expected non-negative integers "
+                              "separated by commas")
+    return [int(part) for part in parts]
 
 
-def _sha256(text_or_bytes) -> str:
-    data = text_or_bytes.encode() if isinstance(text_or_bytes, str) else text_or_bytes
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
-def _dataset_fingerprint(ds: Dataset) -> str:
-    h = hashlib.sha256()
-    for ex in ds.examples:
-        h.update(ex.id.encode())
-        h.update(ex.group_id.encode())
-        h.update(str(ex.label).encode())
-        h.update(np.ascontiguousarray(ex.features, dtype="<f8").tobytes())
-    return h.hexdigest()[:16]
+def _summary_row(arm: str, seed: int, scores=None, error: str = "") -> dict:
+    """One summary.csv row; ``scores`` maps accuracy, macro_recall, kappa and
+    auc_mean to floats (auc_mean may be None), and is None for a failed cell."""
+    def score(key):
+        return "" if scores is None or scores[key] is None else repr(scores[key])
+    return {"arm": arm, "seed": seed, "status": "failed" if scores is None else "ok",
+            "error": error, **{key: score(key) for key in SCORES}}
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +277,10 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path,
         stage_dir.mkdir(exist_ok=True)
         ckpt = stage_dir / "checkpoint.wslckpt"
         save_checkpoint(stage.params, ckpt)
-        checkpoint_hashes[f"stage{i}"] = _sha256(ckpt.read_bytes())
+        checkpoint_hashes[f"stage{i}"] = fingerprint(ckpt.read_bytes())
         with open(stage_dir / "log.jsonl", "w", encoding="utf-8") as fh:
             for entry in stage.log:
-                fh.write(_canonical_json(entry) + "\n")
+                fh.write(canonical_json(entry) + "\n")
 
     if arm_result.transition is not None:
         save_transition(arm_result.transition, cell_dir / "transition.json")
@@ -289,11 +294,11 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path,
         "arm": arm,
         "seed": seed,
         "code_version": __version__,
-        "config_sha256": _sha256(_canonical_json(experiment_config)),
+        "config_sha256": fingerprint(canonical_json(experiment_config)),
         "inputs": {
-            "clean_train": _dataset_fingerprint(clean_train),
-            "clean_test": _dataset_fingerprint(clean_test),
-            "web": _corpus_fingerprint(web) if web is not None else None,
+            "clean_train": fingerprint(clean_train),
+            "clean_test": fingerprint(clean_test),
+            "web": fingerprint(web) if web is not None else None,
         },
         "checkpoints": checkpoint_hashes,
         "transition_provenance": (arm_result.transition.provenance
@@ -304,16 +309,7 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path,
         json.dump(provenance, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-    return {
-        "arm": arm,
-        "seed": seed,
-        "status": "ok",
-        "accuracy": repr(report.accuracy),
-        "macro_recall": repr(report.macro_recall),
-        "kappa": repr(report.kappa),
-        "auc_mean": "" if report.auc_mean is None else repr(report.auc_mean),
-        "error": "",
-    }
+    return _summary_row(arm, seed, vars(report))
 
 
 def _cell_worker(payload: tuple) -> dict:
@@ -321,9 +317,7 @@ def _cell_worker(payload: tuple) -> dict:
     try:
         return run_cell(config, arm, seed, Path(cell_dir), timestamp)
     except Exception as exc:  # failed cells are recorded, others continue
-        return {"arm": arm, "seed": seed, "status": "failed",
-                "accuracy": "", "macro_recall": "", "kappa": "",
-                "auc_mean": "", "error": f"{type(exc).__name__}: {exc}"}
+        return _summary_row(arm, seed, error=f"{type(exc).__name__}: {exc}")
 
 
 def _write_summary(rows: list[dict], path: Path) -> None:
@@ -341,7 +335,7 @@ def _print_aggregates(rows: list[dict], arms: list[str], out=sys.stdout) -> None
             print(f"  {arm}: no successful cells", file=out)
             continue
         parts = []
-        for key in ("accuracy", "macro_recall", "kappa", "auc_mean"):
+        for key in SCORES:
             nums = [float(r[key]) for r in vals if r[key] != ""]
             if nums:
                 parts.append(f"{key}={np.mean(nums):.4f}+/-{np.std(nums):.4f}")
@@ -353,7 +347,7 @@ def cmd_run(args) -> int:
     if args.out:
         config["output_dir"] = args.out
     if args.seed:
-        config["seeds"] = [int(s) for s in args.seed.split(",")]
+        config["seeds"] = _parse_seeds(args.seed)
     arms = config["arms"]
     seeds = config["seeds"]
     if not arms or not seeds:
@@ -410,7 +404,9 @@ def cmd_synth(args) -> int:
     if spec is None:
         print("error: config has no data.synth section", file=sys.stderr)
         return 2
-    offset = int(args.seed) if args.seed else 0
+    offset, *more = _parse_seeds(args.seed or "0")
+    if more:
+        raise ValidationError(f"--seed {args.seed!r}: synth takes one seed offset")
     out_dir = Path(args.out or "synth-data")
     files = [out_dir / "clean_train.csv", out_dir / "clean_test.csv",
              out_dir / "web.json"]
@@ -427,25 +423,19 @@ def cmd_synth(args) -> int:
 
     print(f"wrote {files[0]} ({len(clean_train)} examples), "
           f"{files[1]} ({len(clean_test)} examples), "
-          f"{files[2]} ({len(web.bags)} bags, {web.member_count()} members)")
+          f"{files[2]} ({len(web.query_ids)} bags, {len(web.member_ids)} members)")
     for name, ds in (("clean_train", clean_train), ("clean_test", clean_test)):
         counts = ds.label_counts()
         freqs = counts / counts.sum()
         print(f"{name} class counts: {counts.tolist()} "
               f"frequencies: {[round(f, 4) for f in freqs.tolist()]}")
-    web_counts = np.bincount(
-        [b.transferred_label for b in web.bags for _ in b.members],
-        minlength=web.num_classes)
+    web_counts = np.bincount(web.member_labels(), minlength=web.num_classes)
     print(f"web transferred-label counts: {web_counts.tolist()}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.exists():
-        print(f"error: checkpoint {ckpt_path} not found", file=sys.stderr)
-        return 2
-    params = load_checkpoint(ckpt_path)
+    params = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data, num_classes=params.config.num_classes)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -454,8 +444,7 @@ def cmd_eval(args) -> int:
     write_eval_csv(report, out_dir / "eval.csv")
     if args.export_features:
         feats = penultimate_features(params, ds)
-        write_features_csv([ex.id for ex in ds.examples], feats,
-                           out_dir / "features.csv")
+        write_features_csv(ds.ids, feats, out_dir / "features.csv")
     print(f"accuracy={report.accuracy:.4f} macro_recall={report.macro_recall:.4f} "
           f"kappa={report.kappa:.4f} "
           f"auc_mean={'n/a' if report.auc_mean is None else f'{report.auc_mean:.4f}'}")
@@ -463,11 +452,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_estimate_noise(args) -> int:
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.exists():
-        print(f"error: checkpoint {ckpt_path} not found", file=sys.stderr)
-        return 2
-    params = load_checkpoint(ckpt_path)
+    params = load_checkpoint(args.checkpoint)
     corpus = load_web_corpus(args.web)
     transition = estimate_transition(params, corpus)
     out_path = Path(args.out or "transition.json")
@@ -493,27 +478,21 @@ def cmd_report(args) -> int:
         if arm_dir.name not in ARMS:
             continue
         arms_seen.append(arm_dir.name)
-        for cell_dir in sorted((p for p in arm_dir.iterdir() if p.is_dir()),
-                               key=lambda p: int(p.name)):
+        seeds = []
+        for cell_dir in (p for p in arm_dir.iterdir() if p.is_dir()):
+            try:
+                seeds.append((int(cell_dir.name), cell_dir))
+            except ValueError:
+                print(f"note: skipping {cell_dir}: not a seed directory",
+                      file=sys.stderr)
+        for seed, cell_dir in sorted(seeds):
             eval_path = cell_dir / "eval.json"
             if not eval_path.exists():
-                rows.append({"arm": arm_dir.name, "seed": int(cell_dir.name),
-                             "status": "failed", "accuracy": "",
-                             "macro_recall": "", "kappa": "", "auc_mean": "",
-                             "error": "missing eval.json"})
+                rows.append(_summary_row(arm_dir.name, seed,
+                                         error="missing eval.json"))
                 continue
             with open(eval_path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            rows.append({
-                "arm": arm_dir.name,
-                "seed": int(cell_dir.name),
-                "status": "ok",
-                "accuracy": repr(doc["accuracy"]),
-                "macro_recall": repr(doc["macro_recall"]),
-                "kappa": repr(doc["kappa"]),
-                "auc_mean": "" if doc["auc_mean"] is None else repr(doc["auc_mean"]),
-                "error": "",
-            })
+                rows.append(_summary_row(arm_dir.name, seed, json.load(fh)))
     _write_summary(rows, runs_dir / "summary.csv")
     _print_aggregates(rows, arms_seen)
     print(f"wrote {runs_dir / 'summary.csv'} ({len(rows)} rows)")

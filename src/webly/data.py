@@ -1,10 +1,14 @@
-"""Datasets, web bags, file ingestion, grouped splitting, and synthetic generators.
+"""Datasets, web corpora, file ingestion, grouped splitting, and synthetic generators.
 
-The clean corpus is a plain labeled dataset of dense feature vectors.  The web
-corpus is a collection of per-query bags: every bag member inherits the query's
-label, which is the only label visible to training.  For synthetic bags the
-generator also records each member's true class (or the cross-domain sentinel)
-in a parallel field that evaluation code may inspect but training never sees.
+Data is held in columns.  The clean corpus is a ``Dataset``: ids, group ids,
+an (N, D) feature matrix and a label vector.  The web corpus is a collection
+of per-query bags stored as per-bag columns (query id, transferred label) and
+bag offsets into one flat member table (ids, features, and for synthetic bags
+each member's true class or the cross-domain sentinel, an evaluation-only
+column that training never reads).  Every member inherits its query's label,
+the only label visible to training.  Invariants are checked once, vectorised,
+when a dataset or corpus is built; the CSV and JSON file formats are those of
+the former per-row model, byte for byte.
 """
 
 from __future__ import annotations
@@ -22,136 +26,126 @@ from .errors import ParseError, ValidationError
 CROSS_DOMAIN = -1
 
 
-@dataclass
-class Example:
-    """One labeled feature vector with a group id for grouped splitting."""
+def _reject(bad: np.ndarray, ids: np.ndarray, message: str, values=None) -> None:
+    """Raise ValidationError for the first row flagged in ``bad``; ``message``
+    is formatted with that row's ``id`` and, if given, its entry of ``values``."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        value = None if values is None else values[i]
+        raise ValidationError(message.format(id=ids[i], value=value))
 
-    id: str
-    group_id: str
-    features: np.ndarray
-    label: int
+
+def _repeats(ids: np.ndarray) -> np.ndarray:
+    """Mask of the ids that already occurred earlier in the column."""
+    seen: set[str] = set()
+    return np.array([i in seen or seen.add(i) for i in ids], dtype=bool)
 
 
 @dataclass
 class Dataset:
-    """Ordered collection of examples sharing a feature dimension and label range."""
+    """Labeled feature rows as columns: ids, group ids, X (N, D) and y (N,)."""
 
-    examples: list[Example]
+    ids: np.ndarray
+    group_ids: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
     num_classes: int
-    feature_dim: int
     name: str = "dataset"
-    _X: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        self.ids = np.asarray(self.ids, dtype=object)
+        self.group_ids = np.asarray(self.group_ids, dtype=object)
+        self.X = np.asarray(self.X, dtype=np.float64)
+        self.y = np.asarray(self.y, dtype=np.int64)
         if self.num_classes < 1:
             raise ValidationError("num_classes must be >= 1")
-        seen: set[str] = set()
-        for ex in self.examples:
-            if ex.features.shape != (self.feature_dim,):
-                raise ValidationError(
-                    f"example {ex.id}: feature dim {ex.features.shape} != ({self.feature_dim},)"
-                )
-            if not np.all(np.isfinite(ex.features)):
-                raise ValidationError(f"example {ex.id}: non-finite feature")
-            if not 0 <= ex.label < self.num_classes:
-                raise ValidationError(
-                    f"example {ex.id}: label {ex.label} outside [0, {self.num_classes})"
-                )
-            if ex.id in seen:
-                raise ValidationError(f"duplicate example id {ex.id!r}")
-            seen.add(ex.id)
+        n = len(self.ids)
+        if (self.X.ndim != 2 or self.X.shape[0] != n
+                or self.group_ids.shape != (n,) or self.y.shape != (n,)):
+            raise ValidationError(f"{self.name}: column shapes disagree: ids ({n},), "
+                                  f"group_ids {self.group_ids.shape}, X {self.X.shape}, "
+                                  f"y {self.y.shape}")
+        _reject(~np.isfinite(self.X).all(axis=1), self.ids,
+                "example {id}: non-finite feature")
+        _reject((self.y < 0) | (self.y >= self.num_classes), self.ids,
+                f"example {{id}}: label {{value}} outside [0, {self.num_classes})", self.y)
+        _reject(_repeats(self.ids), self.ids, "duplicate example id {id!r}")
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.ids)
 
-    def feature_matrix(self) -> np.ndarray:
-        """(N, D) float64 matrix of all features, in example order."""
-        if self._X is None:
-            self._X = np.array([ex.features for ex in self.examples], dtype=np.float64)
-        return self._X
-
-    def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=np.int64)
+    @property
+    def feature_dim(self) -> int:
+        return self.X.shape[1]
 
     def label_counts(self) -> np.ndarray:
-        return np.bincount(self.labels(), minlength=self.num_classes)
+        return np.bincount(self.y, minlength=self.num_classes)
 
-    def group_ids(self) -> list[str]:
-        """Distinct group ids in order of first appearance."""
-        seen: dict[str, None] = {}
-        for ex in self.examples:
-            seen.setdefault(ex.group_id, None)
-        return list(seen)
-
-
-@dataclass
-class WebBag:
-    """Bag of items retrieved for one query; members carry the query's label.
-
-    ``true_labels_hidden`` exists only for synthetic bags and is evaluation-only:
-    it holds each member's true class index, or CROSS_DOMAIN for background
-    outliers.  Training code must never read it.
-    """
-
-    query_id: str
-    transferred_label: int
-    members: list[Example]
-    true_labels_hidden: list[int] | None = None
-
-    def __post_init__(self):
-        for m in self.members:
-            if m.label != self.transferred_label:
-                raise ValidationError(
-                    f"bag {self.query_id}: member {m.id} label {m.label} "
-                    f"!= transferred label {self.transferred_label}"
-                )
-        if self.true_labels_hidden is not None:
-            if len(self.true_labels_hidden) != len(self.members):
-                raise ValidationError(
-                    f"bag {self.query_id}: hidden labels length "
-                    f"{len(self.true_labels_hidden)} != members {len(self.members)}"
-                )
+    def take(self, index, name: str) -> "Dataset":
+        """The rows selected by ``index`` (a mask or positions), as a new dataset."""
+        return Dataset(ids=self.ids[index], group_ids=self.group_ids[index],
+                       X=self.X[index], y=self.y[index],
+                       num_classes=self.num_classes, name=name)
 
 
 @dataclass
 class WebCorpus:
-    """All web bags for one crawl, plus an access counter for isolation audits.
+    """All web bags of one crawl: per-bag columns plus one flat member table.
+
+    Bag b (``query_ids[b]``, transferred label ``labels[b]``) owns member rows
+    ``offsets[b]:offsets[b + 1]`` of ``member_ids`` and ``X``.  The optional,
+    evaluation-only ``true_labels_hidden`` holds each member's true class, or
+    CROSS_DOMAIN for background outliers; training code must never read it.
 
     ``access_count`` ticks every time toolkit code reads the bags for training
     or estimation (flatten_web, representative mining); it lets experiments
     assert that clean-only stages never touch web data.
     """
 
-    bags: list[WebBag]
+    query_ids: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
+    member_ids: np.ndarray
+    X: np.ndarray
     num_classes: int
-    feature_dim: int
-    access_count: int = field(default=0, compare=False)
+    true_labels_hidden: np.ndarray | None = None
+    access_count: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self):
-        for bag in self.bags:
-            if not 0 <= bag.transferred_label < self.num_classes:
-                raise ValidationError(
-                    f"bag {bag.query_id}: transferred label {bag.transferred_label} "
-                    f"outside [0, {self.num_classes})"
-                )
-            for m in bag.members:
-                if m.features.shape != (self.feature_dim,):
-                    raise ValidationError(
-                        f"bag {bag.query_id}: member {m.id} feature dim mismatch"
-                    )
-            if bag.true_labels_hidden is not None:
-                for t in bag.true_labels_hidden:
-                    if t != CROSS_DOMAIN and not 0 <= t < self.num_classes:
-                        raise ValidationError(
-                            f"bag {bag.query_id}: hidden label {t} is neither a class "
-                            f"index nor the cross-domain sentinel"
-                        )
+        self.query_ids = np.asarray(self.query_ids, dtype=object)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.member_ids = np.asarray(self.member_ids, dtype=object)
+        self.X = np.asarray(self.X, dtype=np.float64)
+        if self.num_classes < 1:
+            raise ValidationError("num_classes must be >= 1")
+        b, m = len(self.query_ids), len(self.member_ids)
+        if (self.labels.shape != (b,) or self.offsets.shape != (b + 1,)
+                or self.offsets[0] != 0 or self.offsets[-1] != m
+                or np.any(np.diff(self.offsets) < 0) or self.X.ndim != 2
+                or self.X.shape[0] != m):
+            raise ValidationError(
+                f"corpus columns disagree: {b} query ids, labels {self.labels.shape}, "
+                f"offsets {self.offsets.shape} rising from 0 to {m} members, "
+                f"member features {self.X.shape}")
+        _reject((self.labels < 0) | (self.labels >= self.num_classes), self.query_ids,
+                f"bag {{id}}: transferred label {{value}} outside [0, {self.num_classes})",
+                self.labels)
+        _reject(~np.isfinite(self.X).all(axis=1), self.member_ids,
+                "member {id}: non-finite feature")
+        _reject(_repeats(self.member_ids), self.member_ids, "duplicate member id {id!r}")
+        if self.true_labels_hidden is not None:
+            hidden = self.true_labels_hidden = np.asarray(self.true_labels_hidden,
+                                                          dtype=np.int64)
+            if hidden.shape != (m,):
+                raise ValidationError(f"hidden labels length {len(hidden)} != members {m}")
+            _reject((hidden != CROSS_DOMAIN) & ((hidden < 0) | (hidden >= self.num_classes)),
+                    self.member_ids, "member {id}: hidden label {value} is neither a "
+                    "class index nor the cross-domain sentinel", hidden)
 
-    def note_access(self) -> None:
-        self.access_count += 1
-
-    def member_count(self) -> int:
-        return sum(len(b.members) for b in self.bags)
+    def member_labels(self) -> np.ndarray:
+        """Each member's transferred label: its bag's label, repeated."""
+        return np.repeat(self.labels, np.diff(self.offsets))
 
 
 @dataclass
@@ -245,15 +239,13 @@ def _expected_header(feature_dim: int) -> list[str]:
 
 
 def load_dataset(path: str | Path, num_classes: int | None = None,
-                 name: str | None = None, format: str = "csv") -> Dataset:
+                 name: str | None = None) -> Dataset:
     """Load a dataset from CSV with header ``id,group_id,label,f0,...,f{D-1}``.
 
     The number of classes is inferred as max label + 1 unless ``num_classes``
     overrides it.  Row order is preserved.  Malformed rows raise ParseError
     naming the offending line; duplicate ids raise ValidationError.
     """
-    if format != "csv":
-        raise ValidationError(f"unsupported dataset format {format!r}")
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -265,13 +257,13 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
         if d < 1 or header != _expected_header(d):
             raise ParseError(f"{path}: line 1: bad header {header!r}")
 
-        examples: list[Example] = []
+        ids, group_ids, labels, rows = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 3:
                 raise ParseError(
                     f"{path}: line {lineno}: expected {d + 3} columns, got {len(row)}"
                 )
-            ex_id, group_id, label_str = row[0], row[1], row[2]
+            label_str = row[2]
             try:
                 label = int(label_str)
             except ValueError:
@@ -280,35 +272,37 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
             if label < 0:
                 raise ParseError(f"{path}: line {lineno}: negative label {label}")
             try:
-                features = np.array([float(v) for v in row[3:]], dtype=np.float64)
+                rows.append([float(v) for v in row[3:]])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
-            if not np.all(np.isfinite(features)):
-                raise ParseError(f"{path}: line {lineno}: non-finite feature")
-            examples.append(Example(id=ex_id, group_id=group_id,
-                                    features=features, label=label))
+            ids.append(row[0])
+            group_ids.append(row[1])
+            labels.append(label)
 
-    if not examples:
+    if not ids:
         raise ValidationError(f"{path}: no examples")
-    inferred_k = max(ex.label for ex in examples) + 1
+    X = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: line {np.argmin(finite) + 2}: non-finite feature")
+    inferred_k = max(labels) + 1
     k = num_classes if num_classes is not None else inferred_k
     if inferred_k > k:
         raise ValidationError(
             f"{path}: label {inferred_k - 1} exceeds num_classes={k}"
         )
-    return Dataset(examples=examples, num_classes=k, feature_dim=d,
+    return Dataset(ids=ids, group_ids=group_ids, X=X, y=labels, num_classes=k,
                    name=name if name is not None else path.stem)
 
 
 def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
     """Write a dataset in the CSV schema; floats use shortest exact repr."""
-    path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_expected_header(ds.feature_dim))
-        for ex in ds.examples:
-            writer.writerow([ex.id, ex.group_id, str(ex.label)]
-                            + [repr(float(v)) for v in ex.features])
+        writer.writerows([ex_id, group_id, str(label)] + [repr(v) for v in row]
+                         for ex_id, group_id, label, row
+                         in zip(ds.ids, ds.group_ids, ds.y.tolist(), ds.X.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -326,33 +320,20 @@ def grouped_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Datase
         raise ValidationError("train_fraction must lie strictly between 0 and 1")
     if len(ds) == 0:
         raise ValidationError("cannot split an empty dataset")
-    groups = ds.group_ids()
-    if len(groups) < 2:
+    # unique groups (sorted), each one's first row, each row's group, group sizes
+    _, first, group_of_row, sizes = np.unique(
+        ds.group_ids, return_index=True, return_inverse=True, return_counts=True)
+    if len(first) < 2:
         raise ValidationError("cannot split one group")
 
-    sizes = {g: 0 for g in groups}
-    for ex in ds.examples:
-        sizes[ex.group_id] += 1
-
-    rng = np.random.default_rng(seed)
-    order = [groups[i] for i in rng.permutation(len(groups))]
-    target = train_fraction * len(ds)
-    train_groups: set[str] = set()
-    filled = 0
-    for g in order:
-        train_groups.add(g)
-        filled += sizes[g]
-        if filled >= target:
-            break
-    if len(train_groups) == len(groups):
+    # permute the groups in order of first appearance, then fill greedily
+    order = np.argsort(first)[np.random.default_rng(seed).permutation(len(first))]
+    n_train = int(np.argmax(np.cumsum(sizes[order]) >= train_fraction * len(ds))) + 1
+    if n_train == len(first):
         raise ValidationError("train_fraction leaves no test groups")
-
-    train_ex = [ex for ex in ds.examples if ex.group_id in train_groups]
-    test_ex = [ex for ex in ds.examples if ex.group_id not in train_groups]
-    mk = lambda ex, suffix: Dataset(examples=ex, num_classes=ds.num_classes,
-                                    feature_dim=ds.feature_dim,
-                                    name=f"{ds.name}-{suffix}")
-    return mk(train_ex, "train"), mk(test_ex, "test")
+    in_train = np.isin(group_of_row, order[:n_train])
+    return (ds.take(in_train, f"{ds.name}-train"),
+            ds.take(~in_train, f"{ds.name}-test"))
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +343,27 @@ def grouped_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Datase
 def synth_clean(spec: CleanSpec) -> Dataset:
     """Draw a clean corpus from the class mixture; deterministic given seed."""
     rng = np.random.default_rng(spec.seed)
-    examples: list[Example] = []
-    for c in range(spec.num_classes):
-        n = spec.class_counts[c]
-        draws = rng.normal(loc=spec.class_means[c], scale=spec.sigma,
-                           size=(n, spec.feature_dim))
-        for i in range(n):
-            examples.append(Example(
-                id=f"{spec.name}-c{c}-{i}",
-                group_id=f"g{i % spec.groups_per_class}",
-                features=draws[i],
-                label=c,
-            ))
-    return Dataset(examples=examples, num_classes=spec.num_classes,
-                   feature_dim=spec.feature_dim, name=spec.name)
+    counts = spec.class_counts
+    X = np.concatenate([
+        rng.normal(loc=spec.class_means[c], scale=spec.sigma,
+                   size=(counts[c], spec.feature_dim))
+        for c in range(spec.num_classes)
+    ])
+    ids = [f"{spec.name}-c{c}-{i}" for c in range(spec.num_classes)
+           for i in range(counts[c])]
+    group_ids = [f"g{i % spec.groups_per_class}" for c in range(spec.num_classes)
+                 for i in range(counts[c])]
+    return Dataset(ids=ids, group_ids=group_ids, X=X,
+                   y=np.repeat(np.arange(spec.num_classes), counts),
+                   num_classes=spec.num_classes, name=spec.name)
 
 
 def _class_models(clean: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Empirical per-class mean and pooled isotropic std from a clean corpus."""
-    X = clean.feature_matrix()
-    y = clean.labels()
     means = np.zeros((clean.num_classes, clean.feature_dim))
     stds = np.zeros(clean.num_classes)
     for c in range(clean.num_classes):
-        Xc = X[y == c]
+        Xc = clean.X[clean.y == c]
         if len(Xc) == 0:
             raise ValidationError(f"class {c} absent from clean corpus")
         means[c] = Xc.mean(axis=0)
@@ -400,8 +378,10 @@ def synth_web_corpus(clean_train: Dataset, noise: NoiseSpec,
     Each member is independently a cross-domain outlier with probability
     ``cross_domain_rate`` (features from the background Gaussian), otherwise
     its true class is drawn from the kernel row of the query's label and its
-    features from that class's empirical Gaussian model.  Members store only
-    the transferred label; true classes go to ``true_labels_hidden``.
+    features from that class's empirical Gaussian model.  Members carry only
+    the transferred label; true classes go to ``true_labels_hidden``.  Draws
+    are made bag by bag in query order, so the corpus depends on the seed and
+    the query order alone.
     """
     if len(clean_train) == 0:
         raise ValidationError("clean_train is empty")
@@ -411,91 +391,114 @@ def synth_web_corpus(clean_train: Dataset, noise: NoiseSpec,
             f"kernel is {noise.cross_category_kernel.shape}, expected ({k}, {k})"
         )
     means, stds = _class_models(clean_train)
-    center = clean_train.feature_matrix().mean(axis=0) + np.asarray(background.mean_offset)
+    center = clean_train.X.mean(axis=0) + np.asarray(background.mean_offset)
     if center.shape != (clean_train.feature_dim,):
         raise ValidationError("background mean_offset must be scalar or length-D")
 
     rng = np.random.default_rng(noise.seed)
     m = noise.bag_size
-    d = clean_train.feature_dim
+    n = len(clean_train)
     kernel_cum = np.cumsum(noise.cross_category_kernel, axis=1)
-    bags: list[WebBag] = []
-    for ex in clean_train.examples:
-        y = ex.label
+    X = np.empty((n * m, clean_train.feature_dim))
+    hidden = np.empty(n * m, dtype=np.int64)
+    for b, y in enumerate(clean_train.y.tolist()):
         outlier = rng.random(m) < noise.cross_domain_rate
         classes = np.searchsorted(kernel_cum[y], rng.random(m)).clip(max=k - 1)
-        unit = rng.standard_normal((m, d))
+        unit = rng.standard_normal((m, clean_train.feature_dim))
 
         loc = np.where(outlier[:, None], center, means[classes])
         scale = np.where(outlier, background.scale, stds[classes])
-        feats = loc + unit * scale[:, None]
-
-        members = [
-            Example(id=f"{ex.id}-w{i}", group_id=ex.id,
-                    features=feats[i], label=y)
-            for i in range(m)
-        ]
-        hidden = [CROSS_DOMAIN if outlier[i] else int(classes[i]) for i in range(m)]
-        bags.append(WebBag(query_id=ex.id, transferred_label=y,
-                           members=members, true_labels_hidden=hidden))
-    return WebCorpus(bags=bags, num_classes=k, feature_dim=d)
+        X[b * m:(b + 1) * m] = loc + unit * scale[:, None]
+        hidden[b * m:(b + 1) * m] = np.where(outlier, CROSS_DOMAIN, classes)
+    member_ids = [f"{q}-w{i}" for q in clean_train.ids for i in range(m)]
+    return WebCorpus(query_ids=clean_train.ids, labels=clean_train.y,
+                     offsets=np.arange(n + 1) * m, member_ids=member_ids, X=X,
+                     num_classes=k, true_labels_hidden=hidden)
 
 
 def flatten_web(corpus: WebCorpus) -> Dataset:
-    """Concatenate all bag members into one dataset labeled by transferred labels."""
-    if not corpus.bags:
+    """All bag members as one dataset labeled by transferred labels.
+
+    The result is a view: its ``X`` and ``ids`` are the corpus's own arrays,
+    and the corpus's construction-time checks stand in for the dataset's.
+    """
+    if len(corpus.query_ids) == 0:
         raise ValidationError("empty corpus")
-    corpus.note_access()
-    examples = [m for bag in corpus.bags for m in bag.members]
-    return Dataset(examples=examples, num_classes=corpus.num_classes,
-                   feature_dim=corpus.feature_dim, name="web-flat")
+    corpus.access_count += 1
+    flat = object.__new__(Dataset)
+    flat.__dict__.update(
+        ids=corpus.member_ids,
+        group_ids=np.repeat(corpus.query_ids, np.diff(corpus.offsets)),
+        X=corpus.X, y=corpus.member_labels(),
+        num_classes=corpus.num_classes, name="web-flat")
+    return flat
 
 
 # ---------------------------------------------------------------------------
 # Web-corpus JSON interchange
 # ---------------------------------------------------------------------------
+# Layout (keys sorted, no whitespace): {"bags":[{"members":[{"features":[...],
+# "id":...},...],"query_id":...,"transferred_label":...,"true_labels_hidden":
+# [...] or null},...],"feature_dim":D,"num_classes":K}.
+
+def canonical_json(doc) -> str:
+    """Compact JSON with sorted keys: the toolkit's one stable serialization."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
 
 def save_web_corpus(corpus: WebCorpus, path: str | Path) -> None:
-    doc = {
-        "num_classes": corpus.num_classes,
-        "feature_dim": corpus.feature_dim,
-        "bags": [
-            {
-                "query_id": bag.query_id,
-                "transferred_label": bag.transferred_label,
-                "members": [
-                    {"id": m.id, "features": [float(v) for v in m.features]}
-                    for m in bag.members
-                ],
-                "true_labels_hidden": bag.true_labels_hidden,
-            }
-            for bag in corpus.bags
-        ],
-    }
+    """Write the corpus one bag at a time, so no second copy of it is built."""
+    offsets = corpus.offsets.tolist()
+    labels = corpus.labels.tolist()
+    hidden = corpus.true_labels_hidden
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write('{"bags":[')
+        for b, query_id in enumerate(corpus.query_ids):
+            lo, hi = offsets[b], offsets[b + 1]
+            members = [{"features": row, "id": member_id} for member_id, row
+                       in zip(corpus.member_ids[lo:hi], corpus.X[lo:hi].tolist())]
+            fh.write(("," if b else "") + canonical_json({
+                "members": members,
+                "query_id": query_id,
+                "transferred_label": labels[b],
+                "true_labels_hidden": None if hidden is None else hidden[lo:hi].tolist(),
+            }))
+        fh.write(f'],"feature_dim":{corpus.X.shape[1]},'
+                 f'"num_classes":{corpus.num_classes}}}')
 
 
 def load_web_corpus(path: str | Path) -> WebCorpus:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a corpus written by ``save_web_corpus``; any defect of the
+    document raises ParseError naming the path."""
     try:
-        k = int(doc["num_classes"])
-        d = int(doc["feature_dim"])
-        bags = []
-        for b in doc["bags"]:
-            label = int(b["transferred_label"])
-            members = [
-                Example(id=m["id"], group_id=b["query_id"],
-                        features=np.array(m["features"], dtype=np.float64),
-                        label=label)
-                for m in b["members"]
-            ]
-            hidden = b.get("true_labels_hidden")
-            bags.append(WebBag(query_id=b["query_id"], transferred_label=label,
-                               members=members,
-                               true_labels_hidden=None if hidden is None
-                               else [int(t) for t in hidden]))
-    except (KeyError, TypeError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        k, d, bags = int(doc["num_classes"]), int(doc["feature_dim"]), list(doc["bags"])
+        members = [member for bag in bags for member in bag["members"]]
+        columns = dict(
+            query_ids=[bag["query_id"] for bag in bags],
+            labels=[int(bag["transferred_label"]) for bag in bags],
+            offsets=np.cumsum([0] + [len(bag["members"]) for bag in bags]),
+            member_ids=[member["id"] for member in members],
+            X=(np.array([member["features"] for member in members]) if members
+               else np.empty((0, max(d, 0)))))
+        hidden = [bag.get("true_labels_hidden") for bag in bags]
+        if bags and None not in hidden:
+            columns["true_labels_hidden"] = [int(t) for labels in hidden for t in labels]
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and ragged rows
         raise ParseError(f"{path}: malformed web corpus document: {exc}") from None
-    return WebCorpus(bags=bags, num_classes=k, feature_dim=d)
+
+    X = columns["X"]
+    if not all(isinstance(i, str) for i in columns["query_ids"] + columns["member_ids"]):
+        raise ParseError(f"{path}: query and member ids must be strings")
+    if X.dtype.kind not in "fiu" or d < 1 or X.shape != (len(members), d):
+        raise ParseError(f"{path}: every member needs {d} numeric features")
+    if hidden.count(None) not in (0, len(hidden)) or ("true_labels_hidden" in columns and [
+            len(labels) for labels in hidden] != np.diff(columns["offsets"]).tolist()):
+        raise ParseError(f"{path}: true_labels_hidden must be null in every bag or "
+                         "hold one label per member in every bag")
+    try:
+        return WebCorpus(num_classes=k, **columns)
+    except (ValidationError, OverflowError) as exc:   # OverflowError: int64 columns
+        raise ParseError(f"{path}: {exc}") from None

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelParams, params_fingerprint, predict
+from .model import ModelParams, fingerprint, predict
 
 
 @dataclass
@@ -129,7 +129,7 @@ def evaluate(params: ModelParams, ds) -> EvalReport:
             f"model has {params.config.num_classes} classes, dataset has {k}"
         )
     posteriors = predict(params, ds)
-    y = ds.labels()
+    y = ds.y
     preds = posteriors.argmax(axis=1)          # ties go to the lowest index
     conf = confusion_matrix(y, preds, k)
 
@@ -156,7 +156,7 @@ def evaluate(params: ModelParams, ds) -> EvalReport:
         auc_notes=notes,
         auc_mean=float(np.mean(defined)) if defined else None,
         per_class_counts=conf.sum(axis=1),
-        metadata={"model": params_fingerprint(params), "dataset": ds.name},
+        metadata={"model": fingerprint(params), "dataset": ds.name},
     )
 
 

@@ -12,10 +12,12 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, asdict
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
+from .data import Dataset, WebCorpus, canonical_json
 from .errors import CheckpointError, ValidationError
 
 CHECKPOINT_MAGIC = b"WSLCKPT1"
@@ -207,7 +209,7 @@ def backward(cache: ForwardCache, logit_grads: np.ndarray) -> ParamGrads:
 
 def predict(params: ModelParams, ds) -> np.ndarray:
     """Eval-mode posteriors over a whole dataset, order-preserving."""
-    posteriors, _ = forward(params, ds.feature_matrix(), train=False)
+    posteriors, _ = forward(params, ds.X, train=False)
     return posteriors
 
 
@@ -215,16 +217,33 @@ def penultimate_features(params: ModelParams, ds) -> np.ndarray:
     """Last-hidden-layer activations per example, eval mode."""
     if not params.config.hidden_sizes:
         raise ValidationError("model has no hidden layer")
-    _, cache = forward(params, ds.feature_matrix(), train=False)
+    _, cache = forward(params, ds.X, train=False)
     return cache.inputs[-1]
 
 
-def params_fingerprint(params: ModelParams) -> str:
-    """Short stable hex digest of the serialized parameters."""
+def fingerprint(obj) -> str:
+    """First 16 hex digits of a SHA-256 over a stable byte stream of ``obj``.
+
+    Parameters stream as checkpoint header then arrays; a dataset as id, group
+    id, label and feature row per example; a web corpus as query id and label
+    per bag, each followed by id and feature row per member of the bag.  Text
+    and numbers stream as UTF-8 text, arrays as little-endian float64.
+    """
+    if isinstance(obj, ModelParams):
+        parts = [_header_bytes(obj.config), *obj.flat_arrays()]
+    elif isinstance(obj, Dataset):
+        parts = chain.from_iterable(zip(obj.ids, obj.group_ids, obj.y.tolist(), obj.X))
+    elif isinstance(obj, WebCorpus):
+        members = zip(obj.member_ids, obj.X)
+        parts = chain.from_iterable(
+            chain((query_id, label), *islice(members, size)) for query_id, label, size
+            in zip(obj.query_ids, obj.labels.tolist(), np.diff(obj.offsets).tolist()))
+    else:
+        parts = [obj]
     h = hashlib.sha256()
-    h.update(_header_bytes(params))
-    for arr in params.flat_arrays():
-        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    for part in parts:
+        h.update(np.ascontiguousarray(part, dtype="<f8") if isinstance(part, np.ndarray)
+                 else part if isinstance(part, bytes) else str(part).encode())
     return h.hexdigest()[:16]
 
 
@@ -235,24 +254,22 @@ def params_fingerprint(params: ModelParams) -> str:
 # {config, layer shapes, byte offsets}, then packed little-endian float64
 # arrays in layer order (weights then bias per layer).
 
-def _header_bytes(params: ModelParams) -> bytes:
+def _header_bytes(cfg: ModelConfig) -> bytes:
     layers = []
     offset = 0
-    for w, b in zip(params.weights, params.biases):
-        entry = {
-            "weight_shape": list(w.shape),
+    for fan_in, fan_out in cfg.layer_dims():
+        layers.append({
+            "weight_shape": [fan_in, fan_out],
             "weight_offset": offset,
-            "bias_shape": list(b.shape),
-            "bias_offset": offset + w.size * 8,
-        }
-        offset += (w.size + b.size) * 8
-        layers.append(entry)
-    header = {"config": asdict(params.config), "layers": layers}
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+            "bias_shape": [fan_out],
+            "bias_offset": offset + fan_in * fan_out * 8,
+        })
+        offset += (fan_in + 1) * fan_out * 8
+    return canonical_json({"config": asdict(cfg), "layers": layers}).encode("utf-8")
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    header = _header_bytes(params)
+    header = _header_bytes(params.config)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
@@ -261,43 +278,53 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: str | Path, expect_num_classes: int | None = None,
-                    expect_input_dim: int | None = None) -> ModelParams:
-    """Read a checkpoint back; round-trip is value-exact for every weight."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def load_checkpoint(path: str | Path,
+                    expect_num_classes: int | None = None) -> ModelParams:
+    """Read a checkpoint back; round-trip is value-exact for every weight.
+
+    The header must be exactly the one ``save_checkpoint`` writes for its
+    config, and the payload exactly the packed arrays that header describes;
+    any other blob raises CheckpointError naming the path.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    if len(blob) < 16:
+        raise CheckpointError(f"{path}: {len(blob)} bytes, shorter than the "
+                              "16-byte preamble")
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:8]!r}")
     (header_len,) = struct.unpack("<Q", blob[8:16])
+    if header_len > len(blob) - 16:
+        raise CheckpointError(f"{path}: header length {header_len} runs past the "
+                              f"end of the {len(blob)}-byte file")
+    header = blob[16:16 + header_len]
     try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-        cfg = ModelConfig(**header["config"])
+        cfg = ModelConfig(**json.loads(header.decode("utf-8"))["config"])
+        dims = cfg.layer_dims()
+        if not all(isinstance(v, int) for dim in dims for v in dim):
+            raise TypeError("layer sizes must be integers")
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
     if expect_num_classes is not None and cfg.num_classes != expect_num_classes:
-        raise CheckpointError(
-            f"{path}: checkpoint has {cfg.num_classes} classes, expected "
-            f"{expect_num_classes}"
-        )
-    if expect_input_dim is not None and cfg.input_dim != expect_input_dim:
-        raise CheckpointError(
-            f"{path}: checkpoint input_dim {cfg.input_dim}, expected "
-            f"{expect_input_dim}"
-        )
+        raise CheckpointError(f"{path}: checkpoint has {cfg.num_classes} classes, "
+                              f"expected {expect_num_classes}")
+    if header != _header_bytes(cfg):
+        raise CheckpointError(f"{path}: layer shapes or offsets do not match the "
+                              "packed layout of the config")
     payload = blob[16 + header_len:]
-    weights, biases = [], []
-    for entry in header["layers"]:
-        w_shape = tuple(entry["weight_shape"])
-        b_shape = tuple(entry["bias_shape"])
-        w_count = int(np.prod(w_shape))
-        b_count = int(np.prod(b_shape))
-        w_off, b_off = entry["weight_offset"], entry["bias_offset"]
-        if b_off + b_count * 8 > len(payload):
-            raise CheckpointError(f"{path}: truncated payload")
-        weights.append(np.frombuffer(payload, dtype="<f8", count=w_count,
-                                     offset=w_off).reshape(w_shape).copy())
-        biases.append(np.frombuffer(payload, dtype="<f8", count=b_count,
-                                    offset=b_off).reshape(b_shape).copy())
+    size = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in dims)
+    if len(payload) != size:
+        raise CheckpointError(f"{path}: payload is {len(payload)} bytes, the "
+                              f"layers need {size}")
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in dims:
+        weights.append(values[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        biases.append(values[pos + fan_in * fan_out:pos + (fan_in + 1) * fan_out])
+        pos += (fan_in + 1) * fan_out
     try:
         return ModelParams(config=cfg, weights=weights, biases=biases)
     except ValidationError as exc:

@@ -9,16 +9,15 @@ rows are posterior vectors and the matrix is row-stochastic by construction.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import WebCorpus, flatten_web
+from .data import WebCorpus, canonical_json, flatten_web
 from .errors import ParseError, ValidationError
-from .model import ModelParams, forward, params_fingerprint
+from .model import ModelParams, fingerprint, forward
 
 
 @dataclass
@@ -60,17 +59,6 @@ class TransitionDiagnostics:
     entries: np.ndarray
 
 
-def _corpus_fingerprint(corpus: WebCorpus) -> str:
-    h = hashlib.sha256()
-    for bag in corpus.bags:
-        h.update(bag.query_id.encode())
-        h.update(str(bag.transferred_label).encode())
-        for m in bag.members:
-            h.update(m.id.encode())
-            h.update(np.ascontiguousarray(m.features, dtype="<f8").tobytes())
-    return h.hexdigest()[:16]
-
-
 def mine_representatives(oracle: ModelParams, corpus: WebCorpus) -> list[Representative]:
     """Pick, per class, the member with the highest oracle posterior for it.
 
@@ -83,12 +71,12 @@ def mine_representatives(oracle: ModelParams, corpus: WebCorpus) -> list[Represe
             f"{corpus.num_classes}"
         )
     flat = flatten_web(corpus)
-    posteriors, _ = forward(oracle, flat.feature_matrix(), train=False)
+    posteriors, _ = forward(oracle, flat.X, train=False)
     reps = []
     for c in range(corpus.num_classes):
         idx = int(np.argmax(posteriors[:, c]))
         reps.append(Representative(class_index=c,
-                                   example_id=flat.examples[idx].id,
+                                   example_id=flat.ids[idx],
                                    posterior=posteriors[idx].copy()))
     return reps
 
@@ -102,8 +90,8 @@ def estimate_transition(oracle: ModelParams, corpus: WebCorpus) -> TransitionMat
     reps = mine_representatives(oracle, corpus)
     entries = np.stack([r.posterior for r in reps])
     provenance = {
-        "oracle": params_fingerprint(oracle),
-        "corpus": _corpus_fingerprint(corpus),
+        "oracle": fingerprint(oracle),
+        "corpus": fingerprint(corpus),
         "representatives": {str(r.class_index): r.example_id for r in reps},
     }
     return TransitionMatrix(entries=entries, provenance=provenance)
@@ -139,7 +127,7 @@ def _format_rows(entries: np.ndarray) -> str:
 
 
 def save_transition(t: TransitionMatrix, path: str | Path) -> None:
-    provenance = json.dumps(t.provenance, sort_keys=True, separators=(",", ":"))
+    provenance = canonical_json(t.provenance)
     doc = f'{{"k":{t.k},"provenance":{provenance},"rows":{_format_rows(t.entries)}}}'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(doc)

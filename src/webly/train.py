@@ -140,8 +140,8 @@ def train_stage(init: ModelParams, ds: Dataset, cfg: TrainConfig,
         t_entries = transition.entries
 
     start = time.perf_counter()
-    x = ds.feature_matrix()
-    y = ds.labels()
+    x = ds.X
+    y = ds.y
     n = len(ds)
     params = init.copy()
     velocity = [np.zeros_like(a) for a in params.flat_arrays()]

@@ -118,7 +118,7 @@ def test_criterion_3_noise_estimation_limits():
                              TrainConfig(epochs=40, batch_size=16,
                                          shuffle_seed=seed)).params
         oracle_acc = (predict(oracle, clean).argmax(axis=1)
-                      == clean.labels()).mean()
+                      == clean.y).mean()
         assert oracle_acc > 0.99, f"seed {seed}: oracle accuracy {oracle_acc}"
         web = synth_web_corpus(
             clean, NoiseSpec(cross_category_kernel=kernel,
@@ -250,12 +250,11 @@ def test_criterion_7_simulator_calibration():
         clean, NoiseSpec(cross_category_kernel=kernel, cross_domain_rate=rho,
                          bag_size=bag_size, seed=52),
         BackgroundSpec(mean_offset=8.0))
-    total = web.member_count()
+    total = len(web.member_ids)
     assert total >= 10_000
 
-    hidden = np.array([t for bag in web.bags for t in bag.true_labels_hidden])
-    labels = np.array([bag.transferred_label for bag in web.bags
-                       for _ in bag.members])
+    hidden = web.true_labels_hidden
+    labels = web.member_labels()
 
     outlier_frac = (hidden == CROSS_DOMAIN).mean()
     se = math.sqrt(rho * (1 - rho) / total)

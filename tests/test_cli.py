@@ -1,10 +1,16 @@
 """Tests for the command-line verbs and the run-directory contract."""
 
+import hashlib
 import json
 
 import numpy as np
 from webly.cli import main
-from webly.data import load_dataset, load_web_corpus
+from webly.data import (
+    load_dataset,
+    load_web_corpus,
+    save_web_corpus,
+    write_dataset_csv,
+)
 from webly.noise import load_transition
 
 
@@ -54,7 +60,7 @@ class TestSynth:
         web = load_web_corpus(out / "web.json")
         assert train.num_classes == 3
         assert len(train) + len(test) == 36
-        assert len(web.bags) == len(train)
+        assert len(web.query_ids) == len(train)
         printed = capsys.readouterr().out
         assert f"clean_train class counts: {train.label_counts().tolist()}" \
             in printed
@@ -76,6 +82,14 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert main(["synth", "--config", str(cfg), "--out", str(out),
                      "--overwrite"]) == 0
+
+    def test_non_integer_seed_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out", str(out),
+                     "--seed", "x"]) == 2
+        assert "'x'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:
@@ -120,6 +134,14 @@ class TestRun:
                      "--seed", "1,2"]) == 0
         rows = read_summary(out / "summary.csv")
         assert [r["seed"] for r in rows] == ["1", "2"]
+
+    def test_non_integer_seed_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--seed", "a"]) == 2
+        assert "'a'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_cell_recorded_others_continue(self, tmp_path):
         # file-based data without a web corpus: BL2 must fail, BL1 succeed
@@ -238,6 +260,16 @@ class TestReport:
         assert main(["report", "--runs", str(out)]) == 0
         assert (out / "summary.csv").read_text() == original
 
+    def test_skips_non_integer_seed_directory(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "runs"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        original = (out / "summary.csv").read_text()
+        (out / "BL1" / "notaseed").mkdir()
+        assert main(["report", "--runs", str(out)]) == 0
+        assert "notaseed" in capsys.readouterr().err
+        assert (out / "summary.csv").read_text() == original
+
 
 class TestConfigRoundTrip:
     def test_effective_config_reproduces_the_run(self, tmp_path, monkeypatch):
@@ -256,3 +288,38 @@ class TestConfigRoundTrip:
                     "Proposed/0/stage2/checkpoint.wslckpt",
                     "Proposed/0/provenance.json"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+class TestDefaultConfigBytes:
+    """Files and fingerprints of the default config, as the CSV and JSON
+    formats define them; any change here breaks existing data and runs."""
+
+    SYNTH_SHA256 = {
+        "clean_train.csv": "2cadc74bf42647f4d56f5eba4ddcce90c2cbc6a6d2f7933c6a283c82e47fc782",
+        "clean_test.csv": "4fdb1c1680f2138284ae8fa95d9c7d4698a59710b7db9518925bbda9b94dcd84",
+        "web.json": "ebe85fd343df0851d278592b547c24594768315e7bcc5dc401b59e21e23e2aa3",
+    }
+
+    def test_synth_bytes_and_rewrite(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out)]) == 0
+        for name, digest in self.SYNTH_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        for name in ("clean_train.csv", "clean_test.csv"):
+            write_dataset_csv(load_dataset(out / name), tmp_path / name)
+        save_web_corpus(load_web_corpus(out / "web.json"), tmp_path / "web.json")
+        for name in self.SYNTH_SHA256:
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_run_provenance_fingerprints(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"arms": ["Proposed"]}))
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--seed", "0"]) == 0
+        prov = json.loads((out / "Proposed" / "0" / "provenance.json").read_text())
+        assert prov["inputs"] == {"clean_train": "dc3af1f496776946",
+                                  "clean_test": "3ea7b7bfd34cc557",
+                                  "web": "874b84d839cd07f7"}
+        assert prov["transition_provenance"]["corpus"] == "874b84d839cd07f7"
+        assert prov["transition_provenance"]["oracle"] == "475998844f87cf24"

@@ -1,16 +1,18 @@
 """Tests for dataset ingestion, grouped splitting, and the synthetic generators."""
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from webly.data import (
     BackgroundSpec,
     CleanSpec,
     CROSS_DOMAIN,
     Dataset,
-    Example,
     NoiseSpec,
-    WebBag,
     WebCorpus,
     flatten_web,
     grouped_split,
@@ -21,7 +23,7 @@ from webly.data import (
     synth_web_corpus,
     write_dataset_csv,
 )
-from webly.errors import ParseError, ValidationError
+from webly.errors import ParseError, ValidationError, WeblyError
 
 
 def write_csv(path, rows, header="id,group_id,label,f0,f1"):
@@ -37,7 +39,7 @@ class TestLoadDataset:
         assert len(ds) == 4
         assert ds.num_classes == 3
         assert ds.feature_dim == 2
-        assert [ex.id for ex in ds.examples] == ["a", "b", "c", "d"]
+        assert ds.ids.tolist() == ["a", "b", "c", "d"]
 
     def test_header_only_is_an_error(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -78,48 +80,45 @@ class TestLoadDataset:
 
     def test_write_then_load_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        examples = [Example(id=f"e{i}", group_id=f"g{i % 3}",
-                            features=rng.normal(size=4), label=i % 2)
-                    for i in range(10)]
-        ds = Dataset(examples=examples, num_classes=2, feature_dim=4, name="rt")
+        ds = Dataset(ids=[f"e{i}" for i in range(10)],
+                     group_ids=[f"g{i % 3}" for i in range(10)],
+                     X=rng.normal(size=(10, 4)), y=np.arange(10) % 2,
+                     num_classes=2, name="rt")
         p = tmp_path / "rt.csv"
         write_dataset_csv(ds, p)
         loaded = load_dataset(p)
-        assert np.array_equal(loaded.feature_matrix(), ds.feature_matrix())
-        assert np.array_equal(loaded.labels(), ds.labels())
+        assert np.array_equal(loaded.X, ds.X)
+        assert np.array_equal(loaded.y, ds.y)
 
 
 class TestGroupedSplit:
     def make(self, groups, per_group=2):
-        examples = []
-        for gi, g in enumerate(groups):
-            for j in range(per_group):
-                examples.append(Example(id=f"{g}-{j}", group_id=g,
-                                        features=np.array([float(gi)]),
-                                        label=gi % 2))
-        return Dataset(examples=examples, num_classes=2, feature_dim=1)
+        gi = np.repeat(np.arange(len(groups)), per_group)
+        return Dataset(ids=[f"{groups[g]}-{j % per_group}" for j, g in enumerate(gi)],
+                       group_ids=[groups[g] for g in gi],
+                       X=gi[:, None].astype(float), y=gi % 2, num_classes=2)
 
     def test_four_equal_groups_split_two_two(self):
         ds = self.make(["g0", "g1", "g2", "g3"])
         train, test = grouped_split(ds, 0.5, seed=0)
-        assert len(set(ex.group_id for ex in train.examples)) == 2
-        assert len(set(ex.group_id for ex in test.examples)) == 2
+        assert len(set(train.group_ids)) == 2
+        assert len(set(test.group_ids)) == 2
 
     def test_group_sets_disjoint_and_cover_all(self):
         ds = self.make([f"g{i}" for i in range(7)], per_group=3)
         for seed in range(20):
             train, test = grouped_split(ds, 0.4, seed=seed)
-            tg = set(ex.group_id for ex in train.examples)
-            sg = set(ex.group_id for ex in test.examples)
+            tg = set(train.group_ids)
+            sg = set(test.group_ids)
             assert tg.isdisjoint(sg)
-            assert tg | sg == set(ds.group_ids())
+            assert tg | sg == set(ds.group_ids)
 
     def test_deterministic_given_seed(self):
         ds = self.make([f"g{i}" for i in range(9)])
         a = grouped_split(ds, 0.5, seed=42)
         b = grouped_split(ds, 0.5, seed=42)
-        assert [ex.id for ex in a[0].examples] == [ex.id for ex in b[0].examples]
-        assert [ex.id for ex in a[1].examples] == [ex.id for ex in b[1].examples]
+        assert a[0].ids.tolist() == b[0].ids.tolist()
+        assert a[1].ids.tolist() == b[1].ids.tolist()
 
     def test_single_group_rejected(self):
         ds = self.make(["only"])
@@ -143,8 +142,8 @@ class TestSynthClean:
 
     def test_separable_two_class_construction(self):
         ds = synth_clean(self.spec())
-        x = ds.feature_matrix()
-        y = ds.labels()
+        x = ds.X
+        y = ds.y
         # means are 6 sigma either side of zero on axis 0
         assert (x[y == 0, 0] > 0).all()
         assert (x[y == 1, 0] < 0).all()
@@ -159,12 +158,12 @@ class TestSynthClean:
     def test_deterministic_given_seed(self):
         a = synth_clean(self.spec())
         b = synth_clean(self.spec())
-        assert np.array_equal(a.feature_matrix(), b.feature_matrix())
-        assert [ex.id for ex in a.examples] == [ex.id for ex in b.examples]
+        assert np.array_equal(a.X, b.X)
+        assert a.ids.tolist() == b.ids.tolist()
 
     def test_groups_cycle_within_class(self):
         ds = synth_clean(self.spec(groups_per_class=4))
-        class0 = [ex.group_id for ex in ds.examples if ex.label == 0]
+        class0 = ds.group_ids[ds.y == 0].tolist()
         assert class0[:5] == ["g0", "g1", "g2", "g3", "g0"]
 
     def test_degenerate_specs_rejected(self):
@@ -194,16 +193,14 @@ class TestSynthWebCorpus:
         noise = NoiseSpec(cross_category_kernel=np.eye(3),
                           cross_domain_rate=0.0, bag_size=5, seed=2)
         web = synth_web_corpus(clean, noise, BackgroundSpec())
-        for bag in web.bags:
-            assert bag.true_labels_hidden == [bag.transferred_label] * 5
+        assert np.array_equal(web.true_labels_hidden, web.member_labels())
 
     def test_rate_one_flags_every_member_cross_domain(self):
         clean = make_clean()
         noise = NoiseSpec(cross_category_kernel=np.eye(3),
                           cross_domain_rate=1.0, bag_size=4, seed=3)
         web = synth_web_corpus(clean, noise, BackgroundSpec())
-        for bag in web.bags:
-            assert bag.true_labels_hidden == [CROSS_DOMAIN] * 4
+        assert (web.true_labels_hidden == CROSS_DOMAIN).all()
 
     def test_kernel_row_frequencies_monte_carlo(self):
         # Huge bags; in the class-0 bag the hidden-label fraction for class 0
@@ -213,8 +210,8 @@ class TestSynthWebCorpus:
                                                           [0.3, 0.7]]),
                           cross_domain_rate=0.0, bag_size=10_000, seed=6)
         web = synth_web_corpus(clean, noise, BackgroundSpec())
-        bag0 = next(b for b in web.bags if b.transferred_label == 0)
-        hidden = np.array(bag0.true_labels_hidden)
+        b = int(np.argmax(web.labels == 0))
+        hidden = web.true_labels_hidden[web.offsets[b]:web.offsets[b + 1]]
         frac0 = (hidden == 0).mean()
         assert abs(frac0 - 0.7) < 0.02
 
@@ -223,8 +220,10 @@ class TestSynthWebCorpus:
         noise = NoiseSpec(cross_category_kernel=np.full((3, 3), 1 / 3),
                           cross_domain_rate=0.5, bag_size=6, seed=7)
         web = synth_web_corpus(clean, noise, BackgroundSpec())
-        for bag in web.bags:
-            assert all(m.label == bag.transferred_label for m in bag.members)
+        flat = flatten_web(web)
+        for b, label in enumerate(web.labels):
+            assert (flat.y[web.offsets[b]:web.offsets[b + 1]] == label).all()
+        assert flat.group_ids.tolist() == [q for q in web.query_ids for _ in range(6)]
 
     def test_deterministic_given_seed(self):
         clean = make_clean()
@@ -232,10 +231,8 @@ class TestSynthWebCorpus:
                           cross_domain_rate=0.3, bag_size=4, seed=11)
         a = synth_web_corpus(clean, noise, BackgroundSpec())
         b = synth_web_corpus(clean, noise, BackgroundSpec())
-        assert np.array_equal(flatten_web(a).feature_matrix(),
-                              flatten_web(b).feature_matrix())
-        assert [bag.true_labels_hidden for bag in a.bags] == \
-               [bag.true_labels_hidden for bag in b.bags]
+        assert np.array_equal(flatten_web(a).X, flatten_web(b).X)
+        assert np.array_equal(a.true_labels_hidden, b.true_labels_hidden)
 
     def test_nonpositive_background_scale_rejected(self):
         with pytest.raises(ValidationError, match="scale"):
@@ -263,27 +260,26 @@ class TestFlattenWeb:
 
     def test_counts_multiply(self):
         web = self.build(bag_size=5)
-        assert len(web.bags) == 3
+        assert len(web.query_ids) == 3
         assert len(flatten_web(web)) == 15
 
     def test_labels_repeat_transferred_labels(self):
         web = self.build()
         flat = flatten_web(web)
-        expected = [bag.transferred_label for bag in web.bags
-                    for _ in bag.members]
-        assert flat.labels().tolist() == expected
+        assert flat.y.tolist() == [label for label in web.labels.tolist()
+                                   for _ in range(5)]
 
     def test_features_preserved_bit_exactly(self):
         web = self.build()
+        before = web.X.copy()
         flat = flatten_web(web)
-        i = 0
-        for bag in web.bags:
-            for m in bag.members:
-                assert np.array_equal(flat.examples[i].features, m.features)
-                i += 1
+        assert np.shares_memory(flat.X, web.X)
+        assert np.array_equal(flat.X, before)
+        assert flat.ids is web.member_ids
 
     def test_empty_corpus_rejected(self):
-        empty = WebCorpus(bags=[], num_classes=3, feature_dim=3)
+        empty = WebCorpus(query_ids=[], labels=[], offsets=[0], member_ids=[],
+                          X=np.empty((0, 3)), num_classes=3)
         with pytest.raises(ValidationError, match="empty corpus"):
             flatten_web(empty)
 
@@ -292,6 +288,17 @@ class TestFlattenWeb:
         assert web.access_count == 0
         flatten_web(web)
         assert web.access_count == 1
+
+
+# Two bags (2 and 1 members) of a 2-class, 2-feature corpus, as written.
+SMALL_WEB_JSON = (
+    '{"bags":[{"members":[{"features":[0.5,-1.25],"id":"q0-w0"},'
+    '{"features":[2.0,3.5],"id":"q0-w1"}],"query_id":"q0",'
+    '"transferred_label":0,"true_labels_hidden":[0,-1]},'
+    '{"members":[{"features":[0.001,4.0],"id":"q1-w0"}],"query_id":"q1",'
+    '"transferred_label":1,"true_labels_hidden":[1]}],'
+    '"feature_dim":2,"num_classes":2}'
+)
 
 
 class TestWebCorpusJson:
@@ -304,15 +311,12 @@ class TestWebCorpusJson:
         save_web_corpus(web, p)
         loaded = load_web_corpus(p)
         assert loaded.num_classes == web.num_classes
-        assert loaded.feature_dim == web.feature_dim
-        assert len(loaded.bags) == len(web.bags)
-        for a, b in zip(loaded.bags, web.bags):
-            assert a.query_id == b.query_id
-            assert a.transferred_label == b.transferred_label
-            assert a.true_labels_hidden == b.true_labels_hidden
-            for ma, mb in zip(a.members, b.members):
-                assert ma.id == mb.id
-                assert np.array_equal(ma.features, mb.features)
+        assert loaded.query_ids.tolist() == web.query_ids.tolist()
+        assert np.array_equal(loaded.labels, web.labels)
+        assert np.array_equal(loaded.offsets, web.offsets)
+        assert loaded.member_ids.tolist() == web.member_ids.tolist()
+        assert np.array_equal(loaded.X, web.X)
+        assert np.array_equal(loaded.true_labels_hidden, web.true_labels_hidden)
 
     def test_sentinel_is_minus_one_in_the_document(self, tmp_path):
         clean = make_clean()
@@ -321,26 +325,86 @@ class TestWebCorpusJson:
         web = synth_web_corpus(clean, noise, BackgroundSpec())
         p = tmp_path / "web.json"
         save_web_corpus(web, p)
-        import json
         doc = json.loads(p.read_text())
         assert doc["bags"][0]["true_labels_hidden"] == [-1, -1]
 
+    def test_corpus_without_hidden_labels_round_trips(self, tmp_path):
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        doc = json.loads(SMALL_WEB_JSON)
+        for bag in doc["bags"]:
+            bag["true_labels_hidden"] = None
+        p1.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        loaded = load_web_corpus(p1)
+        assert loaded.true_labels_hidden is None
+        save_web_corpus(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_defects_raise_parse_error_naming_the_path(self, tmp_path):
+        text = SMALL_WEB_JSON
+        cases = {
+            "truncated": text[:len(text) // 2],
+            "non-numeric": text.replace("[0.5,", '["x",'),
+            "ragged": text.replace("[0.5,-1.25]", "[0.5]"),
+            "non-finite": text.replace("0.5", "Infinity"),
+            "hidden-on-some-bags": text.replace("[0,-1]", "null"),
+            "numeric-id": text.replace('"q0-w1"', "7"),
+        }
+        for name, bad_text in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(bad_text)
+            with pytest.raises(ParseError, match=re.escape(str(path))):
+                load_web_corpus(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_document_loads_or_raises_webly_error(self, tmp_path, data):
+        blob = SMALL_WEB_JSON.encode()
+        at = data.draw(st.integers(0, len(blob)), label="at")
+        edit = data.draw(st.sampled_from(["truncate", "replace", "insert"]))
+        if edit == "truncate":
+            blob = blob[:at]
+        else:
+            piece = data.draw(st.one_of(
+                st.binary(max_size=3),
+                st.sampled_from(["null", "true", "NaN", "-Infinity", '"x"', "[]",
+                                 "{}", "1e999", "-7", "99999999999999999999",
+                                 ",", "]", "}"]).map(str.encode)), label="piece")
+            blob = blob[:at] + piece + blob[at + (edit == "replace"):]
+        path = tmp_path / "web.json"
+        path.write_bytes(blob)
+        try:
+            load_web_corpus(path)
+        except WeblyError:
+            pass
+
+
+def one_bag(hidden=None, member_ids=("m",), X=None, label=0):
+    """A corpus of one bag, query "q", with the given member columns."""
+    X = np.zeros((len(member_ids), 2)) if X is None else X
+    return WebCorpus(query_ids=["q"], labels=[label],
+                     offsets=[0, len(member_ids)], member_ids=list(member_ids),
+                     X=X, num_classes=2, true_labels_hidden=hidden)
+
 
 class TestBagInvariants:
-    def test_member_label_must_match_transferred(self):
-        member = Example(id="m", group_id="q", features=np.zeros(2), label=1)
-        with pytest.raises(ValidationError, match="transferred"):
-            WebBag(query_id="q", transferred_label=0, members=[member])
-
     def test_hidden_length_must_match_members(self):
-        member = Example(id="m", group_id="q", features=np.zeros(2), label=0)
         with pytest.raises(ValidationError, match="length"):
-            WebBag(query_id="q", transferred_label=0, members=[member],
-                   true_labels_hidden=[0, 1])
+            one_bag(hidden=[0, 1])
 
     def test_hidden_entries_must_be_classes_or_sentinel(self):
-        member = Example(id="m", group_id="q", features=np.zeros(2), label=0)
-        bag = WebBag(query_id="q", transferred_label=0, members=[member],
-                     true_labels_hidden=[7])
-        with pytest.raises(ValidationError, match="sentinel"):
-            WebCorpus(bags=[bag], num_classes=2, feature_dim=2)
+        with pytest.raises(ValidationError, match="member m: hidden label 7.*sentinel"):
+            one_bag(hidden=[7])
+
+    def test_checks_name_the_offending_row(self):
+        with pytest.raises(ValidationError, match="bag q: transferred label 2"):
+            one_bag(label=2)
+        with pytest.raises(ValidationError, match="duplicate member id 'm'"):
+            one_bag(member_ids=("m", "n", "m"))
+        X = np.zeros((2, 2))
+        X[1, 0] = np.inf
+        with pytest.raises(ValidationError, match="member n: non-finite"):
+            one_bag(member_ids=("m", "n"), X=X)
+        with pytest.raises(ValidationError, match="example b: label 3"):
+            Dataset(ids=["a", "b"], group_ids=["g", "g"], X=np.zeros((2, 1)),
+                    y=[0, 3], num_classes=2)

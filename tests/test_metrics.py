@@ -164,9 +164,7 @@ class TestEvaluate:
     def test_metrics_invariant_to_example_order(self):
         ds = make_clean_dataset(k=3, per_class=8, seed=6)
         rng = np.random.default_rng(7)
-        shuffled = Dataset(examples=[ds.examples[i]
-                                     for i in rng.permutation(len(ds))],
-                           num_classes=3, feature_dim=3, name="shuffled")
+        shuffled = ds.take(rng.permutation(len(ds)), "shuffled")
         cfg = ModelConfig(input_dim=3, hidden_sizes=[5], num_classes=3,
                           init_seed=8)
         params = init_params(cfg)
@@ -193,11 +191,8 @@ class TestEvaluate:
         permuted_params = params.copy()
         permuted_params.weights[-1] = params.weights[-1][:, inverse]
         permuted_params.biases[-1] = params.biases[-1][inverse]
-        relabeled = Dataset(
-            examples=[type(ex)(id=ex.id, group_id=ex.group_id,
-                               features=ex.features, label=int(perm[ex.label]))
-                      for ex in ds.examples],
-            num_classes=3, feature_dim=3, name="relabeled")
+        relabeled = Dataset(ids=ds.ids, group_ids=ds.group_ids, X=ds.X,
+                            y=perm[ds.y], num_classes=3, name="relabeled")
         moved = evaluate(permuted_params, relabeled)
 
         assert moved.accuracy == pytest.approx(base.accuracy, abs=1e-12)
@@ -210,9 +205,7 @@ class TestEvaluate:
 
     def test_absent_class_auc_marked_absent(self):
         ds = make_clean_dataset(k=3, per_class=6, seed=11)
-        present = [ex for ex in ds.examples if ex.label != 2]
-        reduced = Dataset(examples=present, num_classes=3, feature_dim=3,
-                          name="no-class-2")
+        reduced = ds.take(ds.y != 2, "no-class-2")
         cfg = ModelConfig(input_dim=3, hidden_sizes=[4], num_classes=3,
                           init_seed=12)
         report = evaluate(init_params(cfg), reduced)

@@ -1,6 +1,9 @@
 """Tests for the feedforward classifier: forward/backward, dropout, checkpoints."""
 
+import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -193,7 +196,7 @@ class TestPenultimateFeatures:
                           init_seed=2)
         feats = penultimate_features(init_params(cfg), ds)
         path = tmp_path / "features.csv"
-        write_features_csv([ex.id for ex in ds.examples], feats, path)
+        write_features_csv(ds.ids, feats, path)
         import csv as csv_mod
         with open(path) as fh:
             rows = list(csv_mod.reader(fh))
@@ -234,4 +237,38 @@ class TestCheckpoint:
         path = tmp_path / "bad.wslckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    def saved_blob(self, tmp_path):
+        cfg = ModelConfig(input_dim=2, hidden_sizes=[3], num_classes=2)
+        path = tmp_path / "full.wslckpt"
+        save_checkpoint(init_params(cfg), path)
+        return path.read_bytes()
+
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        path = tmp_path / "cut.wslckpt"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(CheckpointError, match=re.escape(str(path))):
+                load_checkpoint(path)
+
+    def test_trailing_bytes_and_offsets_outside_payload_rejected(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        path = tmp_path / "bad.wslckpt"
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(CheckpointError, match="payload"):
+            load_checkpoint(path)
+
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + header_len])
+        header["layers"][-1]["bias_offset"] += 8000
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text
+                         + blob[16 + header_len:])
+        with pytest.raises(CheckpointError, match="layout"):
+            load_checkpoint(path)
+
+        path.write_bytes(blob[:8] + struct.pack("<Q", 1 << 40) + blob[16:])
+        with pytest.raises(CheckpointError, match="header length"):
             load_checkpoint(path)

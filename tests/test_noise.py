@@ -6,9 +6,7 @@ import pytest
 from conftest import make_clean_dataset
 from webly.data import (
     BackgroundSpec,
-    Example,
     NoiseSpec,
-    WebBag,
     WebCorpus,
     synth_web_corpus,
 )
@@ -37,12 +35,10 @@ def corpus_from_posteriors(rows, transferred_label=0) -> WebCorpus:
     identity oracle (features are log-posteriors)."""
     rows = np.asarray(rows, dtype=np.float64)
     k = rows.shape[1]
-    members = [Example(id=f"m{i}", group_id="q0",
-                       features=np.log(rows[i]), label=transferred_label)
-               for i in range(len(rows))]
-    bag = WebBag(query_id="q0", transferred_label=transferred_label,
-                 members=members)
-    return WebCorpus(bags=[bag], num_classes=k, feature_dim=k)
+    return WebCorpus(query_ids=["q0"], labels=[transferred_label],
+                     offsets=[0, len(rows)],
+                     member_ids=[f"m{i}" for i in range(len(rows))],
+                     X=np.log(rows), num_classes=k)
 
 
 class TestMineRepresentatives:
@@ -140,8 +136,14 @@ class TestEstimateTransition:
         noise = NoiseSpec(cross_category_kernel=np.eye(3),
                           cross_domain_rate=0.1, bag_size=3, seed=12)
         web = synth_web_corpus(clean, noise, BackgroundSpec())
-        shuffled = WebCorpus(bags=list(reversed(web.bags)),
-                             num_classes=3, feature_dim=3)
+        bags = range(len(web.query_ids) - 1, -1, -1)
+        members = np.concatenate([np.arange(web.offsets[b], web.offsets[b + 1])
+                                  for b in bags])
+        shuffled = WebCorpus(query_ids=web.query_ids[::-1],
+                             labels=web.labels[::-1],
+                             offsets=np.cumsum([0] + [3] * len(bags)),
+                             member_ids=web.member_ids[members],
+                             X=web.X[members], num_classes=3)
         cfg = ModelConfig(input_dim=3, hidden_sizes=[5], num_classes=3,
                           init_seed=1)
         oracle = init_params(cfg)

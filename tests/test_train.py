@@ -98,13 +98,13 @@ class TestTrainStage:
         result = train_stage(init_params(self.model_cfg(seed=1)), ds, cfg)
         assert result.log[-1]["train_accuracy"] > 0.95
         posteriors = predict(result.params, ds)
-        assert (posteriors.argmax(axis=1) == ds.labels()).mean() > 0.95
+        assert (posteriors.argmax(axis=1) == ds.y).mean() > 0.95
 
     def test_logged_accuracy_matches_final_params(self):
         ds = self.make_ds()
         cfg = TrainConfig(epochs=3, batch_size=8)
         result = train_stage(init_params(self.model_cfg()), ds, cfg)
-        acc = (predict(result.params, ds).argmax(axis=1) == ds.labels()).mean()
+        acc = (predict(result.params, ds).argmax(axis=1) == ds.y).mean()
         assert abs(result.log[-1]["train_accuracy"] - acc) < 1e-12
 
     def test_divergence_reports_coordinates(self):
@@ -116,10 +116,8 @@ class TestTrainStage:
                 train_stage(init_params(self.model_cfg()), ds, cfg)
 
     def test_missing_class_rejected(self):
-        from webly.data import Dataset
         ds = self.make_ds()
-        only0 = Dataset(examples=[ex for ex in ds.examples if ex.label == 0],
-                        num_classes=2, feature_dim=4, name="one-class")
+        only0 = ds.take(ds.y == 0, "one-class")
         with pytest.raises(ValidationError, match="absent"):
             train_stage(init_params(self.model_cfg()), only0,
                         TrainConfig(epochs=1, batch_size=8))
