@@ -39,7 +39,7 @@ from .data import (
     synth_web_corpus,
     write_dataset_csv,
 )
-from .errors import ValidationError, WeblyError
+from .errors import ParseError, ValidationError, WeblyError
 from .metrics import (
     evaluate,
     report_timestamp,
@@ -72,7 +72,6 @@ DEFAULT_CONFIG = {
         "lr_decay_factor": 0.5,
         "lr_decay_every": 10,
         "shuffle_seed": 0,
-        "dropout_keep_prob": 0.8,
     },
     "train_clean": {
         "epochs": 40,
@@ -82,7 +81,6 @@ DEFAULT_CONFIG = {
         "lr_decay_factor": 0.5,
         "lr_decay_every": 10,
         "shuffle_seed": 1,
-        "dropout_keep_prob": 0.8,
     },
     "loss": {"renormalize_modulated": False},
     "data": {
@@ -130,16 +128,35 @@ def load_config(path: str | None) -> dict:
     """Merge a user config file over the defaults.
 
     The ``data`` section is special-cased: supplying file paths drops the
-    default synthetic spec instead of merging with it.
+    default synthetic spec instead of merging with it.  Dropout is a model
+    setting; a ``dropout_keep_prob`` left in ``train_web`` or ``train_clean``
+    is dropped when it equals ``model.dropout_keep_prob`` and rejected
+    otherwise.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    with open(path, encoding="utf-8") as fh:
-        user = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            user = json.load(fh)
+    except ValueError as exc:  # JSON syntax or UTF-8 decoding
+        raise ParseError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(user, dict):
+        raise ParseError(f"{path}: top-level value must be an object, "
+                         f"got {type(user).__name__}")
     user_data = user.get("data")
     merged = _deep_merge(DEFAULT_CONFIG, user)
     if user_data is not None and "synth" not in user_data:
         merged["data"] = copy.deepcopy(user_data)
+    for section in ("model", "train_web", "train_clean"):
+        if not isinstance(merged[section], dict):
+            raise ParseError(f"{path}: {section} must be an object")
+    keep = merged["model"].get("dropout_keep_prob")
+    for section in ("train_web", "train_clean"):
+        value = merged[section].pop("dropout_keep_prob", keep)
+        if value != keep:
+            raise ValidationError(
+                f"{path}: {section}.dropout_keep_prob={value!r} differs from "
+                f"model.dropout_keep_prob={keep!r}; dropout is set in model only")
     return merged
 
 
@@ -234,7 +251,6 @@ def _train_config(section: dict, seed: int) -> TrainConfig:
         lr_decay_factor=section["lr_decay_factor"],
         lr_decay_every=section["lr_decay_every"],
         shuffle_seed=section["shuffle_seed"] + seed,
-        dropout_keep_prob=section["dropout_keep_prob"],
     )
 
 
@@ -316,7 +332,7 @@ def _cell_worker(payload: tuple) -> dict:
     config, arm, seed, cell_dir, timestamp = payload
     try:
         return run_cell(config, arm, seed, Path(cell_dir), timestamp)
-    except Exception as exc:  # failed cells are recorded, others continue
+    except (WeblyError, OSError) as exc:  # a failed cell is recorded, others run
         return _summary_row(arm, seed, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -348,6 +364,9 @@ def cmd_run(args) -> int:
         config["output_dir"] = args.out
     if args.seed:
         config["seeds"] = _parse_seeds(args.seed)
+    if args.jobs < 1:
+        print(f"error: --jobs {args.jobs}: must be at least 1", file=sys.stderr)
+        return 2
     arms = config["arms"]
     seeds = config["seeds"]
     if not arms or not seeds:

@@ -35,6 +35,16 @@ def _reject(bad: np.ndarray, ids: np.ndarray, message: str, values=None) -> None
         raise ValidationError(message.format(id=ids[i], value=value))
 
 
+def check_row_stochastic(m: np.ndarray, name: str) -> None:
+    """Raise ValidationError unless ``m`` is a square matrix with entries in
+    [0, 1] whose rows sum to 1 within 1e-9; NaN entries fail."""
+    if not (m.ndim == 2 and m.shape[0] == m.shape[1]
+            and np.all((m >= 0) & (m <= 1))
+            and np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ValidationError(f"{name} must be row-stochastic: square, entries in "
+                              "[0, 1], each row summing to 1 within 1e-9")
+
+
 def _repeats(ids: np.ndarray) -> np.ndarray:
     """Mask of the ids that already occurred earlier in the column."""
     seen: set[str] = set()
@@ -165,13 +175,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         self.cross_category_kernel = np.asarray(self.cross_category_kernel, dtype=np.float64)
-        k = self.cross_category_kernel.shape
-        if len(k) != 2 or k[0] != k[1]:
-            raise ValidationError("cross_category_kernel must be square")
-        if np.any(self.cross_category_kernel < 0) or np.any(self.cross_category_kernel > 1):
-            raise ValidationError("cross_category_kernel entries must lie in [0, 1]")
-        if np.any(np.abs(self.cross_category_kernel.sum(axis=1) - 1.0) > 1e-9):
-            raise ValidationError("cross_category_kernel rows must sum to 1 within 1e-9")
+        check_row_stochastic(self.cross_category_kernel, "cross_category_kernel")
         if not 0.0 <= self.cross_domain_rate <= 1.0:
             raise ValidationError("cross_domain_rate must lie in [0, 1]")
         if self.bag_size < 1:
@@ -244,40 +248,45 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
 
     The number of classes is inferred as max label + 1 unless ``num_classes``
     overrides it.  Row order is preserved.  Malformed rows raise ParseError
-    naming the offending line; duplicate ids raise ValidationError.
+    naming the offending line, as do text that is not UTF-8 and CSV syntax
+    errors; duplicate ids raise ValidationError.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, header required") from None
-        d = len(header) - 3
-        if d < 1 or header != _expected_header(d):
-            raise ParseError(f"{path}: line 1: bad header {header!r}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file, header required")
+            d = len(header) - 3
+            if d < 1 or header != _expected_header(d):
+                raise ParseError(f"{path}: line 1: bad header {header!r}")
 
-        ids, group_ids, labels, rows = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 3:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {d + 3} columns, got {len(row)}"
-                )
-            label_str = row[2]
-            try:
-                label = int(label_str)
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: label {label_str!r} "
-                                 "is not a base-10 integer") from None
-            if label < 0:
-                raise ParseError(f"{path}: line {lineno}: negative label {label}")
-            try:
-                rows.append([float(v) for v in row[3:]])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
-            ids.append(row[0])
-            group_ids.append(row[1])
-            labels.append(label)
+            ids, group_ids, labels, rows = [], [], [], []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != d + 3:
+                    raise ParseError(
+                        f"{path}: line {lineno}: expected {d + 3} columns, got {len(row)}"
+                    )
+                label_str = row[2]
+                try:
+                    label = int(label_str)
+                except ValueError:
+                    raise ParseError(f"{path}: line {lineno}: label {label_str!r} "
+                                     "is not a base-10 integer") from None
+                if label < 0:
+                    raise ParseError(f"{path}: line {lineno}: negative label {label}")
+                try:
+                    rows.append([float(v) for v in row[3:]])
+                except ValueError:
+                    raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
+                ids.append(row[0])
+                group_ids.append(row[1])
+                labels.append(label)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
     if not ids:
         raise ValidationError(f"{path}: no examples")

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_row_stochastic
 from .errors import ValidationError
+from .noise import TransitionMatrix
 
 LOG_EPS = 1e-12
 
@@ -60,32 +62,6 @@ def median_frequency_weights(label_counts) -> ClassWeights:
     return ClassWeights(w=med / freqs, source_counts=counts)
 
 
-def _as_entries(transition) -> np.ndarray:
-    entries = getattr(transition, "entries", transition)
-    return np.asarray(entries, dtype=np.float64)
-
-
-def _as_weights(w) -> np.ndarray:
-    return np.asarray(getattr(w, "w", w), dtype=np.float64)
-
-
-def _validate_inputs(posteriors: np.ndarray, labels: np.ndarray,
-                     t: np.ndarray, w: np.ndarray) -> None:
-    if posteriors.ndim != 2:
-        raise ValidationError("posteriors must be a (batch, K) matrix")
-    k = posteriors.shape[1]
-    if t.shape != (k, k):
-        raise ValidationError(f"transition is {t.shape}, posteriors have K={k}")
-    if np.any(t < 0) or np.any(t > 1) or np.any(np.abs(t.sum(axis=1) - 1) > 1e-9):
-        raise ValidationError("transition must be row-stochastic with entries in [0, 1]")
-    if w.shape != (k,):
-        raise ValidationError(f"weights shape {w.shape} != ({k},)")
-    if labels.shape != (posteriors.shape[0],):
-        raise ValidationError("labels length must match batch size")
-    if np.any(labels < 0) or np.any(labels >= k):
-        raise ValidationError("label out of range")
-
-
 def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
                             renormalize: bool = False) -> LossReport:
     """Weighted cross-entropy on transition-diffused scores.
@@ -95,14 +71,31 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
     and the scalar is the batch mean.  ``renormalize`` switches to the
     documented alternative that renormalizes the diffused scores across classes
     before the log (off by default).
+
+    A ``TransitionMatrix`` and ``ClassWeights`` were checked when built and are
+    trusted; a raw transition array is checked to be row-stochastic.  Shapes
+    and label range are checked on every call.
     """
     p = np.asarray(posteriors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    t = _as_entries(transition)
-    wv = _as_weights(w)
-    _validate_inputs(p, labels, t, wv)
+    if isinstance(transition, TransitionMatrix):
+        t = transition.entries
+    else:
+        t = np.asarray(transition, dtype=np.float64)
+        check_row_stochastic(t, "transition")
+    wv = w.w if isinstance(w, ClassWeights) else np.asarray(w, dtype=np.float64)
+    if p.ndim != 2:
+        raise ValidationError("posteriors must be a (batch, K) matrix")
+    batch, k = p.shape
+    if t.shape != (k, k):
+        raise ValidationError(f"transition is {t.shape}, posteriors have K={k}")
+    if wv.shape != (k,):
+        raise ValidationError(f"weights shape {wv.shape} != ({k},)")
+    if labels.shape != (batch,):
+        raise ValidationError("labels length must match batch size")
+    if np.any(labels < 0) or np.any(labels >= k):
+        raise ValidationError("label out of range")
 
-    batch = p.shape[0]
     rows = t[labels]                       # (B, K): transition row per example
     s = np.einsum("bk,bk->b", rows, p)     # diffused score of the labeled class
     wc = wv[labels]

@@ -1,9 +1,14 @@
 """Feedforward softmax classifier with analytic forward/backward passes.
 
 Hidden layers use ReLU with inverted dropout (train-time scaling by 1/keep,
-nothing at eval); the output layer is a softmax computed in the max-subtracted
-stable form.  Gradients are hand-derived and checked against finite differences
-in the test suite.  Everything runs in float64.
+nothing at eval), where keep is the model config's ``dropout_keep_prob``; the
+output layer is a softmax computed in the max-subtracted stable form.
+Gradients are hand-derived and checked against finite differences in the test
+suite.  Everything runs in float64.
+
+A model's parameters are one flat vector in checkpoint order, with per-layer
+views; ``backward`` returns its gradient in the same layout.  Shapes and
+finiteness are checked when parameters are built or loaded, not per call.
 """
 
 from __future__ import annotations
@@ -51,38 +56,53 @@ class ModelConfig:
         return list(zip(sizes[:-1], sizes[1:]))
 
 
-@dataclass
 class ModelParams:
-    """Per-layer weight matrices and bias vectors; immutable by convention."""
+    """Every weight and bias of a model in one float64 vector, ``flat``.
 
-    config: ModelConfig
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``flat`` packs the layers in checkpoint order (w0, b0, w1, b1, ...), each
+    weight matrix row-major; ``weights[l]`` (fan_in x fan_out) and
+    ``biases[l]`` are views into it, so an in-place write to one changes
+    ``flat``.  Shapes and finiteness are checked once, at construction;
+    training then updates ``flat`` in place.
+    """
 
-    def __post_init__(self):
-        dims = self.config.layer_dims()
-        if len(self.weights) != len(dims) or len(self.biases) != len(dims):
+    def __init__(self, config: ModelConfig, weights, biases):
+        dims = config.layer_dims()
+        if len(weights) != len(dims) or len(biases) != len(dims):
             raise ValidationError("layer count does not match config")
-        for (fan_in, fan_out), w, b in zip(dims, self.weights, self.biases):
+        for (fan_in, fan_out), w, b in zip(dims, weights, biases):
             if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
                 raise ValidationError(
                     f"layer shapes {w.shape}/{b.shape} != ({fan_in},{fan_out})/({fan_out},)"
                 )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValidationError("non-finite parameter")
+        flat = np.concatenate([np.ravel(a) for a in chain(*zip(weights, biases))],
+                              dtype=np.float64)
+        if not np.isfinite(flat).all():
+            raise ValidationError("non-finite parameter")
+        self.config, self.flat = config, flat
+        self.weights, self.biases = _layer_views(flat, dims)
+
+    @classmethod
+    def _from_flat(cls, config: ModelConfig, flat: np.ndarray) -> "ModelParams":
+        """Adopt a finite packed vector of the config's size, without copying."""
+        params = cls.__new__(cls)
+        params.config, params.flat = config, flat
+        params.weights, params.biases = _layer_views(flat, config.layer_dims())
+        return params
 
     def copy(self) -> "ModelParams":
-        return ModelParams(config=self.config,
-                           weights=[w.copy() for w in self.weights],
-                           biases=[b.copy() for b in self.biases])
+        return ModelParams._from_flat(self.config, self.flat.copy())
 
-    def flat_arrays(self) -> list[np.ndarray]:
-        """Weights and biases interleaved in layer order (w0, b0, w1, b1, ...)."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+
+def _layer_views(vec: np.ndarray, dims) -> tuple[tuple, tuple]:
+    """Per-layer weight and bias views into a vector packed like ``flat``."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in dims:
+        end = pos + fan_in * fan_out
+        weights.append(vec[pos:end].reshape(fan_in, fan_out))
+        biases.append(vec[end:end + fan_out])
+        pos = end + fan_out
+    return tuple(weights), tuple(biases)
 
 
 @dataclass
@@ -93,7 +113,6 @@ class ForwardCache:
     inputs: list[np.ndarray]          # input to each layer
     pre_activations: list[np.ndarray]  # hidden pre-activations only
     dropout_masks: list[np.ndarray | None]
-    keep_prob: float
     logits: np.ndarray
 
 
@@ -115,13 +134,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
-            dropout_seed=None, keep_prob: float | None = None
-            ) -> tuple[np.ndarray, ForwardCache]:
+            dropout_seed=None) -> tuple[np.ndarray, ForwardCache]:
     """Run the network over a batch, returning posteriors and a backward cache.
 
-    In train mode, inverted dropout with the given keep probability (defaulting
-    to the config's) is applied to every hidden activation, seeded by
-    ``dropout_seed``; eval mode applies no dropout and no scaling.
+    In train mode, inverted dropout with the config's keep probability is
+    applied to every hidden activation, seeded by ``dropout_seed``; eval mode
+    applies no dropout and no scaling.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.config.input_dim:
@@ -131,9 +149,7 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
         )
     if not np.all(np.isfinite(batch)):
         raise ValidationError("non-finite input")
-    keep = params.config.dropout_keep_prob if keep_prob is None else float(keep_prob)
-    if not 0.0 < keep <= 1.0:
-        raise ValidationError("keep_prob must lie in (0, 1]")
+    keep = params.config.dropout_keep_prob
     rng = np.random.default_rng(dropout_seed) if train and keep < 1.0 else None
 
     n_hidden = len(params.config.hidden_sizes)
@@ -155,29 +171,15 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
     logits = a @ params.weights[n_hidden] + params.biases[n_hidden]
     posteriors = softmax(logits)
     cache = ForwardCache(params=params, inputs=inputs, pre_activations=pre_acts,
-                         dropout_masks=masks, keep_prob=keep, logits=logits)
+                         dropout_masks=masks, logits=logits)
     return posteriors, cache
 
 
-@dataclass
-class ParamGrads:
-    """Gradients with the same layer shapes as ModelParams."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def flat_arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-
-def backward(cache: ForwardCache, logit_grads: np.ndarray) -> ParamGrads:
+def backward(cache: ForwardCache, logit_grads: np.ndarray) -> np.ndarray:
     """Chain the upstream gradient at the output logits back to all parameters.
 
     Exact analytic chain rule through the dropout masks recorded in the cache.
+    Returns one gradient vector packed like ``ModelParams.flat``.
     """
     params = cache.params
     n_layers = len(params.weights)
@@ -186,25 +188,24 @@ def backward(cache: ForwardCache, logit_grads: np.ndarray) -> ParamGrads:
             f"upstream gradient shape {logit_grads.shape} != logits "
             f"{cache.logits.shape}"
         )
-    if len(cache.inputs) != n_layers:
-        raise ValidationError("cache does not match params")
 
-    w_grads = [np.empty(0)] * n_layers
-    b_grads = [np.empty(0)] * n_layers
+    grad = np.empty_like(params.flat)
+    w_grads, b_grads = _layer_views(grad, params.config.layer_dims())
     g = logit_grads
-    w_grads[-1] = cache.inputs[-1].T @ g
-    b_grads[-1] = g.sum(axis=0)
+    w_grads[-1][...] = cache.inputs[-1].T @ g
+    b_grads[-1][...] = g.sum(axis=0)
     upstream = g @ params.weights[-1].T
+    keep = params.config.dropout_keep_prob
     for l in range(n_layers - 2, -1, -1):
         mask = cache.dropout_masks[l]
         if mask is not None:
-            upstream = upstream * mask / cache.keep_prob
+            upstream = upstream * mask / keep
         dz = upstream * (cache.pre_activations[l] > 0)
-        w_grads[l] = cache.inputs[l].T @ dz
-        b_grads[l] = dz.sum(axis=0)
+        w_grads[l][...] = cache.inputs[l].T @ dz
+        b_grads[l][...] = dz.sum(axis=0)
         if l > 0:
             upstream = dz @ params.weights[l].T
-    return ParamGrads(weights=w_grads, biases=b_grads)
+    return grad
 
 
 def predict(params: ModelParams, ds) -> np.ndarray:
@@ -224,13 +225,13 @@ def penultimate_features(params: ModelParams, ds) -> np.ndarray:
 def fingerprint(obj) -> str:
     """First 16 hex digits of a SHA-256 over a stable byte stream of ``obj``.
 
-    Parameters stream as checkpoint header then arrays; a dataset as id, group
+    Parameters stream as checkpoint header then ``flat``; a dataset as id, group
     id, label and feature row per example; a web corpus as query id and label
     per bag, each followed by id and feature row per member of the bag.  Text
     and numbers stream as UTF-8 text, arrays as little-endian float64.
     """
     if isinstance(obj, ModelParams):
-        parts = [_header_bytes(obj.config), *obj.flat_arrays()]
+        parts = [_header_bytes(obj.config), obj.flat]
     elif isinstance(obj, Dataset):
         parts = chain.from_iterable(zip(obj.ids, obj.group_ids, obj.y.tolist(), obj.X))
     elif isinstance(obj, WebCorpus):
@@ -251,8 +252,8 @@ def fingerprint(obj) -> str:
 # Checkpointing
 # ---------------------------------------------------------------------------
 # Layout: magic "WSLCKPT1", uint64 little-endian header length, JSON header
-# {config, layer shapes, byte offsets}, then packed little-endian float64
-# arrays in layer order (weights then bias per layer).
+# {config, layer shapes, byte offsets}, then ModelParams.flat as little-endian
+# float64: layers in order, weights then bias per layer.
 
 def _header_bytes(cfg: ModelConfig) -> bytes:
     layers = []
@@ -274,8 +275,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for arr in params.flat_arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str | Path,
@@ -320,12 +320,6 @@ def load_checkpoint(path: str | Path,
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, the "
                               f"layers need {size}")
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    weights, biases, pos = [], [], 0
-    for fan_in, fan_out in dims:
-        weights.append(values[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        biases.append(values[pos + fan_in * fan_out:pos + (fan_in + 1) * fan_out])
-        pos += (fan_in + 1) * fan_out
-    try:
-        return ModelParams(config=cfg, weights=weights, biases=biases)
-    except ValidationError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{path}: non-finite parameter")
+    return ModelParams._from_flat(cfg, values)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import WebCorpus, canonical_json, flatten_web
+from .data import WebCorpus, canonical_json, check_row_stochastic, flatten_web
 from .errors import ParseError, ValidationError
 from .model import ModelParams, fingerprint, forward
 
@@ -29,13 +29,7 @@ class TransitionMatrix:
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
-        k = self.entries.shape
-        if len(k) != 2 or k[0] != k[1]:
-            raise ValidationError("transition matrix must be square")
-        if np.any(self.entries < 0) or np.any(self.entries > 1):
-            raise ValidationError("transition entries must lie in [0, 1]")
-        if np.any(np.abs(self.entries.sum(axis=1) - 1.0) > 1e-9):
-            raise ValidationError("transition rows must sum to 1 within 1e-9")
+        check_row_stochastic(self.entries, "transition")
 
     @property
     def k(self) -> int:
@@ -134,12 +128,19 @@ def save_transition(t: TransitionMatrix, path: str | Path) -> None:
 
 
 def load_transition(path: str | Path) -> TransitionMatrix:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a ``save_transition`` file; any defect raises ParseError naming it."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        k = doc["k"]
         entries = np.array(doc["rows"], dtype=np.float64)
-        if entries.shape != (doc["k"], doc["k"]):
-            raise ValidationError(f"rows shape {entries.shape} != k={doc['k']}")
-        return TransitionMatrix(entries=entries, provenance=doc.get("provenance", {}))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: malformed transition document: {exc}") from None
+        provenance = doc.get("provenance", {})
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and ragged rows
+        raise ParseError(f"{path}: malformed transition document: {exc!r}") from None
+    if entries.shape != (k, k):
+        raise ParseError(f"{path}: rows shape {entries.shape} != k={k!r}")
+    try:
+        return TransitionMatrix(entries=entries, provenance=provenance)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None

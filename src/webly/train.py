@@ -7,6 +7,12 @@ trains an oracle on clean data, estimates the transition matrix from the web
 corpus with it, pretrains on web data with the modulated loss, then fine-tunes
 on clean data.  Every stage is deterministic given its config: the shuffle
 order and dropout masks derive from (shuffle_seed, epoch, batch) alone.
+
+A stage updates one flat parameter vector in place (``ModelParams.flat``),
+with the gradient and momentum in the same layout.  Dropout is the model's
+setting.  Parameters, the transition, the class weights and the dataset are
+checked when they are built; the step loop checks only that the updated
+parameters are finite.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ class TrainConfig:
     lr_decay_factor: float = 0.5
     lr_decay_every: int = 10
     shuffle_seed: int = 0
-    dropout_keep_prob: float = 0.8
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -54,8 +59,6 @@ class TrainConfig:
             raise ValidationError("lr_decay_every must be >= 1")
         if self.shuffle_seed < 0:
             raise ValidationError("shuffle_seed must be >= 0")
-        if not 0.0 < self.dropout_keep_prob <= 1.0:
-            raise ValidationError("dropout_keep_prob must lie in (0, 1]")
 
 
 @dataclass
@@ -87,32 +90,18 @@ def effective_lr(cfg: TrainConfig, epoch: int) -> float:
     return cfg.learning_rate_init * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
 
 
-def sgd_momentum_step(params: list[np.ndarray], grads: list[np.ndarray],
-                      velocity: list[np.ndarray], lr: float, momentum: float
-                      ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Classic momentum update: v' = momentum*v - lr*g; theta' = theta + v'."""
-    if len(params) != len(grads) or len(params) != len(velocity):
-        raise ValidationError("params, grads, velocity must align")
-    new_params, new_velocity = [], []
-    for theta, g, v in zip(params, grads, velocity):
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("divergence detected: non-finite gradient")
-        v_next = momentum * v - lr * g
-        new_velocity.append(v_next)
-        new_params.append(theta + v_next)
-    return new_params, new_velocity
+def sgd_momentum_step(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
+                      lr: float, momentum: float) -> None:
+    """Classic momentum update in place: v <- momentum*v - lr*g; theta <- theta + v.
 
-
-def _rebuild(config: ModelConfig, arrays: list[np.ndarray],
-             epoch: int, batch: int) -> ModelParams:
-    weights = arrays[0::2]
-    biases = arrays[1::2]
-    try:
-        return ModelParams(config=config, weights=weights, biases=biases)
-    except ValidationError as exc:
-        raise DivergenceError(
-            f"divergence detected at epoch {epoch}, batch {batch}: {exc}"
-        ) from None
+    Raises DivergenceError when the updated ``theta`` is not all finite; a
+    non-finite gradient always makes it so.
+    """
+    velocity *= momentum
+    velocity -= lr * grad
+    theta += velocity
+    if not np.isfinite(theta).all():
+        raise DivergenceError("divergence detected: non-finite parameter")
 
 
 def train_stage(init: ModelParams, ds: Dataset, cfg: TrainConfig,
@@ -121,9 +110,11 @@ def train_stage(init: ModelParams, ds: Dataset, cfg: TrainConfig,
     """Run one stage of mini-batch SGD over the dataset.
 
     ``transition`` selects the loss: None trains with plain weighted
-    cross-entropy, otherwise the transition-modulated loss.  Class weights are
-    median-frequency balanced from this dataset's labels, computed once at
-    stage start.  Velocity starts at zero.  Deterministic given the config.
+    cross-entropy (the modulated loss with the identity), otherwise the
+    transition-modulated loss.  Class weights are median-frequency balanced
+    from this dataset's labels, computed once at stage start.  ``init`` is
+    copied, never changed.  Velocity starts at zero.  Deterministic given the
+    config.
     """
     if len(ds) == 0:
         raise ValidationError("cannot train on an empty dataset")
@@ -131,20 +122,18 @@ def train_stage(init: ModelParams, ds: Dataset, cfg: TrainConfig,
         raise ValidationError("dataset dims do not match model config")
     weights = median_frequency_weights(ds.label_counts())
     if transition is None:
-        t_entries = np.eye(ds.num_classes)
-    else:
-        if transition.k != ds.num_classes:
-            raise ValidationError(
-                f"transition k={transition.k} != num_classes {ds.num_classes}"
-            )
-        t_entries = transition.entries
+        transition = TransitionMatrix(entries=np.eye(ds.num_classes), provenance={})
+    elif transition.k != ds.num_classes:
+        raise ValidationError(
+            f"transition k={transition.k} != num_classes {ds.num_classes}"
+        )
 
     start = time.perf_counter()
     x = ds.X
     y = ds.y
     n = len(ds)
     params = init.copy()
-    velocity = [np.zeros_like(a) for a in params.flat_arrays()]
+    velocity = np.zeros_like(params.flat)
     log: list[dict] = []
     for epoch in range(cfg.epochs):
         lr = effective_lr(cfg, epoch)
@@ -156,25 +145,17 @@ def train_stage(init: ModelParams, ds: Dataset, cfg: TrainConfig,
             posteriors, cache = forward(
                 params, x[sel], train=True,
                 dropout_seed=(cfg.shuffle_seed, epoch, batch_idx),
-                keep_prob=cfg.dropout_keep_prob,
             )
-            report = modulated_cross_entropy(posteriors, y[sel], t_entries,
+            report = modulated_cross_entropy(posteriors, y[sel], transition,
                                              weights, renormalize=renormalize)
-            if not np.isfinite(report.loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_idx}"
-                )
-            grads = backward(cache, report.logit_grads)
+            grad = backward(cache, report.logit_grads)
+            # A non-finite loss or gradient makes the updated theta non-finite.
             try:
-                arrays, velocity = sgd_momentum_step(
-                    params.flat_arrays(), grads.flat_arrays(), velocity,
-                    lr, cfg.momentum,
-                )
+                sgd_momentum_step(params.flat, grad, velocity, lr, cfg.momentum)
             except DivergenceError as exc:
                 raise DivergenceError(
-                    f"{exc} (epoch {epoch}, batch {batch_idx})"
+                    f"{exc} at epoch {epoch}, batch {batch_idx}"
                 ) from None
-            params = _rebuild(init.config, arrays, epoch, batch_idx)
             loss_sum += float(report.per_example.sum())
         eval_posteriors, _ = forward(params, x, train=False)
         train_acc = float((eval_posteriors.argmax(axis=1) == y).mean())

@@ -1,5 +1,7 @@
 """Shared helpers: random valid inputs and the finite-difference gradient oracle."""
 
+import dataclasses
+
 import numpy as np
 
 from webly.data import CleanSpec, synth_clean
@@ -41,6 +43,7 @@ def fd_max_rel_error(cfg: ModelConfig, batch_size=8, n_coords=100, h=1e-4,
     preactivation sits well clear of its kink; with zero-initialized biases a
     fully dropped hidden row otherwise lands a preactivation at exactly 0.
     """
+    cfg = dataclasses.replace(cfg, dropout_keep_prob=keep_prob)
     for attempt in range(50):
         rng = np.random.default_rng((seed, attempt))
         params = init_params(cfg)
@@ -48,8 +51,7 @@ def fd_max_rel_error(cfg: ModelConfig, batch_size=8, n_coords=100, h=1e-4,
         labels = rng.integers(0, cfg.num_classes, size=batch_size)
         t = random_transition(cfg.num_classes, rng)
         w = rng.uniform(0.5, 2.0, size=cfg.num_classes)
-        _, probe = forward(params, x, train=True, dropout_seed=dropout_seed,
-                           keep_prob=keep_prob)
+        _, probe = forward(params, x, train=True, dropout_seed=dropout_seed)
         margins = [np.abs(z).min() for z in probe.pre_activations]
         if not margins or min(margins) > 50 * h:
             break
@@ -57,37 +59,27 @@ def fd_max_rel_error(cfg: ModelConfig, batch_size=8, n_coords=100, h=1e-4,
         raise RuntimeError("no kink-free instance found")
 
     def scalar_loss(p: ModelParams) -> float:
-        posteriors, _ = forward(p, x, train=True, dropout_seed=dropout_seed,
-                                keep_prob=keep_prob)
+        posteriors, _ = forward(p, x, train=True, dropout_seed=dropout_seed)
         return modulated_cross_entropy(posteriors, labels, t, w,
                                        renormalize=renormalize).loss
 
-    posteriors, cache = forward(params, x, train=True,
-                                dropout_seed=dropout_seed, keep_prob=keep_prob)
+    posteriors, cache = forward(params, x, train=True, dropout_seed=dropout_seed)
     report = modulated_cross_entropy(posteriors, labels, t, w,
                                      renormalize=renormalize)
-    analytic = backward(cache, report.logit_grads).flat_arrays()
+    analytic = backward(cache, report.logit_grads)
 
-    base = params.flat_arrays()
-    sizes = [a.size for a in base]
-    total = sum(sizes)
+    total = params.flat.size
     coords = rng.choice(total, size=min(n_coords, total), replace=False)
-    bounds = np.cumsum([0] + sizes)
 
     worst = 0.0
-    for flat_idx in coords:
-        ai = int(np.searchsorted(bounds, flat_idx, side="right") - 1)
-        off = int(flat_idx - bounds[ai])
-
+    for i in coords:
         def loss_at(delta):
-            arrays = [a.copy() for a in base]
-            arrays[ai].flat[off] += delta
-            perturbed = ModelParams(config=cfg, weights=arrays[0::2],
-                                    biases=arrays[1::2])
+            perturbed = params.copy()
+            perturbed.flat[i] += delta
             return scalar_loss(perturbed)
 
         numeric = (loss_at(h) - loss_at(-h)) / (2.0 * h)
-        a = float(analytic[ai].flat[off])
+        a = float(analytic[i])
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         worst = max(worst, rel)
     return worst

@@ -4,6 +4,9 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
+
+from webly import cli
 from webly.cli import main
 from webly.data import (
     load_dataset,
@@ -11,6 +14,7 @@ from webly.data import (
     save_web_corpus,
     write_dataset_csv,
 )
+from webly.model import ModelConfig, init_params, save_checkpoint
 from webly.noise import load_transition
 
 
@@ -161,6 +165,51 @@ class TestRun:
         assert rows["BL2"]["status"] == "failed"
         assert "web" in rows["BL2"]["error"]
 
+    def test_non_webly_error_in_a_cell_surfaces(self, tmp_path, monkeypatch):
+        def buggy_cell(*args):
+            raise ZeroDivisionError("bug in a cell")
+        monkeypatch.setattr(cli, "run_cell", buggy_cell)
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(ZeroDivisionError, match="bug in a cell"):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")])
+
+    def test_jobs_below_one_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "runs"
+        for jobs in ("0", "-3"):
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--jobs", jobs]) == 2
+            assert f"--jobs {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_dropout_must_equal_the_model_setting(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        cfg = tiny_config(tmp_path, model={"hidden_sizes": [8], "init_seed": 0,
+                                           "dropout_keep_prob": 0.8},
+                          train_web={"epochs": 2, "batch_size": 16, "shuffle_seed": 0,
+                                     "dropout_keep_prob": 0.5})
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "train_web.dropout_keep_prob" in capsys.readouterr().err
+        assert not out.exists()
+        config = json.loads(cfg.read_text())
+        config["train_web"]["dropout_keep_prob"] = 0.8
+        config["train_clean"]["dropout_keep_prob"] = 0.8
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        effective = json.loads((out / "effective_config.json").read_text())
+        assert "dropout_keep_prob" not in effective["train_web"]
+        assert "dropout_keep_prob" not in effective["train_clean"]
+        assert effective["model"]["dropout_keep_prob"] == 0.8
+
+    def test_malformed_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        for name, text in (("truncated", '{"seeds":'), ("list", "[1, 2]"),
+                           ("section", '{"train_web": 3}')):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(text)
+            assert main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "runs")]) == 2
+            assert str(cfg) in capsys.readouterr().err
+
     def test_refuses_nonempty_out_dir_without_overwrite(self, tmp_path):
         cfg = tiny_config(tmp_path)
         out = tmp_path / "runs"
@@ -222,6 +271,16 @@ class TestEval:
         rows = (eval_dir / "features.csv").read_text().strip().splitlines()
         test_ds = load_dataset(data_dir / "clean_test.csv")
         assert len(rows) == 1 + len(test_ds)
+
+    def test_non_utf8_data_exits_2_naming_the_file(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.wslckpt"
+        save_checkpoint(init_params(ModelConfig(input_dim=1, hidden_sizes=[2],
+                                                num_classes=2)), ckpt)
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"\xff")
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"{data}: not UTF-8" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_nonzero_without_output(self, tmp_path):
         eval_dir = tmp_path / "eval"

@@ -1,5 +1,6 @@
 """Tests for dataset ingestion, grouped splitting, and the synthetic generators."""
 
+import csv
 import json
 import re
 
@@ -77,6 +78,38 @@ class TestLoadDataset:
         assert load_dataset(p, num_classes=5).num_classes == 5
         with pytest.raises(ValidationError):
             load_dataset(p, num_classes=1)
+
+    def test_non_utf8_text_raises_parse_error_naming_path(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"id,group_id,label,f0,f1\na,g1,0,1.0,\xff\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: not UTF-8")):
+            load_dataset(p)
+
+    def test_csv_syntax_error_raises_parse_error_naming_path(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["a,g1,0,1.0," + "1" * (csv.field_size_limit() + 1)])
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 2: field larger")):
+            load_dataset(p)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncated_or_bit_flipped_file_loads_or_raises_webly_error(
+            self, tmp_path, data):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["a,g1,0,1.5,-2.25", "b,g1,1,0.5,1e-05", "c,g2,2,3.0,4.0"])
+        blob = p.read_bytes()
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:at]
+        else:
+            bit = data.draw(st.integers(0, 7), label="bit")
+            blob = blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1:]
+        p.write_bytes(blob)
+        try:
+            load_dataset(p)
+        except WeblyError:
+            pass
 
     def test_write_then_load_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)

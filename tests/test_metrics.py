@@ -189,8 +189,8 @@ class TestEvaluate:
         perm = np.array([2, 0, 1])
         inverse = np.argsort(perm)
         permuted_params = params.copy()
-        permuted_params.weights[-1] = params.weights[-1][:, inverse]
-        permuted_params.biases[-1] = params.biases[-1][inverse]
+        permuted_params.weights[-1][...] = params.weights[-1][:, inverse]
+        permuted_params.biases[-1][...] = params.biases[-1][inverse]
         relabeled = Dataset(ids=ds.ids, group_ids=ds.group_ids, X=ds.X,
                             y=perm[ds.y], num_classes=3, name="relabeled")
         moved = evaluate(permuted_params, relabeled)

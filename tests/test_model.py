@@ -44,14 +44,30 @@ class TestInit:
         cfg = ModelConfig(input_dim=4, hidden_sizes=[8], num_classes=3,
                           init_seed=7)
         a, b = init_params(cfg), init_params(cfg)
-        for wa, wb in zip(a.flat_arrays(), b.flat_arrays()):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_biases_start_at_zero(self):
         cfg = ModelConfig(input_dim=5, hidden_sizes=[6, 7], num_classes=2)
         params = init_params(cfg)
         for b in params.biases:
             assert np.array_equal(b, np.zeros_like(b))
+
+    def test_layers_are_views_of_one_flat_vector(self):
+        cfg = ModelConfig(input_dim=5, hidden_sizes=[6, 7], num_classes=2)
+        params = init_params(cfg)
+        assert params.flat.shape == (sum((i + 1) * o for i, o in cfg.layer_dims()),)
+        for w, b in zip(params.weights, params.biases):
+            assert np.shares_memory(w, params.flat)
+            assert np.shares_memory(b, params.flat)
+        params.weights[1][2, 3] = 7.5
+        assert params.flat[5 * 6 + 6 + 2 * 7 + 3] == 7.5
+        assert not np.shares_memory(params.copy().flat, params.flat)
+
+    def test_non_finite_parameter_rejected(self):
+        cfg = ModelConfig(input_dim=2, hidden_sizes=[], num_classes=2)
+        with pytest.raises(ValidationError, match="non-finite"):
+            ModelParams(config=cfg, weights=[np.full((2, 2), np.nan)],
+                        biases=[np.zeros(2)])
 
     def test_weight_scale_follows_fan_in_rule(self):
         cfg = ModelConfig(input_dim=400, hidden_sizes=[300], num_classes=2,
@@ -117,9 +133,9 @@ class TestBackward:
         params = init_params(cfg)
         x = np.random.default_rng(0).normal(size=(6, 3))
         _, cache = forward(params, x, train=True, dropout_seed=1)
-        grads = backward(cache, np.zeros((6, 4)))
-        for g in grads.flat_arrays():
-            assert np.array_equal(g, np.zeros_like(g))
+        grad = backward(cache, np.zeros((6, 4)))
+        assert grad.shape == params.flat.shape
+        assert np.array_equal(grad, np.zeros_like(params.flat))
 
     def test_upstream_shape_mismatch_rejected(self):
         cfg = ModelConfig(input_dim=3, hidden_sizes=[5], num_classes=4)
@@ -141,22 +157,20 @@ class TestBackward:
         assert worst < 1e-5
 
     def test_batch_gradient_is_sum_of_per_example_contributions(self):
-        cfg = ModelConfig(input_dim=5, hidden_sizes=[7], num_classes=3)
+        cfg = ModelConfig(input_dim=5, hidden_sizes=[7], num_classes=3,
+                          dropout_keep_prob=0.7)
         params = init_params(cfg)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 5))
         upstream = rng.normal(size=(6, 3))
-        _, cache = forward(params, x, train=True, dropout_seed=2,
-                           keep_prob=0.7)
-        full = backward(cache, upstream).flat_arrays()
-        acc = [np.zeros_like(g) for g in full]
+        _, cache = forward(params, x, train=True, dropout_seed=2)
+        full = backward(cache, upstream)
+        acc = np.zeros_like(full)
         for n in range(6):
             masked = np.zeros_like(upstream)
             masked[n] = upstream[n]
-            for slot, g in zip(acc, backward(cache, masked).flat_arrays()):
-                slot += g
-        for got, want in zip(acc, full):
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            acc += backward(cache, masked)
+        np.testing.assert_allclose(acc, full, atol=1e-12)
 
 
 class TestPredict:
@@ -223,8 +237,10 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         assert loaded.config == cfg
-        for a, b in zip(loaded.flat_arrays(), params.flat_arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.flat, params.flat)
+        for w, b in zip(loaded.weights, loaded.biases):
+            assert np.shares_memory(w, loaded.flat)
+            assert np.shares_memory(b, loaded.flat)
 
     def test_class_count_mismatch_rejected(self, tmp_path):
         cfg = ModelConfig(input_dim=4, hidden_sizes=[6], num_classes=3)

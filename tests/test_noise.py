@@ -1,7 +1,10 @@
 """Tests for representative mining and transition-matrix estimation."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_clean_dataset
 from webly.data import (
@@ -10,7 +13,7 @@ from webly.data import (
     WebCorpus,
     synth_web_corpus,
 )
-from webly.errors import ValidationError
+from webly.errors import ParseError, ValidationError, WeblyError
 from webly.model import ModelConfig, ModelParams, init_params
 from webly.noise import (
     TransitionMatrix,
@@ -121,8 +124,8 @@ class TestEstimateTransition:
         perm = np.array([1, 2, 0])          # new index of each old class
         inverse = np.argsort(perm)
         permuted = oracle.copy()
-        permuted.weights[-1] = oracle.weights[-1][:, inverse]
-        permuted.biases[-1] = oracle.biases[-1][inverse]
+        permuted.weights[-1][...] = oracle.weights[-1][:, inverse]
+        permuted.biases[-1][...] = oracle.biases[-1][inverse]
         t_perm = estimate_transition(permuted, web).entries
 
         for i in range(3):
@@ -174,6 +177,9 @@ class TestTransitionInvariants:
         with pytest.raises(ValidationError):
             TransitionMatrix(entries=np.array([[1.2, -0.2], [0.5, 0.5]]),
                              provenance={})
+        with pytest.raises(ValidationError, match="row-stochastic"):
+            TransitionMatrix(entries=np.array([[np.nan, 1.0], [0.5, 0.5]]),
+                             provenance={})
 
 
 class TestTransitionJson:
@@ -187,6 +193,44 @@ class TestTransitionJson:
         loaded = load_transition(path)
         assert np.array_equal(loaded.entries, t.entries)
         assert loaded.provenance == t.provenance
+
+    def test_defects_raise_parse_error_naming_the_path(self, tmp_path):
+        good = '{"k":2,"provenance":{},"rows":[[0.75,0.25],[0.5,0.5]]}'
+        cases = {
+            "truncated": '{"k":',
+            "ragged": good.replace("[0.5,0.5]", "[0.5]"),
+            "not-an-object": "[[1.0]]",
+            "missing-rows": '{"k":2}',
+            "wrong-k": good.replace('"k":2', '"k":3'),
+            "not-stochastic": good.replace("0.25", "0.5"),
+            "not-utf8": '{"k":2,"provenance":{"\xff":1}}',
+        }
+        for name, text in cases.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(text.encode("latin-1"))
+            with pytest.raises(ParseError, match=re.escape(str(path))):
+                load_transition(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncated_or_bit_flipped_file_loads_or_raises_webly_error(
+            self, tmp_path, data):
+        path = tmp_path / "t.json"
+        save_transition(TransitionMatrix(entries=[[0.75, 0.25], [1e-05, 0.99999]],
+                                         provenance={"oracle": "abc"}), path)
+        blob = path.read_bytes()
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:at]
+        else:
+            bit = data.draw(st.integers(0, 7), label="bit")
+            blob = blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1:]
+        path.write_bytes(blob)
+        try:
+            load_transition(path)
+        except WeblyError:
+            pass
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         corpus = corpus_from_posteriors([[0.8, 0.2], [0.3, 0.7]])

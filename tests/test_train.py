@@ -20,35 +20,44 @@ from webly.train import (
 )
 
 
-def arrays(*values):
-    return [np.array(v, dtype=np.float64) for v in values]
+def vec(*values):
+    return np.array(values, dtype=np.float64)
 
 
 class TestSgdMomentumStep:
     def test_plain_gradient_step(self):
-        params, velocity = sgd_momentum_step(arrays([5.0]), arrays([2.0]),
-                                             arrays([0.0]), lr=1.0, momentum=0.0)
-        assert params[0].tolist() == [3.0]
+        theta, velocity = vec(5.0), vec(0.0)
+        sgd_momentum_step(theta, vec(2.0), velocity, lr=1.0, momentum=0.0)
+        assert theta.tolist() == [3.0]
 
     def test_zero_gradient_coasts_on_velocity(self):
-        params, velocity = sgd_momentum_step(arrays([1.0]), arrays([0.0]),
-                                             arrays([0.4]), lr=0.1, momentum=0.9)
-        np.testing.assert_allclose(params[0], [1.0 + 0.9 * 0.4])
-        np.testing.assert_allclose(velocity[0], [0.36])
+        theta, velocity = vec(1.0), vec(0.4)
+        sgd_momentum_step(theta, vec(0.0), velocity, lr=0.1, momentum=0.9)
+        np.testing.assert_allclose(theta, [1.0 + 0.9 * 0.4])
+        np.testing.assert_allclose(velocity, [0.36])
 
     def test_two_hand_iterated_steps(self):
         # momentum 0.9, lr 0.1, constant g = 1, theta_0 = 0:
         # v1 = -0.1, theta_1 = -0.1; v2 = 0.9*(-0.1) - 0.1 = -0.19, theta_2 = -0.29
-        theta, v = arrays([0.0]), arrays([0.0])
-        theta, v = sgd_momentum_step(theta, arrays([1.0]), v, 0.1, 0.9)
-        np.testing.assert_allclose(theta[0], [-0.1])
-        theta, v = sgd_momentum_step(theta, arrays([1.0]), v, 0.1, 0.9)
-        np.testing.assert_allclose(v[0], [-0.19])
-        np.testing.assert_allclose(theta[0], [-0.29])
+        theta, v = vec(0.0), vec(0.0)
+        sgd_momentum_step(theta, vec(1.0), v, 0.1, 0.9)
+        np.testing.assert_allclose(theta, [-0.1])
+        sgd_momentum_step(theta, vec(1.0), v, 0.1, 0.9)
+        np.testing.assert_allclose(v, [-0.19])
+        np.testing.assert_allclose(theta, [-0.29])
+
+    def test_matches_the_out_of_place_update_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        theta, grad, v = rng.normal(size=(3, 50))
+        want_v = 0.9 * v - 0.01 * grad
+        want_theta = theta + want_v
+        sgd_momentum_step(theta, grad, v, 0.01, 0.9)
+        assert np.array_equal(v, want_v)
+        assert np.array_equal(theta, want_theta)
 
     def test_non_finite_gradient_detected(self):
         with pytest.raises(DivergenceError, match="divergence"):
-            sgd_momentum_step(arrays([1.0]), arrays([np.inf]), arrays([0.0]),
+            sgd_momentum_step(vec(1.0, 2.0), vec(0.0, np.inf), vec(0.0, 0.0),
                               0.1, 0.9)
 
 
@@ -74,8 +83,14 @@ class TestTrainStage:
         init = init_params(self.model_cfg())
         result = train_stage(init, ds, TrainConfig(epochs=0, batch_size=8))
         assert result.log == []
-        for a, b in zip(result.params.flat_arrays(), init.flat_arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(result.params.flat, init.flat)
+
+    def test_init_params_are_left_unchanged(self):
+        init = init_params(self.model_cfg())
+        before = init.flat.copy()
+        result = train_stage(init, self.make_ds(), TrainConfig(epochs=2, batch_size=8))
+        assert np.array_equal(init.flat, before)
+        assert not np.array_equal(result.params.flat, before)
 
     def test_log_length_equals_epochs(self):
         ds = self.make_ds()
@@ -89,8 +104,7 @@ class TestTrainStage:
         cfg = TrainConfig(epochs=4, batch_size=8, shuffle_seed=3)
         a = train_stage(init_params(self.model_cfg()), ds, cfg)
         b = train_stage(init_params(self.model_cfg()), ds, cfg)
-        for wa, wb in zip(a.params.flat_arrays(), b.params.flat_arrays()):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(a.params.flat, b.params.flat)
 
     def test_separable_toy_set_trains_above_95_percent(self):
         ds = self.make_ds()
@@ -193,8 +207,7 @@ class TestRunArm:
                                  self.cfg_web, self.cfg_clean, self.model_cfg,
                                  transition_override=identity)
         for sa, sb in zip(r_bl2.stages, r_prop.stages):
-            for wa, wb in zip(sa.params.flat_arrays(), sb.params.flat_arrays()):
-                assert np.array_equal(wa, wb)
+            assert np.array_equal(sa.params.flat, sb.params.flat)
         f1, f2 = tmp_path / "bl2.wslckpt", tmp_path / "prop.wslckpt"
         save_checkpoint(p_bl2, f1)
         save_checkpoint(p_prop, f2)
@@ -205,8 +218,7 @@ class TestRunArm:
                        self.cfg_clean, self.model_cfg)
         b, _ = run_arm(ARM_PROPOSED, self.clean, self.web, self.cfg_web,
                        self.cfg_clean, self.model_cfg)
-        for wa, wb in zip(a.flat_arrays(), b.flat_arrays()):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_unknown_arm_rejected(self):
         with pytest.raises(ValidationError, match="unknown arm"):
@@ -230,5 +242,3 @@ class TestTrainConfigValidation:
             TrainConfig(momentum=1.0, **good)
         with pytest.raises(ValidationError):
             TrainConfig(lr_decay_factor=1.0, **good)
-        with pytest.raises(ValidationError):
-            TrainConfig(dropout_keep_prob=0.0, **good)
