@@ -1,7 +1,8 @@
 """Command-line entry point wiring the toolkit into reproducible experiments.
 
 Verbs: ``synth`` writes a synthetic clean split plus a simulated web corpus;
-``run`` executes experimental arms across seeds into a run directory;
+``run`` executes experimental arms across seeds into a run directory, one
+seed at a time (data built once, its arms trained together);
 ``eval`` scores a checkpoint on a dataset; ``estimate-noise`` runs transition
 estimation standalone; ``report`` re-aggregates summaries from existing runs.
 
@@ -31,6 +32,7 @@ from .data import (
     NoiseSpec,
     WebCorpus,
     canonical_json,
+    check_fields,
     grouped_split,
     load_dataset,
     load_web_corpus,
@@ -48,6 +50,7 @@ from .metrics import (
     write_features_csv,
 )
 from .model import (
+    MODEL_RULES,
     ModelConfig,
     fingerprint,
     load_checkpoint,
@@ -55,7 +58,7 @@ from .model import (
     save_checkpoint,
 )
 from .noise import estimate_transition, save_transition, validate_transition
-from .train import ARMS, TrainConfig, run_arm
+from .train import ARMS, TRAIN_RULES, TrainConfig, run_seed
 
 DEFAULT_CONFIG = {
     "model": {
@@ -131,7 +134,8 @@ def load_config(path: str | None) -> dict:
     default synthetic spec instead of merging with it.  Dropout is a model
     setting; a ``dropout_keep_prob`` left in ``train_web`` or ``train_clean``
     is dropped when it equals ``model.dropout_keep_prob`` and rejected
-    otherwise.
+    otherwise.  Values in ``model``, ``train_web`` and ``train_clean`` are
+    checked for type and range, and a bad one is named as ``section.key``.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -147,9 +151,11 @@ def load_config(path: str | None) -> dict:
     merged = _deep_merge(DEFAULT_CONFIG, user)
     if user_data is not None and "synth" not in user_data:
         merged["data"] = copy.deepcopy(user_data)
-    for section in ("model", "train_web", "train_clean"):
+    for section, rules in (("model", MODEL_RULES), ("train_web", TRAIN_RULES),
+                           ("train_clean", TRAIN_RULES)):
         if not isinstance(merged[section], dict):
             raise ParseError(f"{path}: {section} must be an object")
+        check_fields(merged[section], rules, f"{path}: {section}.")
     keep = merged["model"].get("dropout_keep_prob")
     for section in ("train_web", "train_clean"):
         value = merged[section].pop("dropout_keep_prob", keep)
@@ -271,20 +277,18 @@ def _model_config(config: dict, input_dim: int, num_classes: int,
 # run cells
 # ---------------------------------------------------------------------------
 
-def run_cell(config: dict, arm: str, seed: int, cell_dir: Path,
-             timestamp: str) -> dict:
-    """Execute one (arm, seed) cell and write its artifacts."""
-    clean_train, clean_test, web = build_cell_data(config, seed)
-    model_cfg = _model_config(config, clean_train.feature_dim,
-                              clean_train.num_classes, seed)
-    cfg_web = _train_config(config["train_web"], seed)
-    cfg_clean = _train_config(config["train_clean"], seed)
-    renormalize = bool(config["loss"]["renormalize_modulated"])
+def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
+             data: tuple, outcome) -> dict:
+    """Write one (arm, seed) cell's artifacts and return its summary row.
 
-    final_params, arm_result = run_arm(
-        arm, clean_train, web, cfg_web, cfg_clean, model_cfg,
-        renormalize=renormalize,
-    )
+    ``data`` is the seed's (clean_train, clean_test, web) and ``outcome`` the
+    arm's (final params, ArmResult) from ``run_seed``, or the error that failed
+    it, which is raised here.
+    """
+    if isinstance(outcome, BaseException):
+        raise outcome
+    final_params, arm_result = outcome
+    clean_train, clean_test, web = data
 
     cell_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_hashes = {}
@@ -328,12 +332,31 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path,
     return _summary_row(arm, seed, vars(report))
 
 
-def _cell_worker(payload: tuple) -> dict:
-    config, arm, seed, cell_dir, timestamp = payload
+def _seed_worker(payload: tuple) -> list[dict]:
+    """Build one seed's data, train its arms together and write their cells;
+    return the summary rows in arm order.  A toolkit or I/O error fails the
+    cells it reaches and the others run on."""
+    config, arms, seed, out_dir, timestamp = payload
+    data = None
     try:
-        return run_cell(config, arm, seed, Path(cell_dir), timestamp)
-    except (WeblyError, OSError) as exc:  # a failed cell is recorded, others run
-        return _summary_row(arm, seed, error=f"{type(exc).__name__}: {exc}")
+        data = build_cell_data(config, seed)
+        clean_train, _, web = data
+        outcomes = run_seed(
+            arms, clean_train, web,
+            _train_config(config["train_web"], seed),
+            _train_config(config["train_clean"], seed),
+            _model_config(config, clean_train.feature_dim, clean_train.num_classes, seed),
+            renormalize=bool(config["loss"]["renormalize_modulated"]))
+    except (WeblyError, OSError) as exc:
+        outcomes = dict.fromkeys(arms, exc)
+    rows = []
+    for arm in arms:
+        try:
+            rows.append(run_cell(config, arm, seed, Path(out_dir) / arm / str(seed),
+                                 timestamp, data, outcomes[arm]))
+        except (WeblyError, OSError) as exc:  # a failed cell is recorded, others run
+            rows.append(_summary_row(arm, seed, error=f"{type(exc).__name__}: {exc}"))
+    return rows
 
 
 def _write_summary(rows: list[dict], path: Path) -> None:
@@ -390,19 +413,18 @@ def cmd_run(args) -> int:
         fh.write("\n")
 
     timestamp = report_timestamp()
-    cells = [(arm, seed) for arm in arms for seed in seeds]
-    payloads = []
-    for arm, seed in cells:
-        cell_dir = out_dir / arm / str(seed)
-        if cell_dir.exists():
-            shutil.rmtree(cell_dir)
-        payloads.append((config, arm, seed, str(cell_dir), timestamp))
-
+    for arm in arms:
+        for seed in seeds:
+            cell_dir = out_dir / arm / str(seed)
+            if cell_dir.exists():
+                shutil.rmtree(cell_dir)
+    payloads = [(config, arms, seed, str(out_dir), timestamp) for seed in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_cell_worker, payloads))
+            seed_rows = list(pool.map(_seed_worker, payloads))
     else:
-        rows = [_cell_worker(p) for p in payloads]
+        seed_rows = [_seed_worker(p) for p in payloads]
+    rows = [per_seed[i] for i in range(len(arms)) for per_seed in seed_rows]
 
     _write_summary(rows, out_dir / "summary.csv")
     _print_aggregates(rows, arms)
@@ -543,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute arms x seeds into a run directory")
     common(p_run, "comma-separated seed list overriding the config")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel (arm, seed) cells")
+                       help="seeds run in parallel")
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+
+INT64_MAX = np.iinfo(np.int64).max
 
 # Reserved hidden-truth marker for bag members that belong to no target class.
 CROSS_DOMAIN = -1
@@ -35,12 +38,47 @@ def _reject(bad: np.ndarray, ids: np.ndarray, message: str, values=None) -> None
         raise ValidationError(message.format(id=ids[i], value=value))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite int or float, not a bool; an int too large for a float fails."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def integer(low: int) -> tuple:
+    """Field rule for ``check_fields``: an integer (not a bool) >= ``low``."""
+    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+
+
+def real(test, text: str) -> tuple:
+    """Field rule for ``check_fields``: a finite number (not a bool) that
+    passes ``test``, described by ``text``."""
+    return (lambda v: _is_real(v) and test(v)), f"a number {text}"
+
+
+def check_fields(values: dict, rules: dict, prefix: str = "") -> None:
+    """Raise ValidationError naming ``prefix`` + key for the first value in
+    ``values`` that breaks its rule, a (test, description) pair; keys without
+    a rule are not checked."""
+    for key, (ok, text) in rules.items():
+        if key in values and not ok(values[key]):
+            raise ValidationError(f"{prefix}{key} must be {text}, got {values[key]!r}")
+
+
 def check_row_stochastic(m: np.ndarray, name: str) -> None:
-    """Raise ValidationError unless ``m`` is a square matrix with entries in
-    [0, 1] whose rows sum to 1 within 1e-9; NaN entries fail."""
-    if not (m.ndim == 2 and m.shape[0] == m.shape[1]
+    """Raise ValidationError unless ``m`` is a square matrix (or a stack of
+    them) with entries in [0, 1] whose rows sum to 1 within 1e-9; NaN entries
+    fail."""
+    if not (m.ndim >= 2 and m.shape[-1] == m.shape[-2]
             and np.all((m >= 0) & (m <= 1))
-            and np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-9)):
+            and np.all(np.abs(m.sum(axis=-1) - 1.0) <= 1e-9)):
         raise ValidationError(f"{name} must be row-stochastic: square, entries in "
                               "[0, 1], each row summing to 1 within 1e-9")
 
@@ -276,6 +314,9 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
                                      "is not a base-10 integer") from None
                 if label < 0:
                     raise ParseError(f"{path}: line {lineno}: negative label {label}")
+                if label > INT64_MAX:
+                    raise ParseError(f"{path}: line {lineno}: label {label} does not "
+                                     "fit int64")
                 try:
                     rows.append([float(v) for v in row[3:]])
                 except ValueError:
@@ -295,6 +336,10 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
     if not finite.all():
         raise ParseError(f"{path}: line {np.argmin(finite) + 2}: non-finite feature")
     inferred_k = max(labels) + 1
+    if num_classes is None and inferred_k > len(labels):
+        raise ParseError(f"{path}: line {labels.index(inferred_k - 1) + 2}: label "
+                         f"{inferred_k - 1} implies {inferred_k} classes but there are "
+                         f"only {len(labels)} rows, so a class would be absent")
     k = num_classes if num_classes is not None else inferred_k
     if inferred_k > k:
         raise ValidationError(

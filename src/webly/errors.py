@@ -18,4 +18,11 @@ class CheckpointError(WeblyError, ValueError):
 
 
 class DivergenceError(WeblyError, RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss or gradient.
+
+    ``members`` lists the rows of a stacked parameter array that diverged.
+    """
+
+    def __init__(self, message: str, members: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.members = members

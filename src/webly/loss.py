@@ -36,9 +36,10 @@ class ClassWeights:
 
 @dataclass
 class LossReport:
-    """Scalar batch-mean loss, per-example losses, and d(loss)/d(logits)."""
+    """Batch-mean loss (one per member of a stack), per-example losses, and
+    d(loss)/d(logits)."""
 
-    loss: float
+    loss: float | np.ndarray
     per_example: np.ndarray
     logit_grads: np.ndarray
 
@@ -72,6 +73,10 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
     documented alternative that renormalizes the diffused scores across classes
     before the log (off by default).
 
+    Posteriors may be an (M, batch, K) stack of members scored on one batch;
+    the transition is then an (M, K, K) stack, one per member, and ``loss`` is
+    the (M,) vector of member losses.  Labels and class weights are shared.
+
     A ``TransitionMatrix`` and ``ClassWeights`` were checked when built and are
     trusted; a raw transition array is checked to be row-stochastic.  Shapes
     and label range are checked on every call.
@@ -84,20 +89,21 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
         t = np.asarray(transition, dtype=np.float64)
         check_row_stochastic(t, "transition")
     wv = w.w if isinstance(w, ClassWeights) else np.asarray(w, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValidationError("posteriors must be a (batch, K) matrix")
-    batch, k = p.shape
-    if t.shape != (k, k):
-        raise ValidationError(f"transition is {t.shape}, posteriors have K={k}")
+    if p.ndim not in (2, 3):
+        raise ValidationError("posteriors must be a (batch, K) matrix or an "
+                              "(M, batch, K) stack")
+    *members, batch, k = p.shape
+    if t.shape != (*members, k, k):
+        raise ValidationError(f"transition is {t.shape}, posteriors are {p.shape}")
     if wv.shape != (k,):
         raise ValidationError(f"weights shape {wv.shape} != ({k},)")
     if labels.shape != (batch,):
         raise ValidationError("labels length must match batch size")
-    if np.any(labels < 0) or np.any(labels >= k):
+    if (labels < 0).any() or (labels >= k).any():
         raise ValidationError("label out of range")
 
-    rows = t[labels]                       # (B, K): transition row per example
-    s = np.einsum("bk,bk->b", rows, p)     # diffused score of the labeled class
+    rows = t[..., labels, :]                   # (..., B, K): row per example
+    s = np.einsum("...bk,...bk->...b", rows, p)  # diffused labeled-class score
     wc = wv[labels]
 
     if not renormalize:
@@ -106,20 +112,21 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
         # row vanishes where the score sits under the log clamp.
         active = (s > LOG_EPS).astype(np.float64)
         safe_s = np.where(s > LOG_EPS, s, 1.0)
-        grads = (wc * active / batch)[:, None] * (p - rows * p / safe_s[:, None])
+        grads = (wc * active / batch)[..., None] * (p - rows * p / safe_s[..., None])
     else:
-        m = p @ t.T                        # (B, K) diffused scores, all classes
-        z = m.sum(axis=1)
-        m_label = m[np.arange(batch), labels]
+        m = p @ t.swapaxes(-1, -2)             # (..., B, K) all diffused scores
+        z = m.sum(axis=-1)
+        m_label = m[..., np.arange(batch), labels]
         per_example = -wc * (np.log(np.maximum(m_label, LOG_EPS))
                              - np.log(np.maximum(z, LOG_EPS)))
-        u = t.sum(axis=0)                  # column sums
+        u = t.sum(axis=-2)                     # column sums
         gate_m = (m_label > LOG_EPS) / np.where(m_label > LOG_EPS, m_label, 1.0)
         gate_z = (z > LOG_EPS) / np.where(z > LOG_EPS, z, 1.0)
-        grads = (wc / batch)[:, None] * p * (gate_z[:, None] * u[None, :]
-                                             - gate_m[:, None] * rows)
+        grads = (wc / batch)[..., None] * p * (gate_z[..., None] * u[..., None, :]
+                                               - gate_m[..., None] * rows)
 
-    return LossReport(loss=float(per_example.mean()),
+    loss = per_example.sum(axis=-1) / batch
+    return LossReport(loss=loss if members else float(loss),
                       per_example=per_example, logit_grads=grads)
 
 

@@ -9,6 +9,11 @@ suite.  Everything runs in float64.
 A model's parameters are one flat vector in checkpoint order, with per-layer
 views; ``backward`` returns its gradient in the same layout.  Shapes and
 finiteness are checked when parameters are built or loaded, not per call.
+
+Models of one config can be stacked: ``flat`` is then (M, P), one row per
+member, the layer views gain a leading member axis, and ``forward`` runs every
+member over one shared batch (one dropout draw for the stack), giving
+(M, batch, K) posteriors.  Each member's numbers are those it would get alone.
 """
 
 from __future__ import annotations
@@ -22,11 +27,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, WebCorpus, canonical_json
+from .data import Dataset, WebCorpus, canonical_json, check_fields, integer, real
 from .errors import CheckpointError, ValidationError
 
 CHECKPOINT_MAGIC = b"WSLCKPT1"
 INIT_SCALE_RULE = "sqrt_2_over_fan_in"
+
+
+MODEL_RULES = {
+    "input_dim": integer(1),
+    "hidden_sizes": ((lambda v: isinstance(v, (list, tuple))
+                      and all(integer(1)[0](h) for h in v)),
+                     "a list of integers >= 1"),
+    "num_classes": integer(2),
+    "dropout_keep_prob": real(lambda v: 0 < v <= 1, "in (0, 1]"),
+    "init_seed": integer(0),
+    "init_scale": (lambda v: v == INIT_SCALE_RULE, repr(INIT_SCALE_RULE)),
+}
 
 
 @dataclass
@@ -39,16 +56,7 @@ class ModelConfig:
     init_scale: str = INIT_SCALE_RULE
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValidationError("input_dim must be >= 1")
-        if self.num_classes < 2:
-            raise ValidationError("num_classes must be >= 2")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValidationError("hidden sizes must be positive")
-        if not 0.0 < self.dropout_keep_prob <= 1.0:
-            raise ValidationError("dropout_keep_prob must lie in (0, 1]")
-        if self.init_scale != INIT_SCALE_RULE:
-            raise ValidationError(f"unknown init_scale rule {self.init_scale!r}")
+        check_fields(vars(self), MODEL_RULES)
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per layer, chaining input through hidden to output."""
@@ -63,7 +71,9 @@ class ModelParams:
     weight matrix row-major; ``weights[l]`` (fan_in x fan_out) and
     ``biases[l]`` are views into it, so an in-place write to one changes
     ``flat``.  Shapes and finiteness are checked once, at construction;
-    training then updates ``flat`` in place.
+    training then updates ``flat`` in place.  A stack (``stack``) holds
+    models of one config with ``flat`` of shape (M, P) and views of shape
+    (M, fan_in, fan_out) and (M, fan_out).
     """
 
     def __init__(self, config: ModelConfig, weights, biases):
@@ -93,14 +103,28 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams._from_flat(self.config, self.flat.copy())
 
+    @classmethod
+    def stack(cls, members) -> "ModelParams":
+        """A copy of models that share one config, ``flat`` of shape (M, P)."""
+        config = members[0].config
+        if any(m.config != config for m in members):
+            raise ValidationError("stacked models must share one config")
+        return cls._from_flat(config, np.stack([m.flat for m in members]))
+
+    def unstack(self) -> list["ModelParams"]:
+        """A copy of each member of a stack, in order."""
+        return [ModelParams._from_flat(self.config, row.copy()) for row in self.flat]
+
 
 def _layer_views(vec: np.ndarray, dims) -> tuple[tuple, tuple]:
-    """Per-layer weight and bias views into a vector packed like ``flat``."""
+    """Per-layer weight and bias views into a vector packed like ``flat``, or
+    into each row of an (M, P) stack of them."""
+    lead = vec.shape[:-1]
     weights, biases, pos = [], [], 0
     for fan_in, fan_out in dims:
         end = pos + fan_in * fan_out
-        weights.append(vec[pos:end].reshape(fan_in, fan_out))
-        biases.append(vec[end:end + fan_out])
+        weights.append(vec[..., pos:end].reshape(*lead, fan_in, fan_out))
+        biases.append(vec[..., end:end + fan_out])
         pos = end + fan_out
     return tuple(weights), tuple(biases)
 
@@ -127,10 +151,12 @@ def init_params(cfg: ModelConfig) -> ModelParams:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax via max subtraction; stable for logits up to ~1e308."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last axis via max subtraction; stable for logits up to
+    ~1e308."""
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
@@ -139,7 +165,9 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
 
     In train mode, inverted dropout with the config's keep probability is
     applied to every hidden activation, seeded by ``dropout_seed``; eval mode
-    applies no dropout and no scaling.
+    applies no dropout and no scaling.  For stacked parameters the batch and
+    the dropout masks are shared by every member and the outputs gain a
+    leading member axis.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.config.input_dim:
@@ -147,7 +175,7 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
             f"batch shape {batch.shape} incompatible with input_dim "
             f"{params.config.input_dim}"
         )
-    if not np.all(np.isfinite(batch)):
+    if not np.isfinite(batch).all():
         raise ValidationError("non-finite input")
     keep = params.config.dropout_keep_prob
     rng = np.random.default_rng(dropout_seed) if train and keep < 1.0 else None
@@ -157,18 +185,21 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
     a = batch
     for l in range(n_hidden):
         inputs.append(a)
-        z = a @ params.weights[l] + params.biases[l]
+        z = a @ params.weights[l]
+        z += params.biases[l][..., None, :]
         pre_acts.append(z)
         h = np.maximum(z, 0.0)
         if rng is not None:
-            mask = (rng.random(h.shape) < keep).astype(np.float64)
-            h = h * mask / keep
+            mask = (rng.random(h.shape[-2:]) < keep).astype(np.float64)
+            h *= mask
+            h /= keep
             masks.append(mask)
         else:
             masks.append(None)
         a = h
     inputs.append(a)
-    logits = a @ params.weights[n_hidden] + params.biases[n_hidden]
+    logits = a @ params.weights[n_hidden]
+    logits += params.biases[n_hidden][..., None, :]
     posteriors = softmax(logits)
     cache = ForwardCache(params=params, inputs=inputs, pre_activations=pre_acts,
                          dropout_masks=masks, logits=logits)
@@ -179,7 +210,8 @@ def backward(cache: ForwardCache, logit_grads: np.ndarray) -> np.ndarray:
     """Chain the upstream gradient at the output logits back to all parameters.
 
     Exact analytic chain rule through the dropout masks recorded in the cache.
-    Returns one gradient vector packed like ``ModelParams.flat``.
+    Returns one gradient packed like ``ModelParams.flat`` (per member for a
+    stack).
     """
     params = cache.params
     n_layers = len(params.weights)
@@ -192,19 +224,21 @@ def backward(cache: ForwardCache, logit_grads: np.ndarray) -> np.ndarray:
     grad = np.empty_like(params.flat)
     w_grads, b_grads = _layer_views(grad, params.config.layer_dims())
     g = logit_grads
-    w_grads[-1][...] = cache.inputs[-1].T @ g
-    b_grads[-1][...] = g.sum(axis=0)
-    upstream = g @ params.weights[-1].T
+    w_grads[-1][...] = cache.inputs[-1].swapaxes(-1, -2) @ g
+    b_grads[-1][...] = g.sum(axis=-2)
+    dz = g @ params.weights[-1].swapaxes(-1, -2)
     keep = params.config.dropout_keep_prob
     for l in range(n_layers - 2, -1, -1):
+        # dz holds the upstream gradient of layer l's output until masked
         mask = cache.dropout_masks[l]
         if mask is not None:
-            upstream = upstream * mask / keep
-        dz = upstream * (cache.pre_activations[l] > 0)
-        w_grads[l][...] = cache.inputs[l].T @ dz
-        b_grads[l][...] = dz.sum(axis=0)
+            dz *= mask
+            dz /= keep
+        dz *= cache.pre_activations[l] > 0
+        w_grads[l][...] = cache.inputs[l].swapaxes(-1, -2) @ dz
+        b_grads[l][...] = dz.sum(axis=-2)
         if l > 0:
-            upstream = dz @ params.weights[l].T
+            dz = dz @ params.weights[l].swapaxes(-1, -2)
     return grad
 
 
@@ -303,9 +337,6 @@ def load_checkpoint(path: str | Path,
     header = blob[16:16 + header_len]
     try:
         cfg = ModelConfig(**json.loads(header.decode("utf-8"))["config"])
-        dims = cfg.layer_dims()
-        if not all(isinstance(v, int) for dim in dims for v in dim):
-            raise TypeError("layer sizes must be integers")
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
     if expect_num_classes is not None and cfg.num_classes != expect_num_classes:
@@ -315,7 +346,7 @@ def load_checkpoint(path: str | Path,
         raise CheckpointError(f"{path}: layer shapes or offsets do not match the "
                               "packed layout of the config")
     payload = blob[16 + header_len:]
-    size = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in dims)
+    size = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in cfg.layer_dims())
     if len(payload) != size:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, the "
                               f"layers need {size}")

@@ -22,7 +22,8 @@ from .model import ModelParams, fingerprint, forward
 
 @dataclass
 class TransitionMatrix:
-    """K x K row-stochastic matrix of estimated class-confusion probabilities."""
+    """K x K row-stochastic matrix of estimated class-confusion probabilities,
+    or an (M, K, K) stack of them, one per member of a lockstep stage."""
 
     entries: np.ndarray
     provenance: dict
@@ -33,7 +34,7 @@ class TransitionMatrix:
 
     @property
     def k(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 @dataclass

@@ -210,6 +210,51 @@ class TestRun:
                          str(tmp_path / "runs")]) == 2
             assert str(cfg) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train_web", "epochs", "x"),
+        ("train_clean", "batch_size", 0),
+        ("train_clean", "momentum", 1.0),
+        ("train_web", "learning_rate_init", True),
+        ("train_web", "learning_rate_init", 10 ** 400),
+        ("model", "hidden_sizes", [8, "16"]),
+        ("model", "dropout_keep_prob", 1.5),
+        ("model", "init_seed", -1),
+    ])
+    def test_bad_section_value_exits_2_naming_it(self, tmp_path, capsys,
+                                                 section, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and f"{section}.{key}" in err
+        assert not out.exists()
+
+    def test_shared_clean_stage_failure_fails_bl1_and_proposed(self, tmp_path,
+                                                               monkeypatch):
+        from webly import train
+        from webly.errors import DivergenceError
+        from webly.model import ModelParams
+        real = train.train_stage
+
+        def clean_only_fails(init, *args, **kwargs):
+            if isinstance(init, ModelParams):
+                raise DivergenceError("clean-only stage diverged")
+            return real(init, *args, **kwargs)
+
+        monkeypatch.setattr(train, "train_stage", clean_only_fails)
+        cfg = tiny_config(tmp_path, arms=["BL1", "BL2", "Proposed"])
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = {r["arm"]: r for r in read_summary(out / "summary.csv")}
+        assert [r["arm"] for r in read_summary(out / "summary.csv")] == [
+            "BL1", "BL2", "Proposed"]
+        assert rows["BL2"]["status"] == "ok"
+        for arm in ("BL1", "Proposed"):
+            assert rows[arm]["status"] == "failed"
+            assert rows[arm]["error"] == "DivergenceError: clean-only stage diverged"
+            assert not (out / arm / "0").exists()
+
     def test_refuses_nonempty_out_dir_without_overwrite(self, tmp_path):
         cfg = tiny_config(tmp_path)
         out = tmp_path / "runs"
@@ -369,6 +414,22 @@ class TestDefaultConfigBytes:
         save_web_corpus(load_web_corpus(out / "web.json"), tmp_path / "web.json")
         for name in self.SYNTH_SHA256:
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+    # SHA-256 of the stage checkpoints of a default ``webly run --seed 0``
+    CHECKPOINT_SHA256 = {
+        "BL1/0/stage1": "d7b7117ce2c8af7a1993f1008753b65ef4c5afb571f3ebc19786640f2c6b2be6",
+        "BL2/0/stage1": "d1e89f19a1c42f7a0bd4ecb3e004f3f84560bdd38b001f2ce82111335a388060",
+        "BL2/0/stage2": "6f66fd688b5cc0b6ebe54fd6231306fe5be3d193ea401d7d7d82651d469c8528",
+        "Proposed/0/stage1": "70625758685279deb5f0e9ad2a06c1f72bcd0fa296d8ef5c053ac1c66a5e224c",
+        "Proposed/0/stage2": "da0209b3675fa71fbf7c09a70050dfb960bca0436a95237569ca45e72f138641",
+    }
+
+    def test_run_checkpoint_bytes(self, tmp_path):
+        out = tmp_path / "runs"
+        assert main(["run", "--out", str(out), "--seed", "0"]) == 0
+        got = {str(p.parent.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.glob("*/0/stage*/checkpoint.wslckpt")}
+        assert got == self.CHECKPOINT_SHA256
 
     def test_run_provenance_fingerprints(self, tmp_path):
         cfg = tmp_path / "config.json"

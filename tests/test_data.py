@@ -66,6 +66,20 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="negative label"):
             load_dataset(p)
 
+    def test_label_beyond_int64_names_path_and_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["a,g1,0,1.0,2.0", "b,g1,99999999999999999999,1.0,2.0"])
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 3") + ".*int64"):
+            load_dataset(p)
+
+    def test_inferred_class_count_above_row_count_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["a,g1,0,1.0,2.0", "b,g1,1000000000,1.0,2.0"])
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 3") + ".*classes"):
+            load_dataset(p)
+        # an explicit class count is the caller's to check against the labels
+        assert load_dataset(p, num_classes=1000000001).num_classes == 1000000001
+
     def test_duplicate_id_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, ["a,g1,0,1.0,2.0", "a,g2,1,0.5,0.5"])

@@ -167,6 +167,36 @@ class TestModulatedCrossEntropy:
                                     np.ones(2))
 
 
+class TestStackedLoss:
+    """Posteriors of M members on one batch, one transition per member."""
+
+    def test_each_member_matches_its_own_call_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        k, batch = 4, 9
+        p = np.stack([random_posteriors(rng, batch, k) for _ in range(3)])
+        t = np.stack([np.eye(k)] + [random_transition(k, rng) for _ in range(2)])
+        labels = rng.integers(0, k, size=batch)
+        w = rng.uniform(0.5, 2.0, size=k)
+        for renormalize in (False, True):
+            stacked = modulated_cross_entropy(p, labels, t, w, renormalize=renormalize)
+            assert stacked.loss.shape == (3,)
+            for i in range(3):
+                alone = modulated_cross_entropy(p[i], labels, t[i], w,
+                                                renormalize=renormalize)
+                assert stacked.loss[i] == alone.loss
+                assert np.array_equal(stacked.per_example[i], alone.per_example)
+                assert np.array_equal(stacked.logit_grads[i], alone.logit_grads)
+
+    def test_one_transition_per_member_required(self):
+        rng = np.random.default_rng(12)
+        p = np.stack([random_posteriors(rng, 5, 3)] * 2)
+        with pytest.raises(ValidationError, match="transition is"):
+            modulated_cross_entropy(p, [0] * 5, np.eye(3), np.ones(3))
+        with pytest.raises(ValidationError, match="row-stochastic"):
+            modulated_cross_entropy(p, [0] * 5, np.stack([np.eye(3), 2 * np.eye(3)]),
+                                    np.ones(3))
+
+
 class TestPlainWeightedCrossEntropy:
     def test_perfect_prediction_gives_zero_loss(self):
         p = np.array([[1.0, 0.0]])

@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import fd_max_rel_error, make_clean_dataset
 from webly.errors import CheckpointError, ValidationError
@@ -218,6 +219,50 @@ class TestPenultimateFeatures:
         assert np.array_equal(loaded, feats)
 
 
+class TestStackedModels:
+    """A stack of models of one config runs each member's numbers exactly."""
+
+    def members(self):
+        cfg = ModelConfig(input_dim=4, hidden_sizes=[6, 5], num_classes=3,
+                          dropout_keep_prob=0.7)
+        first = init_params(cfg)
+        second = ModelParams(cfg, [w * 0.5 for w in first.weights],
+                             [b + 0.1 for b in first.biases])
+        return first, second
+
+    def test_views_share_the_stacked_vector(self):
+        stack = ModelParams.stack(self.members())
+        assert stack.flat.shape[0] == 2
+        for w, b in zip(stack.weights, stack.biases):
+            assert w.shape[0] == b.shape[0] == 2
+            assert np.shares_memory(w, stack.flat)
+            assert np.shares_memory(b, stack.flat)
+        for member, copy in zip(self.members(), stack.unstack()):
+            assert np.array_equal(member.flat, copy.flat)
+            assert not np.shares_memory(copy.flat, stack.flat)
+
+    def test_forward_and_backward_match_each_member_bit_for_bit(self):
+        members = self.members()
+        stack = ModelParams.stack(members)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(7, 4))
+        upstream = rng.normal(size=(2, 7, 3))
+        for train in (False, True):
+            posteriors, cache = forward(stack, x, train=train, dropout_seed=(1, 2))
+            grads = backward(cache, upstream)
+            for i, member in enumerate(members):
+                p, c = forward(member, x, train=train, dropout_seed=(1, 2))
+                assert np.array_equal(posteriors[i], p)
+                assert np.array_equal(grads[i], backward(c, upstream[i]))
+
+    def test_members_must_share_one_config(self):
+        first, _ = self.members()
+        other = init_params(ModelConfig(input_dim=4, hidden_sizes=[6, 5],
+                                        num_classes=3, init_seed=1))
+        with pytest.raises(ValidationError, match="one config"):
+            ModelParams.stack([first, other])
+
+
 class TestCheckpoint:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         cfg = ModelConfig(input_dim=4, hidden_sizes=[6], num_classes=3,
@@ -288,3 +333,17 @@ class TestCheckpoint:
         path.write_bytes(blob[:8] + struct.pack("<Q", 1 << 40) + blob[16:])
         with pytest.raises(CheckpointError, match="header length"):
             load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_flipped_byte_loads_or_names_the_path(self, tmp_path, data):
+        blob = bytearray(self.saved_blob(tmp_path))
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        blob[pos] ^= data.draw(st.integers(1, 255))
+        path = tmp_path / "flipped.wslckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc)

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
-from conftest import make_clean_dataset
+from conftest import make_clean_dataset, random_transition
+from webly import train
 from webly.data import BackgroundSpec, NoiseSpec, synth_web_corpus
 from webly.errors import DivergenceError, ValidationError
-from webly.model import ModelConfig, init_params, predict, save_checkpoint
+from webly.model import ModelConfig, ModelParams, init_params, predict, save_checkpoint
 from webly.noise import TransitionMatrix
 from webly.train import (
     ARM_BL1,
     ARM_BL2,
     ARM_PROPOSED,
+    ARMS,
     TrainConfig,
     effective_lr,
     run_arm,
+    run_seed,
     sgd_momentum_step,
     train_stage,
 )
@@ -59,6 +62,58 @@ class TestSgdMomentumStep:
         with pytest.raises(DivergenceError, match="divergence"):
             sgd_momentum_step(vec(1.0, 2.0), vec(0.0, np.inf), vec(0.0, 0.0),
                               0.1, 0.9)
+
+
+    def test_stacked_rows_update_alone_and_diverged_rows_are_named(self):
+        start = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        grad = np.array([[0.5, 0.5], [np.inf, 0.0], [1.0, -1.0]])
+        theta, velocity = start.copy(), np.zeros_like(start)
+        with pytest.raises(DivergenceError) as info:
+            sgd_momentum_step(theta, grad, velocity, 0.1, 0.9)
+        assert info.value.members == (1,)
+        for row in (0, 2):
+            alone = start[row].copy()
+            sgd_momentum_step(alone, grad[row], np.zeros(2), 0.1, 0.9)
+            assert np.array_equal(theta[row], alone)
+
+
+def without_timings(log):
+    return [{k: v for k, v in entry.items() if k != "elapsed_s"} for entry in log]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestLockstepStage:
+    def setup_method(self):
+        self.ds = make_clean_dataset(k=3, d=4, per_class=12, separation=3.0,
+                                     sigma=1.0, seed=17)
+        self.cfg = TrainConfig(epochs=3, batch_size=8, shuffle_seed=4)
+        self.good = init_params(ModelConfig(input_dim=4, hidden_sizes=[8],
+                                            num_classes=3, init_seed=2))
+        # weights this large overflow the logits on the first step
+        self.bad = ModelParams(self.good.config, [w * 1e200 for w in self.good.weights],
+                               self.good.biases)
+
+    def test_diverging_member_leaves_the_others_bit_identical(self):
+        t = TransitionMatrix(entries=random_transition(3, np.random.default_rng(0)),
+                             provenance={})
+        results = train_stage([self.good, self.bad, self.good], self.ds, self.cfg,
+                              [None, None, t])
+        assert isinstance(results[1], DivergenceError)
+        assert "epoch 0, batch 0" in str(results[1])
+        for result, transition in ((results[0], None), (results[2], t)):
+            alone = train_stage(self.good, self.ds, self.cfg, transition=transition)
+            assert np.array_equal(result.params.flat, alone.params.flat)
+            assert without_timings(result.log) == without_timings(alone.log)
+
+    def test_every_member_diverging_ends_the_stage(self):
+        results = train_stage([self.bad, self.bad], self.ds, self.cfg, [None, None])
+        assert all(isinstance(r, DivergenceError) for r in results)
+        with pytest.raises(DivergenceError, match="epoch 0, batch 0"):
+            train_stage(self.bad, self.ds, self.cfg)
+
+    def test_one_transition_per_member(self):
+        with pytest.raises(ValidationError, match="transitions"):
+            train_stage([self.good, self.good], self.ds, self.cfg, [None])
 
 
 class TestLrSchedule:
@@ -229,6 +284,68 @@ class TestRunArm:
         with pytest.raises(ValidationError, match="web corpus"):
             run_arm(ARM_BL2, self.clean, None, self.cfg_web, self.cfg_clean,
                     self.model_cfg)
+
+
+class TestRunSeed:
+    def setup_method(self):
+        TestRunArm.setup_method(self)
+        self.args = (self.cfg_web, self.cfg_clean, self.model_cfg)
+
+    def alone(self, arm, **kwargs):
+        return run_arm(arm, self.clean, make_web(self.clean), *self.args, **kwargs)
+
+    def assert_same_arm(self, got, want):
+        (params, result), (want_params, want_result) = got, want
+        assert np.array_equal(params.flat, want_params.flat)
+        assert len(result.stages) == len(want_result.stages)
+        for a, b in zip(result.stages, want_result.stages):
+            assert np.array_equal(a.params.flat, b.params.flat)
+            assert without_timings(a.log) == without_timings(b.log)
+        if want_result.transition is not None:
+            assert np.array_equal(result.transition.entries, want_result.transition.entries)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_arms_trained_together_match_arms_run_alone(self, renormalize):
+        together = run_seed(ARMS, self.clean, self.web, *self.args,
+                            renormalize=renormalize)
+        for arm in ARMS:
+            self.assert_same_arm(together[arm], self.alone(arm, renormalize=renormalize))
+        assert together[ARM_PROPOSED][1].oracle is together[ARM_BL1][0]
+        # the corpus is read once to estimate and once to train the web stages
+        assert dict(together[ARM_BL2][1].web_access_log) == {
+            "start": 0, "after_web_stage": 2, "after_clean_stage": 2}
+
+    def test_shared_clean_stage_failure_fails_bl1_and_proposed_only(self, monkeypatch):
+        real = train.train_stage
+
+        def clean_only_fails(init, ds, cfg, transition=None, renormalize=False):
+            if isinstance(init, ModelParams):
+                raise DivergenceError("clean-only stage diverged")
+            return real(init, ds, cfg, transition, renormalize)
+
+        monkeypatch.setattr(train, "train_stage", clean_only_fails)
+        together = run_seed(ARMS, self.clean, self.web, *self.args)
+        assert isinstance(together[ARM_BL1], DivergenceError)
+        assert together[ARM_PROPOSED] is together[ARM_BL1]
+        monkeypatch.undo()
+        self.assert_same_arm(together[ARM_BL2], self.alone(ARM_BL2))
+
+    def test_diverged_web_member_fails_only_its_arm(self, monkeypatch):
+        real = train.train_stage
+
+        def proposed_diverges(init, ds, cfg, transition=None, renormalize=False):
+            results = real(init, ds, cfg, transition, renormalize)
+            if isinstance(init, ModelParams):
+                return results
+            return [DivergenceError("diverged") if t is not None else r
+                    for r, t in zip(results, transition)]
+
+        monkeypatch.setattr(train, "train_stage", proposed_diverges)
+        together = run_seed(ARMS, self.clean, self.web, *self.args)
+        assert str(together[ARM_PROPOSED]) == "diverged"
+        monkeypatch.undo()
+        for arm in (ARM_BL1, ARM_BL2):
+            self.assert_same_arm(together[arm], self.alone(arm))
 
 
 class TestTrainConfigValidation:
