@@ -112,8 +112,10 @@ class ModelParams:
         return cls._from_flat(config, np.stack([m.flat for m in members]))
 
     def unstack(self) -> list["ModelParams"]:
-        """A copy of each member of a stack, in order."""
-        return [ModelParams._from_flat(self.config, row.copy()) for row in self.flat]
+        """A copy of each member of a stack, in order (of a single model, a
+        one-element list)."""
+        return [ModelParams._from_flat(self.config, row.copy())
+                for row in np.atleast_2d(self.flat)]
 
 
 def _layer_views(vec: np.ndarray, dims) -> tuple[tuple, tuple]:

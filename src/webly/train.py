@@ -136,7 +136,8 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
         raise ValidationError(f"{len(members)} models but {len(transitions)} transitions")
     if len(ds) == 0:
         raise ValidationError("cannot train on an empty dataset")
-    params = ModelParams.stack(members)
+    # a single model trains as a plain vector: a stack of one costs more per step
+    params = members[0].copy() if len(members) == 1 else ModelParams.stack(members)
     if ds.feature_dim != params.config.input_dim or ds.num_classes != params.config.num_classes:
         raise ValidationError("dataset dims do not match model config")
     weights = median_frequency_weights(ds.label_counts())
@@ -144,9 +145,9 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
     for t in transitions:
         if t is not None and t.k != k:
             raise ValidationError(f"transition k={t.k} != num_classes {k}")
-    stacked_t = TransitionMatrix(
-        entries=np.stack([np.eye(k) if t is None else t.entries for t in transitions]),
-        provenance={})
+    entries = [np.eye(k) if t is None else t.entries for t in transitions]
+    member_t = TransitionMatrix(
+        entries=entries[0] if len(entries) == 1 else np.stack(entries), provenance={})
 
     start = time.perf_counter()
     x = ds.X
@@ -160,14 +161,14 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
         lr = effective_lr(cfg, epoch)
         epoch_start = time.perf_counter()
         order = np.random.default_rng((cfg.shuffle_seed, epoch)).permutation(n)
-        loss_sum = np.zeros(len(rows))
+        loss_sum = np.zeros(params.flat.shape[:-1])
         for batch_idx, lo in enumerate(range(0, n, cfg.batch_size)):
             sel = order[lo:lo + cfg.batch_size]
             posteriors, cache = forward(
                 params, x[sel], train=True,
                 dropout_seed=(cfg.shuffle_seed, epoch, batch_idx),
             )
-            report = modulated_cross_entropy(posteriors, y[sel], stacked_t,
+            report = modulated_cross_entropy(posteriors, y[sel], member_t,
                                              weights, renormalize=renormalize)
             grad = backward(cache, report.logit_grads)
             batch_loss = report.per_example.sum(axis=-1)
@@ -184,19 +185,20 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
                     break
                 params = ModelParams._from_flat(params.config, params.flat[keep])
                 velocity, loss_sum, batch_loss = velocity[keep], loss_sum[keep], batch_loss[keep]
-                stacked_t = TransitionMatrix(entries=stacked_t.entries[keep], provenance={})
+                member_t = TransitionMatrix(entries=member_t.entries[keep], provenance={})
             loss_sum += batch_loss
         if not rows:
             break
         # one expression, so no pass over the whole dataset outlives it
         train_acc = (forward(params, x, train=False)[0].argmax(axis=-1) == y).mean(axis=-1)
         elapsed = time.perf_counter() - epoch_start
-        for r, member in enumerate(rows):
+        for member, mean_loss, acc in zip(rows, np.atleast_1d(loss_sum / n),
+                                          np.atleast_1d(train_acc)):
             logs[member].append({
                 "epoch": epoch,
                 "lr": lr,
-                "mean_loss": float(loss_sum[r] / n),
-                "train_accuracy": float(train_acc[r]),
+                "mean_loss": float(mean_loss),
+                "train_accuracy": float(acc),
                 "elapsed_s": elapsed,
             })
     wall_seconds = time.perf_counter() - start
