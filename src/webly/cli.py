@@ -113,6 +113,8 @@ DEFAULT_CONFIG = {
     "output_dir": "runs",
 }
 
+LOSS_RULES = {"renormalize_modulated": (lambda v: isinstance(v, bool), "true or false")}
+
 SCORES = ("accuracy", "macro_recall", "kappa", "auc_mean")
 SUMMARY_FIELDS = ["arm", "seed", "status", *SCORES, "error"]
 
@@ -134,8 +136,9 @@ def load_config(path: str | None) -> dict:
     default synthetic spec instead of merging with it.  Dropout is a model
     setting; a ``dropout_keep_prob`` left in ``train_web`` or ``train_clean``
     is dropped when it equals ``model.dropout_keep_prob`` and rejected
-    otherwise.  Values in ``model``, ``train_web`` and ``train_clean`` are
-    checked for type and range, and a bad one is named as ``section.key``.
+    otherwise.  ``model``, ``train_web``, ``train_clean`` and ``loss`` take
+    only the keys of their defaults, and their values are checked for type
+    and range; an unknown key or a bad value is named as ``section.key``.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -152,9 +155,15 @@ def load_config(path: str | None) -> dict:
     if user_data is not None and "synth" not in user_data:
         merged["data"] = copy.deepcopy(user_data)
     for section, rules in (("model", MODEL_RULES), ("train_web", TRAIN_RULES),
-                           ("train_clean", TRAIN_RULES)):
+                           ("train_clean", TRAIN_RULES), ("loss", LOSS_RULES)):
         if not isinstance(merged[section], dict):
             raise ParseError(f"{path}: {section} must be an object")
+        known = DEFAULT_CONFIG[section].keys() | (
+            {"dropout_keep_prob"} if section.startswith("train_") else set())
+        unknown = sorted(merged[section].keys() - known)
+        if unknown:
+            raise ValidationError(f"{path}: unknown config key "
+                                  + ", ".join(f"{section}.{key}" for key in unknown))
         check_fields(merged[section], rules, f"{path}: {section}.")
     keep = merged["model"].get("dropout_keep_prob")
     for section in ("train_web", "train_clean"):
@@ -278,17 +287,17 @@ def _model_config(config: dict, input_dim: int, num_classes: int,
 # ---------------------------------------------------------------------------
 
 def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
-             data: tuple, outcome) -> dict:
+             data: tuple, outcome, inputs: dict | None) -> dict:
     """Write one (arm, seed) cell's artifacts and return its summary row.
 
-    ``data`` is the seed's (clean_train, clean_test, web) and ``outcome`` the
-    arm's (final params, ArmResult) from ``run_seed``, or the error that failed
-    it, which is raised here.
+    ``data`` is the seed's (clean_train, clean_test, web), ``inputs`` their
+    fingerprints by name, and ``outcome`` the arm's (final params, ArmResult)
+    from ``run_seed``, or the error that failed it, which is raised here.
     """
     if isinstance(outcome, BaseException):
         raise outcome
     final_params, arm_result = outcome
-    clean_train, clean_test, web = data
+    clean_test = data[1]
 
     cell_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_hashes = {}
@@ -315,11 +324,7 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
         "seed": seed,
         "code_version": __version__,
         "config_sha256": fingerprint(canonical_json(experiment_config)),
-        "inputs": {
-            "clean_train": fingerprint(clean_train),
-            "clean_test": fingerprint(clean_test),
-            "web": fingerprint(web) if web is not None else None,
-        },
+        "inputs": inputs,
         "checkpoints": checkpoint_hashes,
         "transition_provenance": (arm_result.transition.provenance
                                   if arm_result.transition is not None else None),
@@ -337,23 +342,26 @@ def _seed_worker(payload: tuple) -> list[dict]:
     return the summary rows in arm order.  A toolkit or I/O error fails the
     cells it reaches and the others run on."""
     config, arms, seed, out_dir, timestamp = payload
-    data = None
+    data = inputs = None
     try:
         data = build_cell_data(config, seed)
-        clean_train, _, web = data
+        clean_train, clean_test, web = data
+        inputs = {"clean_train": fingerprint(clean_train),
+                  "clean_test": fingerprint(clean_test),
+                  "web": fingerprint(web) if web is not None else None}
         outcomes = run_seed(
             arms, clean_train, web,
             _train_config(config["train_web"], seed),
             _train_config(config["train_clean"], seed),
             _model_config(config, clean_train.feature_dim, clean_train.num_classes, seed),
-            renormalize=bool(config["loss"]["renormalize_modulated"]))
+            renormalize=config["loss"]["renormalize_modulated"])
     except (WeblyError, OSError) as exc:
         outcomes = dict.fromkeys(arms, exc)
     rows = []
     for arm in arms:
         try:
             rows.append(run_cell(config, arm, seed, Path(out_dir) / arm / str(seed),
-                                 timestamp, data, outcomes[arm]))
+                                 timestamp, data, outcomes[arm], inputs))
         except (WeblyError, OSError) as exc:  # a failed cell is recorded, others run
             rows.append(_summary_row(arm, seed, error=f"{type(exc).__name__}: {exc}"))
     return rows

@@ -36,12 +36,16 @@ class ClassWeights:
 
 @dataclass
 class LossReport:
-    """Batch-mean loss (one per member of a stack), per-example losses, and
-    d(loss)/d(logits)."""
+    """Per-example losses and d(loss)/d(logits); the batch-mean ``loss`` (one
+    per member of a stack) is computed when read."""
 
-    loss: float | np.ndarray
     per_example: np.ndarray
     logit_grads: np.ndarray
+
+    @property
+    def loss(self) -> float | np.ndarray:
+        loss = self.per_example.sum(axis=-1) / self.per_example.shape[-1]
+        return loss if self.per_example.ndim > 1 else float(loss)
 
 
 def median_frequency_weights(label_counts) -> ClassWeights:
@@ -99,7 +103,7 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
         raise ValidationError(f"weights shape {wv.shape} != ({k},)")
     if labels.shape != (batch,):
         raise ValidationError("labels length must match batch size")
-    if (labels < 0).any() or (labels >= k).any():
+    if batch and (labels.min() < 0 or labels.max() >= k):
         raise ValidationError("label out of range")
 
     rows = t[..., labels, :]                   # (..., B, K): row per example
@@ -110,8 +114,8 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
         per_example = -wc * np.log(np.maximum(s, LOG_EPS))
         # d(mean loss)/d(logit_k) = (w_c/B) * (p_k - t_ck p_k / s); the whole
         # row vanishes where the score sits under the log clamp.
-        active = (s > LOG_EPS).astype(np.float64)
-        safe_s = np.where(s > LOG_EPS, s, 1.0)
+        active = s > LOG_EPS
+        safe_s = np.where(active, s, 1.0)
         grads = (wc * active / batch)[..., None] * (p - rows * p / safe_s[..., None])
     else:
         m = p @ t.swapaxes(-1, -2)             # (..., B, K) all diffused scores
@@ -125,9 +129,7 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
         grads = (wc / batch)[..., None] * p * (gate_z[..., None] * u[..., None, :]
                                                - gate_m[..., None] * rows)
 
-    loss = per_example.sum(axis=-1) / batch
-    return LossReport(loss=loss if members else float(loss),
-                      per_example=per_example, logit_grads=grads)
+    return LossReport(per_example=per_example, logit_grads=grads)
 
 
 def plain_weighted_cross_entropy(posteriors: np.ndarray, labels, w) -> LossReport:

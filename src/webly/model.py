@@ -14,6 +14,11 @@ Models of one config can be stacked: ``flat`` is then (M, P), one row per
 member, the layer views gain a leading member axis, and ``forward`` runs every
 member over one shared batch (one dropout draw for the stack), giving
 (M, batch, K) posteriors.  Each member's numbers are those it would get alone.
+
+A training ``forward`` draws every hidden layer's dropout mask with one call,
+from a generator seeded like ``np.random.default_rng``; ``predict`` and
+``penultimate_features`` score a dataset in row blocks of ``EVAL_BLOCK``.
+Both give the numbers of the plain form, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .errors import CheckpointError, ValidationError
 
 CHECKPOINT_MAGIC = b"WSLCKPT1"
 INIT_SCALE_RULE = "sqrt_2_over_fan_in"
+EVAL_BLOCK = 512  # rows per forward call in predict and penultimate_features
 
 
 MODEL_RULES = {
@@ -70,10 +76,11 @@ class ModelParams:
     ``flat`` packs the layers in checkpoint order (w0, b0, w1, b1, ...), each
     weight matrix row-major; ``weights[l]`` (fan_in x fan_out) and
     ``biases[l]`` are views into it, so an in-place write to one changes
-    ``flat``.  Shapes and finiteness are checked once, at construction;
-    training then updates ``flat`` in place.  A stack (``stack``) holds
-    models of one config with ``flat`` of shape (M, P) and views of shape
-    (M, fan_in, fan_out) and (M, fan_out).
+    ``flat``.  ``weights_t[l]`` (fan_out x fan_in) and ``bias_rows[l]``
+    (1 x fan_out) are the same memory transposed and as a broadcast row.
+    Shapes and finiteness are checked once, at construction; training then
+    updates ``flat`` in place.  A stack (``stack``) holds models of one
+    config with ``flat`` of shape (M, P) and views with a leading M axis.
     """
 
     def __init__(self, config: ModelConfig, weights, biases):
@@ -89,15 +96,26 @@ class ModelParams:
                               dtype=np.float64)
         if not np.isfinite(flat).all():
             raise ValidationError("non-finite parameter")
+        self._adopt(config, flat)
+
+    def _adopt(self, config: ModelConfig, flat: np.ndarray) -> None:
+        """Take ``flat`` (one vector, or an (M, P) stack) and view its layers."""
         self.config, self.flat = config, flat
-        self.weights, self.biases = _layer_views(flat, dims)
+        lead, weights, biases, pos = flat.shape[:-1], [], [], 0
+        for fan_in, fan_out in config.layer_dims():
+            end = pos + fan_in * fan_out
+            weights.append(flat[..., pos:end].reshape(*lead, fan_in, fan_out))
+            biases.append(flat[..., end:end + fan_out])
+            pos = end + fan_out
+        self.weights, self.biases = tuple(weights), tuple(biases)
+        self.weights_t = tuple(w.swapaxes(-1, -2) for w in weights)
+        self.bias_rows = tuple(b[..., None, :] for b in biases)
 
     @classmethod
     def _from_flat(cls, config: ModelConfig, flat: np.ndarray) -> "ModelParams":
         """Adopt a finite packed vector of the config's size, without copying."""
         params = cls.__new__(cls)
-        params.config, params.flat = config, flat
-        params.weights, params.biases = _layer_views(flat, config.layer_dims())
+        params._adopt(config, flat)
         return params
 
     def copy(self) -> "ModelParams":
@@ -118,19 +136,6 @@ class ModelParams:
                 for row in np.atleast_2d(self.flat)]
 
 
-def _layer_views(vec: np.ndarray, dims) -> tuple[tuple, tuple]:
-    """Per-layer weight and bias views into a vector packed like ``flat``, or
-    into each row of an (M, P) stack of them."""
-    lead = vec.shape[:-1]
-    weights, biases, pos = [], [], 0
-    for fan_in, fan_out in dims:
-        end = pos + fan_in * fan_out
-        weights.append(vec[..., pos:end].reshape(*lead, fan_in, fan_out))
-        biases.append(vec[..., end:end + fan_out])
-        pos = end + fan_out
-    return tuple(weights), tuple(biases)
-
-
 @dataclass
 class ForwardCache:
     """Intermediates from a forward pass, consumed by backward()."""
@@ -138,8 +143,22 @@ class ForwardCache:
     params: ModelParams
     inputs: list[np.ndarray]          # input to each layer
     pre_activations: list[np.ndarray]  # hidden pre-activations only
-    dropout_masks: list[np.ndarray | None]
+    dropout_masks: list[np.ndarray | None]  # 1.0 where kept, else 0.0
     logits: np.ndarray
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``: the same stream, built faster.
+
+    numpy seeds a ``SeedSequence`` with the uint32 words of an int or a tuple
+    of ints; an int below 2**32 is one word, itself, so such seeds are passed
+    as that word array directly.  Any other seed goes to ``default_rng``.
+    """
+    words = seed if isinstance(seed, tuple) else (seed,)
+    if not all(type(v) is int and 0 <= v < 2**32 for v in words):
+        return np.random.default_rng(seed)
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
@@ -180,28 +199,33 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
     if not np.isfinite(batch).all():
         raise ValidationError("non-finite input")
     keep = params.config.dropout_keep_prob
-    rng = np.random.default_rng(dropout_seed) if train and keep < 1.0 else None
+    hidden = params.config.hidden_sizes
+    masks = [None] * len(hidden)
+    if train and keep < 1.0 and hidden:
+        # One draw for all layers: numpy fills it in order, so each layer's
+        # block holds the numbers a draw of its own shape would give.
+        rows = len(batch)
+        kept = (seeded_rng(dropout_seed).random(rows * sum(hidden)) < keep
+                ).astype(np.float64)
+        pos = 0
+        for l, size in enumerate(hidden):
+            masks[l] = kept[pos:pos + rows * size].reshape(rows, size)
+            pos += rows * size
 
-    n_hidden = len(params.config.hidden_sizes)
-    inputs, pre_acts, masks = [], [], []
+    inputs, pre_acts = [], []
     a = batch
-    for l in range(n_hidden):
+    for l, mask in enumerate(masks):
         inputs.append(a)
         z = a @ params.weights[l]
-        z += params.biases[l][..., None, :]
+        z += params.bias_rows[l]
         pre_acts.append(z)
-        h = np.maximum(z, 0.0)
-        if rng is not None:
-            mask = (rng.random(h.shape[-2:]) < keep).astype(np.float64)
-            h *= mask
-            h /= keep
-            masks.append(mask)
-        else:
-            masks.append(None)
-        a = h
+        a = np.maximum(z, 0.0)
+        if mask is not None:
+            a *= mask
+            a /= keep
     inputs.append(a)
-    logits = a @ params.weights[n_hidden]
-    logits += params.biases[n_hidden][..., None, :]
+    logits = a @ params.weights[-1]
+    logits += params.bias_rows[-1]
     posteriors = softmax(logits)
     cache = ForwardCache(params=params, inputs=inputs, pre_activations=pre_acts,
                          dropout_masks=masks, logits=logits)
@@ -216,46 +240,56 @@ def backward(cache: ForwardCache, logit_grads: np.ndarray) -> np.ndarray:
     stack).
     """
     params = cache.params
-    n_layers = len(params.weights)
     if logit_grads.shape != cache.logits.shape:
         raise ValidationError(
             f"upstream gradient shape {logit_grads.shape} != logits "
             f"{cache.logits.shape}"
         )
-
-    grad = np.empty_like(params.flat)
-    w_grads, b_grads = _layer_views(grad, params.config.layer_dims())
-    g = logit_grads
-    w_grads[-1][...] = cache.inputs[-1].swapaxes(-1, -2) @ g
-    b_grads[-1][...] = g.sum(axis=-2)
-    dz = g @ params.weights[-1].swapaxes(-1, -2)
     keep = params.config.dropout_keep_prob
-    for l in range(n_layers - 2, -1, -1):
-        # dz holds the upstream gradient of layer l's output until masked
-        mask = cache.dropout_masks[l]
-        if mask is not None:
-            dz *= mask
-            dz /= keep
-        dz *= cache.pre_activations[l] > 0
-        w_grads[l][...] = cache.inputs[l].swapaxes(-1, -2) @ dz
-        b_grads[l][...] = dz.sum(axis=-2)
-        if l > 0:
-            dz = dz @ params.weights[l].swapaxes(-1, -2)
-    return grad
+    lead = params.flat.shape[:-1]
+    parts = []  # bias then weight gradient per layer, last layer first
+    dz = logit_grads  # upstream gradient of the current layer's output
+    for l in range(len(params.weights) - 1, -1, -1):
+        if l < len(cache.pre_activations):
+            dz = dz @ params.weights_t[l + 1]
+            mask = cache.dropout_masks[l]
+            if mask is not None:
+                dz *= mask
+                dz /= keep
+            dz *= cache.pre_activations[l] > 0
+        parts.append(dz.sum(axis=-2))
+        parts.append((cache.inputs[l].swapaxes(-1, -2) @ dz).reshape(*lead, -1))
+    return np.concatenate(parts[::-1], axis=-1)
+
+
+def _blockwise(params: ModelParams, x: np.ndarray, take) -> np.ndarray:
+    """``take(forward(params, rows))`` over row blocks of ``x`` of about
+    EVAL_BLOCK rows, joined along the row axis.
+
+    A row's numbers are those of one forward over all of ``x``: the BLAS
+    matrix product gives a row the same bits in any block of two or more
+    rows, but numpy scores a lone row by matrix-vector product, which rounds
+    differently, so a last block of one row joins the block before it.
+    """
+    n = len(x)
+    starts = list(range(0, n, EVAL_BLOCK)) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    parts = [take(forward(params, x[lo:hi], train=False))
+             for lo, hi in zip(starts, starts[1:] + [n])]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
 
 
 def predict(params: ModelParams, ds) -> np.ndarray:
     """Eval-mode posteriors over a whole dataset, order-preserving."""
-    posteriors, _ = forward(params, ds.X, train=False)
-    return posteriors
+    return _blockwise(params, ds.X, lambda out: out[0])
 
 
 def penultimate_features(params: ModelParams, ds) -> np.ndarray:
     """Last-hidden-layer activations per example, eval mode."""
     if not params.config.hidden_sizes:
         raise ValidationError("model has no hidden layer")
-    _, cache = forward(params, ds.X, train=False)
-    return cache.inputs[-1]
+    return _blockwise(params, ds.X, lambda out: out[1].inputs[-1])
 
 
 def fingerprint(obj) -> str:

@@ -30,7 +30,8 @@ import numpy as np
 from .data import Dataset, WebCorpus, check_fields, flatten_web, integer, real
 from .errors import DivergenceError, ValidationError, WeblyError
 from .loss import median_frequency_weights, modulated_cross_entropy
-from .model import ModelConfig, ModelParams, backward, forward, init_params
+from .model import (ModelConfig, ModelParams, backward, forward, init_params, predict,
+                    seeded_rng)
 from .noise import TransitionMatrix, estimate_transition
 
 ARM_BL1 = "BL1"
@@ -160,15 +161,16 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
     for epoch in range(cfg.epochs):
         lr = effective_lr(cfg, epoch)
         epoch_start = time.perf_counter()
-        order = np.random.default_rng((cfg.shuffle_seed, epoch)).permutation(n)
+        order = seeded_rng((cfg.shuffle_seed, epoch)).permutation(n)
+        x_epoch, y_epoch = x[order], y[order]
         loss_sum = np.zeros(params.flat.shape[:-1])
         for batch_idx, lo in enumerate(range(0, n, cfg.batch_size)):
-            sel = order[lo:lo + cfg.batch_size]
+            hi = lo + cfg.batch_size
             posteriors, cache = forward(
-                params, x[sel], train=True,
+                params, x_epoch[lo:hi], train=True,
                 dropout_seed=(cfg.shuffle_seed, epoch, batch_idx),
             )
-            report = modulated_cross_entropy(posteriors, y[sel], member_t,
+            report = modulated_cross_entropy(posteriors, y_epoch[lo:hi], member_t,
                                              weights, renormalize=renormalize)
             grad = backward(cache, report.logit_grads)
             batch_loss = report.per_example.sum(axis=-1)
@@ -189,8 +191,7 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
             loss_sum += batch_loss
         if not rows:
             break
-        # one expression, so no pass over the whole dataset outlives it
-        train_acc = (forward(params, x, train=False)[0].argmax(axis=-1) == y).mean(axis=-1)
+        train_acc = (predict(params, ds).argmax(axis=-1) == y).mean(axis=-1)
         elapsed = time.perf_counter() - epoch_start
         for member, mean_loss, acc in zip(rows, np.atleast_1d(loss_sum / n),
                                           np.atleast_1d(train_acc)):

@@ -9,6 +9,7 @@ import pytest
 from webly import cli
 from webly.cli import main
 from webly.data import (
+    canonical_json,
     load_dataset,
     load_web_corpus,
     save_web_corpus,
@@ -219,6 +220,13 @@ class TestRun:
         ("model", "hidden_sizes", [8, "16"]),
         ("model", "dropout_keep_prob", 1.5),
         ("model", "init_seed", -1),
+        ("loss", "renormalize_modulated", "false"),
+        ("loss", "renormalize_modulated", 0),
+        # keys the section does not have
+        ("train_web", "epoch", 1),
+        ("train_clean", "lr", 0.1),
+        ("model", "input_dim", 3),
+        ("loss", "renormalize", True),
     ])
     def test_bad_section_value_exits_2_naming_it(self, tmp_path, capsys,
                                                  section, key, value):
@@ -424,12 +432,36 @@ class TestDefaultConfigBytes:
         "Proposed/0/stage2": "da0209b3675fa71fbf7c09a70050dfb960bca0436a95237569ca45e72f138641",
     }
 
-    def test_run_checkpoint_bytes(self, tmp_path):
-        out = tmp_path / "runs"
+    # SHA-256 of each stage's log.jsonl of that run, ``elapsed_s`` removed
+    LOG_SHA256 = {
+        "BL1/0/stage1": "823506a14799da5763a1ce3da784ea81bb6fe89b10c620d2f63473f5008deef8",
+        "BL2/0/stage1": "1193122a9664b3d4b81906738947800487cad93f8c11347b12caa4c26c58fff6",
+        "BL2/0/stage2": "62e91556a0d947ac4b15064c26de891e3d51d58f30f1702f14866ee5972136de",
+        "Proposed/0/stage1": "0a4c1079bb3313e5c45a5e1649894cc25efa010df5b98c3095de480bc802c7ac",
+        "Proposed/0/stage2": "3080cd7e0b09144362ff1ab8cffdff5a4e4592cd8d1306ce2ae763a7b2a932b0",
+    }
+
+    @pytest.fixture(scope="class")
+    def default_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("default") / "runs"
         assert main(["run", "--out", str(out), "--seed", "0"]) == 0
-        got = {str(p.parent.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in out.glob("*/0/stage*/checkpoint.wslckpt")}
+        return out
+
+    def test_run_checkpoint_bytes(self, default_run):
+        got = {str(p.parent.relative_to(default_run)): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in default_run.glob("*/0/stage*/checkpoint.wslckpt")}
         assert got == self.CHECKPOINT_SHA256
+
+    def test_run_log_bytes(self, default_run):
+        got = {}
+        for path in default_run.glob("*/0/stage*/log.jsonl"):
+            entries = [json.loads(line) for line in path.read_text().splitlines()]
+            for entry in entries:
+                del entry["elapsed_s"]
+            text = "".join(canonical_json(entry) + "\n" for entry in entries)
+            got[str(path.parent.relative_to(default_run))] = hashlib.sha256(
+                text.encode()).hexdigest()
+        assert got == self.LOG_SHA256
 
     def test_run_provenance_fingerprints(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import fd_max_rel_error, make_clean_dataset
 from webly.errors import CheckpointError, ValidationError
 from webly.metrics import write_features_csv
 from webly.model import (
+    EVAL_BLOCK,
     ModelConfig,
     ModelParams,
     backward,
@@ -22,6 +24,7 @@ from webly.model import (
     penultimate_features,
     predict,
     save_checkpoint,
+    seeded_rng,
     softmax,
 )
 
@@ -261,6 +264,93 @@ class TestStackedModels:
                                         num_classes=3, init_seed=1))
         with pytest.raises(ValidationError, match="one config"):
             ModelParams.stack([first, other])
+
+
+class TestSeededRng:
+    """``seeded_rng`` is ``np.random.default_rng`` built another way."""
+
+    seeds = st.one_of(
+        st.integers(0, 2**32 - 1),
+        st.integers(2**32, 2**80),
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+                  st.integers(0, 2**32 - 1)),
+        st.lists(st.integers(0, 2**70), max_size=4).map(tuple),
+        st.integers(0, 2**32 - 1).map(np.uint32),
+        st.integers(0, 2**63 - 1).map(np.int64),
+        st.tuples(st.integers(0, 2**32 - 1).map(np.int64), st.integers(0, 9)),
+    )
+
+    @given(seed=seeds)
+    def test_same_stream_as_default_rng(self, seed):
+        ours, theirs = seeded_rng(seed), np.random.default_rng(seed)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert np.array_equal(ours.random(5), theirs.random(5))
+        assert np.array_equal(ours.permutation(9), theirs.permutation(9))
+
+    def test_bad_seed_fails_as_default_rng_does(self):
+        for seed in (-1, (1, -2)):
+            with pytest.raises(ValueError):
+                np.random.default_rng(seed)
+            with pytest.raises(ValueError):
+                seeded_rng(seed)
+
+
+def per_layer_dropout_forward(params, x, seed):
+    """The training forward pass with each hidden layer's dropout mask drawn
+    by a call of its own: the reference for one draw per step."""
+    rng = np.random.default_rng(seed)
+    keep = params.config.dropout_keep_prob
+    a, masks = x, []
+    for l in range(len(params.config.hidden_sizes)):
+        h = np.maximum(a @ params.weights[l] + params.biases[l][..., None, :], 0.0)
+        masks.append((rng.random(h.shape[-2:]) < keep).astype(np.float64))
+        h *= masks[-1]
+        h /= keep
+        a = h
+    logits = a @ params.weights[-1] + params.biases[-1][..., None, :]
+    return softmax(logits), masks
+
+
+class TestOneDropoutDraw:
+    def members(self):
+        cfg = ModelConfig(input_dim=4, hidden_sizes=[5, 3, 7], num_classes=3,
+                          dropout_keep_prob=0.6, init_seed=4)
+        first = init_params(cfg)
+        second = ModelParams(cfg, [w * -0.7 for w in first.weights],
+                             [b + 0.2 for b in first.biases])
+        return first, second
+
+    @pytest.mark.parametrize("rows", [32, 11, 1])  # full, tail, one-row batch
+    def test_equals_one_draw_per_layer_solo_and_stacked(self, rows):
+        first, second = self.members()
+        x = np.random.default_rng(rows).normal(size=(rows, 4))
+        for params in (first, ModelParams.stack([first, second])):
+            seed = (3, 1, rows)
+            posteriors, cache = forward(params, x, train=True, dropout_seed=seed)
+            want, masks = per_layer_dropout_forward(params, x, seed)
+            assert np.array_equal(posteriors, want)
+            assert len(cache.dropout_masks) == len(masks)
+            for got, mask in zip(cache.dropout_masks, masks):
+                assert np.array_equal(got, mask)
+
+
+class TestRowBlocks:
+    """``predict`` and ``penultimate_features`` score in row blocks and give
+    the numbers of one forward over every row."""
+
+    @pytest.mark.parametrize("rows", [0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1,
+                                      2 * EVAL_BLOCK + 1, 3 * EVAL_BLOCK + 5])
+    def test_equal_one_forward_solo_and_stacked(self, rows):
+        cfg = ModelConfig(input_dim=8, hidden_sizes=[16, 16], num_classes=5,
+                          init_seed=2)
+        first = init_params(cfg)
+        second = ModelParams(cfg, [w * 1.3 for w in first.weights],
+                             [b - 0.1 for b in first.biases])
+        ds = SimpleNamespace(X=np.random.default_rng(rows).normal(size=(rows, 8)))
+        for params in (first, ModelParams.stack([first, second])):
+            posteriors, cache = forward(params, ds.X, train=False)
+            assert np.array_equal(predict(params, ds), posteriors)
+            assert np.array_equal(penultimate_features(params, ds), cache.inputs[-1])
 
 
 class TestCheckpoint:
