@@ -26,16 +26,24 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    BACKGROUND_RULES,
+    CLEAN_RULES,
+    NOISE_RULES,
     BackgroundSpec,
     CleanSpec,
     Dataset,
     NoiseSpec,
     WebCorpus,
     canonical_json,
+    check_crawl_fits,
     check_fields,
     grouped_split,
+    integer,
+    integers,
     load_dataset,
     load_web_corpus,
+    real,
+    reals,
     save_web_corpus,
     synth_clean,
     synth_web_corpus,
@@ -113,82 +121,102 @@ DEFAULT_CONFIG = {
     "output_dir": "runs",
 }
 
-LOSS_RULES = {"renormalize_modulated": (lambda v: isinstance(v, bool), "true or false")}
-
 SCORES = ("accuracy", "macro_recall", "kappa", "auc_mean")
 SUMMARY_FIELDS = ["arm", "seed", "status", *SCORES, "error"]
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+# Leaf rules by dotted section path ("" is the top level, "data" the input files)
+RULES = {
+    "": {"seeds": ((lambda v: integers(0)[0](v) and 0 < len(v) == len(set(v))),
+                   "a non-empty list of distinct integers >= 0"),
+         "arms": ((lambda v: isinstance(v, list) and all(a in ARMS for a in v)
+                   and 0 < len(v) == len(set(v))), f"a non-empty list of distinct {ARMS}"),
+         "output_dir": ((lambda v: isinstance(v, str)), "a path")},
+    "model": MODEL_RULES,
+    "train_web": TRAIN_RULES,
+    "train_clean": TRAIN_RULES,
+    "loss": {"renormalize_modulated": ((lambda v: isinstance(v, bool)), "true or false")},
+    "data": dict.fromkeys(("clean_train", "clean_test", "web"),
+                          ((lambda v: isinstance(v, str)), "a file path")),
+    "data.synth": {
+        **CLEAN_RULES,
+        "class_means": reals((2,), "null or num_classes lists of feature_dim numbers", True),
+        "separation": real(lambda v: True, "of either sign"),
+        "train_fraction": real(lambda v: 0 < v < 1, "in (0, 1)"),
+        "split_seed": integer(0),
+    },
+    "data.synth.noise": {
+        **NOISE_RULES,
+        "cross_category_kernel": reals((2,), "null or K lists of K numbers", True),
+        "diagonal": real(lambda v: 0 <= v <= 1, "in [0, 1]"),
+    },
+    "data.synth.background": BACKGROUND_RULES,
+}
+
+
+def _checked(default: dict, user, name: str) -> dict:
+    """``user`` merged over ``default``, the config section at dotted path
+    ``name``; a section that is not an object, a key the default lacks or a
+    value that breaks its rule in ``RULES`` raises ValidationError naming it."""
+    if not isinstance(user, dict):
+        raise ValidationError(f"{name or 'the config'} must be an object, "
+                              f"got {type(user).__name__}")
+    if name == "data" and "synth" not in user:  # file inputs replace the synthetic spec
+        default = dict.fromkeys(["clean_train", "clean_test", *user.keys() & {"web"}])
+    if name in ("train_web", "train_clean"):  # dropout, a model setting; see load_config
+        default = {**default, "dropout_keep_prob": None}
+    prefix = f"{name}." if name else ""
+    unknown = sorted(user.keys() - default.keys())
+    if unknown:
+        raise ValidationError("unknown config key " + ", ".join(prefix + k for k in unknown))
+    merged = {key: _checked(value, user[key], prefix + key)
+              if isinstance(value, dict) and key in user
+              else copy.deepcopy(user.get(key, value)) for key, value in default.items()}
+    check_fields(merged, RULES.get(name, {}), prefix)
+    return merged
 
 
 def load_config(path: str | None) -> dict:
-    """Merge a user config file over the defaults.
-
-    The ``data`` section is special-cased: supplying file paths drops the
-    default synthetic spec instead of merging with it.  Dropout is a model
-    setting; a ``dropout_keep_prob`` left in ``train_web`` or ``train_clean``
-    is dropped when it equals ``model.dropout_keep_prob`` and rejected
-    otherwise.  ``model``, ``train_web``, ``train_clean`` and ``loss`` take
-    only the keys of their defaults, and their values are checked for type
-    and range; an unknown key or a bad value is named as ``section.key``.
+    """Merge a user config file over the defaults, checking it by ``RULES``
+    and ``synth_specs``; a ``data`` section without ``synth`` names input
+    files instead.  A fault raises a WeblyError naming the file and the
+    dotted key, e.g. ``data.synth.noise.diagonal``.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     try:
         with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
-    except ValueError as exc:  # JSON syntax or UTF-8 decoding
-        raise ParseError(f"{path}: not a JSON document: {exc}") from None
-    if not isinstance(user, dict):
-        raise ParseError(f"{path}: top-level value must be an object, "
-                         f"got {type(user).__name__}")
-    user_data = user.get("data")
-    merged = _deep_merge(DEFAULT_CONFIG, user)
-    if user_data is not None and "synth" not in user_data:
-        merged["data"] = copy.deepcopy(user_data)
-    for section, rules in (("model", MODEL_RULES), ("train_web", TRAIN_RULES),
-                           ("train_clean", TRAIN_RULES), ("loss", LOSS_RULES)):
-        if not isinstance(merged[section], dict):
-            raise ParseError(f"{path}: {section} must be an object")
-        known = DEFAULT_CONFIG[section].keys() | (
-            {"dropout_keep_prob"} if section.startswith("train_") else set())
-        unknown = sorted(merged[section].keys() - known)
-        if unknown:
-            raise ValidationError(f"{path}: unknown config key "
-                                  + ", ".join(f"{section}.{key}" for key in unknown))
-        check_fields(merged[section], rules, f"{path}: {section}.")
-    keep = merged["model"].get("dropout_keep_prob")
-    for section in ("train_web", "train_clean"):
-        value = merged[section].pop("dropout_keep_prob", keep)
-        if value != keep:
-            raise ValidationError(
-                f"{path}: {section}.dropout_keep_prob={value!r} differs from "
-                f"model.dropout_keep_prob={keep!r}; dropout is set in model only")
-    return merged
+    except (OSError, ValueError) as exc:  # ValueError: JSON syntax or UTF-8 decoding
+        raise ParseError(f"{path}: cannot read a JSON document: {exc}") from None
+    try:
+        config = _checked(DEFAULT_CONFIG, user, "")
+        keep = config["model"]["dropout_keep_prob"]
+        for section in ("train_web", "train_clean"):  # dropout is set in model only
+            if config[section].pop("dropout_keep_prob", None) not in (None, keep):
+                raise ValidationError(f"{section}.dropout_keep_prob must equal model's {keep!r}")
+        if "synth" in config["data"]:
+            synth_specs(config["data"]["synth"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return config
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """Comma-separated non-negative integers from a ``--seed`` value."""
+    """Comma-separated distinct non-negative integers from a ``--seed`` value."""
     parts = text.split(",")
-    if not all(part.strip().isdecimal() for part in parts):
-        raise ValidationError(f"--seed {text!r}: expected non-negative integers "
-                              "separated by commas")
-    return [int(part) for part in parts]
+    seeds = [int(part) for part in parts if part.strip().isdecimal()]
+    if len(seeds) != len(parts) or len(set(seeds)) != len(seeds):
+        raise ValidationError(f"--seed {text!r}: expected distinct non-negative "
+                              "integers separated by commas")
+    return seeds
 
 
 def _summary_row(arm: str, seed: int, scores=None, error: str = "") -> dict:
     """One summary.csv row; ``scores`` maps accuracy, macro_recall, kappa and
     auc_mean to floats (auc_mean may be None), and is None for a failed cell."""
     def score(key):
-        return "" if scores is None or scores[key] is None else repr(scores[key])
+        return "" if scores is None or scores[key] is None else repr(float(scores[key]))
     return {"arm": arm, "seed": seed, "status": "failed" if scores is None else "ok",
             "error": error, **{key: score(key) for key in SCORES}}
 
@@ -197,52 +225,42 @@ def _summary_row(arm: str, seed: int, scores=None, error: str = "") -> dict:
 # Config -> toolkit objects
 # ---------------------------------------------------------------------------
 
-def _resolve_means(spec: dict) -> np.ndarray:
-    if spec.get("class_means") is not None:
-        return np.asarray(spec["class_means"], dtype=np.float64)
-    k, d = spec["num_classes"], spec["feature_dim"]
-    means = np.zeros((k, d))
-    for c in range(k):
-        means[c, c % d] = spec["separation"]
-    return means
-
-
-def _resolve_kernel(noise_spec: dict, k: int) -> np.ndarray:
-    if noise_spec.get("cross_category_kernel") is not None:
-        return np.asarray(noise_spec["cross_category_kernel"], dtype=np.float64)
-    diag = float(noise_spec["diagonal"])
-    off = (1.0 - diag) / (k - 1) if k > 1 else 0.0
-    return diag * np.eye(k) + off * (np.ones((k, k)) - np.eye(k))
+def synth_specs(spec: dict, seed_offset: int = 0
+                ) -> tuple[CleanSpec, NoiseSpec, BackgroundSpec]:
+    """The clean, crawl-noise and background specs of a checked ``data.synth``
+    section, every seed offset by ``seed_offset``; values that do not fit
+    together raise ValidationError naming the key as ``data.synth...key``."""
+    k, d, noise = spec["num_classes"], spec["feature_dim"], spec["noise"]
+    means, kernel = spec["class_means"], noise["cross_category_kernel"]
+    if means is None:
+        means = np.zeros((k, d))
+        means[np.arange(k), np.arange(k) % d] = spec["separation"]
+    try:
+        clean = CleanSpec(num_classes=k, feature_dim=d, class_means=means,
+                          sigma=spec["sigma"], class_counts=list(spec["class_counts"]),
+                          groups_per_class=spec["groups_per_class"],
+                          seed=spec["seed"] + seed_offset)
+        if kernel is None:  # built once CleanSpec has checked k against class_counts
+            diag = float(noise["diagonal"])
+            off = (1.0 - diag) / (k - 1)
+            kernel = diag * np.eye(k) + off * (np.ones((k, k)) - np.eye(k))
+        crawl = NoiseSpec(cross_category_kernel=kernel,
+                          cross_domain_rate=noise["cross_domain_rate"],
+                          bag_size=noise["bag_size"], seed=noise["seed"] + seed_offset)
+        background = BackgroundSpec(**spec["background"])
+        check_crawl_fits(crawl, background, k, d)
+    except ValidationError as exc:
+        raise ValidationError(f"data.synth.{exc}") from None
+    return clean, crawl, background
 
 
 def build_synth_data(spec: dict, seed_offset: int = 0
                      ) -> tuple[Dataset, Dataset, WebCorpus]:
     """Materialize (clean_train, clean_test, web) from a synthetic data spec."""
-    k = spec["num_classes"]
-    clean_spec = CleanSpec(
-        num_classes=k,
-        feature_dim=spec["feature_dim"],
-        class_means=_resolve_means(spec),
-        sigma=spec["sigma"],
-        class_counts=list(spec["class_counts"]),
-        groups_per_class=spec["groups_per_class"],
-        seed=spec["seed"] + seed_offset,
-    )
-    pool = synth_clean(clean_spec)
+    clean, crawl, background = synth_specs(spec, seed_offset)
     clean_train, clean_test = grouped_split(
-        pool, spec["train_fraction"], spec["split_seed"] + seed_offset)
-    noise = NoiseSpec(
-        cross_category_kernel=_resolve_kernel(spec["noise"], k),
-        cross_domain_rate=spec["noise"]["cross_domain_rate"],
-        bag_size=spec["noise"]["bag_size"],
-        seed=spec["noise"]["seed"] + seed_offset,
-    )
-    background = BackgroundSpec(
-        mean_offset=spec["background"]["mean_offset"],
-        scale=spec["background"]["scale"],
-    )
-    web = synth_web_corpus(clean_train, noise, background)
-    return clean_train, clean_test, web
+        synth_clean(clean), spec["train_fraction"], spec["split_seed"] + seed_offset)
+    return clean_train, clean_test, synth_web_corpus(clean_train, crawl, background)
 
 
 def build_cell_data(config: dict, seed: int
@@ -251,35 +269,21 @@ def build_cell_data(config: dict, seed: int
     if "synth" in data:
         return build_synth_data(data["synth"], seed_offset=seed)
     clean_train = load_dataset(data["clean_train"])
-    k = clean_train.num_classes
-    clean_test = load_dataset(data["clean_test"], num_classes=k)
+    clean_test = load_dataset(data["clean_test"], num_classes=clean_train.num_classes)
     web = load_web_corpus(data["web"]) if data.get("web") else None
     return clean_train, clean_test, web
 
 
+# A checked section's keys are its dataclass's fields; seeds offset by the run's.
 def _train_config(section: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=section["epochs"],
-        batch_size=section["batch_size"],
-        learning_rate_init=section["learning_rate_init"],
-        momentum=section["momentum"],
-        lr_decay_factor=section["lr_decay_factor"],
-        lr_decay_every=section["lr_decay_every"],
-        shuffle_seed=section["shuffle_seed"] + seed,
-    )
+    return TrainConfig(**{**section, "shuffle_seed": section["shuffle_seed"] + seed})
 
 
 def _model_config(config: dict, input_dim: int, num_classes: int,
                   seed: int) -> ModelConfig:
     section = config["model"]
-    return ModelConfig(
-        input_dim=input_dim,
-        hidden_sizes=list(section["hidden_sizes"]),
-        num_classes=num_classes,
-        dropout_keep_prob=section["dropout_keep_prob"],
-        init_seed=section["init_seed"] + seed,
-        init_scale=section["init_scale"],
-    )
+    return ModelConfig(input_dim=input_dim, num_classes=num_classes,
+                       **{**section, "init_seed": section["init_seed"] + seed})
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +400,12 @@ def cmd_run(args) -> int:
     if args.seed:
         config["seeds"] = _parse_seeds(args.seed)
     if args.jobs < 1:
-        print(f"error: --jobs {args.jobs}: must be at least 1", file=sys.stderr)
-        return 2
-    arms = config["arms"]
-    seeds = config["seeds"]
-    if not arms or not seeds:
-        print("error: arms and seeds must be nonempty", file=sys.stderr)
-        return 2
-    for arm in arms:
-        if arm not in ARMS:
-            print(f"error: unknown arm {arm!r}", file=sys.stderr)
-            return 2
+        raise ValidationError(f"--jobs {args.jobs}: must be at least 1")
+    arms, seeds = config["arms"], config["seeds"]
 
     out_dir = Path(config["output_dir"])
-    if out_dir.exists() and any(out_dir.iterdir()):
-        if not args.overwrite:
-            print(f"error: {out_dir} is not empty (use --overwrite)",
-                  file=sys.stderr)
-            return 2
+    if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
+        raise WeblyError(f"{out_dir} is not empty (use --overwrite)")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     with open(out_dir / "effective_config.json", "w", encoding="utf-8") as fh:
@@ -421,11 +413,9 @@ def cmd_run(args) -> int:
         fh.write("\n")
 
     timestamp = report_timestamp()
-    for arm in arms:
-        for seed in seeds:
-            cell_dir = out_dir / arm / str(seed)
-            if cell_dir.exists():
-                shutil.rmtree(cell_dir)
+    for cell_dir in (out_dir / arm / str(seed) for arm in arms for seed in seeds):
+        if cell_dir.exists():
+            shutil.rmtree(cell_dir)
     payloads = [(config, arms, seed, str(out_dir), timestamp) for seed in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -438,8 +428,7 @@ def cmd_run(args) -> int:
     _print_aggregates(rows, arms)
     failed = [r for r in rows if r["status"] != "ok"]
     for r in failed:
-        print(f"failed cell {r['arm']}/{r['seed']}: {r['error']}",
-              file=sys.stderr)
+        print(f"failed cell {r['arm']}/{r['seed']}: {r['error']}", file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -451,8 +440,7 @@ def cmd_synth(args) -> int:
     config = load_config(args.config)
     spec = config["data"].get("synth")
     if spec is None:
-        print("error: config has no data.synth section", file=sys.stderr)
-        return 2
+        raise ValidationError("config has no data.synth section")
     offset, *more = _parse_seeds(args.seed or "0")
     if more:
         raise ValidationError(f"--seed {args.seed!r}: synth takes one seed offset")
@@ -460,9 +448,7 @@ def cmd_synth(args) -> int:
     files = [out_dir / "clean_train.csv", out_dir / "clean_test.csv",
              out_dir / "web.json"]
     if any(f.exists() for f in files) and not args.overwrite:
-        print(f"error: outputs exist in {out_dir} (use --overwrite)",
-              file=sys.stderr)
-        return 2
+        raise WeblyError(f"outputs exist in {out_dir} (use --overwrite)")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     clean_train, clean_test, web = build_synth_data(spec, seed_offset=offset)
@@ -519,8 +505,7 @@ def cmd_estimate_noise(args) -> int:
 def cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     if not runs_dir.exists():
-        print(f"error: run directory {runs_dir} not found", file=sys.stderr)
-        return 2
+        raise WeblyError(f"run directory {runs_dir} not found")
     rows = []
     arms_seen = []
     for arm_dir in sorted(p for p in runs_dir.iterdir() if p.is_dir()):
@@ -532,16 +517,17 @@ def cmd_report(args) -> int:
             try:
                 seeds.append((int(cell_dir.name), cell_dir))
             except ValueError:
-                print(f"note: skipping {cell_dir}: not a seed directory",
-                      file=sys.stderr)
+                print(f"note: skipping {cell_dir}: not a seed directory", file=sys.stderr)
         for seed, cell_dir in sorted(seeds):
             eval_path = cell_dir / "eval.json"
-            if not eval_path.exists():
+            try:
+                with open(eval_path, encoding="utf-8") as fh:
+                    rows.append(_summary_row(arm_dir.name, seed, json.load(fh)))
+            except FileNotFoundError:
+                rows.append(_summary_row(arm_dir.name, seed, error="missing eval.json"))
+            except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSON or a score
                 rows.append(_summary_row(arm_dir.name, seed,
-                                         error="missing eval.json"))
-                continue
-            with open(eval_path, encoding="utf-8") as fh:
-                rows.append(_summary_row(arm_dir.name, seed, json.load(fh)))
+                                         error=f"malformed {eval_path}: {exc!r}"))
     _write_summary(rows, runs_dir / "summary.csv")
     _print_aggregates(rows, arms_seen)
     print(f"wrote {runs_dir / 'summary.csv'} ({len(rows)} rows)")

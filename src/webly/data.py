@@ -38,10 +38,6 @@ def _reject(bad: np.ndarray, ids: np.ndarray, message: str, values=None) -> None
         raise ValidationError(message.format(id=ids[i], value=value))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _is_real(v) -> bool:
     """A finite int or float, not a bool; an int too large for a float fails."""
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
@@ -54,13 +50,29 @@ def _is_real(v) -> bool:
 
 def integer(low: int) -> tuple:
     """Field rule for ``check_fields``: an integer (not a bool) >= ``low``."""
-    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+    return ((lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+             and v >= low), f"an integer >= {low}")
 
 
 def real(test, text: str) -> tuple:
     """Field rule for ``check_fields``: a finite number (not a bool) that
     passes ``test``, described by ``text``."""
     return (lambda v: _is_real(v) and test(v)), f"a number {text}"
+
+
+def integers(low: int) -> tuple:
+    """Field rule for ``check_fields``: a list of integers (not bools) >= ``low``."""
+    return ((lambda v: isinstance(v, (list, tuple)) and all(integer(low)[0](x) for x in v)),
+            f"a list of integers >= {low}")
+
+
+def reals(ndims: tuple, text: str, null: bool = False) -> tuple:
+    """Field rule for ``check_fields``: finite numbers (not bools) in equal-length
+    lists nested to a depth in ``ndims`` (0: a bare number), or None if ``null``."""
+    def ok(v):
+        nest = np.array(v, dtype=object)
+        return null and v is None or nest.ndim in ndims and all(map(_is_real, nest.flat))
+    return ok, text
 
 
 def check_fields(values: dict, rules: dict, prefix: str = "") -> None:
@@ -196,6 +208,26 @@ class WebCorpus:
         return np.repeat(self.labels, np.diff(self.offsets))
 
 
+# Rules of the synthetic-data specs, which name fields by their place in data.synth
+CLEAN_RULES = {
+    "num_classes": integer(2),
+    "feature_dim": integer(1),
+    "sigma": real(lambda v: v > 0, "> 0"),
+    "class_counts": integers(1),
+    "groups_per_class": integer(1),
+    "seed": integer(0),
+}
+NOISE_RULES = {
+    "cross_domain_rate": real(lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "bag_size": integer(1),
+    "seed": integer(0),
+}
+BACKGROUND_RULES = {
+    "mean_offset": reals((0, 1), "a number or a list of numbers"),
+    "scale": real(lambda v: v > 0, "> 0"),
+}
+
+
 @dataclass
 class NoiseSpec:
     """Ground-truth noise model for the synthetic web crawl.
@@ -212,12 +244,9 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
+        check_fields(vars(self), NOISE_RULES, "noise.")
         self.cross_category_kernel = np.asarray(self.cross_category_kernel, dtype=np.float64)
-        check_row_stochastic(self.cross_category_kernel, "cross_category_kernel")
-        if not 0.0 <= self.cross_domain_rate <= 1.0:
-            raise ValidationError("cross_domain_rate must lie in [0, 1]")
-        if self.bag_size < 1:
-            raise ValidationError("bag_size must be >= 1")
+        check_row_stochastic(self.cross_category_kernel, "noise.cross_category_kernel")
 
 
 @dataclass
@@ -229,8 +258,7 @@ class BackgroundSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValidationError("background scale must be positive")
+        check_fields(vars(self), BACKGROUND_RULES, "background.")
 
 
 @dataclass
@@ -254,22 +282,15 @@ class CleanSpec:
     name: str = "synth"
 
     def __post_init__(self):
+        check_fields(vars(self), CLEAN_RULES)
         self.class_means = np.asarray(self.class_means, dtype=np.float64)
-        if self.num_classes < 2:
-            raise ValidationError("need at least 2 classes")
-        if self.class_means.shape != (self.num_classes, self.feature_dim):
-            raise ValidationError(
-                f"class_means shape {self.class_means.shape} != "
-                f"({self.num_classes}, {self.feature_dim})"
-            )
-        if self.sigma <= 0:
-            raise ValidationError("sigma must be positive")
-        if len(self.class_counts) != self.num_classes:
-            raise ValidationError("class_counts length must equal num_classes")
-        if any(c < 1 for c in self.class_counts):
-            raise ValidationError("every class count must be >= 1")
-        if self.groups_per_class < 1:
-            raise ValidationError("groups_per_class must be >= 1")
+        k, d = self.num_classes, self.feature_dim
+        if self.class_means.shape != (k, d):
+            raise ValidationError(f"class_means must be num_classes x feature_dim = "
+                                  f"{k} x {d}, got shape {self.class_means.shape}")
+        if len(self.class_counts) != k:
+            raise ValidationError(f"class_counts must hold num_classes = {k} counts, "
+                                  f"got {self.class_counts!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +446,15 @@ def _class_models(clean: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return means, stds
 
 
+def check_crawl_fits(noise: NoiseSpec, background: BackgroundSpec, k: int, d: int) -> None:
+    """Raise ValidationError unless the crawl specs fit K classes of D features."""
+    if noise.cross_category_kernel.shape != (k, k):
+        raise ValidationError(f"noise.cross_category_kernel must be {k} x {k} for {k} classes")
+    if np.shape(background.mean_offset) not in ((), (d,)):
+        raise ValidationError(f"background.mean_offset must be a number or {d} numbers "
+                              f"for {d} features")
+
+
 def synth_web_corpus(clean_train: Dataset, noise: NoiseSpec,
                      background: BackgroundSpec) -> WebCorpus:
     """Simulate a web crawl: one bag of ``bag_size`` members per clean query.
@@ -440,14 +470,9 @@ def synth_web_corpus(clean_train: Dataset, noise: NoiseSpec,
     if len(clean_train) == 0:
         raise ValidationError("clean_train is empty")
     k = clean_train.num_classes
-    if noise.cross_category_kernel.shape != (k, k):
-        raise ValidationError(
-            f"kernel is {noise.cross_category_kernel.shape}, expected ({k}, {k})"
-        )
+    check_crawl_fits(noise, background, k, clean_train.feature_dim)
     means, stds = _class_models(clean_train)
     center = clean_train.X.mean(axis=0) + np.asarray(background.mean_offset)
-    if center.shape != (clean_train.feature_dim,):
-        raise ValidationError("background mean_offset must be scalar or length-D")
 
     rng = np.random.default_rng(noise.seed)
     m = noise.bag_size

@@ -130,9 +130,3 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
                                                - gate_m[..., None] * rows)
 
     return LossReport(per_example=per_example, logit_grads=grads)
-
-
-def plain_weighted_cross_entropy(posteriors: np.ndarray, labels, w) -> LossReport:
-    """Weighted cross-entropy without noise correction (identity transition)."""
-    k = np.asarray(posteriors).shape[1]
-    return modulated_cross_entropy(posteriors, labels, np.eye(k), w)

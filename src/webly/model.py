@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, WebCorpus, canonical_json, check_fields, integer, real
+from .data import Dataset, WebCorpus, canonical_json, check_fields, integer, integers, real
 from .errors import CheckpointError, ValidationError
 
 CHECKPOINT_MAGIC = b"WSLCKPT1"
@@ -42,9 +42,7 @@ EVAL_BLOCK = 512  # rows per forward call in predict and penultimate_features
 
 MODEL_RULES = {
     "input_dim": integer(1),
-    "hidden_sizes": ((lambda v: isinstance(v, (list, tuple))
-                      and all(integer(1)[0](h) for h in v)),
-                     "a list of integers >= 1"),
+    "hidden_sizes": integers(1),
     "num_classes": integer(2),
     "dropout_keep_prob": real(lambda v: 0 < v <= 1, "in (0, 1]"),
     "init_seed": integer(0),
@@ -348,8 +346,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path: str | Path,
-                    expect_num_classes: int | None = None) -> ModelParams:
+def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint back; round-trip is value-exact for every weight.
 
     The header must be exactly the one ``save_checkpoint`` writes for its
@@ -375,9 +372,6 @@ def load_checkpoint(path: str | Path,
         cfg = ModelConfig(**json.loads(header.decode("utf-8"))["config"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from None
-    if expect_num_classes is not None and cfg.num_classes != expect_num_classes:
-        raise CheckpointError(f"{path}: checkpoint has {cfg.num_classes} classes, "
-                              f"expected {expect_num_classes}")
     if header != _header_bytes(cfg):
         raise CheckpointError(f"{path}: layer shapes or offsets do not match the "
                               "packed layout of the config")

@@ -1,13 +1,15 @@
 """Tests for the command-line verbs and the run-directory contract."""
 
+import copy
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from webly import cli
-from webly.cli import main
+from webly.cli import DEFAULT_CONFIG, load_config, main
 from webly.data import (
     canonical_json,
     load_dataset,
@@ -15,6 +17,7 @@ from webly.data import (
     save_web_corpus,
     write_dataset_csv,
 )
+from webly.errors import WeblyError
 from webly.model import ModelConfig, init_params, save_checkpoint
 from webly.noise import load_transition
 
@@ -210,6 +213,9 @@ class TestRun:
             assert main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "runs")]) == 2
             assert str(cfg) in capsys.readouterr().err
+        missing = tmp_path / "missing.json"
+        assert main(["run", "--config", str(missing), "--out", str(tmp_path / "runs")]) == 2
+        assert str(missing) in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
         ("train_web", "epochs", "x"),
@@ -227,15 +233,56 @@ class TestRun:
         ("train_clean", "lr", 0.1),
         ("model", "input_dim", 3),
         ("loss", "renormalize", True),
+        # the data sections and the top level ("" is the top level)
+        ("data.synth", "seperation", 9.0),
+        ("", "seed", [3]),
+        ("data.synth.noise", "diagonal", 1.5),
+        ("data.synth", "sigma", "x"),
+        ("data.synth", "num_classes", "5"),
+        ("data.synth.noise", "bag_size", 2.5),
+        ("data.synth.background", "mean_offset", [1, 2]),
+        ("", "data", 3),
+        ("", "seeds", [1.5]),
+        ("data.synth", "class_counts", [10, 10]),
+        ("data.synth", "class_means", [[1, 2]]),
+        ("data.synth", "train_fraction", 1.0),
+        ("", "seeds", [-1]),
+        ("", "arms", ["BL1", "BL1"]),
+        ("", "arms", "BL1"),
+        ("data.synth.noise", "cross_category_kernel", [[1.0, 0.0], [0.0, 1.0]]),
+        ("data.synth.noise", "cross_category_kernel", [[0.5, 0.5], [1.0]]),
+        ("data.synth", "noise", []),
     ])
     def test_bad_section_value_exits_2_naming_it(self, tmp_path, capsys,
                                                  section, key, value):
+        doc = {key: value}
+        for part in reversed(section.split(".") if section else []):
+            doc = {part: doc}
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({section: {key: value}}))
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for verb in ("run", "synth"):
+            assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert str(cfg) in err and (f"{section}.{key}" if section else key) in err
+            assert not out.exists()
+
+    def test_file_inputs_need_both_clean_splits(self, tmp_path, capsys):
+        cfg = tmp_path / "files.json"
+        cfg.write_text(json.dumps({"data": {"clean_train": "train.csv",
+                                            "web": "web.json"}}))
+        out = tmp_path / "out"
+        for verb in ("run", "synth"):
+            assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert str(cfg) in err and "data.clean_test" in err
+            assert not out.exists()
+
+    def test_repeated_seed_flag_exits_2(self, tmp_path, capsys):
         out = tmp_path / "runs"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert str(cfg) in err and f"{section}.{key}" in err
+        assert main(["run", "--config", str(tiny_config(tmp_path)), "--out", str(out),
+                     "--seed", "1,1"]) == 2
+        assert "'1,1'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_shared_clean_stage_failure_fails_bl1_and_proposed(self, tmp_path,
@@ -382,8 +429,82 @@ class TestReport:
         assert "notaseed" in capsys.readouterr().err
         assert (out / "summary.csv").read_text() == original
 
+    def test_malformed_eval_json_is_a_failed_row_naming_the_file(self, tmp_path):
+        cfg = tiny_config(tmp_path, seeds=[0, 1, 2])
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        bad = {"0": '{"accuracy": 0.5', "1": "{}"}
+        for seed, text in bad.items():
+            (out / "BL1" / seed / "eval.json").write_text(text)
+        assert main(["report", "--runs", str(out)]) == 0
+        rows = {r["seed"]: r for r in read_summary(out / "summary.csv")}
+        for seed in bad:
+            assert rows[seed]["status"] == "failed"
+            assert str(out / "BL1" / seed / "eval.json") in rows[seed]["error"]
+        assert rows["2"]["status"] == "ok"
+
+
+def _sections(config, prefix=()):
+    """Every key path of a config, sections and leaves alike."""
+    for key, value in config.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _sections(value, prefix + (key,))
+
+
+# Integers stay small: a config may ask for any number of classes or features,
+# and load_config builds the synthetic spec's class means and kernel.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 1000)
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
 
 class TestConfigRoundTrip:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_config_loads_or_raises_webly_error(self, tmp_path, data):
+        config = copy.deepcopy(DEFAULT_CONFIG)
+        *parents, key = data.draw(st.sampled_from(list(_sections(config))), label="key")
+        section = config
+        for name in parents:
+            section = section[name]
+        edit = data.draw(st.sampled_from(["rename", "drop", "retype"]), label="edit")
+        value = section.pop(key)
+        if edit == "rename":
+            section[key + data.draw(st.text(min_size=1, max_size=2))] = value
+        elif edit == "retype":
+            section[key] = data.draw(JSON_VALUES, label="value")
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(config))
+        try:
+            assert isinstance(load_config(str(path)), dict)
+        except WeblyError:
+            pass
+
+    @pytest.mark.parametrize("shape", ["train_dropout", "files_without_web"])
+    def test_effective_config_reads_back_unchanged(self, tmp_path, shape):
+        config = json.loads(tiny_config(tmp_path).read_text())
+        if shape == "train_dropout":
+            config["train_web"]["dropout_keep_prob"] = 0.8
+            config["train_clean"]["dropout_keep_prob"] = 0.8
+        else:
+            assert main(["synth", "--config", str(tiny_config(tmp_path)),
+                         "--out", str(tmp_path / "files")]) == 0
+            config["data"] = {"clean_train": str(tmp_path / "files/clean_train.csv"),
+                              "clean_test": str(tmp_path / "files/clean_test.csv")}
+        cfg = tmp_path / "shape.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        effective = out / "effective_config.json"
+        assert load_config(str(effective)) == json.loads(effective.read_text())
+        assert load_config(str(effective)) == {**load_config(str(cfg)),
+                                               "output_dir": str(out)}
+
     def test_effective_config_reproduces_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "946684800")
         cfg = tiny_config(tmp_path, arms=["BL1", "Proposed"])

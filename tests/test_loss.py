@@ -12,7 +12,6 @@ from webly.loss import (
     ClassWeights,
     median_frequency_weights,
     modulated_cross_entropy,
-    plain_weighted_cross_entropy,
 )
 from webly.model import softmax
 
@@ -71,9 +70,8 @@ class TestModulatedCrossEntropy:
             labels = rng.integers(0, k, size=batch)
             w = rng.uniform(0.5, 3.0, size=k)
             got = modulated_cross_entropy(p, labels, np.eye(k), w)
-            # independent direct formula
-            expected = -w[labels] * np.log(np.maximum(p[np.arange(batch), labels],
-                                                      LOG_EPS))
+            # the closed form of weighted cross-entropy: -w_c log p_c
+            expected = -w[labels] * np.log(p[np.arange(batch), labels])
             assert np.max(np.abs(got.per_example - expected)) < 1e-15
 
     def test_uniform_transition_destroys_all_signal(self):
@@ -198,25 +196,29 @@ class TestStackedLoss:
 
 
 class TestPlainWeightedCrossEntropy:
+    """Weighted cross-entropy is the modulated loss with an identity transition."""
+
     def test_perfect_prediction_gives_zero_loss(self):
         p = np.array([[1.0, 0.0]])
-        report = plain_weighted_cross_entropy(p, [0], np.ones(2))
+        report = modulated_cross_entropy(p, [0], np.eye(2), np.ones(2))
         assert report.loss == 0.0
 
     def test_hand_computed_example(self):
         # K=2, p = (0.75, 0.25), label 1, w_1 = 2 -> loss = -2 ln 0.25
         p = np.array([[0.75, 0.25]])
-        report = plain_weighted_cross_entropy(p, [1], np.array([1.0, 2.0]))
+        report = modulated_cross_entropy(p, [1], np.eye(2), np.array([1.0, 2.0]))
         assert abs(report.loss - (-2 * math.log(0.25))) < 1e-12
 
     def test_equals_modulated_with_identity_transition(self):
+        # closed forms: loss mean(-w_c log p_c), logit gradient w_c (p - e_c) / B
         rng = np.random.default_rng(5)
         for _ in range(50):
             k = int(rng.integers(2, 5))
             p = random_posteriors(rng, 4, k)
             labels = rng.integers(0, k, size=4)
             w = rng.uniform(0.5, 2.0, size=k)
-            a = plain_weighted_cross_entropy(p, labels, w)
-            b = modulated_cross_entropy(p, labels, np.eye(k), w)
-            assert abs(a.loss - b.loss) < 1e-15
-            assert np.array_equal(a.logit_grads, b.logit_grads)
+            report = modulated_cross_entropy(p, labels, np.eye(k), w)
+            assert abs(report.loss
+                       - np.mean(-w[labels] * np.log(p[np.arange(4), labels]))) < 1e-15
+            expected = w[labels, None] * (p - np.eye(k)[labels]) / 4
+            assert np.max(np.abs(report.logit_grads - expected)) < 1e-15

@@ -377,13 +377,6 @@ class TestCheckpoint:
             assert np.shares_memory(w, loaded.flat)
             assert np.shares_memory(b, loaded.flat)
 
-    def test_class_count_mismatch_rejected(self, tmp_path):
-        cfg = ModelConfig(input_dim=4, hidden_sizes=[6], num_classes=3)
-        path = tmp_path / "d.wslckpt"
-        save_checkpoint(init_params(cfg), path)
-        with pytest.raises(CheckpointError, match="classes"):
-            load_checkpoint(path, expect_num_classes=5)
-
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.wslckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
