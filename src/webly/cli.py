@@ -121,6 +121,7 @@ DEFAULT_CONFIG = {
     "output_dir": "runs",
 }
 
+SYNTH_MAX_VALUES = 2**27  # float64 values (1 GiB) a data.synth section may ask for
 SCORES = ("accuracy", "macro_recall", "kappa", "auc_mean")
 SUMMARY_FIELDS = ["arm", "seed", "status", *SCORES, "error"]
 
@@ -232,6 +233,13 @@ def synth_specs(spec: dict, seed_offset: int = 0
     together raise ValidationError naming the key as ``data.synth...key``."""
     k, d, noise = spec["num_classes"], spec["feature_dim"], spec["noise"]
     means, kernel = spec["class_means"], noise["cross_category_kernel"]
+    # class means, kernel, clean rows and at most bag_size web members per clean row
+    size = k * d + k * k + sum(spec["class_counts"]) * (1 + noise["bag_size"]) * d
+    if size > SYNTH_MAX_VALUES:
+        raise ValidationError(
+            f"data.synth.num_classes {k}, data.synth.feature_dim {d}, data.synth.class_counts "
+            f"and data.synth.noise.bag_size ask for {size} float64 values, more than "
+            f"the {SYNTH_MAX_VALUES} synth holds")
     if means is None:
         means = np.zeros((k, d))
         means[np.arange(k), np.arange(k) % d] = spec["separation"]
@@ -242,8 +250,8 @@ def synth_specs(spec: dict, seed_offset: int = 0
                           seed=spec["seed"] + seed_offset)
         if kernel is None:  # built once CleanSpec has checked k against class_counts
             diag = float(noise["diagonal"])
-            off = (1.0 - diag) / (k - 1)
-            kernel = diag * np.eye(k) + off * (np.ones((k, k)) - np.eye(k))
+            kernel = np.full((k, k), (1.0 - diag) / (k - 1))
+            np.fill_diagonal(kernel, diag)
         crawl = NoiseSpec(cross_category_kernel=kernel,
                           cross_domain_rate=noise["cross_domain_rate"],
                           bag_size=noise["bag_size"], seed=noise["seed"] + seed_offset)
@@ -402,6 +410,7 @@ def cmd_run(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs {args.jobs}: must be at least 1")
     arms, seeds = config["arms"], config["seeds"]
+    timestamp = report_timestamp()
 
     out_dir = Path(config["output_dir"])
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
@@ -412,7 +421,6 @@ def cmd_run(args) -> int:
         json.dump(config, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-    timestamp = report_timestamp()
     for cell_dir in (out_dir / arm / str(seed) for arm in arms for seed in seeds):
         if cell_dir.exists():
             shutil.rmtree(cell_dir)
@@ -470,12 +478,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    timestamp = report_timestamp()
     params = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data, num_classes=params.config.num_classes)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(params, ds)
-    write_eval_json(report, out_dir / "eval.json")
+    write_eval_json(report, out_dir / "eval.json", timestamp)
     write_eval_csv(report, out_dir / "eval.csv")
     if args.export_features:
         feats = penultimate_features(params, ds)

@@ -107,26 +107,32 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
         raise ValidationError("label out of range")
 
     rows = t[..., labels, :]                   # (..., B, K): row per example
-    s = np.einsum("...bk,...bk->...b", rows, p)  # diffused labeled-class score
     wc = wv[labels]
-
     if not renormalize:
-        per_example = -wc * np.log(np.maximum(s, LOG_EPS))
-        # d(mean loss)/d(logit_k) = (w_c/B) * (p_k - t_ck p_k / s); the whole
-        # row vanishes where the score sits under the log clamp.
-        active = s > LOG_EPS
-        safe_s = np.where(active, s, 1.0)
-        grads = (wc * active / batch)[..., None] * (p - rows * p / safe_s[..., None])
-    else:
-        m = p @ t.swapaxes(-1, -2)             # (..., B, K) all diffused scores
-        z = m.sum(axis=-1)
-        m_label = m[..., np.arange(batch), labels]
-        per_example = -wc * (np.log(np.maximum(m_label, LOG_EPS))
-                             - np.log(np.maximum(z, LOG_EPS)))
-        u = t.sum(axis=-2)                     # column sums
-        gate_m = (m_label > LOG_EPS) / np.where(m_label > LOG_EPS, m_label, 1.0)
-        gate_z = (z > LOG_EPS) / np.where(z > LOG_EPS, z, 1.0)
-        grads = (wc / batch)[..., None] * p * (gate_z[..., None] * u[..., None, :]
-                                               - gate_m[..., None] * rows)
+        return modulated_cross_entropy_rows(p, rows, wc)
 
+    m = p @ t.swapaxes(-1, -2)                 # (..., B, K) all diffused scores
+    z = m.sum(axis=-1)
+    m_label = m[..., np.arange(batch), labels]
+    per_example = -wc * (np.log(np.maximum(m_label, LOG_EPS))
+                         - np.log(np.maximum(z, LOG_EPS)))
+    u = t.sum(axis=-2)                         # column sums
+    gate_m = (m_label > LOG_EPS) / np.where(m_label > LOG_EPS, m_label, 1.0)
+    gate_z = (z > LOG_EPS) / np.where(z > LOG_EPS, z, 1.0)
+    grads = (wc / batch)[..., None] * p * (gate_z[..., None] * u[..., None, :]
+                                           - gate_m[..., None] * rows)
+    return LossReport(per_example=per_example, logit_grads=grads)
+
+
+def modulated_cross_entropy_rows(p: np.ndarray, rows, wc) -> LossReport:
+    """The plain modulated loss of posteriors ``p`` given each example's
+    transition row ``rows`` (..., B, K) and class weight ``wc`` (B,), gathered
+    by the caller; nothing is checked."""
+    s = np.einsum("...bk,...bk->...b", rows, p)  # diffused labeled-class score
+    per_example = -wc * np.log(np.maximum(s, LOG_EPS))
+    # d(mean loss)/d(logit_k) = (w_c/B) * (p_k - t_ck p_k / s); the whole
+    # row vanishes where the score sits under the log clamp.
+    active = s > LOG_EPS
+    safe_s = np.where(active, s, 1.0)
+    grads = (wc * active / p.shape[-2])[..., None] * (p - rows * p / safe_s[..., None])
     return LossReport(per_example=per_example, logit_grads=grads)

@@ -165,17 +165,23 @@ def evaluate(params: ModelParams, ds) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 def report_timestamp() -> str:
-    """ISO-8601 UTC timestamp; honors SOURCE_DATE_EPOCH for reproducible runs."""
+    """ISO-8601 UTC timestamp; honors SOURCE_DATE_EPOCH for reproducible runs.
+
+    A SOURCE_DATE_EPOCH that is not a whole number of seconds within the
+    range of dates raises ValidationError naming the variable.
+    """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        dt = datetime.now(tz=timezone.utc)
-    return dt.isoformat()
+    if epoch is None:
+        return datetime.now(tz=timezone.utc).isoformat()
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise ValidationError(f"SOURCE_DATE_EPOCH={epoch!r}: expected a whole number "
+                              "of seconds since 1970-01-01 within the range of "
+                              "dates") from None
 
 
-def write_eval_json(report: EvalReport, path: str | Path,
-                    timestamp: str | None = None) -> None:
+def write_eval_json(report: EvalReport, path: str | Path, timestamp: str) -> None:
     doc = {
         "dataset": report.metadata.get("dataset"),
         "model": report.metadata.get("model"),
@@ -187,7 +193,7 @@ def write_eval_json(report: EvalReport, path: str | Path,
         "auc_notes": {str(c): note for c, note in report.auc_notes.items()},
         "auc_mean": report.auc_mean,
         "per_class_counts": report.per_class_counts.tolist(),
-        "timestamp": timestamp if timestamp is not None else report_timestamp(),
+        "timestamp": timestamp,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)

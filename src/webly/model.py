@@ -15,10 +15,11 @@ member, the layer views gain a leading member axis, and ``forward`` runs every
 member over one shared batch (one dropout draw for the stack), giving
 (M, batch, K) posteriors.  Each member's numbers are those it would get alone.
 
-A training ``forward`` draws every hidden layer's dropout mask with one call,
-from a generator seeded like ``np.random.default_rng``; ``predict`` and
-``penultimate_features`` score a dataset in row blocks of ``EVAL_BLOCK``.
-Both give the numbers of the plain form, bit for bit.
+A training ``forward`` draws every hidden layer's dropout mask with one call
+(``dropout_masks``), then runs the unchecked ``forward_layers``, as a training
+step does directly; ``predict`` and ``penultimate_features`` score a dataset
+in row blocks of ``EVAL_BLOCK``.  Both give the numbers of the plain form,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -196,20 +197,31 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
         )
     if not np.isfinite(batch).all():
         raise ValidationError("non-finite input")
-    keep = params.config.dropout_keep_prob
-    hidden = params.config.hidden_sizes
+    masks = (dropout_masks(params.config, len(batch), dropout_seed) if train
+             else [None] * len(params.config.hidden_sizes))
+    return forward_layers(params, batch, masks)
+
+
+def dropout_masks(config: ModelConfig, rows: int, seed) -> list[np.ndarray | None]:
+    """Per hidden layer, a (rows, size) mask, 1.0 where kept (None if keep is 1),
+    from one draw seeded like ``np.random.default_rng(seed)``: numpy fills it
+    in order, so each block holds what a draw of its own shape would give."""
+    hidden, keep = config.hidden_sizes, config.dropout_keep_prob
     masks = [None] * len(hidden)
-    if train and keep < 1.0 and hidden:
-        # One draw for all layers: numpy fills it in order, so each layer's
-        # block holds the numbers a draw of its own shape would give.
-        rows = len(batch)
-        kept = (seeded_rng(dropout_seed).random(rows * sum(hidden)) < keep
-                ).astype(np.float64)
+    if keep < 1.0 and hidden:
+        kept = (seeded_rng(seed).random(rows * sum(hidden)) < keep).astype(np.float64)
         pos = 0
         for l, size in enumerate(hidden):
             masks[l] = kept[pos:pos + rows * size].reshape(rows, size)
             pos += rows * size
+    return masks
 
+
+def forward_layers(params: ModelParams, batch: np.ndarray,
+                   masks: list) -> tuple[np.ndarray, ForwardCache]:
+    """``forward`` on a trusted float64 (rows, input_dim) batch with the given
+    dropout masks (None where a layer keeps every unit); nothing is checked."""
+    keep = params.config.dropout_keep_prob
     inputs, pre_acts = [], []
     a = batch
     for l, mask in enumerate(masks):

@@ -11,8 +11,10 @@ order and dropout masks derive from (shuffle_seed, epoch, batch) alone.
 A stage updates one flat parameter vector in place (``ModelParams.flat``),
 with the gradient and momentum in the same layout.  Dropout is the model's
 setting.  Parameters, the transition, the class weights and the dataset are
-checked when they are built; the step loop checks only that the updated
-parameters are finite.
+checked when they are built, and their fit once at stage start.  A batch is
+one fused step (dropout, layers, loss on the transition rows and class
+weights gathered once per epoch, backward, update) that checks only that the
+updated parameters are finite.
 
 The arms of one seed train together (``run_seed``): BL1's stage is also the
 oracle, and stages that share the dataset, configs and loss form run in
@@ -29,9 +31,10 @@ import numpy as np
 
 from .data import Dataset, WebCorpus, check_fields, flatten_web, integer, real
 from .errors import DivergenceError, ValidationError, WeblyError
-from .loss import median_frequency_weights, modulated_cross_entropy
-from .model import (ModelConfig, ModelParams, backward, forward, init_params, predict,
-                    seeded_rng)
+from .loss import (median_frequency_weights, modulated_cross_entropy,
+                   modulated_cross_entropy_rows)
+from .model import (ModelConfig, ModelParams, backward, dropout_masks, forward_layers,
+                    init_params, predict, seeded_rng)
 from .noise import TransitionMatrix, estimate_transition
 
 ARM_BL1 = "BL1"
@@ -163,15 +166,19 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
         epoch_start = time.perf_counter()
         order = seeded_rng((cfg.shuffle_seed, epoch)).permutation(n)
         x_epoch, y_epoch = x[order], y[order]
+        # each example's transition row and class weight, sliced per batch
+        t_epoch, w_epoch = member_t.entries[..., y_epoch, :], weights.w[y_epoch]
         loss_sum = np.zeros(params.flat.shape[:-1])
         for batch_idx, lo in enumerate(range(0, n, cfg.batch_size)):
             hi = lo + cfg.batch_size
-            posteriors, cache = forward(
-                params, x_epoch[lo:hi], train=True,
-                dropout_seed=(cfg.shuffle_seed, epoch, batch_idx),
-            )
-            report = modulated_cross_entropy(posteriors, y_epoch[lo:hi], member_t,
-                                             weights, renormalize=renormalize)
+            x_batch = x_epoch[lo:hi]  # one fused step: the Dataset checked its rows
+            masks = dropout_masks(params.config, len(x_batch),
+                                  (cfg.shuffle_seed, epoch, batch_idx))
+            posteriors, cache = forward_layers(params, x_batch, masks)
+            report = (modulated_cross_entropy(posteriors, y_epoch[lo:hi], member_t, weights,
+                                              renormalize=True) if renormalize
+                      else modulated_cross_entropy_rows(posteriors, t_epoch[..., lo:hi, :],
+                                                        w_epoch[lo:hi]))
             grad = backward(cache, report.logit_grads)
             batch_loss = report.per_example.sum(axis=-1)
             # A non-finite loss or gradient makes the updated theta non-finite.
@@ -188,6 +195,7 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
                 params = ModelParams._from_flat(params.config, params.flat[keep])
                 velocity, loss_sum, batch_loss = velocity[keep], loss_sum[keep], batch_loss[keep]
                 member_t = TransitionMatrix(entries=member_t.entries[keep], provenance={})
+                t_epoch = t_epoch[keep]
             loss_sum += batch_loss
         if not rows:
             break

@@ -252,6 +252,11 @@ class TestRun:
         ("data.synth.noise", "cross_category_kernel", [[1.0, 0.0], [0.0, 1.0]]),
         ("data.synth.noise", "cross_category_kernel", [[0.5, 0.5], [1.0]]),
         ("data.synth", "noise", []),
+        # sizes synth could not hold
+        ("data.synth", "feature_dim", 10**20),
+        ("data.synth", "feature_dim", 400000000),
+        ("data.synth", "num_classes", 10**6),
+        ("data.synth.noise", "bag_size", 10**9),
     ])
     def test_bad_section_value_exits_2_naming_it(self, tmp_path, capsys,
                                                  section, key, value):
@@ -276,6 +281,24 @@ class TestRun:
             assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert str(cfg) in err and "data.clean_test" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
+    def test_bad_source_date_epoch_exits_2_without_output(self, tmp_path, capsys,
+                                                          monkeypatch, epoch):
+        cfg = tiny_config(tmp_path)
+        data = tmp_path / "files"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        ckpt = tmp_path / "m.wslckpt"
+        save_checkpoint(init_params(ModelConfig(input_dim=4, hidden_sizes=[2],
+                                                num_classes=3)), ckpt)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        out = tmp_path / "out"
+        for verb in (["run", "--config", str(cfg)],
+                     ["eval", "--checkpoint", str(ckpt),
+                      "--data", str(data / "clean_test.csv")]):
+            assert main([*verb, "--out", str(out)]) == 2
+            assert f"SOURCE_DATE_EPOCH={epoch!r}" in capsys.readouterr().err
             assert not out.exists()
 
     def test_repeated_seed_flag_exits_2(self, tmp_path, capsys):
@@ -452,10 +475,8 @@ def _sections(config, prefix=()):
             yield from _sections(value, prefix + (key,))
 
 
-# Integers stay small: a config may ask for any number of classes or features,
-# and load_config builds the synthetic spec's class means and kernel.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 1000)
+    st.none() | st.booleans() | st.integers()
     | st.floats(allow_nan=False) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
         st.text(max_size=4), inner, max_size=3),

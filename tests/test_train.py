@@ -1,13 +1,17 @@
 """Tests for SGD with momentum, stage training, and the experimental arms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import make_clean_dataset, random_transition
 from webly import train
-from webly.data import BackgroundSpec, NoiseSpec, synth_web_corpus
+from webly.data import BackgroundSpec, Dataset, NoiseSpec, synth_web_corpus
 from webly.errors import DivergenceError, ValidationError
-from webly.model import ModelConfig, ModelParams, init_params, predict, save_checkpoint
+from webly.loss import median_frequency_weights, modulated_cross_entropy
+from webly.model import (ModelConfig, ModelParams, backward, forward, init_params, predict,
+                         save_checkpoint, seeded_rng)
 from webly.noise import TransitionMatrix
 from webly.train import (
     ARM_BL1,
@@ -114,6 +118,123 @@ class TestLockstepStage:
     def test_one_transition_per_member(self):
         with pytest.raises(ValidationError, match="transitions"):
             train_stage([self.good, self.good], self.ds, self.cfg, [None])
+
+
+def reference_stage(init, ds, cfg, transitions, renormalize=False):
+    """The per-batch loop that ``train_stage``'s fused step replaced, through
+    the public, checked calls: ``forward(train=True)``,
+    ``modulated_cross_entropy``, ``backward`` and ``sgd_momentum_step``.
+
+    Returns per member its (flat, log without timings), or the message of
+    the DivergenceError that took it out of the stack.
+    """
+    params = init[0].copy() if len(init) == 1 else ModelParams.stack(init)
+    k = ds.num_classes
+    entries = [np.eye(k) if t is None else t.entries for t in transitions]
+    t = TransitionMatrix(entries=entries[0] if len(init) == 1 else np.stack(entries),
+                         provenance={})
+    weights = median_frequency_weights(ds.label_counts())
+    velocity = np.zeros_like(params.flat)
+    rows = list(range(len(init)))
+    logs = [[] for _ in init]
+    outcome = [None] * len(init)
+    n = len(ds)
+    for epoch in range(cfg.epochs):
+        lr = train.effective_lr(cfg, epoch)
+        order = seeded_rng((cfg.shuffle_seed, epoch)).permutation(n)
+        x, y = ds.X[order], ds.y[order]
+        loss_sum = np.zeros(params.flat.shape[:-1])
+        for batch, lo in enumerate(range(0, n, cfg.batch_size)):
+            hi = lo + cfg.batch_size
+            posteriors, cache = forward(params, x[lo:hi], train=True,
+                                        dropout_seed=(cfg.shuffle_seed, epoch, batch))
+            report = modulated_cross_entropy(posteriors, y[lo:hi], t, weights,
+                                             renormalize=renormalize)
+            grad = backward(cache, report.logit_grads)
+            batch_loss = report.per_example.sum(axis=-1)
+            try:
+                sgd_momentum_step(params.flat, grad, velocity, lr, cfg.momentum)
+            except DivergenceError as exc:
+                for r in exc.members:
+                    outcome[rows[r]] = f"{exc} at epoch {epoch}, batch {batch}"
+                keep = [r for r in range(len(rows)) if r not in exc.members]
+                rows = [rows[r] for r in keep]
+                if not rows:
+                    return outcome
+                params = ModelParams.stack([params.unstack()[r] for r in keep])
+                velocity, loss_sum, batch_loss = velocity[keep], loss_sum[keep], batch_loss[keep]
+                t = TransitionMatrix(entries=t.entries[keep], provenance={})
+            loss_sum += batch_loss
+        accuracy = (predict(params, ds).argmax(axis=-1) == ds.y).mean(axis=-1)
+        for member, loss, acc in zip(rows, np.atleast_1d(loss_sum / n),
+                                     np.atleast_1d(accuracy)):
+            logs[member].append({"epoch": epoch, "lr": lr, "mean_loss": float(loss),
+                                 "train_accuracy": float(acc)})
+    for member, flat in zip(rows, np.atleast_2d(params.flat)):
+        outcome[member] = (flat, logs[member])
+    return outcome
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFusedStepMatchesReference:
+    """``train_stage`` gives the bits of the reference per-batch loop."""
+
+    # 27 rows: batches of 8 leave a last batch of 3 rows, batches of 13 one row
+    ds = make_clean_dataset(k=3, d=4, per_class=9, separation=3.0, sigma=1.0, seed=17)
+
+    def models(self, hidden, keep, count):
+        """``count`` models of one config, each initialised from its own seed."""
+        cfg = ModelConfig(input_dim=4, hidden_sizes=hidden, num_classes=3,
+                          dropout_keep_prob=keep)
+        inits = [init_params(replace(cfg, init_seed=seed)) for seed in range(count)]
+        return [ModelParams(cfg, m.weights, m.biases) for m in inits]
+
+    def assert_matches(self, got, want):
+        if isinstance(want, str):
+            assert isinstance(got, DivergenceError) and str(got) == want
+        else:
+            flat, log = want
+            assert np.array_equal(got.params.flat, flat)
+            assert without_timings(got.log) == log
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("batch_size", [8, 13])
+    @pytest.mark.parametrize("keep", [1.0, 0.7])
+    @pytest.mark.parametrize("hidden", [[], [5, 3, 7]])
+    def test_solo_and_stacked(self, hidden, keep, batch_size, renormalize):
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle_seed=4)
+        rng = np.random.default_rng(1)
+        transitions = [None] + [TransitionMatrix(entries=random_transition(3, rng),
+                                                 provenance={}) for _ in range(2)]
+        models = self.models(hidden, keep, 3)
+        for init, t in zip(models, transitions):
+            want, = reference_stage([init], self.ds, cfg, [t], renormalize)
+            self.assert_matches(train_stage(init, self.ds, cfg, t, renormalize), want)
+        got = train_stage(models, self.ds, cfg, transitions, renormalize)
+        for result, want in zip(got, reference_stage(models, self.ds, cfg, transitions,
+                                                     renormalize)):
+            self.assert_matches(result, want)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_member_diverging_mid_stage(self, renormalize):
+        # One row far out on feature 3: a member whose feature-3 weights are
+        # huge overflows its logits on that row's batch, and only there.
+        ds = Dataset(ids=[*self.ds.ids, "far"], group_ids=[*self.ds.group_ids, "g0"],
+                     X=np.vstack([self.ds.X, [0.0, 0.0, 0.0, 1e100]]),
+                     y=[*self.ds.y, 0], num_classes=3)
+        good = self.models([], 1.0, 2)
+        bad = good[1].copy()
+        bad.weights[0][3] *= 1e250
+        models = [good[0], bad, good[1]]
+        transitions = [None, None, TransitionMatrix(
+            entries=random_transition(3, np.random.default_rng(2)), provenance={})]
+        cfg = TrainConfig(epochs=3, batch_size=8, shuffle_seed=4)
+        got = train_stage(models, ds, cfg, transitions, renormalize)
+        want = reference_stage(models, ds, cfg, transitions, renormalize)
+        assert isinstance(want[1], str) and "epoch 0, batch 0" not in want[1]
+        assert not any(isinstance(w, str) for w in (want[0], want[2]))
+        for result, expected in zip(got, want):
+            self.assert_matches(result, expected)
 
 
 class TestLrSchedule:
