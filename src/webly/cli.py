@@ -178,10 +178,11 @@ def _checked(default: dict, user, name: str) -> dict:
 
 
 def load_config(path: str | None) -> dict:
-    """Merge a user config file over the defaults, checking it by ``RULES``
-    and ``synth_specs``; a ``data`` section without ``synth`` names input
-    files instead.  A fault raises a WeblyError naming the file and the
-    dotted key, e.g. ``data.synth.noise.diagonal``.
+    """Merge a user config file over the defaults, checking it by ``RULES``,
+    ``synth_specs`` and, for synthetic data, the model's size; a ``data``
+    section without ``synth`` names input files instead.  A fault raises a
+    WeblyError naming the file and the dotted key, e.g.
+    ``data.synth.noise.diagonal``.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -197,7 +198,11 @@ def load_config(path: str | None) -> dict:
             if config[section].pop("dropout_keep_prob", None) not in (None, keep):
                 raise ValidationError(f"{section}.dropout_keep_prob must equal model's {keep!r}")
         if "synth" in config["data"]:
-            synth_specs(config["data"]["synth"])
+            clean, _, _ = synth_specs(config["data"]["synth"])
+            try:
+                _model_config(config, clean.feature_dim, clean.num_classes, 0)
+            except ValidationError as exc:
+                raise ValidationError(f"model.{exc}") from None
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return config

@@ -23,10 +23,9 @@ LOG_EPS = 1e-12
 
 @dataclass
 class ClassWeights:
-    """Per-class positive weights plus the counts they were derived from."""
+    """Per-class positive weights."""
 
     w: np.ndarray
-    source_counts: np.ndarray
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
@@ -64,7 +63,7 @@ def median_frequency_weights(label_counts) -> ClassWeights:
         )
     freqs = counts / counts.sum()
     med = np.median(freqs)
-    return ClassWeights(w=med / freqs, source_counts=counts)
+    return ClassWeights(w=med / freqs)
 
 
 def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,

@@ -88,16 +88,8 @@ def cohens_kappa(confusion: np.ndarray) -> float:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with tied values sharing the mean of their rank range."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def roc_auc_one_vs_rest(scores, is_positive) -> float:

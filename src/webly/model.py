@@ -39,6 +39,7 @@ from .errors import CheckpointError, ValidationError
 CHECKPOINT_MAGIC = b"WSLCKPT1"
 INIT_SCALE_RULE = "sqrt_2_over_fan_in"
 EVAL_BLOCK = 512  # rows per forward call in predict and penultimate_features
+MODEL_MAX_PARAMS = 2**27  # packed float64 parameters (1 GiB) a model may have
 
 
 MODEL_RULES = {
@@ -62,6 +63,16 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(vars(self), MODEL_RULES)
+        count = self.param_count()
+        if count > MODEL_MAX_PARAMS:
+            raise ValidationError(
+                f"hidden_sizes {self.hidden_sizes} with input_dim {self.input_dim} and "
+                f"num_classes {self.num_classes} pack {count} parameters, more than "
+                f"the {MODEL_MAX_PARAMS} a model holds")
+
+    def param_count(self) -> int:
+        """Weights and biases over all layers: the sum of (fan_in + 1) * fan_out."""
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_dims())
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per layer, chaining input through hidden to output."""
@@ -388,7 +399,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{path}: layer shapes or offsets do not match the "
                               "packed layout of the config")
     payload = blob[16 + header_len:]
-    size = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in cfg.layer_dims())
+    size = 8 * cfg.param_count()
     if len(payload) != size:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, the "
                               f"layers need {size}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import WebCorpus, canonical_json, check_row_stochastic, flatten_web
 from .errors import ParseError, ValidationError
-from .model import ModelParams, fingerprint, forward
+from .model import ModelParams, fingerprint, predict
 
 
 @dataclass
@@ -38,15 +38,6 @@ class TransitionMatrix:
 
 
 @dataclass
-class Representative:
-    """The web member whose oracle posterior for ``class_index`` is maximal."""
-
-    class_index: int
-    example_id: str
-    posterior: np.ndarray
-
-
-@dataclass
 class TransitionDiagnostics:
     row_sums: np.ndarray
     diagonally_dominant: list[bool]
@@ -54,11 +45,12 @@ class TransitionDiagnostics:
     entries: np.ndarray
 
 
-def mine_representatives(oracle: ModelParams, corpus: WebCorpus) -> list[Representative]:
-    """Pick, per class, the member with the highest oracle posterior for it.
+def estimate_transition(oracle: ModelParams, corpus: WebCorpus) -> TransitionMatrix:
+    """Stack the oracle's posteriors on the class representatives as rows.
 
-    The argmax runs over all members in flattened corpus order; exact ties go
-    to the lowest flattened index.
+    One ``predict`` pass scores every member in flattened corpus order; exact
+    ties go to the lowest flattened index.  The matrix is estimated once,
+    globally; callers hold it fixed during training.
     """
     if oracle.config.num_classes != corpus.num_classes:
         raise ValidationError(
@@ -66,44 +58,25 @@ def mine_representatives(oracle: ModelParams, corpus: WebCorpus) -> list[Represe
             f"{corpus.num_classes}"
         )
     flat = flatten_web(corpus)
-    posteriors, _ = forward(oracle, flat.X, train=False)
-    reps = []
-    for c in range(corpus.num_classes):
-        idx = int(np.argmax(posteriors[:, c]))
-        reps.append(Representative(class_index=c,
-                                   example_id=flat.ids[idx],
-                                   posterior=posteriors[idx].copy()))
-    return reps
-
-
-def estimate_transition(oracle: ModelParams, corpus: WebCorpus) -> TransitionMatrix:
-    """Stack the representatives' posterior vectors into the transition matrix.
-
-    Row i is the oracle's full posterior on class i's representative.  The
-    matrix is estimated once, globally; callers hold it fixed during training.
-    """
-    reps = mine_representatives(oracle, corpus)
-    entries = np.stack([r.posterior for r in reps])
+    posteriors = predict(oracle, flat)
+    reps = posteriors.argmax(axis=0)
     provenance = {
         "oracle": fingerprint(oracle),
         "corpus": fingerprint(corpus),
-        "representatives": {str(r.class_index): r.example_id for r in reps},
+        "representatives": {str(c): flat.ids[i] for c, i in enumerate(reps.tolist())},
     }
-    return TransitionMatrix(entries=entries, provenance=provenance)
+    return TransitionMatrix(entries=posteriors[reps], provenance=provenance)
 
 
 def validate_transition(t: TransitionMatrix) -> TransitionDiagnostics:
     """Row sums and per-row diagonal dominance, for inspection; no mutation.
 
     A row is diagonally dominant when its diagonal entry strictly exceeds every
-    off-diagonal entry in that row.
+    off-diagonal entry in that row (vacuously so for a 1 x 1 matrix).
     """
     entries = t.entries
-    k = t.k
-    dominant = []
-    for i in range(k):
-        off = np.delete(entries[i], i)
-        dominant.append(bool(entries[i, i] > off.max()) if k > 1 else True)
+    off = np.where(np.eye(t.k, dtype=bool), -np.inf, entries)
+    dominant = (np.diagonal(entries) > off.max(axis=1)).tolist()
     return TransitionDiagnostics(row_sums=entries.sum(axis=1),
                                  diagonally_dominant=dominant,
                                  all_rows_dominant=all(dominant),

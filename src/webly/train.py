@@ -25,7 +25,7 @@ stage run alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +72,6 @@ class TrainConfig:
 class StageResult:
     params: ModelParams
     log: list[dict]
-    wall_seconds: float
-    config: TrainConfig
 
 
 @dataclass
@@ -153,7 +151,6 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
     member_t = TransitionMatrix(
         entries=entries[0] if len(entries) == 1 else np.stack(entries), provenance={})
 
-    start = time.perf_counter()
     x = ds.X
     y = ds.y
     n = len(ds)
@@ -210,10 +207,8 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
                 "train_accuracy": float(acc),
                 "elapsed_s": elapsed,
             })
-    wall_seconds = time.perf_counter() - start
     for member, member_params in zip(rows, params.unstack()):
-        outcome[member] = StageResult(params=member_params, log=logs[member],
-                                      wall_seconds=wall_seconds, config=replace(cfg))
+        outcome[member] = StageResult(params=member_params, log=logs[member])
     if not solo:
         return outcome
     if isinstance(outcome[0], DivergenceError):

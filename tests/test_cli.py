@@ -257,6 +257,7 @@ class TestRun:
         ("data.synth", "feature_dim", 400000000),
         ("data.synth", "num_classes", 10**6),
         ("data.synth.noise", "bag_size", 10**9),
+        ("model", "hidden_sizes", [10**20]),
     ])
     def test_bad_section_value_exits_2_naming_it(self, tmp_path, capsys,
                                                  section, key, value):

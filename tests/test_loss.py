@@ -49,7 +49,7 @@ class TestMedianFrequencyWeights:
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValidationError):
-            ClassWeights(w=np.array([1.0, 0.0]), source_counts=np.array([1, 1]))
+            ClassWeights(w=np.array([1.0, 0.0]))
 
 
 class TestModulatedCrossEntropy:

@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_clean_dataset
 from webly.data import Dataset
 from webly.errors import ValidationError
 from webly.metrics import (
+    _midranks,
     accuracy,
     cohens_kappa,
     confusion_matrix,
@@ -34,6 +36,20 @@ def brute_force_auc(scores, is_positive):
     wins = sum(1.0 if sp > sn else 0.5 if sp == sn else 0.0
                for sp in pos for sn in neg)
     return wins / (len(pos) * len(neg))
+
+
+def loop_midranks(values):
+    """Ranks by walking the stably sorted values one tie group at a time."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 class TestConfusionMatrix:
@@ -129,6 +145,14 @@ class TestRocAuc:
     def test_single_class_input_rejected(self):
         with pytest.raises(ValidationError, match="positive"):
             roc_auc_one_vs_rest([0.4, 0.5], [True, True])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 5e-324, 0.25, 0.5, 1.0 - 2 ** -53, 1.0]),
+                    min_size=1, max_size=60))
+    def test_midranks_equal_the_tie_group_loop_bit_for_bit(self, values):
+        values = np.array(values)
+        got = _midranks(values)
+        assert got.dtype == np.float64 and np.array_equal(got, loop_midranks(values))
 
 
 class TestEvaluate:

@@ -15,6 +15,7 @@ from webly.errors import CheckpointError, ValidationError
 from webly.metrics import write_features_csv
 from webly.model import (
     EVAL_BLOCK,
+    MODEL_MAX_PARAMS,
     ModelConfig,
     ModelParams,
     backward,
@@ -59,7 +60,7 @@ class TestInit:
     def test_layers_are_views_of_one_flat_vector(self):
         cfg = ModelConfig(input_dim=5, hidden_sizes=[6, 7], num_classes=2)
         params = init_params(cfg)
-        assert params.flat.shape == (sum((i + 1) * o for i, o in cfg.layer_dims()),)
+        assert params.flat.shape == (cfg.param_count(),) == (6 * 6 + 7 * 7 + 8 * 2,)
         for w, b in zip(params.weights, params.biases):
             assert np.shares_memory(w, params.flat)
             assert np.shares_memory(b, params.flat)
@@ -72,6 +73,16 @@ class TestInit:
         with pytest.raises(ValidationError, match="non-finite"):
             ModelParams(config=cfg, weights=[np.full((2, 2), np.nan)],
                         biases=[np.zeros(2)])
+
+    def test_parameter_count_is_bounded_naming_hidden_sizes(self):
+        # one weight and one bias per class: 2 * num_classes parameters
+        half = MODEL_MAX_PARAMS // 2
+        assert ModelConfig(input_dim=1, hidden_sizes=[], num_classes=half).param_count() \
+            == MODEL_MAX_PARAMS
+        with pytest.raises(ValidationError, match="hidden_sizes"):
+            ModelConfig(input_dim=1, hidden_sizes=[], num_classes=half + 1)
+        with pytest.raises(ValidationError, match="hidden_sizes"):
+            ModelConfig(input_dim=8, hidden_sizes=[10 ** 20], num_classes=5)
 
     def test_weight_scale_follows_fan_in_rule(self):
         cfg = ModelConfig(input_dim=400, hidden_sizes=[300], num_classes=2,

@@ -14,12 +14,11 @@ from webly.data import (
     synth_web_corpus,
 )
 from webly.errors import ParseError, ValidationError, WeblyError
-from webly.model import ModelConfig, ModelParams, init_params
+from webly.model import ModelConfig, ModelParams, forward, init_params
 from webly.noise import (
     TransitionMatrix,
     estimate_transition,
     load_transition,
-    mine_representatives,
     save_transition,
     validate_transition,
 )
@@ -44,35 +43,62 @@ def corpus_from_posteriors(rows, transferred_label=0) -> WebCorpus:
                      X=np.log(rows), num_classes=k)
 
 
+def representatives(oracle: ModelParams, corpus: WebCorpus) -> dict:
+    return estimate_transition(oracle, corpus).provenance["representatives"]
+
+
 class TestMineRepresentatives:
+    """Representative mining: the member ``estimate_transition`` picks per class."""
+
     def test_argmax_selects_highest_posterior_member(self):
         # class-0 posteriors across members: 0.2, 0.7, 0.5 -> second member
         corpus = corpus_from_posteriors([[0.2, 0.8], [0.7, 0.3], [0.5, 0.5]])
-        reps = mine_representatives(posterior_oracle(2), corpus)
-        assert reps[0].example_id == "m1"
-        assert reps[1].example_id == "m0"
+        assert representatives(posterior_oracle(2), corpus) == {"0": "m1", "1": "m0"}
 
     def test_ties_break_to_lowest_flattened_index(self):
         corpus = corpus_from_posteriors([[0.6, 0.4], [0.6, 0.4], [0.5, 0.5]])
-        reps = mine_representatives(posterior_oracle(2), corpus)
-        assert reps[0].example_id == "m0"
+        assert representatives(posterior_oracle(2), corpus)["0"] == "m0"
 
     def test_argmax_ignores_transferred_labels(self):
         # the best class-1 member sits in a bag transferred as class 0
         corpus = corpus_from_posteriors([[0.1, 0.9], [0.8, 0.2]],
                                         transferred_label=0)
-        reps = mine_representatives(posterior_oracle(2), corpus)
-        assert reps[1].example_id == "m0"
+        assert representatives(posterior_oracle(2), corpus)["1"] == "m0"
 
     def test_class_count_mismatch_rejected(self):
         corpus = corpus_from_posteriors([[0.5, 0.5]])
         with pytest.raises(ValidationError, match="classes"):
-            mine_representatives(posterior_oracle(3), corpus)
+            estimate_transition(posterior_oracle(3), corpus)
 
     def test_mining_counts_as_web_access(self):
         corpus = corpus_from_posteriors([[0.5, 0.5]])
-        mine_representatives(posterior_oracle(2), corpus)
+        estimate_transition(posterior_oracle(2), corpus)
         assert corpus.access_count == 1
+
+    def test_blockwise_pass_matches_one_forward_over_all_members(self):
+        # 1,025 members score in row blocks of 512 and 513: the 1-row tail
+        # joins the block before it (with this seed the last row, scored
+        # alone by matrix-vector product, rounds differently)
+        rng = np.random.default_rng(23)
+        oracle = init_params(ModelConfig(input_dim=4, hidden_sizes=[7], num_classes=3,
+                                         init_seed=5))
+        x = rng.normal(size=(1025, 4))
+        first, _ = forward(oracle, x, train=False)
+        # bias-free ReLU layers scale with the input, so tripling a row
+        # sharpens its posterior: class 0 gets an exact tie across the block
+        # boundary, class 1 its best member last
+        x[511] = x[512] = 3 * x[first[:, 0].argmax()]
+        x[1024] = 3 * x[first[:, 1].argmax()]
+        corpus = WebCorpus(query_ids=["q0", "q1"], labels=[0, 1], offsets=[0, 600, 1025],
+                           member_ids=[f"m{i}" for i in range(1025)], X=x, num_classes=3)
+        reference, _ = forward(oracle, x, train=False)
+        reps = reference.argmax(axis=0)
+        assert reps[0] == 511 and reference[512, 0] == reference[511, 0]
+        assert reps[1] == 1024
+        t = estimate_transition(oracle, corpus)
+        assert np.array_equal(t.entries, reference[reps])
+        assert t.provenance["representatives"] == {str(c): f"m{i}"
+                                                   for c, i in enumerate(reps)}
 
 
 class TestEstimateTransition:
@@ -150,9 +176,7 @@ class TestEstimateTransition:
         cfg = ModelConfig(input_dim=3, hidden_sizes=[5], num_classes=3,
                           init_seed=1)
         oracle = init_params(cfg)
-        a = mine_representatives(oracle, web)
-        b = mine_representatives(oracle, shuffled)
-        assert [r.example_id for r in a] == [r.example_id for r in b]
+        assert representatives(oracle, web) == representatives(oracle, shuffled)
 
 
 class TestValidateTransition:
@@ -167,6 +191,18 @@ class TestValidateTransition:
         diag = validate_transition(t)
         assert diag.diagonally_dominant == [False] * 4
         np.testing.assert_allclose(diag.row_sums, 1.0)
+
+    def test_one_by_one_matrix_is_dominant(self):
+        diag = validate_transition(TransitionMatrix(entries=[[1.0]], provenance={}))
+        assert diag.diagonally_dominant == [True] and diag.all_rows_dominant
+
+    def test_diagonal_tying_an_off_diagonal_entry_is_not_dominant(self):
+        t = TransitionMatrix(entries=[[0.4, 0.4, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]],
+                             provenance={})
+        diag = validate_transition(t)
+        assert diag.diagonally_dominant == [False, True, True]
+        assert all(type(d) is bool for d in diag.diagonally_dominant)
+        assert not diag.all_rows_dominant
 
 
 class TestTransitionInvariants:
