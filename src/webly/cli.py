@@ -179,10 +179,9 @@ def _checked(default: dict, user, name: str) -> dict:
 
 def load_config(path: str | None) -> dict:
     """Merge a user config file over the defaults, checking it by ``RULES``,
-    ``synth_specs`` and, for synthetic data, the model's size; a ``data``
-    section without ``synth`` names input files instead.  A fault raises a
-    WeblyError naming the file and the dotted key, e.g.
-    ``data.synth.noise.diagonal``.
+    ``synth_specs`` and the model's size; a ``data`` section without ``synth``
+    names input files instead.  A fault raises a WeblyError naming the file
+    and the dotted key, e.g. ``data.synth.noise.diagonal``.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -197,12 +196,14 @@ def load_config(path: str | None) -> dict:
         for section in ("train_web", "train_clean"):  # dropout is set in model only
             if config[section].pop("dropout_keep_prob", None) not in (None, keep):
                 raise ValidationError(f"{section}.dropout_keep_prob must equal model's {keep!r}")
+        dims = 1, 2  # input files are read later: size the model at the smallest dims
         if "synth" in config["data"]:
             clean, _, _ = synth_specs(config["data"]["synth"])
-            try:
-                _model_config(config, clean.feature_dim, clean.num_classes, 0)
-            except ValidationError as exc:
-                raise ValidationError(f"model.{exc}") from None
+            dims = clean.feature_dim, clean.num_classes
+        try:
+            _model_config(config, *dims, 0)
+        except ValidationError as exc:
+            raise ValidationError(f"model.{exc}") from None
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return config

@@ -20,12 +20,19 @@ A training ``forward`` draws every hidden layer's dropout mask with one call
 step does directly; ``predict`` and ``penultimate_features`` score a dataset
 in row blocks of ``EVAL_BLOCK``.  Both give the numbers of the plain form,
 bit for bit.
+
+Random streams are those of ``np.random.default_rng(seed)``.  ``pcg64_states``
+ports numpy's seeding (the ``SeedSequence`` hash mix and PCG64's first step)
+to uint64 word arrays, so a training stage derives the start of every
+epoch's and step's stream in one vectorized pass and ``rewind``s one reused
+generator to each, instead of building a generator per step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import struct
 from dataclasses import dataclass, asdict
 from itertools import chain, islice
@@ -157,18 +164,126 @@ class ForwardCache:
     logits: np.ndarray
 
 
-def seeded_rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)``: the same stream, built faster.
+# numpy's SeedSequence hash constants (initial, multiplier) for the pool mix
+# and for generate_state, its mix multipliers, and PCG64's 128-bit LCG
+# multiplier as (high, low) words
+_HASH_MIX, _HASH_STATE = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+_U32 = np.uint64(32)
 
-    numpy seeds a ``SeedSequence`` with the uint32 words of an int or a tuple
-    of ints; an int below 2**32 is one word, itself, so such seeds are passed
-    as that word array directly.  Any other seed goes to ``default_rng``.
+
+def _seed_words(seed, words: list) -> int:
+    """Append the uint32 entropy words numpy reads from an int or a tuple of
+    ints (each int little-endian, 0 as one word) to ``words``; their count."""
+    start = len(words)
+    for value in seed if isinstance(seed, (tuple, list)) else (seed,):
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError(f"seed {seed!r}: expected non-negative integers")
+        words.append(value & 0xFFFFFFFF)
+        while value >> 32:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return len(words) - start
+
+
+def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
+    """numpy's running uint32 hash constants ``const * mult**i`` for i <
+    ``count``, as a (count, 1) column."""
+    column = [const]
+    for _ in range(count - 1):
+        column.append(column[-1] * mult & 0xFFFFFFFF)
+    return np.array(column, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v, consts):
+    """numpy's SeedSequence hash of ``v`` once per step of the running
+    constant: row i xors in ``consts[i]`` and multiplies by ``consts[i + 1]``."""
+    v = (v ^ consts[:-1]) * consts[1:]
+    v ^= v >> np.uint32(16)
+    return v
+
+
+def _mix(x, y):
+    """numpy's SeedSequence mix of pool words ``x`` with hashed words ``y``."""
+    r = _MIX_L * x - _MIX_R * y
+    r ^= r >> np.uint32(16)
+    return r
+
+
+def _mul_high(x, y):
+    """High 64 bits of the 128-bit products of uint64 arrays, by 32-bit halves."""
+    low = np.uint64(0xFFFFFFFF)
+    x0, x1, y0, y1 = x & low, x >> _U32, y & low, y >> _U32
+    cross0, cross1 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> _U32) + (cross0 & low) + (cross1 & low)
+    return x1 * y1 + (cross0 >> _U32) + (cross1 >> _U32) + (mid >> _U32)
+
+
+def _pcg64_rows(entropy: np.ndarray) -> np.ndarray:
+    """``pcg64_states`` for an (N, words) uint32 entropy array: numpy's
+    SeedSequence pool mix, ``generate_state(4, uint64)`` and PCG64 seeding,
+    with every row at once.  A pool word hashed under successive constants
+    is one (steps, N) array, so each loop step below is a few array calls."""
+    n, width = entropy.shape
+    consts = _hash_constants(*_HASH_MIX, 4 * max(width, 4) + 1)
+    pool = np.zeros((4, n), np.uint32)
+    pool[:width] = entropy[:, :4].T
+    pool, step = _hashmix(pool, consts[:5]), 4
+    for src in range(4):  # mix every pool word into the other three
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[step:step + 4]))
+        step += 3
+    for src in range(4, width):  # then each further word into all four
+        pool = _mix(pool, _hashmix(entropy[:, src], consts[step:step + 5]))
+        step += 4
+    w = _hashmix(pool[[0, 1, 2, 3] * 2], _hash_constants(*_HASH_STATE, 9)).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = w[0::2] | w[1::2] << _U32
+    # PCG64: inc = 2 * inc + 1, state = (inc + seed) * mult + inc, mod 2**128
+    inc_hi = inc_hi << np.uint64(1) | inc_lo >> np.uint64(63)
+    inc_lo = inc_lo << np.uint64(1) | np.uint64(1)
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < inc_lo)
+    mult_hi, mult_lo = _PCG_MULT
+    state_lo = lo * mult_lo + inc_lo
+    state_hi = _mul_high(lo, mult_lo) + lo * mult_hi + hi * mult_lo + inc_hi
+    state_hi += state_lo < inc_lo
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=-1)
+
+
+def pcg64_states(seeds) -> np.ndarray:
+    """Per seed, the PCG64 state that ``np.random.default_rng(seed)`` starts
+    from, as uint64 words (state high, state low, inc high, inc low): an
+    (N, 4) array computed in one vectorized pass per entropy word count.
+
+    ``seeds`` is an iterable, read once, of non-negative ints or tuples of
+    them, Python or numpy.  ``rewind`` sets a generator to a row.
     """
-    words = seed if isinstance(seed, tuple) else (seed,)
-    if not all(type(v) is int and 0 <= v < 2**32 for v in words):
-        return np.random.default_rng(seed)
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+    words: list[int] = []
+    widths = np.array([_seed_words(seed, words) for seed in seeds], dtype=np.int64)
+    entropy, starts = np.array(words, dtype=np.uint32), np.cumsum(widths) - widths
+    states = np.empty((len(widths), 4), dtype=np.uint64)
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == width)
+        states[rows] = _pcg64_rows(entropy[starts[rows, None] + np.arange(width)])
+    return states
+
+
+def rewind(rng: np.random.Generator, state: np.ndarray) -> np.random.Generator:
+    """Set a PCG64 generator to one row of ``pcg64_states``; returns it."""
+    state_hi, state_lo, inc_hi, inc_lo = state.tolist()
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}}
+    return rng
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """A new generator with the stream of ``np.random.default_rng(seed)``
+    (fresh OS entropy for None)."""
+    rng = np.random.Generator(np.random.PCG64())
+    return rng if seed is None else rewind(rng, pcg64_states([seed])[0])
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
@@ -208,23 +323,28 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
         )
     if not np.isfinite(batch).all():
         raise ValidationError("non-finite input")
-    masks = (dropout_masks(params.config, len(batch), dropout_seed) if train
+    masks = (dropout_masks(params.config, len(batch), seeded_rng(dropout_seed)) if train
              else [None] * len(params.config.hidden_sizes))
     return forward_layers(params, batch, masks)
 
 
-def dropout_masks(config: ModelConfig, rows: int, seed) -> list[np.ndarray | None]:
+def dropout_masks(config: ModelConfig, rows: int, rng: np.random.Generator,
+                  out: np.ndarray | None = None) -> list[np.ndarray | None]:
     """Per hidden layer, a (rows, size) mask, 1.0 where kept (None if keep is 1),
-    from one draw seeded like ``np.random.default_rng(seed)``: numpy fills it
-    in order, so each block holds what a draw of its own shape would give."""
+    from one draw of ``rng``: numpy fills it in order, so each block holds
+    what a draw of its own shape would give.  The masks are views of ``out``
+    (at least rows * sum(hidden_sizes) floats) when given, else of a new array.
+    """
     hidden, keep = config.hidden_sizes, config.dropout_keep_prob
     masks = [None] * len(hidden)
     if keep < 1.0 and hidden:
-        kept = (seeded_rng(seed).random(rows * sum(hidden)) < keep).astype(np.float64)
+        size = rows * sum(hidden)
+        kept = rng.random(out=np.empty(size) if out is None else out[:size])
+        np.less(kept, keep, out=kept)
         pos = 0
-        for l, size in enumerate(hidden):
-            masks[l] = kept[pos:pos + rows * size].reshape(rows, size)
-            pos += rows * size
+        for l, width in enumerate(hidden):
+            masks[l] = kept[pos:pos + rows * width].reshape(rows, width)
+            pos += rows * width
     return masks
 
 
@@ -319,24 +439,37 @@ def fingerprint(obj) -> str:
     Parameters stream as checkpoint header then ``flat``; a dataset as id, group
     id, label and feature row per example; a web corpus as query id and label
     per bag, each followed by id and feature row per member of the bag.  Text
-    and numbers stream as UTF-8 text, arrays as little-endian float64.
+    and numbers stream as UTF-8 text, arrays as little-endian float64, bytes as
+    themselves.  The stream is hashed in joined chunks of parts.
     """
     if isinstance(obj, ModelParams):
-        parts = [_header_bytes(obj.config), obj.flat]
+        parts = [_header_bytes(obj.config), *_rows(obj.flat.reshape(1, -1))]
     elif isinstance(obj, Dataset):
-        parts = chain.from_iterable(zip(obj.ids, obj.group_ids, obj.y.tolist(), obj.X))
+        parts = chain.from_iterable(zip(_texts(obj.ids), _texts(obj.group_ids),
+                                        _texts(obj.y.tolist()), _rows(obj.X)))
     elif isinstance(obj, WebCorpus):
-        members = zip(obj.member_ids, obj.X)
+        members = zip(_texts(obj.member_ids), _rows(obj.X))
         parts = chain.from_iterable(
             chain((query_id, label), *islice(members, size)) for query_id, label, size
-            in zip(obj.query_ids, obj.labels.tolist(), np.diff(obj.offsets).tolist()))
+            in zip(_texts(obj.query_ids), _texts(obj.labels.tolist()),
+                   np.diff(obj.offsets).tolist()))
     else:
-        parts = [obj]
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(np.ascontiguousarray(part, dtype="<f8") if isinstance(part, np.ndarray)
-                 else part if isinstance(part, bytes) else str(part).encode())
+        parts = [obj if isinstance(obj, bytes) else str(obj).encode()]
+    h, parts = hashlib.sha256(), iter(parts)
+    for chunk in iter(lambda: list(islice(parts, 512)), []):
+        h.update(b"".join(chunk))
     return h.hexdigest()[:16]
+
+
+def _texts(values):
+    return (str(v).encode() for v in values)
+
+
+def _rows(x: np.ndarray):
+    """Each row of a 2-D array as a view of its little-endian float64 bytes."""
+    data = memoryview(np.ascontiguousarray(x, dtype="<f8").reshape(-1).view(np.uint8))
+    width = 8 * x.shape[1]
+    return (data[i * width:(i + 1) * width] for i in range(len(x)))
 
 
 # ---------------------------------------------------------------------------

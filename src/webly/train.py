@@ -5,16 +5,18 @@ corpus only; BL2 pretrains on the flattened web corpus with plain weighted
 cross-entropy, then fine-tunes on clean data; the noise-corrected arm first
 trains an oracle on clean data, estimates the transition matrix from the web
 corpus with it, pretrains on web data with the modulated loss, then fine-tunes
-on clean data.  Every stage is deterministic given its config: the shuffle
-order and dropout masks derive from (shuffle_seed, epoch, batch) alone.
+on clean data.  Every stage is deterministic given its config: an epoch's
+shuffle order is the stream of ``np.random.default_rng((shuffle_seed,
+epoch))`` and a step's dropout masks that of ``(shuffle_seed, epoch,
+batch)``, all seeded at stage start (``model.pcg64_states``).
 
 A stage updates one flat parameter vector in place (``ModelParams.flat``),
 with the gradient and momentum in the same layout.  Dropout is the model's
 setting.  Parameters, the transition, the class weights and the dataset are
 checked when they are built, and their fit once at stage start.  A batch is
-one fused step (dropout, layers, loss on the transition rows and class
-weights gathered once per epoch, backward, update) that checks only that the
-updated parameters are finite.
+one fused step (dropout drawn into one reused buffer, layers, loss on the
+transition rows and class weights gathered once per epoch, backward, update)
+that checks only that the updated parameters are finite.
 
 The arms of one seed train together (``run_seed``): BL1's stage is also the
 oracle, and stages that share the dataset, configs and loss form run in
@@ -34,7 +36,7 @@ from .errors import DivergenceError, ValidationError, WeblyError
 from .loss import (median_frequency_weights, modulated_cross_entropy,
                    modulated_cross_entropy_rows)
 from .model import (ModelConfig, ModelParams, backward, dropout_masks, forward_layers,
-                    init_params, predict, seeded_rng)
+                    init_params, pcg64_states, predict, rewind)
 from .noise import TransitionMatrix, estimate_transition
 
 ARM_BL1 = "BL1"
@@ -154,23 +156,31 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
     x = ds.X
     y = ds.y
     n = len(ds)
+    # every epoch's shuffle and every step's dropout stream, seeded up front;
+    # one reused generator is rewound to each, and masks go to one buffer
+    epochs, starts = range(cfg.epochs), range(0, n, cfg.batch_size)
+    shuffle_states = pcg64_states((cfg.shuffle_seed, e) for e in epochs)
+    mask_states = pcg64_states((cfg.shuffle_seed, e, b) for e in epochs
+                               for b in range(len(starts))).reshape(len(epochs), len(starts), 4)
+    rng = np.random.Generator(np.random.PCG64())
+    mask_buffer = np.empty(min(n, cfg.batch_size) * sum(params.config.hidden_sizes))
     velocity = np.zeros_like(params.flat)
     rows = list(range(len(members)))       # member trained by each stack row
     logs: list[list[dict]] = [[] for _ in members]
     outcome: list = [None] * len(members)
-    for epoch in range(cfg.epochs):
+    for epoch in epochs:
         lr = effective_lr(cfg, epoch)
         epoch_start = time.perf_counter()
-        order = seeded_rng((cfg.shuffle_seed, epoch)).permutation(n)
+        order = rewind(rng, shuffle_states[epoch]).permutation(n)
         x_epoch, y_epoch = x[order], y[order]
         # each example's transition row and class weight, sliced per batch
         t_epoch, w_epoch = member_t.entries[..., y_epoch, :], weights.w[y_epoch]
         loss_sum = np.zeros(params.flat.shape[:-1])
-        for batch_idx, lo in enumerate(range(0, n, cfg.batch_size)):
+        for batch_idx, lo in enumerate(starts):
             hi = lo + cfg.batch_size
             x_batch = x_epoch[lo:hi]  # one fused step: the Dataset checked its rows
             masks = dropout_masks(params.config, len(x_batch),
-                                  (cfg.shuffle_seed, epoch, batch_idx))
+                                  rewind(rng, mask_states[epoch, batch_idx]), mask_buffer)
             posteriors, cache = forward_layers(params, x_batch, masks)
             report = (modulated_cross_entropy(posteriors, y_epoch[lo:hi], member_t, weights,
                                               renormalize=True) if renormalize

@@ -284,6 +284,18 @@ class TestRun:
             assert str(cfg) in err and "data.clean_test" in err
             assert not out.exists()
 
+    def test_file_inputs_with_oversize_model_exit_2_before_output(self, tmp_path, capsys):
+        # the CSVs are never read: the model is too large at any input dims
+        cfg = tmp_path / "files.json"
+        cfg.write_text(json.dumps({
+            "model": {"hidden_sizes": [10**20]}, "arms": ["BL1"],
+            "data": {"clean_train": "train.csv", "clean_test": "test.csv"}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "model.hidden_sizes" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
     def test_bad_source_date_epoch_exits_2_without_output(self, tmp_path, capsys,
                                                           monkeypatch, epoch):

@@ -1,5 +1,6 @@
 """Tests for the feedforward classifier: forward/backward, dropout, checkpoints."""
 
+import hashlib
 import json
 import math
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import fd_max_rel_error, make_clean_dataset
+from webly.data import BackgroundSpec, Dataset, NoiseSpec, synth_web_corpus
 from webly.errors import CheckpointError, ValidationError
 from webly.metrics import write_features_csv
 from webly.model import (
@@ -19,11 +21,15 @@ from webly.model import (
     ModelConfig,
     ModelParams,
     backward,
+    dropout_masks,
+    fingerprint,
     forward,
     init_params,
     load_checkpoint,
+    pcg64_states,
     penultimate_features,
     predict,
+    rewind,
     save_checkpoint,
     seeded_rng,
     softmax,
@@ -306,6 +312,45 @@ class TestSeededRng:
                 seeded_rng(seed)
 
 
+class TestPcg64States:
+    """``pcg64_states`` gives the PCG64 state ``np.random.default_rng`` starts
+    from, for every seed of one call, whatever its entropy word count."""
+
+    word = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**80),
+                     st.integers(0, 2**32 - 1).map(np.uint32),
+                     st.integers(0, 2**63 - 1).map(np.int64))
+    seeds = st.one_of(word, st.lists(word, min_size=1, max_size=6).map(tuple))
+
+    @staticmethod
+    def state(row):
+        hi, lo, inc_hi, inc_lo = (int(v) for v in row)
+        return {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+
+    @given(seeds=st.lists(seeds, max_size=8))
+    def test_states_equal_default_rng(self, seeds):
+        states = pcg64_states(seeds)
+        assert states.shape == (len(seeds), 4) and states.dtype == np.uint64
+        rng = np.random.Generator(np.random.PCG64())
+        for seed, row in zip(seeds, states):
+            want = np.random.default_rng(seed)
+            assert self.state(row) == want.bit_generator.state["state"]
+            assert rewind(rng, row).bit_generator.state == want.bit_generator.state
+            assert np.array_equal(rng.random(3), want.random(3))
+
+    def test_no_seeds_is_an_empty_table(self):
+        assert pcg64_states([]).shape == (0, 4)
+
+    def test_masks_drawn_into_a_buffer_equal_fresh_masks(self):
+        cfg = ModelConfig(input_dim=4, hidden_sizes=[5, 3], num_classes=3,
+                          dropout_keep_prob=0.6)
+        buffer = np.full(32 * 8, 7.0)
+        for rows in (32, 3):
+            fresh = dropout_masks(cfg, rows, seeded_rng((1, rows)))
+            reused = dropout_masks(cfg, rows, seeded_rng((1, rows)), buffer)
+            assert all(np.array_equal(a, b) for a, b in zip(fresh, reused))
+            assert all(np.shares_memory(m, buffer) for m in reused)
+
+
 def per_layer_dropout_forward(params, x, seed):
     """The training forward pass with each hidden layer's dropout mask drawn
     by a call of its own: the reference for one draw per step."""
@@ -343,6 +388,38 @@ class TestOneDropoutDraw:
             assert len(cache.dropout_masks) == len(masks)
             for got, mask in zip(cache.dropout_masks, masks):
                 assert np.array_equal(got, mask)
+
+
+class TestFingerprint:
+    """``fingerprint`` hashes the documented stream, one ``update`` per part."""
+
+    @staticmethod
+    def per_part(parts):
+        h = hashlib.sha256()
+        for part in parts:
+            h.update(np.ascontiguousarray(part, dtype="<f8") if isinstance(part, np.ndarray)
+                     else str(part).encode())
+        return h.hexdigest()[:16]
+
+    def test_dataset_and_corpus_equal_per_part_hashing(self):
+        # 600 dataset parts and 1,200 corpus parts: more than one joined chunk
+        ds = make_clean_dataset(k=3, d=4, per_class=50, seed=5)
+        web = synth_web_corpus(ds, NoiseSpec(cross_category_kernel=np.eye(3),
+                                             cross_domain_rate=0.2, bag_size=3, seed=1),
+                               BackgroundSpec())
+        assert fingerprint(ds) == self.per_part(
+            v for row in zip(ds.ids, ds.group_ids, ds.y.tolist(), ds.X) for v in row)
+        members = iter(zip(web.member_ids, web.X))
+        parts = []
+        for query_id, label, size in zip(web.query_ids, web.labels.tolist(),
+                                         np.diff(web.offsets).tolist()):
+            parts += [query_id, label]
+            for _ in range(size):
+                parts += next(members)
+        assert fingerprint(web) == self.per_part(parts)
+        assert fingerprint(b"abc") == fingerprint("abc") == self.per_part(["abc"])
+        empty = Dataset(ids=[], group_ids=[], X=np.empty((0, 4)), y=[], num_classes=2)
+        assert fingerprint(empty) == self.per_part([])
 
 
 class TestRowBlocks:

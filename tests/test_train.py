@@ -215,6 +215,21 @@ class TestFusedStepMatchesReference:
                                                      renormalize)):
             self.assert_matches(result, want)
 
+    # a shuffle seed of two entropy words; no epochs; no dropout; one batch
+    @pytest.mark.parametrize("epochs, keep, batch_size",
+                             [(3, 0.7, 8), (0, 0.7, 8), (3, 1.0, 13), (2, 0.7, 64)])
+    def test_edge_stages_with_a_seed_past_32_bits(self, epochs, keep, batch_size):
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, shuffle_seed=2**32 + 3)
+        transitions = [None, TransitionMatrix(
+            entries=random_transition(3, np.random.default_rng(3)), provenance={})]
+        models = self.models([5, 3, 7], keep, 2)
+        for init, t in zip(models, transitions):
+            want, = reference_stage([init], self.ds, cfg, [t])
+            self.assert_matches(train_stage(init, self.ds, cfg, t), want)
+        for result, want in zip(train_stage(models, self.ds, cfg, transitions),
+                                reference_stage(models, self.ds, cfg, transitions)):
+            self.assert_matches(result, want)
+
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_member_diverging_mid_stage(self, renormalize):
         # One row far out on feature 3: a member whose feature-3 weights are
