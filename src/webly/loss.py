@@ -108,7 +108,8 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
     rows = t[..., labels, :]                   # (..., B, K): row per example
     wc = wv[labels]
     if not renormalize:
-        return modulated_cross_entropy_rows(p, rows, wc)
+        return modulated_cross_entropy_rows(p, rows, -wc, wc / batch,
+                                            np.empty(p.shape[:-1]), np.empty_like(p))
 
     m = p @ t.swapaxes(-1, -2)                 # (..., B, K) all diffused scores
     z = m.sum(axis=-1)
@@ -123,15 +124,22 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
     return LossReport(per_example=per_example, logit_grads=grads)
 
 
-def modulated_cross_entropy_rows(p: np.ndarray, rows, wc) -> LossReport:
-    """The plain modulated loss of posteriors ``p`` given each example's
-    transition row ``rows`` (..., B, K) and class weight ``wc`` (B,), gathered
-    by the caller; nothing is checked."""
-    s = np.einsum("...bk,...bk->...b", rows, p)  # diffused labeled-class score
-    per_example = -wc * np.log(np.maximum(s, LOG_EPS))
+def modulated_cross_entropy_rows(p: np.ndarray, rows, neg_w, w_over_b,
+                                 per_example: np.ndarray, logit_grads: np.ndarray
+                                 ) -> LossReport:
+    """The plain modulated loss of posteriors ``p`` (..., B, K) given each
+    example's transition row ``rows`` (..., B, K), negated class weight
+    ``neg_w`` and class weight over B ``w_over_b`` (B,), gathered by the
+    caller; written into ``per_example`` (..., B) and ``logit_grads``
+    (..., B, K).  Nothing is checked."""
+    s = np.einsum("...bk,...bk->...b", rows, p, out=per_example)  # labeled-class score
     # d(mean loss)/d(logit_k) = (w_c/B) * (p_k - t_ck p_k / s); the whole
     # row vanishes where the score sits under the log clamp.
     active = s > LOG_EPS
-    safe_s = np.where(active, s, 1.0)
-    grads = (wc * active / p.shape[-2])[..., None] * (p - rows * p / safe_s[..., None])
-    return LossReport(per_example=per_example, logit_grads=grads)
+    grads = np.multiply(rows, p, out=logit_grads)
+    grads /= np.where(active, s, 1.0)[..., None]
+    np.subtract(p, grads, out=grads)
+    grads *= (w_over_b * active)[..., None]
+    np.log(np.maximum(s, LOG_EPS, out=s), out=s)
+    s *= neg_w
+    return LossReport(per_example=s, logit_grads=grads)

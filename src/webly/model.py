@@ -15,11 +15,14 @@ member, the layer views gain a leading member axis, and ``forward`` runs every
 member over one shared batch (one dropout draw for the stack), giving
 (M, batch, K) posteriors.  Each member's numbers are those it would get alone.
 
-A training ``forward`` draws every hidden layer's dropout mask with one call
-(``dropout_masks``), then runs the unchecked ``forward_layers``, as a training
-step does directly; ``predict`` and ``penultimate_features`` score a dataset
-in row blocks of ``EVAL_BLOCK``.  Both give the numbers of the plain form,
-bit for bit.
+Every pass runs on a workspace (``ForwardCache``) that holds each
+intermediate: ``forward`` checks its batch and runs the unchecked
+``forward_layers`` on a new one, and ``backward`` writes into the gradient
+buffers of the one it is given (a new one for a forward's cache).  A
+training stage reuses one workspace for all its steps and draws every
+hidden layer's dropout mask into it with one call.  ``predict`` and
+``penultimate_features`` score a dataset in row blocks of ``EVAL_BLOCK``.
+All give the numbers of the plain form, bit for bit.
 
 Random streams are those of ``np.random.default_rng(seed)``.  ``pcg64_states``
 ports numpy's seeding (the ``SeedSequence`` hash mix and PCG64's first step)
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 import struct
 from dataclasses import dataclass, asdict
@@ -153,15 +157,61 @@ class ModelParams:
                 for row in np.atleast_2d(self.flat)]
 
 
-@dataclass
 class ForwardCache:
-    """Intermediates from a forward pass, consumed by backward()."""
+    """The workspace of a forward pass over ``rows`` rows, each buffer
+    (*lead, rows, width) with a stack's member axis as lead, written in place
+    by ``forward_layers``: per hidden layer l ``pre_activations[l]`` and the
+    activation ``inputs[l + 1]`` (``inputs[0]`` is the last batch), then
+    ``logits`` and ``posteriors``.  With ``train`` (and keep < 1) the
+    ``dropout_masks`` are views of one buffer that ``draw_masks`` fills, else
+    None.  With ``grads`` it also holds what ``loss.modulated_cross_entropy_rows``
+    and ``backward`` write: ``gates[l]`` (1.0 where activation l is positive),
+    ``deltas[l]``, ``logit_grads``, ``per_example`` losses, and ``grad``
+    packed like ``params.flat`` with per-layer views ``grads``; else ``grad``
+    is None.
+    """
 
-    params: ModelParams
-    inputs: list[np.ndarray]          # input to each layer
-    pre_activations: list[np.ndarray]  # hidden pre-activations only
-    dropout_masks: list[np.ndarray | None]  # 1.0 where kept, else 0.0
-    logits: np.ndarray
+    def __init__(self, params: ModelParams, rows: int, train: bool = False,
+                 grads: bool = False, memory: list | None = None):
+        cfg, lead = params.config, params.flat.shape[:-1]
+        hidden, n = cfg.hidden_sizes, len(cfg.hidden_sizes)
+        self.params, self.train = params, train
+        self.dropout = train and cfg.dropout_keep_prob < 1.0 and n > 0
+        layers = [(*lead, rows, width) for width in hidden * 2]
+        logits = (*lead, rows, cfg.num_classes)
+        shapes = layers + [logits] * 2 + [(rows * sum(hidden) * self.dropout,)]
+        if grads:
+            shapes += layers + [logits, (*lead, rows), params.flat.shape]
+        if memory is None:
+            self.memory = views = [np.empty(shape) for shape in shapes]
+        else:  # the first rows of another workspace's buffers
+            self.memory, views = memory, [m.reshape(-1)[:math.prod(shape)].reshape(shape)
+                                          for m, shape in zip(memory, shapes)]
+        views = iter(views)
+        self.pre_activations, acts = ([next(views) for _ in hidden] for _ in range(2))
+        self.logits, self.posteriors, self.kept = next(views), next(views), next(views)
+        self.inputs = [None, *acts]
+        self.dropout_masks = [None] * n
+        if self.dropout:  # per hidden layer, its (rows, width) block
+            ends = np.cumsum([0, *hidden]) * rows
+            self.dropout_masks = [self.kept[lo:hi].reshape(rows, width)
+                                  for lo, hi, width in zip(ends, ends[1:], hidden)]
+        self.grad = None
+        if grads:
+            self.gates, self.deltas = ([next(views) for _ in hidden] for _ in range(2))
+            self.logit_grads, self.per_example, self.grad = views
+            self.grads = ModelParams._from_flat(cfg, self.grad)
+
+    def shrink(self, rows: int) -> "ForwardCache":
+        """A workspace over the first ``rows`` rows of this one's memory."""
+        return ForwardCache(self.params, rows, self.train, self.grad is not None, self.memory)
+
+    def draw_masks(self, rng: np.random.Generator) -> None:
+        """Redraw every dropout mask with one call of ``rng``."""
+        if self.dropout:  # numpy fills the buffer in order: each layer's block
+            # holds what a draw of its own shape would give
+            np.less(rng.random(out=self.kept), self.params.config.dropout_keep_prob,
+                    out=self.kept)
 
 
 # numpy's SeedSequence hash constants (initial, multiplier) for the pool mix
@@ -296,10 +346,10 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return ModelParams(config=cfg, weights=weights, biases=biases)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis via max subtraction; stable for logits up to
-    ~1e308."""
-    e = logits - logits.max(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis via max subtraction, into ``out`` if given;
+    stable for logits up to ~1e308."""
+    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -313,7 +363,7 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
     applied to every hidden activation, seeded by ``dropout_seed``; eval mode
     applies no dropout and no scaling.  For stacked parameters the batch and
     the dropout masks are shared by every member and the outputs gain a
-    leading member axis.
+    leading member axis.  The cache is a new workspace for the batch.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.config.input_dim:
@@ -323,84 +373,62 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
         )
     if not np.isfinite(batch).all():
         raise ValidationError("non-finite input")
-    masks = (dropout_masks(params.config, len(batch), seeded_rng(dropout_seed)) if train
-             else [None] * len(params.config.hidden_sizes))
-    return forward_layers(params, batch, masks)
+    cache = ForwardCache(params, len(batch), train)
+    if train:
+        cache.draw_masks(seeded_rng(dropout_seed))
+    return forward_layers(cache, batch), cache
 
 
-def dropout_masks(config: ModelConfig, rows: int, rng: np.random.Generator,
-                  out: np.ndarray | None = None) -> list[np.ndarray | None]:
-    """Per hidden layer, a (rows, size) mask, 1.0 where kept (None if keep is 1),
-    from one draw of ``rng``: numpy fills it in order, so each block holds
-    what a draw of its own shape would give.  The masks are views of ``out``
-    (at least rows * sum(hidden_sizes) floats) when given, else of a new array.
-    """
-    hidden, keep = config.hidden_sizes, config.dropout_keep_prob
-    masks = [None] * len(hidden)
-    if keep < 1.0 and hidden:
-        size = rows * sum(hidden)
-        kept = rng.random(out=np.empty(size) if out is None else out[:size])
-        np.less(kept, keep, out=kept)
-        pos = 0
-        for l, width in enumerate(hidden):
-            masks[l] = kept[pos:pos + rows * width].reshape(rows, width)
-            pos += rows * width
-    return masks
-
-
-def forward_layers(params: ModelParams, batch: np.ndarray,
-                   masks: list) -> tuple[np.ndarray, ForwardCache]:
-    """``forward`` on a trusted float64 (rows, input_dim) batch with the given
-    dropout masks (None where a layer keeps every unit); nothing is checked."""
-    keep = params.config.dropout_keep_prob
-    inputs, pre_acts = [], []
-    a = batch
-    for l, mask in enumerate(masks):
-        inputs.append(a)
-        z = a @ params.weights[l]
+def forward_layers(cache: ForwardCache, batch: np.ndarray) -> np.ndarray:
+    """``forward`` on a trusted float64 batch of the workspace's rows, with its
+    dropout masks, written into ``cache``; returns its posteriors.  Nothing is
+    checked."""
+    params, keep = cache.params, cache.params.config.dropout_keep_prob
+    cache.inputs[0] = a = batch
+    for l, (z, mask) in enumerate(zip(cache.pre_activations, cache.dropout_masks)):
+        np.matmul(a, params.weights[l], out=z)
         z += params.bias_rows[l]
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0)
+        a = np.maximum(z, 0.0, out=cache.inputs[l + 1])
         if mask is not None:
             a *= mask
             a /= keep
-    inputs.append(a)
-    logits = a @ params.weights[-1]
-    logits += params.bias_rows[-1]
-    posteriors = softmax(logits)
-    cache = ForwardCache(params=params, inputs=inputs, pre_activations=pre_acts,
-                         dropout_masks=masks, logits=logits)
-    return posteriors, cache
+    np.matmul(a, params.weights[-1], out=cache.logits)
+    cache.logits += params.bias_rows[-1]
+    return softmax(cache.logits, out=cache.posteriors)
 
 
 def backward(cache: ForwardCache, logit_grads: np.ndarray) -> np.ndarray:
     """Chain the upstream gradient at the output logits back to all parameters.
 
     Exact analytic chain rule through the dropout masks recorded in the cache.
-    Returns one gradient packed like ``ModelParams.flat`` (per member for a
-    stack).
+    Returns the gradient packed like ``ModelParams.flat`` (per member for a
+    stack): a workspace's own ``grad`` when it has one (a training stage's),
+    which the next backward on it overwrites, else a new array.  Each layer's
+    gradient is written straight into its view.  A delta is gated by
+    activation > 0, which holds exactly where the unit is kept and its
+    pre-activation is positive.
     """
-    params = cache.params
     if logit_grads.shape != cache.logits.shape:
         raise ValidationError(
             f"upstream gradient shape {logit_grads.shape} != logits "
             f"{cache.logits.shape}"
         )
+    if cache.grad is None:  # a forward's cache: work in a new workspace
+        work = ForwardCache(cache.params, logit_grads.shape[-2], grads=True)
+        work.inputs, work.dropout_masks = cache.inputs, cache.dropout_masks
+        cache = work
+    params, grads = cache.params, cache.grads
     keep = params.config.dropout_keep_prob
-    lead = params.flat.shape[:-1]
-    parts = []  # bias then weight gradient per layer, last layer first
     dz = logit_grads  # upstream gradient of the current layer's output
     for l in range(len(params.weights) - 1, -1, -1):
-        if l < len(cache.pre_activations):
-            dz = dz @ params.weights_t[l + 1]
-            mask = cache.dropout_masks[l]
-            if mask is not None:
-                dz *= mask
+        if l < len(cache.deltas):
+            dz = np.matmul(dz, params.weights_t[l + 1], out=cache.deltas[l])
+            dz *= np.greater(cache.inputs[l + 1], 0.0, out=cache.gates[l])
+            if cache.dropout_masks[l] is not None:
                 dz /= keep
-            dz *= cache.pre_activations[l] > 0
-        parts.append(dz.sum(axis=-2))
-        parts.append((cache.inputs[l].swapaxes(-1, -2) @ dz).reshape(*lead, -1))
-    return np.concatenate(parts[::-1], axis=-1)
+        np.add.reduce(dz, axis=-2, out=grads.biases[l])
+        np.matmul(cache.inputs[l].swapaxes(-1, -2), dz, out=grads.weights[l])
+    return cache.grad
 
 
 def _blockwise(params: ModelParams, x: np.ndarray, take) -> np.ndarray:

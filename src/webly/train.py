@@ -14,9 +14,12 @@ A stage updates one flat parameter vector in place (``ModelParams.flat``),
 with the gradient and momentum in the same layout.  Dropout is the model's
 setting.  Parameters, the transition, the class weights and the dataset are
 checked when they are built, and their fit once at stage start.  A batch is
-one fused step (dropout drawn into one reused buffer, layers, loss on the
-transition rows and class weights gathered once per epoch, backward, update)
-that checks only that the updated parameters are finite.
+one fused step on a workspace allocated once per stage for the largest batch
+(``model.ForwardCache``; a ragged last batch takes its first rows): dropout
+drawn into it, layers, loss on the transition rows and class weight terms
+gathered once per epoch, backward straight into its packed gradient, and the
+update, with nothing allocated per step but a few small temporaries.  It
+checks only that the updated parameters are finite.
 
 The arms of one seed train together (``run_seed``): BL1's stage is also the
 oracle, and stages that share the dataset, configs and loss form run in
@@ -35,7 +38,7 @@ from .data import Dataset, WebCorpus, check_fields, flatten_web, integer, real
 from .errors import DivergenceError, ValidationError, WeblyError
 from .loss import (median_frequency_weights, modulated_cross_entropy,
                    modulated_cross_entropy_rows)
-from .model import (ModelConfig, ModelParams, backward, dropout_masks, forward_layers,
+from .model import (ForwardCache, ModelConfig, ModelParams, backward, forward_layers,
                     init_params, pcg64_states, predict, rewind)
 from .noise import TransitionMatrix, estimate_transition
 
@@ -101,13 +104,21 @@ def sgd_momentum_step(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
                       lr: float, momentum: float) -> None:
     """Classic momentum update in place: v <- momentum*v - lr*g; theta <- theta + v.
 
-    The arrays are one vector, or (M, P) stacks with one row per member.
-    Raises DivergenceError when the updated ``theta`` is not all finite; every
-    row is updated first, and the error's ``members`` lists the rows that are
-    not finite.  A non-finite gradient always makes its row so.
+    The arrays are one vector, or (M, P) stacks with one row per member;
+    ``grad`` is left as it is.  Raises DivergenceError when the updated
+    ``theta`` is not all finite; every row is updated first, and the error's
+    ``members`` lists the rows that are not finite.  A non-finite gradient
+    always makes its row so.
     """
+    momentum_update(theta, lr * grad, velocity, momentum)
+
+
+def momentum_update(theta: np.ndarray, step: np.ndarray, velocity: np.ndarray,
+                    momentum: float) -> None:
+    """``sgd_momentum_step`` given ``step`` = lr * grad (a training step
+    scales its gradient buffer in place)."""
     velocity *= momentum
-    velocity -= lr * grad
+    velocity -= step
     theta += velocity
     if not np.isfinite(theta).all():
         bad = ~np.isfinite(theta).all(axis=-1)
@@ -157,13 +168,18 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
     y = ds.y
     n = len(ds)
     # every epoch's shuffle and every step's dropout stream, seeded up front;
-    # one reused generator is rewound to each, and masks go to one buffer
+    # one reused generator is rewound to each
     epochs, starts = range(cfg.epochs), range(0, n, cfg.batch_size)
     shuffle_states = pcg64_states((cfg.shuffle_seed, e) for e in epochs)
     mask_states = pcg64_states((cfg.shuffle_seed, e, b) for e in epochs
                                for b in range(len(starts))).reshape(len(epochs), len(starts), 4)
     rng = np.random.Generator(np.random.PCG64())
-    mask_buffer = np.empty(min(n, cfg.batch_size) * sum(params.config.hidden_sizes))
+
+    def workspaces(params):  # per batch: a full batch's, the last one its first rows
+        full = ForwardCache(params, min(n, cfg.batch_size), train=True, grads=True)
+        return [full] * (len(starts) - 1) + [full.shrink(n - starts[-1])]
+
+    step_caches = workspaces(params)
     velocity = np.zeros_like(params.flat)
     rows = list(range(len(members)))       # member trained by each stack row
     logs: list[list[dict]] = [[] for _ in members]
@@ -173,24 +189,26 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
         epoch_start = time.perf_counter()
         order = rewind(rng, shuffle_states[epoch]).permutation(n)
         x_epoch, y_epoch = x[order], y[order]
-        # each example's transition row and class weight, sliced per batch
+        # each example's transition row and class weight terms, sliced per batch
         t_epoch, w_epoch = member_t.entries[..., y_epoch, :], weights.w[y_epoch]
+        neg_w, w_over_b = -w_epoch, w_epoch / cfg.batch_size
+        w_over_b[starts[-1]:] = w_epoch[starts[-1]:] / (n - starts[-1])
         loss_sum = np.zeros(params.flat.shape[:-1])
         for batch_idx, lo in enumerate(starts):
-            hi = lo + cfg.batch_size
-            x_batch = x_epoch[lo:hi]  # one fused step: the Dataset checked its rows
-            masks = dropout_masks(params.config, len(x_batch),
-                                  rewind(rng, mask_states[epoch, batch_idx]), mask_buffer)
-            posteriors, cache = forward_layers(params, x_batch, masks)
+            hi, cache = lo + cfg.batch_size, step_caches[batch_idx]  # one fused step
+            cache.draw_masks(rewind(rng, mask_states[epoch, batch_idx]))
+            posteriors = forward_layers(cache, x_epoch[lo:hi])
             report = (modulated_cross_entropy(posteriors, y_epoch[lo:hi], member_t, weights,
                                               renormalize=True) if renormalize
-                      else modulated_cross_entropy_rows(posteriors, t_epoch[..., lo:hi, :],
-                                                        w_epoch[lo:hi]))
+                      else modulated_cross_entropy_rows(
+                          posteriors, t_epoch[..., lo:hi, :], neg_w[lo:hi], w_over_b[lo:hi],
+                          cache.per_example, cache.logit_grads))
             grad = backward(cache, report.logit_grads)
+            grad *= lr
             batch_loss = report.per_example.sum(axis=-1)
             # A non-finite loss or gradient makes the updated theta non-finite.
             try:
-                sgd_momentum_step(params.flat, grad, velocity, lr, cfg.momentum)
+                momentum_update(params.flat, grad, velocity, cfg.momentum)
             except DivergenceError as exc:
                 for r in exc.members:
                     outcome[rows[r]] = DivergenceError(
@@ -203,6 +221,7 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
                 velocity, loss_sum, batch_loss = velocity[keep], loss_sum[keep], batch_loss[keep]
                 member_t = TransitionMatrix(entries=member_t.entries[keep], provenance={})
                 t_epoch = t_epoch[keep]
+                step_caches = workspaces(params)
             loss_sum += batch_loss
         if not rows:
             break

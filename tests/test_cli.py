@@ -480,6 +480,38 @@ class TestReport:
         assert rows["2"]["status"] == "ok"
 
 
+class TestOutputPathOfTheWrongKind:
+    """An output path that is a file where a directory is needed, or the
+    reverse, exits 2 naming it."""
+
+    @pytest.mark.parametrize("verb", ["synth", "run", "eval", "estimate-noise", "report"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, verb):
+        cfg = tiny_config(tmp_path)
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        ckpt = tmp_path / "m.wslckpt"
+        save_checkpoint(init_params(ModelConfig(input_dim=4, hidden_sizes=[8],
+                                                num_classes=3)), ckpt)
+        a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
+        a_file.write_text("not a directory\n")
+        a_dir.mkdir()
+        argv, path = {
+            "synth": (["--config", str(cfg), "--out", str(a_file)], a_file),
+            "run": (["--config", str(cfg), "--out", str(a_file)], a_file),
+            "eval": (["--checkpoint", str(ckpt), "--data", str(data / "clean_test.csv"),
+                      "--out", str(a_file)], a_file),
+            "estimate-noise": (["--checkpoint", str(ckpt), "--web", str(data / "web.json"),
+                                "--out", str(a_dir)], a_dir),
+            "report": (["--runs", str(a_file)], a_file),
+        }[verb]
+        capsys.readouterr()
+        assert main([verb, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+        assert a_file.read_text() == "not a directory\n" and not any(a_dir.iterdir())
+
+
 def _sections(config, prefix=()):
     """Every key path of a config, sections and leaves alike."""
     for key, value in config.items():

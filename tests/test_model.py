@@ -18,12 +18,13 @@ from webly.metrics import write_features_csv
 from webly.model import (
     EVAL_BLOCK,
     MODEL_MAX_PARAMS,
+    ForwardCache,
     ModelConfig,
     ModelParams,
     backward,
-    dropout_masks,
     fingerprint,
     forward,
+    forward_layers,
     init_params,
     load_checkpoint,
     pcg64_states,
@@ -283,6 +284,70 @@ class TestStackedModels:
             ModelParams.stack([first, other])
 
 
+def allocating_forward_backward(params, x, masks, upstream):
+    """The forward and backward pass with a new array for every intermediate
+    and the gradient packed by concatenation: the reference for a workspace."""
+    keep = params.config.dropout_keep_prob
+    inputs, pre_acts, a = [], [], x
+    for l, mask in enumerate(masks):
+        inputs.append(a)
+        z = a @ params.weights[l]
+        z += params.bias_rows[l]
+        pre_acts.append(z)
+        a = np.maximum(z, 0.0)
+        if mask is not None:
+            a *= mask
+            a /= keep
+    inputs.append(a)
+    logits = a @ params.weights[-1]
+    logits += params.bias_rows[-1]
+    parts, dz = [], upstream
+    for l in range(len(params.weights) - 1, -1, -1):
+        if l < len(pre_acts):
+            dz = dz @ params.weights_t[l + 1]
+            if masks[l] is not None:
+                dz *= masks[l]
+                dz /= keep
+            dz *= pre_acts[l] > 0
+        parts.append(dz.sum(axis=-2))
+        parts.append((inputs[l].swapaxes(-1, -2) @ dz).reshape(*params.flat.shape[:-1], -1))
+    return softmax(logits), np.concatenate(parts[::-1], axis=-1)
+
+
+class TestWorkspace:
+    """A stage's workspace, reused over batches and shrunk for a ragged last
+    batch, gives the bits of the allocating pass."""
+
+    @pytest.mark.parametrize("hidden, keep", [([5, 3, 7], 0.7), ([5, 3, 7], 1.0), ([], 0.7)])
+    def test_full_then_ragged_batches_equal_the_allocating_pass(self, hidden, keep):
+        cfg = ModelConfig(input_dim=4, hidden_sizes=hidden, num_classes=3,
+                          dropout_keep_prob=keep, init_seed=6)
+        first = init_params(cfg)
+        second = ModelParams(cfg, [w * -0.8 for w in first.weights],
+                             [b + 0.3 for b in first.biases])
+        rng = np.random.default_rng(5)
+        for params in (first, ModelParams.stack([first, second])):
+            full = ForwardCache(params, 8, train=True, grads=True)
+            for batch, cache in enumerate([full, full, full.shrink(1), full.shrink(3)]):
+                rows = cache.logits.shape[-2]
+                x = rng.normal(size=(rows, 4))
+                upstream = rng.normal(size=cache.logits.shape)
+                cache.draw_masks(seeded_rng((2, batch)))
+                posteriors = forward_layers(cache, x)
+                grad = backward(cache, upstream)
+                masks = (per_layer_dropout_forward(params, x, (2, batch))[1] if keep < 1
+                         else [None] * len(hidden))
+                want_p, want_grad = allocating_forward_backward(params, x, masks, upstream)
+                assert np.array_equal(posteriors, want_p)
+                assert np.array_equal(grad, want_grad)
+                assert np.shares_memory(grad, full.grad)
+                assert np.shares_memory(posteriors, full.posteriors)
+                # the checked public calls run the same helpers on a new workspace
+                p, fresh = forward(params, x, train=True, dropout_seed=(2, batch))
+                assert np.array_equal(p, want_p)
+                assert np.array_equal(backward(fresh, upstream), want_grad)
+
+
 class TestSeededRng:
     """``seeded_rng`` is ``np.random.default_rng`` built another way."""
 
@@ -343,12 +408,16 @@ class TestPcg64States:
     def test_masks_drawn_into_a_buffer_equal_fresh_masks(self):
         cfg = ModelConfig(input_dim=4, hidden_sizes=[5, 3], num_classes=3,
                           dropout_keep_prob=0.6)
-        buffer = np.full(32 * 8, 7.0)
+        params = init_params(cfg)
+        full = ForwardCache(params, 32, train=True)
+        full.kept[:] = 7.0
         for rows in (32, 3):
-            fresh = dropout_masks(cfg, rows, seeded_rng((1, rows)))
-            reused = dropout_masks(cfg, rows, seeded_rng((1, rows)), buffer)
-            assert all(np.array_equal(a, b) for a, b in zip(fresh, reused))
-            assert all(np.shares_memory(m, buffer) for m in reused)
+            _, cache = forward(params, np.zeros((rows, 4)), train=True, dropout_seed=(1, rows))
+            reused = full.shrink(rows)
+            reused.draw_masks(seeded_rng((1, rows)))
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(cache.dropout_masks, reused.dropout_masks))
+            assert all(np.shares_memory(m, full.kept) for m in reused.dropout_masks)
 
 
 def per_layer_dropout_forward(params, x, seed):

@@ -251,6 +251,27 @@ class TestFusedStepMatchesReference:
         for result, expected in zip(got, want):
             self.assert_matches(result, expected)
 
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_member_diverging_mid_stage_in_hidden_layers(self, renormalize):
+        # As above with three hidden layers and dropout: the stack's hidden
+        # buffers shrink with it when the member leaves.
+        ds = Dataset(ids=[*self.ds.ids, "far"], group_ids=[*self.ds.group_ids, "g0"],
+                     X=np.vstack([self.ds.X, [0.0, 0.0, 0.0, 1e100]]),
+                     y=[*self.ds.y, 0], num_classes=3)
+        good = self.models([5, 3, 7], 0.7, 2)
+        bad = good[1].copy()
+        bad.weights[0][3] *= 1e250
+        models = [good[0], bad, good[1]]
+        transitions = [None, None, TransitionMatrix(
+            entries=random_transition(3, np.random.default_rng(2)), provenance={})]
+        cfg = TrainConfig(epochs=3, batch_size=8, shuffle_seed=4)
+        got = train_stage(models, ds, cfg, transitions, renormalize)
+        want = reference_stage(models, ds, cfg, transitions, renormalize)
+        assert isinstance(want[1], str) and "epoch 0, batch 0" not in want[1]
+        assert not any(isinstance(w, str) for w in (want[0], want[2]))
+        for result, expected in zip(got, want):
+            self.assert_matches(result, expected)
+
 
 class TestLrSchedule:
     def test_step_decay_formula(self):
