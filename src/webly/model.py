@@ -19,10 +19,11 @@ Every pass runs on a workspace (``ForwardCache``) that holds each
 intermediate: ``forward`` checks its batch and runs the unchecked
 ``forward_layers`` on a new one, and ``backward`` writes into the gradient
 buffers of the one it is given (a new one for a forward's cache).  A
-training stage reuses one workspace for all its steps and draws every
-hidden layer's dropout mask into it with one call.  ``predict`` and
-``penultimate_features`` score a dataset in row blocks of ``EVAL_BLOCK``.
-All give the numbers of the plain form, bit for bit.
+training stage reuses one workspace for all its full batches, and a second
+one for a ragged last batch, and draws every hidden layer's dropout mask
+into it with one call.  ``predict`` and ``penultimate_features`` score a
+dataset in row blocks of ``EVAL_BLOCK``.  All give the numbers of the plain
+form, bit for bit.
 
 Random streams are those of ``np.random.default_rng(seed)``.  ``pcg64_states``
 ports numpy's seeding (the ``SeedSequence`` hash mix and PCG64's first step)
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import operator
 import struct
 from dataclasses import dataclass, asdict
@@ -158,10 +158,10 @@ class ModelParams:
 
 
 class ForwardCache:
-    """The workspace of a forward pass over ``rows`` rows, each buffer
-    (*lead, rows, width) with a stack's member axis as lead, written in place
-    by ``forward_layers``: per hidden layer l ``pre_activations[l]`` and the
-    activation ``inputs[l + 1]`` (``inputs[0]`` is the last batch), then
+    """The workspace of a forward pass over ``rows`` rows, each buffer a new
+    (*lead, rows, width) array with a stack's member axis as lead, written in
+    place by ``forward_layers``: per hidden layer l ``pre_activations[l]`` and
+    the activation ``inputs[l + 1]`` (``inputs[0]`` is the last batch), then
     ``logits`` and ``posteriors``.  With ``train`` (and keep < 1) the
     ``dropout_masks`` are views of one buffer that ``draw_masks`` fills, else
     None.  With ``grads`` it also holds what ``loss.modulated_cross_entropy_rows``
@@ -172,24 +172,19 @@ class ForwardCache:
     """
 
     def __init__(self, params: ModelParams, rows: int, train: bool = False,
-                 grads: bool = False, memory: list | None = None):
+                 grads: bool = False):
         cfg, lead = params.config, params.flat.shape[:-1]
         hidden, n = cfg.hidden_sizes, len(cfg.hidden_sizes)
-        self.params, self.train = params, train
+        self.params = params
         self.dropout = train and cfg.dropout_keep_prob < 1.0 and n > 0
         layers = [(*lead, rows, width) for width in hidden * 2]
         logits = (*lead, rows, cfg.num_classes)
         shapes = layers + [logits] * 2 + [(rows * sum(hidden) * self.dropout,)]
         if grads:
             shapes += layers + [logits, (*lead, rows), params.flat.shape]
-        if memory is None:
-            self.memory = views = [np.empty(shape) for shape in shapes]
-        else:  # the first rows of another workspace's buffers
-            self.memory, views = memory, [m.reshape(-1)[:math.prod(shape)].reshape(shape)
-                                          for m, shape in zip(memory, shapes)]
-        views = iter(views)
-        self.pre_activations, acts = ([next(views) for _ in hidden] for _ in range(2))
-        self.logits, self.posteriors, self.kept = next(views), next(views), next(views)
+        buffers = map(np.empty, shapes)
+        self.pre_activations, acts = ([next(buffers) for _ in hidden] for _ in range(2))
+        self.logits, self.posteriors, self.kept = next(buffers), next(buffers), next(buffers)
         self.inputs = [None, *acts]
         self.dropout_masks = [None] * n
         if self.dropout:  # per hidden layer, its (rows, width) block
@@ -198,13 +193,9 @@ class ForwardCache:
                                   for lo, hi, width in zip(ends, ends[1:], hidden)]
         self.grad = None
         if grads:
-            self.gates, self.deltas = ([next(views) for _ in hidden] for _ in range(2))
-            self.logit_grads, self.per_example, self.grad = views
+            self.gates, self.deltas = ([next(buffers) for _ in hidden] for _ in range(2))
+            self.logit_grads, self.per_example, self.grad = buffers
             self.grads = ModelParams._from_flat(cfg, self.grad)
-
-    def shrink(self, rows: int) -> "ForwardCache":
-        """A workspace over the first ``rows`` rows of this one's memory."""
-        return ForwardCache(self.params, rows, self.train, self.grad is not None, self.memory)
 
     def draw_masks(self, rng: np.random.Generator) -> None:
         """Redraw every dropout mask with one call of ``rng``."""
@@ -329,13 +320,6 @@ def rewind(rng: np.random.Generator, state: np.ndarray) -> np.random.Generator:
     return rng
 
 
-def seeded_rng(seed) -> np.random.Generator:
-    """A new generator with the stream of ``np.random.default_rng(seed)``
-    (fresh OS entropy for None)."""
-    rng = np.random.Generator(np.random.PCG64())
-    return rng if seed is None else rewind(rng, pcg64_states([seed])[0])
-
-
 def init_params(cfg: ModelConfig) -> ModelParams:
     """Zero-mean Gaussian weights with std sqrt(2 / fan_in); zero biases."""
     rng = np.random.default_rng(cfg.init_seed)
@@ -375,7 +359,7 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
         raise ValidationError("non-finite input")
     cache = ForwardCache(params, len(batch), train)
     if train:
-        cache.draw_masks(seeded_rng(dropout_seed))
+        cache.draw_masks(np.random.default_rng(dropout_seed))
     return forward_layers(cache, batch), cache
 
 

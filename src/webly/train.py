@@ -14,8 +14,8 @@ A stage updates one flat parameter vector in place (``ModelParams.flat``),
 with the gradient and momentum in the same layout.  Dropout is the model's
 setting.  Parameters, the transition, the class weights and the dataset are
 checked when they are built, and their fit once at stage start.  A batch is
-one fused step on a workspace allocated once per stage for the largest batch
-(``model.ForwardCache``; a ragged last batch takes its first rows): dropout
+one fused step on a workspace allocated once per stage for the full batches
+(``model.ForwardCache``; a ragged last batch has a second one): dropout
 drawn into it, layers, loss on the transition rows and class weight terms
 gathered once per epoch, backward straight into its packed gradient, and the
 update, with nothing allocated per step but a few small temporaries.  It
@@ -24,7 +24,9 @@ checks only that the updated parameters are finite.
 The arms of one seed train together (``run_seed``): BL1's stage is also the
 oracle, and stages that share the dataset, configs and loss form run in
 lockstep as one (M, P) parameter stack, each member bit-identical to its
-stage run alone.
+stage run alone.  The stack keeps its shape for the whole stage: a member
+that diverges records its error, and its rows of the parameters and the
+velocity are set to zero so that the stack stays finite.
 """
 
 from __future__ import annotations
@@ -141,8 +143,9 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
     lockstep, with ``transition`` a list of one entry per member.  Every step
     then draws one shuffle order, batch and set of dropout masks for the whole
     stack, and each member's numbers are those it gets alone.  The result is
-    a list holding, per member, its StageResult or the DivergenceError that
-    took it out of the stack while the others trained on.
+    a list holding, per member, its StageResult or its first DivergenceError.
+    A diverged member stays in the stack, restarted from zero parameters and
+    velocity and no longer logged, until every member has diverged.
     """
     solo = isinstance(init, ModelParams)
     members = [init] if solo else list(init)
@@ -174,14 +177,12 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
     mask_states = pcg64_states((cfg.shuffle_seed, e, b) for e in epochs
                                for b in range(len(starts))).reshape(len(epochs), len(starts), 4)
     rng = np.random.Generator(np.random.PCG64())
-
-    def workspaces(params):  # per batch: a full batch's, the last one its first rows
-        full = ForwardCache(params, min(n, cfg.batch_size), train=True, grads=True)
-        return [full] * (len(starts) - 1) + [full.shrink(n - starts[-1])]
-
-    step_caches = workspaces(params)
+    # per batch its workspace: one for the full batches, a second for a ragged last one
+    rows, last = min(n, cfg.batch_size), n - starts[-1]
+    full = ForwardCache(params, rows, train=True, grads=True)
+    step_caches = [full] * (len(starts) - 1) + [
+        full if last == rows else ForwardCache(params, last, train=True, grads=True)]
     velocity = np.zeros_like(params.flat)
-    rows = list(range(len(members)))       # member trained by each stack row
     logs: list[list[dict]] = [[] for _ in members]
     outcome: list = [None] * len(members)
     for epoch in epochs:
@@ -192,7 +193,7 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
         # each example's transition row and class weight terms, sliced per batch
         t_epoch, w_epoch = member_t.entries[..., y_epoch, :], weights.w[y_epoch]
         neg_w, w_over_b = -w_epoch, w_epoch / cfg.batch_size
-        w_over_b[starts[-1]:] = w_epoch[starts[-1]:] / (n - starts[-1])
+        w_over_b[starts[-1]:] = w_epoch[starts[-1]:] / last
         loss_sum = np.zeros(params.flat.shape[:-1])
         for batch_idx, lo in enumerate(starts):
             hi, cache = lo + cfg.batch_size, step_caches[batch_idx]  # one fused step
@@ -205,39 +206,34 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
                           cache.per_example, cache.logit_grads))
             grad = backward(cache, report.logit_grads)
             grad *= lr
-            batch_loss = report.per_example.sum(axis=-1)
             # A non-finite loss or gradient makes the updated theta non-finite.
             try:
                 momentum_update(params.flat, grad, velocity, cfg.momentum)
             except DivergenceError as exc:
                 for r in exc.members:
-                    outcome[rows[r]] = DivergenceError(
+                    outcome[r] = outcome[r] or DivergenceError(
                         f"{exc} at epoch {epoch}, batch {batch_idx}")
-                keep = [r for r in range(len(rows)) if r not in exc.members]
-                rows = [rows[r] for r in keep]
-                if not rows:
+                if None not in outcome:
                     break
-                params = ModelParams._from_flat(params.config, params.flat[keep])
-                velocity, loss_sum, batch_loss = velocity[keep], loss_sum[keep], batch_loss[keep]
-                member_t = TransitionMatrix(entries=member_t.entries[keep], provenance={})
-                t_epoch = t_epoch[keep]
-                step_caches = workspaces(params)
-            loss_sum += batch_loss
-        if not rows:
+                # a diverged member trains on from zero, unlogged, so the stack stays finite
+                params.flat[list(exc.members)] = velocity[list(exc.members)] = 0.0
+            loss_sum += report.per_example.sum(axis=-1)
+        if None not in outcome:
             break
         train_acc = (predict(params, ds).argmax(axis=-1) == y).mean(axis=-1)
         elapsed = time.perf_counter() - epoch_start
-        for member, mean_loss, acc in zip(rows, np.atleast_1d(loss_sum / n),
-                                          np.atleast_1d(train_acc)):
-            logs[member].append({
-                "epoch": epoch,
-                "lr": lr,
-                "mean_loss": float(mean_loss),
-                "train_accuracy": float(acc),
-                "elapsed_s": elapsed,
-            })
-    for member, member_params in zip(rows, params.unstack()):
-        outcome[member] = StageResult(params=member_params, log=logs[member])
+        for log, result, mean_loss, acc in zip(logs, outcome, np.atleast_1d(loss_sum / n),
+                                               np.atleast_1d(train_acc)):
+            if result is None:
+                log.append({
+                    "epoch": epoch,
+                    "lr": lr,
+                    "mean_loss": float(mean_loss),
+                    "train_accuracy": float(acc),
+                    "elapsed_s": elapsed,
+                })
+    outcome = [result or StageResult(params=member_params, log=log)
+               for result, member_params, log in zip(outcome, params.unstack(), logs)]
     if not solo:
         return outcome
     if isinstance(outcome[0], DivergenceError):
@@ -245,28 +241,22 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
     return outcome[0]
 
 
-def _stack_stages(jobs: dict) -> dict:
-    """Train one stage per arm, stacking the stages that share the dataset,
-    TrainConfig, ModelConfig and loss form.
+def _stack_stages(jobs: dict, ds: Dataset, cfg: TrainConfig) -> dict:
+    """Train one stage per arm on ``ds`` under ``cfg``, stacking the stages
+    that share a loss form.
 
-    ``jobs`` maps an arm to (init, dataset, TrainConfig, transition or None,
-    renormalize); the result maps it to its StageResult or the toolkit error
-    that failed its stack or itself.
+    ``jobs`` maps an arm to (init, transition or None, renormalize), every
+    init of one ModelConfig; the result maps it to its StageResult or the
+    toolkit error that failed its stack or itself.
     """
-    groups: list[tuple[tuple, list[str]]] = []
-    for arm, (init, ds, cfg, _, renorm) in jobs.items():
-        key = (ds, cfg, init.config, renorm)
-        for other, arms in groups:
-            if other[0] is ds and other[1:] == key[1:]:
-                arms.append(arm)
-                break
-        else:
-            groups.append((key, [arm]))
+    groups: dict[bool, list[str]] = {}
+    for arm, (_, _, renorm) in jobs.items():
+        groups.setdefault(renorm, []).append(arm)
     results = {}
-    for (ds, cfg, _, renorm), arms in groups:
+    for renorm, arms in groups.items():
         try:
             outcome = train_stage([jobs[a][0] for a in arms], ds, cfg,
-                                  [jobs[a][3] for a in arms], renorm)
+                                  [jobs[a][1] for a in arms], renorm)
         except WeblyError as exc:
             outcome = [exc] * len(arms)
         results.update(zip(arms, outcome))
@@ -284,11 +274,11 @@ def run_seed(arms, clean_train: Dataset, web: WebCorpus | None,
     noise-corrected arm's oracle, so its failure fails both.  The transition
     is estimated from it, then the web stages of BL2 and the noise-corrected
     arm run as one lockstep stack, and their clean fine-tunes as another
-    (see ``train_stage``).  Stages stack when they share the dataset,
-    TrainConfig, ModelConfig and loss form; with ``renormalize`` the two web
-    stages differ in loss form and train one after the other.  A member that
-    diverges fails only its own arm.  Every arm's numbers are those it gets
-    alone.
+    (see ``train_stage``).  The stages of a phase share the dataset,
+    TrainConfig and ModelConfig, and stack when they share the loss form;
+    with ``renormalize`` the two web stages differ in loss form and train one
+    after the other.  A member that diverges fails only its own arm.  Every
+    arm's numbers are those it gets alone.
 
     ``transition_override`` is a diagnostic hook that replaces the estimated
     transition in the noise-corrected arm (and skips oracle training when no
@@ -336,18 +326,18 @@ def run_seed(arms, clean_train: Dataset, web: WebCorpus | None,
     if web_arms:
         web_flat = flatten_web(web)
         init = init_params(model_cfg)
-        jobs = {arm: (init, web_flat, cfg_web, None, False) for arm in web_arms}
+        jobs = {arm: (init, None, False) for arm in web_arms}
         if ARM_PROPOSED in jobs:
-            jobs[ARM_PROPOSED] = (init, web_flat, cfg_web, transition, renormalize)
-        for phase in ("after_web_stage", "after_clean_stage"):
-            for arm, result in _stack_stages(jobs).items():
+            jobs[ARM_PROPOSED] = (init, transition, renormalize)
+        for phase, ds, cfg in (("after_web_stage", web_flat, cfg_web),
+                               ("after_clean_stage", clean_train, cfg_clean)):
+            for arm, result in _stack_stages(jobs, ds, cfg).items():
                 if isinstance(result, WeblyError):
                     failed[arm] = result
                 else:
                     stages[arm].append(result)
             snapshot(phase, live(*web_arms))
-            jobs = {arm: (stages[arm][-1].params, clean_train, cfg_clean, None, False)
-                    for arm in live(*web_arms)}
+            jobs = {arm: (stages[arm][-1].params, None, False) for arm in live(*web_arms)}
 
     outcome: dict = {}
     for arm in arms:

@@ -32,7 +32,6 @@ from webly.model import (
     predict,
     rewind,
     save_checkpoint,
-    seeded_rng,
     softmax,
 )
 
@@ -315,8 +314,8 @@ def allocating_forward_backward(params, x, masks, upstream):
 
 
 class TestWorkspace:
-    """A stage's workspace, reused over batches and shrunk for a ragged last
-    batch, gives the bits of the allocating pass."""
+    """A stage's workspace, reused over full batches, and a ragged last
+    batch's own workspace give the bits of the allocating pass."""
 
     @pytest.mark.parametrize("hidden, keep", [([5, 3, 7], 0.7), ([5, 3, 7], 1.0), ([], 0.7)])
     def test_full_then_ragged_batches_equal_the_allocating_pass(self, hidden, keep):
@@ -328,11 +327,12 @@ class TestWorkspace:
         rng = np.random.default_rng(5)
         for params in (first, ModelParams.stack([first, second])):
             full = ForwardCache(params, 8, train=True, grads=True)
-            for batch, cache in enumerate([full, full, full.shrink(1), full.shrink(3)]):
+            ragged = [ForwardCache(params, rows, train=True, grads=True) for rows in (1, 3)]
+            for batch, cache in enumerate([full, full, *ragged]):
                 rows = cache.logits.shape[-2]
                 x = rng.normal(size=(rows, 4))
                 upstream = rng.normal(size=cache.logits.shape)
-                cache.draw_masks(seeded_rng((2, batch)))
+                cache.draw_masks(np.random.default_rng((2, batch)))
                 posteriors = forward_layers(cache, x)
                 grad = backward(cache, upstream)
                 masks = (per_layer_dropout_forward(params, x, (2, batch))[1] if keep < 1
@@ -340,41 +340,11 @@ class TestWorkspace:
                 want_p, want_grad = allocating_forward_backward(params, x, masks, upstream)
                 assert np.array_equal(posteriors, want_p)
                 assert np.array_equal(grad, want_grad)
-                assert np.shares_memory(grad, full.grad)
-                assert np.shares_memory(posteriors, full.posteriors)
+                assert np.shares_memory(grad, cache.grad)
                 # the checked public calls run the same helpers on a new workspace
                 p, fresh = forward(params, x, train=True, dropout_seed=(2, batch))
                 assert np.array_equal(p, want_p)
                 assert np.array_equal(backward(fresh, upstream), want_grad)
-
-
-class TestSeededRng:
-    """``seeded_rng`` is ``np.random.default_rng`` built another way."""
-
-    seeds = st.one_of(
-        st.integers(0, 2**32 - 1),
-        st.integers(2**32, 2**80),
-        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
-                  st.integers(0, 2**32 - 1)),
-        st.lists(st.integers(0, 2**70), max_size=4).map(tuple),
-        st.integers(0, 2**32 - 1).map(np.uint32),
-        st.integers(0, 2**63 - 1).map(np.int64),
-        st.tuples(st.integers(0, 2**32 - 1).map(np.int64), st.integers(0, 9)),
-    )
-
-    @given(seed=seeds)
-    def test_same_stream_as_default_rng(self, seed):
-        ours, theirs = seeded_rng(seed), np.random.default_rng(seed)
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        assert np.array_equal(ours.random(5), theirs.random(5))
-        assert np.array_equal(ours.permutation(9), theirs.permutation(9))
-
-    def test_bad_seed_fails_as_default_rng_does(self):
-        for seed in (-1, (1, -2)):
-            with pytest.raises(ValueError):
-                np.random.default_rng(seed)
-            with pytest.raises(ValueError):
-                seeded_rng(seed)
 
 
 class TestPcg64States:
@@ -405,19 +375,25 @@ class TestPcg64States:
     def test_no_seeds_is_an_empty_table(self):
         assert pcg64_states([]).shape == (0, 4)
 
+    def test_bad_seed_fails_as_default_rng_does(self):
+        for seed in (-1, (1, -2)):
+            with pytest.raises(ValueError):
+                np.random.default_rng(seed)
+            with pytest.raises(ValueError):
+                pcg64_states([seed])
+
     def test_masks_drawn_into_a_buffer_equal_fresh_masks(self):
         cfg = ModelConfig(input_dim=4, hidden_sizes=[5, 3], num_classes=3,
                           dropout_keep_prob=0.6)
         params = init_params(cfg)
-        full = ForwardCache(params, 32, train=True)
-        full.kept[:] = 7.0
         for rows in (32, 3):
             _, cache = forward(params, np.zeros((rows, 4)), train=True, dropout_seed=(1, rows))
-            reused = full.shrink(rows)
-            reused.draw_masks(seeded_rng((1, rows)))
+            reused = ForwardCache(params, rows, train=True)
+            reused.kept[:] = 7.0
+            reused.draw_masks(np.random.default_rng((1, rows)))
             assert all(np.array_equal(a, b)
                        for a, b in zip(cache.dropout_masks, reused.dropout_masks))
-            assert all(np.shares_memory(m, full.kept) for m in reused.dropout_masks)
+            assert all(np.shares_memory(m, reused.kept) for m in reused.dropout_masks)
 
 
 def per_layer_dropout_forward(params, x, seed):

@@ -11,7 +11,7 @@ from webly.data import BackgroundSpec, Dataset, NoiseSpec, synth_web_corpus
 from webly.errors import DivergenceError, ValidationError
 from webly.loss import median_frequency_weights, modulated_cross_entropy
 from webly.model import (ModelConfig, ModelParams, backward, forward, init_params, predict,
-                         save_checkpoint, seeded_rng)
+                         save_checkpoint)
 from webly.noise import TransitionMatrix
 from webly.train import (
     ARM_BL1,
@@ -141,7 +141,7 @@ def reference_stage(init, ds, cfg, transitions, renormalize=False):
     n = len(ds)
     for epoch in range(cfg.epochs):
         lr = train.effective_lr(cfg, epoch)
-        order = seeded_rng((cfg.shuffle_seed, epoch)).permutation(n)
+        order = np.random.default_rng((cfg.shuffle_seed, epoch)).permutation(n)
         x, y = ds.X[order], ds.y[order]
         loss_sum = np.zeros(params.flat.shape[:-1])
         for batch, lo in enumerate(range(0, n, cfg.batch_size)):
@@ -230,13 +230,17 @@ class TestFusedStepMatchesReference:
                                 reference_stage(models, self.ds, cfg, transitions)):
             self.assert_matches(result, want)
 
+    def far_row_dataset(self):
+        """``ds`` plus one row far out on feature 3: a member whose feature-3
+        weights are huge overflows its logits on that row's batch, and only
+        there."""
+        return Dataset(ids=[*self.ds.ids, "far"], group_ids=[*self.ds.group_ids, "g0"],
+                       X=np.vstack([self.ds.X, [0.0, 0.0, 0.0, 1e100]]),
+                       y=[*self.ds.y, 0], num_classes=3)
+
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_member_diverging_mid_stage(self, renormalize):
-        # One row far out on feature 3: a member whose feature-3 weights are
-        # huge overflows its logits on that row's batch, and only there.
-        ds = Dataset(ids=[*self.ds.ids, "far"], group_ids=[*self.ds.group_ids, "g0"],
-                     X=np.vstack([self.ds.X, [0.0, 0.0, 0.0, 1e100]]),
-                     y=[*self.ds.y, 0], num_classes=3)
+        ds = self.far_row_dataset()
         good = self.models([], 1.0, 2)
         bad = good[1].copy()
         bad.weights[0][3] *= 1e250
@@ -253,11 +257,8 @@ class TestFusedStepMatchesReference:
 
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_member_diverging_mid_stage_in_hidden_layers(self, renormalize):
-        # As above with three hidden layers and dropout: the stack's hidden
-        # buffers shrink with it when the member leaves.
-        ds = Dataset(ids=[*self.ds.ids, "far"], group_ids=[*self.ds.group_ids, "g0"],
-                     X=np.vstack([self.ds.X, [0.0, 0.0, 0.0, 1e100]]),
-                     y=[*self.ds.y, 0], num_classes=3)
+        # As above with three hidden layers and dropout
+        ds = self.far_row_dataset()
         good = self.models([5, 3, 7], 0.7, 2)
         bad = good[1].copy()
         bad.weights[0][3] *= 1e250
@@ -271,6 +272,36 @@ class TestFusedStepMatchesReference:
         assert not any(isinstance(w, str) for w in (want[0], want[2]))
         for result, expected in zip(got, want):
             self.assert_matches(result, expected)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_two_members_diverging_at_different_steps(self, renormalize, monkeypatch):
+        # One member overflows on the first step, one on the far row's batch;
+        # the stack keeps its shape and stays finite, and the two others
+        # train on.
+        finite = []  # per epoch, whether the whole stack scored is finite
+        monkeypatch.setattr(train, "predict", lambda params, ds: (
+            finite.append(np.isfinite(params.flat).all()) or predict(params, ds)))
+        ds = self.far_row_dataset()
+        good = self.models([5, 3, 7], 0.7, 3)
+        first = ModelParams(good[0].config, [w * 1e200 for w in good[0].weights],
+                            good[0].biases)
+        far = good[1].copy()
+        far.weights[0][3] *= 1e250
+        models = [good[2], first, far, good[1]]
+        rng = np.random.default_rng(5)
+        transitions = [None, None] + [TransitionMatrix(entries=random_transition(3, rng),
+                                                       provenance={}) for _ in range(2)]
+        cfg = TrainConfig(epochs=3, batch_size=8, shuffle_seed=4)
+        got = train_stage(models, ds, cfg, transitions, renormalize)
+        assert finite == [True] * cfg.epochs
+        want = reference_stage(models, ds, cfg, transitions, renormalize)
+        assert "epoch 0, batch 0" in want[1]
+        assert isinstance(want[2], str) and "epoch 0, batch 0" not in want[2]
+        for result, expected in zip(got, want):
+            self.assert_matches(result, expected)
+        for member in (0, 3):
+            alone = train_stage(models[member], ds, cfg, transitions[member], renormalize)
+            self.assert_matches(alone, want[member])
 
 
 class TestLrSchedule:
