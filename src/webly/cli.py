@@ -196,7 +196,7 @@ def load_config(path: str | None) -> dict:
         for section in ("train_web", "train_clean"):  # dropout is set in model only
             if config[section].pop("dropout_keep_prob", None) not in (None, keep):
                 raise ValidationError(f"{section}.dropout_keep_prob must equal model's {keep!r}")
-        dims = 1, 2  # input files are read later: size the model at the smallest dims
+        dims = 1, 2  # cmd_run sizes it again at the input files' dims; here the smallest
         if "synth" in config["data"]:
             clean, _, _ = synth_specs(config["data"]["synth"])
             dims = clean.feature_dim, clean.num_classes
@@ -415,6 +415,14 @@ def cmd_run(args) -> int:
         config["seeds"] = _parse_seeds(args.seed)
     if args.jobs < 1:
         raise ValidationError(f"--jobs {args.jobs}: must be at least 1")
+    data = config["data"]
+    if "synth" not in data:  # size the model at the clean-train CSV's dims before any output
+        train = load_dataset(data["clean_train"])
+        try:
+            _model_config(config, train.feature_dim, train.num_classes, 0)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.config}: model.{exc} (at the dims of "
+                                  f"{data['clean_train']})") from None
     arms, seeds = config["arms"], config["seeds"]
     timestamp = report_timestamp()
 

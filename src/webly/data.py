@@ -8,7 +8,10 @@ each member's true class or the cross-domain sentinel, an evaluation-only
 column that training never reads).  Every member inherits its query's label,
 the only label visible to training.  Invariants are checked once, vectorised,
 when a dataset or corpus is built; the CSV and JSON file formats are those of
-the former per-row model, byte for byte.
+the former per-row model, byte for byte.  The web-corpus reader decodes the
+JSON member by member straight into the columns, so at its peak it holds the
+document text and the finished columns (about twice the file), never a
+member's dict or float objects.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +31,9 @@ INT64_MAX = np.iinfo(np.int64).max
 
 # Reserved hidden-truth marker for bag members that belong to no target class.
 CROSS_DOMAIN = -1
+
+# What a member object of web.json decodes to once load_web_corpus holds its columns
+_MEMBER = object()
 
 
 def _reject(bad: np.ndarray, ids: np.ndarray, message: str, values=None) -> None:
@@ -548,36 +555,51 @@ def save_web_corpus(corpus: WebCorpus, path: str | Path) -> None:
 
 def load_web_corpus(path: str | Path) -> WebCorpus:
     """Read a corpus written by ``save_web_corpus``; any defect of the
-    document raises ParseError naming the path."""
+    document, a boolean feature too, raises ParseError naming the path.
+    A hook packs each member object into the id column and one flat float64
+    buffer (``X``) as soon as it is parsed and leaves a marker in its place,
+    so at its peak the reader holds the document text and the columns."""
+    member_ids, features, widths = [], array("d"), set()
+
+    def pack(obj: dict):
+        if "features" not in obj:
+            return obj
+        row = obj["features"]
+        if bool in map(type, row):
+            raise TypeError("a member feature is a boolean")
+        features.extend(row)
+        widths.add(len(row))
+        member_ids.append(obj["id"])
+        return _MEMBER
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=pack)
         k, d, bags = int(doc["num_classes"]), int(doc["feature_dim"]), list(doc["bags"])
-        members = [member for bag in bags for member in bag["members"]]
-        columns = dict(
-            query_ids=[bag["query_id"] for bag in bags],
-            labels=[int(bag["transferred_label"]) for bag in bags],
-            offsets=np.cumsum([0] + [len(bag["members"]) for bag in bags]),
-            member_ids=[member["id"] for member in members],
-            X=(np.array([member["features"] for member in members]) if members
-               else np.empty((0, max(d, 0)))))
+        sizes = [len(bag["members"]) for bag in bags]
+        packed = sum(bag["members"].count(_MEMBER) for bag in bags)
+        if not packed == sum(sizes) == len(member_ids):  # members only in members lists
+            raise ValueError("a member object lacks features, or another object has them")
         hidden = [bag.get("true_labels_hidden") for bag in bags]
+        columns = dict(query_ids=[bag["query_id"] for bag in bags],
+                       labels=[int(bag["transferred_label"]) for bag in bags],
+                       offsets=np.cumsum([0] + sizes))
         if bags and None not in hidden:
             columns["true_labels_hidden"] = [int(t) for labels in hidden for t in labels]
     except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and ragged rows
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{path}: malformed web corpus document: {exc}") from None
 
-    X = columns["X"]
-    if not all(isinstance(i, str) for i in columns["query_ids"] + columns["member_ids"]):
+    if not {*map(type, columns["query_ids"]), *map(type, member_ids)} <= {str}:
         raise ParseError(f"{path}: query and member ids must be strings")
-    if X.dtype.kind not in "fiu" or d < 1 or X.shape != (len(members), d):
+    if d < 1 or not widths <= {d}:
         raise ParseError(f"{path}: every member needs {d} numeric features")
-    if hidden.count(None) not in (0, len(hidden)) or ("true_labels_hidden" in columns and [
-            len(labels) for labels in hidden] != np.diff(columns["offsets"]).tolist()):
+    if hidden.count(None) not in (0, len(hidden)) or ("true_labels_hidden" in columns
+                                                      and list(map(len, hidden)) != sizes):
         raise ParseError(f"{path}: true_labels_hidden must be null in every bag or "
                          "hold one label per member in every bag")
+    X = np.frombuffer(features, dtype=np.float64).reshape(len(member_ids), d)
     try:
-        return WebCorpus(num_classes=k, **columns)
+        return WebCorpus(num_classes=k, member_ids=member_ids, X=X, **columns)
     except (ValidationError, OverflowError) as exc:   # OverflowError: int64 columns
         raise ParseError(f"{path}: {exc}") from None

@@ -296,6 +296,27 @@ class TestRun:
         assert str(cfg) in err and "model.hidden_sizes" in err
         assert not out.exists()
 
+    def test_file_inputs_sized_at_the_clean_train_dims_before_output(self, tmp_path, capsys):
+        # 2**24 hidden units fit at 1 feature and 2 classes, but not at the
+        # default synth CSVs' 8 features and 5 classes
+        data_dir = tmp_path / "files"
+        assert main(["synth", "--out", str(data_dir)]) == 0
+        (data_dir / "web.json").write_text("not a web corpus")  # never read
+        cfg = tmp_path / "files.json"
+        cfg.write_text(json.dumps({
+            "model": {"hidden_sizes": [2**24]}, "arms": ["BL1"],
+            "data": {"clean_train": str(data_dir / "clean_train.csv"),
+                     "clean_test": str(data_dir / "clean_test.csv"),
+                     "web": str(data_dir / "web.json")}}))
+        assert isinstance(load_config(str(cfg)), dict)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "model.hidden_sizes" in err
+        assert "input_dim 8 and num_classes 5" in err and "clean_train.csv" in err
+        assert "web.json" not in err and not out.exists()
+
     @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
     def test_bad_source_date_epoch_exits_2_without_output(self, tmp_path, capsys,
                                                           monkeypatch, epoch):

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,15 +393,71 @@ class TestWebCorpusJson:
             "truncated": text[:len(text) // 2],
             "non-numeric": text.replace("[0.5,", '["x",'),
             "ragged": text.replace("[0.5,-1.25]", "[0.5]"),
+            "ragged-to-the-same-total": text.replace("[0.5,-1.25]", "[0.5]").replace(
+                "[2.0,3.5]", "[2.0,3.5,7.0]"),
             "non-finite": text.replace("0.5", "Infinity"),
             "hidden-on-some-bags": text.replace("[0,-1]", "null"),
             "numeric-id": text.replace('"q0-w1"', "7"),
+            "boolean-first": text.replace("[0.5,", "[true,"),
+            "boolean-last": text.replace("4.0]", "false]"),
         }
         for name, bad_text in cases.items():
             path = tmp_path / f"{name}.json"
             path.write_text(bad_text)
             with pytest.raises(ParseError, match=re.escape(str(path))):
                 load_web_corpus(path)
+
+    def test_reader_peak_memory_stays_below_three_times_the_file(self, tmp_path):
+        noise = NoiseSpec(cross_category_kernel=np.eye(5), cross_domain_rate=0.2,
+                          bag_size=20, seed=3)
+        web = synth_web_corpus(make_clean(k=5, d=8), noise, BackgroundSpec())
+        p = tmp_path / "web.json"
+        save_web_corpus(web, p)
+        assert len(web.member_ids) == 2000
+        tracemalloc.start()
+        try:
+            load_web_corpus(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * p.stat().st_size
+
+    def test_any_layout_of_the_same_document_loads_to_the_same_columns(self, tmp_path):
+        doc = json.loads(SMALL_WEB_JSON)
+        for bag in doc["bags"]:  # keys out of order, and an extra key holding an object
+            bag["members"] = [{"rank": {"at": i}, "id": m["id"], "features": m["features"]}
+                              for i, m in enumerate(bag["members"])]
+        doc = {"num_classes": 2, "feature_dim": 2,
+               "bags": [dict(reversed(bag.items())) for bag in doc["bags"]]}
+        p1, p2 = tmp_path / "compact.json", tmp_path / "indented.json"
+        p1.write_text(SMALL_WEB_JSON)
+        p2.write_text(json.dumps(doc, indent=2))
+        a, b = load_web_corpus(p1), load_web_corpus(p2)
+        for column in ("query_ids", "labels", "offsets", "member_ids", "X",
+                       "true_labels_hidden"):
+            assert np.array_equal(getattr(a, column), getattr(b, column)), column
+        assert a.X.dtype == b.X.dtype == np.float64
+
+        empty = {**doc, "bags": [{**bag, "members": [], "true_labels_hidden": []}
+                                 for bag in doc["bags"]]}
+        p2.write_text(json.dumps(empty))
+        assert load_web_corpus(p2).X.shape == (0, 2)
+
+    @pytest.mark.parametrize("misplaced", ["on-a-bag", "member-without", "inside-a-member"])
+    def test_features_only_on_member_objects(self, tmp_path, misplaced):
+        doc = json.loads(SMALL_WEB_JSON)
+        bag, member = doc["bags"][1], doc["bags"][1]["members"][0]
+        if misplaced == "on-a-bag":
+            bag["features"] = [1.0, 2.0]
+        elif misplaced == "member-without":
+            del member["features"]
+        else:  # a member-shaped object nested in a member, with another member short
+            member["extra"] = {"features": [1.0, 2.0], "id": "x"}
+            del doc["bags"][0]["members"][0]["features"]
+        path = tmp_path / "web.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            load_web_corpus(path)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
