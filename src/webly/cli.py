@@ -2,7 +2,8 @@
 
 Verbs: ``synth`` writes a synthetic clean split plus a simulated web corpus;
 ``run`` executes experimental arms across seeds into a run directory, one
-seed at a time (data built once, its arms trained together);
+seed at a time (its arms trained together on input files read once per run,
+or on synthetic data built for the seed);
 ``eval`` scores a checkpoint on a dataset; ``estimate-noise`` runs transition
 estimation standalone; ``report`` re-aggregates summaries from existing runs.
 
@@ -355,18 +356,22 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
     return _summary_row(arm, seed, vars(report))
 
 
+def _with_inputs(data: tuple) -> tuple[tuple, dict]:
+    """A seed's (clean_train, clean_test, web) and their fingerprints by name."""
+    return data, {name: None if part is None else fingerprint(part)
+                  for name, part in zip(("clean_train", "clean_test", "web"), data)}
+
+
 def _seed_worker(payload: tuple) -> list[dict]:
-    """Build one seed's data, train its arms together and write their cells;
-    return the summary rows in arm order.  A toolkit or I/O error fails the
-    cells it reaches and the others run on."""
-    config, arms, seed, out_dir, timestamp = payload
+    """Train one seed's arms together on its data and write their cells;
+    return the summary rows in arm order.  The data are the run's input files
+    as ``cmd_run`` read them, or else built for the seed.  A toolkit or I/O
+    error fails the cells it reaches and the others run on."""
+    config, arms, seed, out_dir, timestamp, files = payload
     data = inputs = None
     try:
-        data = build_cell_data(config, seed)
-        clean_train, clean_test, web = data
-        inputs = {"clean_train": fingerprint(clean_train),
-                  "clean_test": fingerprint(clean_test),
-                  "web": fingerprint(web) if web is not None else None}
+        data, inputs = files or _with_inputs(build_cell_data(config, seed))
+        clean_train, _, web = data
         outcomes = run_seed(
             arms, clean_train, web,
             _train_config(config["train_web"], seed),
@@ -415,14 +420,17 @@ def cmd_run(args) -> int:
         config["seeds"] = _parse_seeds(args.seed)
     if args.jobs < 1:
         raise ValidationError(f"--jobs {args.jobs}: must be at least 1")
-    data = config["data"]
-    if "synth" not in data:  # size the model at the clean-train CSV's dims before any output
+    data, files = config["data"], None
+    if "synth" not in data:  # read once before any output, clean_train first to size the model
         train = load_dataset(data["clean_train"])
         try:
             _model_config(config, train.feature_dim, train.num_classes, 0)
         except ValidationError as exc:
             raise ValidationError(f"{args.config}: model.{exc} (at the dims of "
                                   f"{data['clean_train']})") from None
+        test = load_dataset(data["clean_test"], num_classes=train.num_classes)
+        web = load_web_corpus(data["web"]) if data.get("web") else None
+        files = _with_inputs((train, test, web))
     arms, seeds = config["arms"], config["seeds"]
     timestamp = report_timestamp()
 
@@ -438,7 +446,7 @@ def cmd_run(args) -> int:
     for cell_dir in (out_dir / arm / str(seed) for arm in arms for seed in seeds):
         if cell_dir.exists():
             shutil.rmtree(cell_dir)
-    payloads = [(config, arms, seed, str(out_dir), timestamp) for seed in seeds]
+    payloads = [(config, arms, seed, str(out_dir), timestamp, files) for seed in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             seed_rows = list(pool.map(_seed_worker, payloads))
@@ -512,7 +520,10 @@ def cmd_eval(args) -> int:
 def cmd_estimate_noise(args) -> int:
     params = load_checkpoint(args.checkpoint)
     corpus = load_web_corpus(args.web)
-    transition = estimate_transition(params, corpus)
+    try:
+        transition = estimate_transition(params, corpus)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.web}: {exc}") from None
     out_path = Path(args.out or "transition.json")
     save_transition(transition, out_path)
     diag = validate_transition(transition)

@@ -103,7 +103,10 @@ def check_row_stochastic(m: np.ndarray, name: str) -> None:
 
 
 def _repeats(ids: np.ndarray) -> np.ndarray:
-    """Mask of the ids that already occurred earlier in the column."""
+    """Mask of the ids that already occurred earlier in the column; distinct
+    ids, the usual case, are told by one set and give all False."""
+    if len(set(ids)) == len(ids):
+        return np.zeros(len(ids), dtype=bool)
     seen: set[str] = set()
     return np.array([i in seen or seen.add(i) for i in ids], dtype=bool)
 
@@ -165,7 +168,7 @@ class WebCorpus:
     CROSS_DOMAIN for background outliers; training code must never read it.
 
     ``access_count`` ticks every time toolkit code reads the bags for training
-    or estimation (flatten_web, representative mining); it lets experiments
+    or estimation, which both go through ``flatten_web``; it lets experiments
     assert that clean-only stages never touch web data.
     """
 
@@ -315,7 +318,7 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
     The number of classes is inferred as max label + 1 unless ``num_classes``
     overrides it.  Row order is preserved.  Malformed rows raise ParseError
     naming the offending line, as do text that is not UTF-8 and CSV syntax
-    errors; duplicate ids raise ValidationError.
+    errors; duplicate ids raise ValidationError naming the path.
     """
     path = Path(path)
     try:
@@ -373,8 +376,11 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
         raise ValidationError(
             f"{path}: label {inferred_k - 1} exceeds num_classes={k}"
         )
-    return Dataset(ids=ids, group_ids=group_ids, X=X, y=labels, num_classes=k,
-                   name=name if name is not None else path.stem)
+    try:
+        return Dataset(ids=ids, group_ids=group_ids, X=X, y=labels, num_classes=k,
+                       name=name if name is not None else path.stem)
+    except ValidationError as exc:  # a duplicate id
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
@@ -508,8 +514,8 @@ def flatten_web(corpus: WebCorpus) -> Dataset:
     The result is a view: its ``X`` and ``ids`` are the corpus's own arrays,
     and the corpus's construction-time checks stand in for the dataset's.
     """
-    if len(corpus.query_ids) == 0:
-        raise ValidationError("empty corpus")
+    if len(corpus.member_ids) == 0:
+        raise ValidationError(f"empty corpus: {len(corpus.query_ids)} bags and no member")
     corpus.access_count += 1
     flat = object.__new__(Dataset)
     flat.__dict__.update(

@@ -10,8 +10,9 @@ shuffle order is the stream of ``np.random.default_rng((shuffle_seed,
 epoch))`` and a step's dropout masks that of ``(shuffle_seed, epoch,
 batch)``, all seeded at stage start (``model.pcg64_states``).
 
-A stage updates one flat parameter vector in place (``ModelParams.flat``),
-with the gradient and momentum in the same layout.  Dropout is the model's
+Every stage trains a lockstep stack of models of one config: one (M, P)
+parameter array (``ModelParams.stack``), with the gradient and momentum in
+the same layout, and a lone model is a stack of one.  Dropout is the model's
 setting.  Parameters, the transition, the class weights and the dataset are
 checked when they are built, and their fit once at stage start.  A batch is
 one fused step on a workspace allocated once per stage for the full batches
@@ -22,8 +23,8 @@ update, with nothing allocated per step but a few small temporaries.  It
 checks only that the updated parameters are finite.
 
 The arms of one seed train together (``run_seed``): BL1's stage is also the
-oracle, and stages that share the dataset, configs and loss form run in
-lockstep as one (M, P) parameter stack, each member bit-identical to its
+oracle, and in each later phase the arms' stages that share the dataset,
+configs and loss form run as one stack, each member bit-identical to its
 stage run alone.  The stack keeps its shape for the whole stage: a member
 that diverges records its error, and its rows of the parameters and the
 velocity are set to zero so that the stack stays finite.
@@ -140,12 +141,14 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
     config.  Returns a StageResult, or raises DivergenceError.
 
     ``init`` may instead be a list of models of one config, trained in
-    lockstep, with ``transition`` a list of one entry per member.  Every step
-    then draws one shuffle order, batch and set of dropout masks for the whole
-    stack, and each member's numbers are those it gets alone.  The result is
-    a list holding, per member, its StageResult or its first DivergenceError.
-    A diverged member stays in the stack, restarted from zero parameters and
-    velocity and no longer logged, until every member has diverged.
+    lockstep, with ``transition`` a list of one entry per member.  The result
+    is then a list holding, per member, its StageResult or its first
+    DivergenceError.  Every stage trains as such a stack, a lone model as a
+    stack of one: each step draws one shuffle order, batch and set of dropout
+    masks for the whole stack, and each member's numbers are those it gets
+    alone.  A diverged member stays in the stack, restarted from zero
+    parameters and velocity and no longer logged, until every member has
+    diverged.
     """
     solo = isinstance(init, ModelParams)
     members = [init] if solo else list(init)
@@ -154,8 +157,7 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
         raise ValidationError(f"{len(members)} models but {len(transitions)} transitions")
     if len(ds) == 0:
         raise ValidationError("cannot train on an empty dataset")
-    # a single model trains as a plain vector: a stack of one costs more per step
-    params = members[0].copy() if len(members) == 1 else ModelParams.stack(members)
+    params = ModelParams.stack(members)
     if ds.feature_dim != params.config.input_dim or ds.num_classes != params.config.num_classes:
         raise ValidationError("dataset dims do not match model config")
     weights = median_frequency_weights(ds.label_counts())
@@ -163,13 +165,11 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
     for t in transitions:
         if t is not None and t.k != k:
             raise ValidationError(f"transition k={t.k} != num_classes {k}")
-    entries = [np.eye(k) if t is None else t.entries for t in transitions]
     member_t = TransitionMatrix(
-        entries=entries[0] if len(entries) == 1 else np.stack(entries), provenance={})
+        entries=np.stack([np.eye(k) if t is None else t.entries for t in transitions]),
+        provenance={})
 
-    x = ds.X
-    y = ds.y
-    n = len(ds)
+    x, y, n = ds.X, ds.y, len(ds)
     # every epoch's shuffle and every step's dropout stream, seeded up front;
     # one reused generator is rewound to each
     epochs, starts = range(cfg.epochs), range(0, n, cfg.batch_size)
@@ -191,10 +191,10 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
         order = rewind(rng, shuffle_states[epoch]).permutation(n)
         x_epoch, y_epoch = x[order], y[order]
         # each example's transition row and class weight terms, sliced per batch
-        t_epoch, w_epoch = member_t.entries[..., y_epoch, :], weights.w[y_epoch]
+        t_epoch, w_epoch = member_t.entries[:, y_epoch, :], weights.w[y_epoch]
         neg_w, w_over_b = -w_epoch, w_epoch / cfg.batch_size
         w_over_b[starts[-1]:] = w_epoch[starts[-1]:] / last
-        loss_sum = np.zeros(params.flat.shape[:-1])
+        loss_sum = np.zeros(len(members))
         for batch_idx, lo in enumerate(starts):
             hi, cache = lo + cfg.batch_size, step_caches[batch_idx]  # one fused step
             cache.draw_masks(rewind(rng, mask_states[epoch, batch_idx]))
@@ -202,7 +202,7 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
             report = (modulated_cross_entropy(posteriors, y_epoch[lo:hi], member_t, weights,
                                               renormalize=True) if renormalize
                       else modulated_cross_entropy_rows(
-                          posteriors, t_epoch[..., lo:hi, :], neg_w[lo:hi], w_over_b[lo:hi],
+                          posteriors, t_epoch[:, lo:hi, :], neg_w[lo:hi], w_over_b[lo:hi],
                           cache.per_example, cache.logit_grads))
             grad = backward(cache, report.logit_grads)
             grad *= lr
@@ -222,45 +222,15 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
             break
         train_acc = (predict(params, ds).argmax(axis=-1) == y).mean(axis=-1)
         elapsed = time.perf_counter() - epoch_start
-        for log, result, mean_loss, acc in zip(logs, outcome, np.atleast_1d(loss_sum / n),
-                                               np.atleast_1d(train_acc)):
+        for log, result, mean_loss, acc in zip(logs, outcome, loss_sum / n, train_acc):
             if result is None:
-                log.append({
-                    "epoch": epoch,
-                    "lr": lr,
-                    "mean_loss": float(mean_loss),
-                    "train_accuracy": float(acc),
-                    "elapsed_s": elapsed,
-                })
+                log.append({"epoch": epoch, "lr": lr, "mean_loss": float(mean_loss),
+                            "train_accuracy": float(acc), "elapsed_s": elapsed})
     outcome = [result or StageResult(params=member_params, log=log)
                for result, member_params, log in zip(outcome, params.unstack(), logs)]
-    if not solo:
-        return outcome
-    if isinstance(outcome[0], DivergenceError):
+    if solo and isinstance(outcome[0], DivergenceError):
         raise outcome[0]
-    return outcome[0]
-
-
-def _stack_stages(jobs: dict, ds: Dataset, cfg: TrainConfig) -> dict:
-    """Train one stage per arm on ``ds`` under ``cfg``, stacking the stages
-    that share a loss form.
-
-    ``jobs`` maps an arm to (init, transition or None, renormalize), every
-    init of one ModelConfig; the result maps it to its StageResult or the
-    toolkit error that failed its stack or itself.
-    """
-    groups: dict[bool, list[str]] = {}
-    for arm, (_, _, renorm) in jobs.items():
-        groups.setdefault(renorm, []).append(arm)
-    results = {}
-    for renorm, arms in groups.items():
-        try:
-            outcome = train_stage([jobs[a][0] for a in arms], ds, cfg,
-                                  [jobs[a][1] for a in arms], renorm)
-        except WeblyError as exc:
-            outcome = [exc] * len(arms)
-        results.update(zip(arms, outcome))
-    return results
+    return outcome[0] if solo else outcome
 
 
 def run_seed(arms, clean_train: Dataset, web: WebCorpus | None,
@@ -272,13 +242,14 @@ def run_seed(arms, clean_train: Dataset, web: WebCorpus | None,
 
     The clean-only stage is trained once: it is BL1's stage and the
     noise-corrected arm's oracle, so its failure fails both.  The transition
-    is estimated from it, then the web stages of BL2 and the noise-corrected
-    arm run as one lockstep stack, and their clean fine-tunes as another
-    (see ``train_stage``).  The stages of a phase share the dataset,
-    TrainConfig and ModelConfig, and stack when they share the loss form;
-    with ``renormalize`` the two web stages differ in loss form and train one
-    after the other.  A member that diverges fails only its own arm.  Every
-    arm's numbers are those it gets alone.
+    is estimated from it.  Then each phase (web pretrain, clean fine-tune)
+    stacks the live web arms' stages into one ``train_stage`` call per loss
+    form: they share the dataset, TrainConfig and ModelConfig, and with
+    ``renormalize`` the noise-corrected arm's web stage differs in loss form
+    and trains on its own.  A member that diverges fails only its own arm,
+    and a web corpus that cannot be flattened only the web arms.  Every arm's
+    numbers are those it gets alone, and its ``web_access_log`` counts the
+    corpus's reads from this call's start.
 
     ``transition_override`` is a diagnostic hook that replaces the estimated
     transition in the noise-corrected arm (and skips oracle training when no
@@ -290,13 +261,14 @@ def run_seed(arms, clean_train: Dataset, web: WebCorpus | None,
             raise ValidationError(f"unknown arm {arm!r}; expected one of {ARMS}")
     failed: dict[str, WeblyError] = {}
     access_logs: dict[str, list[tuple[str, int]]] = {arm: [] for arm in arms}
+    start = getattr(web, "access_count", 0)
 
     def live(*names):
         return [arm for arm in arms if arm in names and arm not in failed]
 
     def snapshot(phase: str, names) -> None:
         for arm in names:
-            access_logs[arm].append((phase, web.access_count if web is not None else 0))
+            access_logs[arm].append((phase, getattr(web, "access_count", 0) - start))
 
     snapshot("start", arms)
     if web is None:
@@ -323,21 +295,31 @@ def run_seed(arms, clean_train: Dataset, web: WebCorpus | None,
 
     web_arms = live(ARM_BL2, ARM_PROPOSED)
     stages: dict[str, list[StageResult]] = {arm: [] for arm in web_arms}
+    phases = []  # each with its dataset, config and the arms on the modulated loss
     if web_arms:
-        web_flat = flatten_web(web)
-        init = init_params(model_cfg)
-        jobs = {arm: (init, None, False) for arm in web_arms}
-        if ARM_PROPOSED in jobs:
-            jobs[ARM_PROPOSED] = (init, transition, renormalize)
-        for phase, ds, cfg in (("after_web_stage", web_flat, cfg_web),
-                               ("after_clean_stage", clean_train, cfg_clean)):
-            for arm, result in _stack_stages(jobs, ds, cfg).items():
+        try:
+            phases = [("after_web_stage", flatten_web(web), cfg_web, {ARM_PROPOSED: transition}),
+                      ("after_clean_stage", clean_train, cfg_clean, {})]
+        except WeblyError as exc:
+            failed.update(dict.fromkeys(web_arms, exc))
+        params = dict.fromkeys(web_arms, init_params(model_cfg))
+    for phase, ds, cfg, modulated in phases:
+        groups: dict[bool, list[str]] = {}  # one stack per loss form
+        for arm in live(*web_arms):
+            groups.setdefault(renormalize and arm in modulated, []).append(arm)
+        for renorm, group in groups.items():
+            try:
+                results = train_stage([params[arm] for arm in group], ds, cfg,
+                                      [modulated.get(arm) for arm in group], renorm)
+            except WeblyError as exc:
+                results = [exc] * len(group)
+            for arm, result in zip(group, results):
                 if isinstance(result, WeblyError):
                     failed[arm] = result
                 else:
                     stages[arm].append(result)
-            snapshot(phase, live(*web_arms))
-            jobs = {arm: (stages[arm][-1].params, None, False) for arm in live(*web_arms)}
+                    params[arm] = result.params
+        snapshot(phase, live(*web_arms))
 
     outcome: dict = {}
     for arm in arms:

@@ -390,6 +390,80 @@ class TestRun:
                 b = parallel / arm / seed / "stage1" / "checkpoint.wslckpt"
                 assert a.read_bytes() == b.read_bytes()
 
+    def file_config(self, tmp_path, **overrides):
+        """A tiny synth config's data written to files, and a config reading them."""
+        data_dir = tmp_path / "files"
+        assert main(["synth", "--config", str(tiny_config(tmp_path)),
+                     "--out", str(data_dir)]) == 0
+        config = json.loads((tmp_path / "config.json").read_text())
+        config["data"] = {"clean_train": str(data_dir / "clean_train.csv"),
+                          "clean_test": str(data_dir / "clean_test.csv"),
+                          "web": str(data_dir / "web.json")}
+        config.update(overrides)
+        cfg = tmp_path / "files.json"
+        cfg.write_text(json.dumps(config))
+        return cfg, data_dir
+
+    def test_file_inputs_read_once_per_run(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        cfg, _ = self.file_config(tmp_path, arms=["BL1", "BL2", "Proposed"],
+                                  seeds=[0, 1, 2])
+        reads = []
+        for name in ("load_web_corpus", "load_dataset"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real, name=name, **k: (
+                reads.append(name) or real(*a, **k)))
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        assert main(["run", "--config", str(cfg), "--out", str(serial)]) == 0
+        assert sorted(reads) == ["load_dataset"] * 2 + ["load_web_corpus"]
+        assert main(["run", "--config", str(cfg), "--out", str(parallel),
+                     "--jobs", "2"]) == 0
+        files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*")
+                               if p.is_file())
+        # the config and summary, then per seed the cells of BL1, BL2 and Proposed
+        assert len(files) == 2 + 3 * (5 + 7 + 8)
+        for rel in files:
+            a, b = (serial / rel).read_bytes(), (parallel / rel).read_bytes()
+            if rel.name == "log.jsonl":
+                a, b = ([{k: v for k, v in json.loads(line).items() if k != "elapsed_s"}
+                         for line in text.splitlines()] for text in (a, b))
+            if rel.name != "effective_config.json":  # holds the output directory
+                assert a == b, rel
+        for seed in ("1", "2"):
+            prov = json.loads((serial / "BL2" / seed / "provenance.json").read_text())
+            assert dict(prov["web_access_log"]) == {
+                "start": 0, "after_web_stage": 2, "after_clean_stage": 2}
+
+    @pytest.mark.parametrize("name", ["web.json", "clean_test.csv"])
+    def test_malformed_input_file_exits_2_without_output(self, tmp_path, capsys, name):
+        cfg, data_dir = self.file_config(tmp_path, arms=["BL1"], seeds=[0, 1])
+        path = data_dir / name
+        if name == "web.json":
+            path.write_text("not a web corpus")
+        else:  # a repeated example id
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines + lines[-1:]) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memberless_web_corpus_fails_only_the_web_arms(self, tmp_path):
+        cfg, data_dir = self.file_config(tmp_path, arms=["BL1", "BL2", "Proposed"])
+        doc = json.loads((data_dir / "web.json").read_text())
+        for bag in doc["bags"]:
+            bag["members"], bag["true_labels_hidden"] = [], []
+        (data_dir / "web.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = {r["arm"]: r for r in read_summary(out / "summary.csv")}
+        assert rows["BL1"]["status"] == "ok"
+        for arm in ("BL2", "Proposed"):
+            assert rows[arm]["status"] == "failed"
+            assert "empty corpus" in rows[arm]["error"]
+
 
 class TestEval:
     def prepare_run(self, tmp_path):
@@ -464,6 +538,22 @@ class TestEstimateNoise:
         assert main(["estimate-noise", "--checkpoint", str(ckpt),
                      "--web", str(data_dir / "web.json"), "--out", str(t2)]) == 0
         assert t1.read_bytes() == t2.read_bytes()
+
+    def test_memberless_corpus_exits_2_naming_the_file(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.wslckpt"
+        save_checkpoint(init_params(ModelConfig(input_dim=2, hidden_sizes=[3],
+                                                num_classes=2)), ckpt)
+        web = tmp_path / "web.json"
+        web.write_text(json.dumps({"bags": [
+            {"members": [], "query_id": f"q{c}", "transferred_label": c,
+             "true_labels_hidden": []} for c in range(2)],
+            "feature_dim": 2, "num_classes": 2}))
+        out = tmp_path / "t.json"
+        assert main(["estimate-noise", "--checkpoint", str(ckpt), "--web", str(web),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(web) in err and "empty corpus" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestReport:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_clean_dataset, random_transition
 from webly import train
-from webly.data import BackgroundSpec, Dataset, NoiseSpec, synth_web_corpus
+from webly.data import BackgroundSpec, Dataset, NoiseSpec, WebCorpus, synth_web_corpus
 from webly.errors import DivergenceError, ValidationError
 from webly.loss import median_frequency_weights, modulated_cross_entropy
 from webly.model import (ModelConfig, ModelParams, backward, forward, init_params, predict,
@@ -534,6 +534,47 @@ class TestRunSeed:
         monkeypatch.undo()
         for arm in (ARM_BL1, ARM_BL2):
             self.assert_same_arm(together[arm], self.alone(arm))
+
+    @pytest.mark.parametrize("bag_count", [0, 2])
+    def test_web_corpus_without_members_fails_only_the_web_arms(self, bag_count):
+        empty = WebCorpus(query_ids=[f"q{b}" for b in range(bag_count)],
+                          labels=[0] * bag_count, offsets=[0] * (bag_count + 1),
+                          member_ids=[], X=np.empty((0, 4)), num_classes=3)
+        together = run_seed(ARMS, self.clean, empty, *self.args)
+        self.assert_same_arm(together[ARM_BL1], self.alone(ARM_BL1))
+        for arm in (ARM_BL2, ARM_PROPOSED):
+            assert isinstance(together[arm], ValidationError)
+            assert "empty corpus" in str(together[arm])
+        # with a given transition the noise-corrected arm reaches the web stage
+        identity = TransitionMatrix(entries=np.eye(3), provenance={})
+        web_only = run_seed([ARM_BL2, ARM_PROPOSED], self.clean, empty, *self.args,
+                            transition_override=identity)
+        assert all("empty corpus" in str(web_only[arm]) for arm in (ARM_BL2, ARM_PROPOSED))
+
+    def test_hidden_true_labels_are_never_read(self):
+        web = self.web
+        permuted = np.random.default_rng(0).permutation(web.true_labels_hidden)
+        assert not np.array_equal(permuted, web.true_labels_hidden)
+        shuffled = WebCorpus(query_ids=web.query_ids, labels=web.labels,
+                             offsets=web.offsets, member_ids=web.member_ids, X=web.X,
+                             num_classes=web.num_classes, true_labels_hidden=permuted)
+        got = run_seed(ARMS, self.clean, shuffled, *self.args)
+        want = run_seed(ARMS, self.clean, make_web(self.clean), *self.args)
+        for arm in ARMS:
+            (_, result), (_, expected) = got[arm], want[arm]
+            assert [s.params.flat.tobytes() for s in result.stages] == [
+                s.params.flat.tobytes() for s in expected.stages]
+            assert result.web_access_log == expected.web_access_log
+        transitions = [r[1].transition for r in (got[ARM_PROPOSED], want[ARM_PROPOSED])]
+        assert transitions[0].entries.tobytes() == transitions[1].entries.tobytes()
+        assert transitions[0].provenance == transitions[1].provenance
+
+    def test_web_access_log_counts_from_the_call_start(self):
+        first = run_seed(ARMS, self.clean, self.web, *self.args)
+        again = run_seed(ARMS, self.clean, self.web, *self.args)
+        assert self.web.access_count == 4
+        for arm in ARMS:
+            assert again[arm][1].web_access_log == first[arm][1].web_access_log
 
 
 class TestTrainConfigValidation:
