@@ -278,15 +278,9 @@ def build_synth_data(spec: dict, seed_offset: int = 0
     return clean_train, clean_test, synth_web_corpus(clean_train, crawl, background)
 
 
-def build_cell_data(config: dict, seed: int
-                    ) -> tuple[Dataset, Dataset, WebCorpus | None]:
-    data = config["data"]
-    if "synth" in data:
-        return build_synth_data(data["synth"], seed_offset=seed)
-    clean_train = load_dataset(data["clean_train"])
-    clean_test = load_dataset(data["clean_test"], num_classes=clean_train.num_classes)
-    web = load_web_corpus(data["web"]) if data.get("web") else None
-    return clean_train, clean_test, web
+def build_cell_data(config: dict, seed: int) -> tuple[Dataset, Dataset, WebCorpus]:
+    """The seed's synthetic (clean_train, clean_test, web) from ``data.synth``."""
+    return build_synth_data(config["data"]["synth"], seed_offset=seed)
 
 
 # A checked section's keys are its dataclass's fields; seeds offset by the run's.
@@ -364,9 +358,9 @@ def _with_inputs(data: tuple) -> tuple[tuple, dict]:
 
 def _seed_worker(payload: tuple) -> list[dict]:
     """Train one seed's arms together on its data and write their cells;
-    return the summary rows in arm order.  The data are the run's input files
-    as ``cmd_run`` read them, or else built for the seed.  A toolkit or I/O
-    error fails the cells it reaches and the others run on."""
+    return the summary rows in arm order.  The data are ``files`` as
+    ``cmd_run`` read them, or else the seed's synthetic data.  A toolkit or
+    I/O error fails the cells it reaches and the others run on."""
     config, arms, seed, out_dir, timestamp, files = payload
     data = inputs = None
     try:

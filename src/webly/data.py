@@ -103,9 +103,8 @@ def check_row_stochastic(m: np.ndarray, name: str) -> None:
 
 
 def _repeats(ids: np.ndarray) -> np.ndarray:
-    """Mask of the ids that already occurred earlier in the column; distinct
-    ids, the usual case, are told by one set and give all False."""
-    if len(set(ids)) == len(ids):
+    """Mask of the ids that already occurred earlier in the column."""
+    if len(set(ids)) == len(ids):  # distinct ids, the usual case, need only one set
         return np.zeros(len(ids), dtype=bool)
     seen: set[str] = set()
     return np.array([i in seen or seen.add(i) for i in ids], dtype=bool)

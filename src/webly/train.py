@@ -169,7 +169,9 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
         entries=np.stack([np.eye(k) if t is None else t.entries for t in transitions]),
         provenance={})
 
-    x, y, n = ds.X, ds.y, len(ds)
+    x = ds.X
+    y = ds.y
+    n = len(ds)
     # every epoch's shuffle and every step's dropout stream, seeded up front;
     # one reused generator is rewound to each
     epochs, starts = range(cfg.epochs), range(0, n, cfg.batch_size)
@@ -224,8 +226,13 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
         elapsed = time.perf_counter() - epoch_start
         for log, result, mean_loss, acc in zip(logs, outcome, loss_sum / n, train_acc):
             if result is None:
-                log.append({"epoch": epoch, "lr": lr, "mean_loss": float(mean_loss),
-                            "train_accuracy": float(acc), "elapsed_s": elapsed})
+                log.append({
+                    "epoch": epoch,
+                    "lr": lr,
+                    "mean_loss": float(mean_loss),
+                    "train_accuracy": float(acc),
+                    "elapsed_s": elapsed,
+                })
     outcome = [result or StageResult(params=member_params, log=log)
                for result, member_params, log in zip(outcome, params.unstack(), logs)]
     if solo and isinstance(outcome[0], DivergenceError):
@@ -300,9 +307,9 @@ def run_seed(arms, clean_train: Dataset, web: WebCorpus | None,
         try:
             phases = [("after_web_stage", flatten_web(web), cfg_web, {ARM_PROPOSED: transition}),
                       ("after_clean_stage", clean_train, cfg_clean, {})]
+            params = dict.fromkeys(web_arms, init_params(model_cfg))
         except WeblyError as exc:
             failed.update(dict.fromkeys(web_arms, exc))
-        params = dict.fromkeys(web_arms, init_params(model_cfg))
     for phase, ds, cfg, modulated in phases:
         groups: dict[bool, list[str]] = {}  # one stack per loss form
         for arm in live(*web_arms):
