@@ -371,7 +371,7 @@ def _seed_worker(payload: tuple) -> list[dict]:
             _train_config(config["train_web"], seed),
             _train_config(config["train_clean"], seed),
             _model_config(config, clean_train.feature_dim, clean_train.num_classes, seed),
-            renormalize=config["loss"]["renormalize_modulated"])
+            renormalize=config["loss"]["renormalize_modulated"], web_fingerprint=inputs["web"])
     except (WeblyError, OSError) as exc:
         outcomes = dict.fromkeys(arms, exc)
     rows = []

@@ -1,17 +1,17 @@
 """Datasets, web corpora, file ingestion, grouped splitting, and synthetic generators.
 
 Data is held in columns.  The clean corpus is a ``Dataset``: ids, group ids,
-an (N, D) feature matrix and a label vector.  The web corpus is a collection
-of per-query bags stored as per-bag columns (query id, transferred label) and
-bag offsets into one flat member table (ids, features, and for synthetic bags
-each member's true class or the cross-domain sentinel, an evaluation-only
-column that training never reads).  Every member inherits its query's label,
-the only label visible to training.  Invariants are checked once, vectorised,
-when a dataset or corpus is built; the CSV and JSON file formats are those of
-the former per-row model, byte for byte.  The web-corpus reader decodes the
-JSON member by member straight into the columns, so at its peak it holds the
-document text and the finished columns (about twice the file), never a
-member's dict or float objects.
+an (N, D) feature matrix and a label vector.  The web corpus holds per-query
+bags as columns (query id, transferred label) and bag offsets into one flat
+member table (ids, features, and for synthetic bags each member's true class
+or the cross-domain sentinel, an evaluation-only column training never reads).
+Every member inherits its query's label, the only label training sees.
+Invariants are checked once, vectorised, when a dataset or corpus is built.
+The synthetic crawl draws its random numbers bag by bag, then computes all
+members at once.  The file formats are those of the former per-row model, byte
+for byte: ``web.json`` is written one bag's text at a time, with no member
+dicts, and read member by member into the columns, so the reader's peak is the
+text and the columns (about twice the file), never a member's dict or floats.
 """
 
 from __future__ import annotations
@@ -387,8 +387,7 @@ def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_expected_header(ds.feature_dim))
-        writer.writerows([ex_id, group_id, str(label)] + [repr(v) for v in row]
-                         for ex_id, group_id, label, row
+        writer.writerows([ex_id, group_id, label, *row] for ex_id, group_id, label, row
                          in zip(ds.ids, ds.group_ids, ds.y.tolist(), ds.X.tolist()))
 
 
@@ -477,7 +476,7 @@ def synth_web_corpus(clean_train: Dataset, noise: NoiseSpec,
     features from that class's empirical Gaussian model.  Members carry only
     the transferred label; true classes go to ``true_labels_hidden``.  Draws
     are made bag by bag in query order, so the corpus depends on the seed and
-    the query order alone.
+    the query order alone; all members' features are then computed at once.
     """
     if len(clean_train) == 0:
         raise ValidationError("clean_train is empty")
@@ -487,24 +486,30 @@ def synth_web_corpus(clean_train: Dataset, noise: NoiseSpec,
     center = clean_train.X.mean(axis=0) + np.asarray(background.mean_offset)
 
     rng = np.random.default_rng(noise.seed)
-    m = noise.bag_size
-    n = len(clean_train)
-    kernel_cum = np.cumsum(noise.cross_category_kernel, axis=1)
+    m, n = noise.bag_size, len(clean_train)
     X = np.empty((n * m, clean_train.feature_dim))
-    hidden = np.empty(n * m, dtype=np.int64)
-    for b, y in enumerate(clean_train.y.tolist()):
-        outlier = rng.random(m) < noise.cross_domain_rate
-        classes = np.searchsorted(kernel_cum[y], rng.random(m)).clip(max=k - 1)
-        unit = rng.standard_normal((m, clean_train.feature_dim))
-
-        loc = np.where(outlier[:, None], center, means[classes])
-        scale = np.where(outlier, background.scale, stds[classes])
-        X[b * m:(b + 1) * m] = loc + unit * scale[:, None]
-        hidden[b * m:(b + 1) * m] = np.where(outlier, CROSS_DOMAIN, classes)
-    member_ids = [f"{q}-w{i}" for q in clean_train.ids for i in range(m)]
+    row = np.empty((n, m), dtype=np.int64)  # each member's row of the tables below
+    draws, outlier = row.view(np.float64), np.empty((n, m))  # row first holds class draws
+    for b in range(n):  # per bag: the outlier draws, the class draws, the unit normals
+        rng.random(out=outlier[b])
+        rng.random(out=draws[b])
+        rng.standard_normal(out=X[b * m:(b + 1) * m])
+    outlier = (outlier < noise.cross_domain_rate).ravel()
+    kernel_cum = np.cumsum(noise.cross_category_kernel, axis=1)
+    for y in range(k):  # one kernel-row lookup per transferred label
+        bags = clean_train.y == y
+        row[bags] = np.searchsorted(kernel_cum[y], draws[bags])
+    row = row.clip(max=k - 1, out=row).ravel()
+    row[outlier] = k  # row k of the tables: the background's
+    scales, locs = np.append(stds, background.scale), np.vstack([means, center])
+    for at in (slice(lo, lo + 1024) for lo in range(0, n * m, 1024)):  # bounded temporaries
+        X[at] *= scales[row[at], None]
+        X[at] += locs[row[at]]
+    row[outlier] = CROSS_DOMAIN  # the rows are now the hidden labels
+    member_ids = np.add.outer(clean_train.ids, np.array([f"-w{i}" for i in range(m)], object))
     return WebCorpus(query_ids=clean_train.ids, labels=clean_train.y,
-                     offsets=np.arange(n + 1) * m, member_ids=member_ids, X=X,
-                     num_classes=k, true_labels_hidden=hidden)
+                     offsets=np.arange(n + 1) * m, member_ids=member_ids.ravel(), X=X,
+                     num_classes=k, true_labels_hidden=row)
 
 
 def flatten_web(corpus: WebCorpus) -> Dataset:
@@ -538,22 +543,22 @@ def canonical_json(doc) -> str:
 
 
 def save_web_corpus(corpus: WebCorpus, path: str | Path) -> None:
-    """Write the corpus one bag at a time, so no second copy of it is built."""
-    offsets = corpus.offsets.tolist()
-    labels = corpus.labels.tolist()
+    """Write the corpus one bag at a time, so no second copy of it is built; a
+    bag's text is its ``canonical_json``, built directly with no member dicts."""
+    offsets, labels = corpus.offsets.tolist(), corpus.labels.tolist()
     hidden = corpus.true_labels_hidden
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    string = json.encoder.encode_basestring_ascii
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"bags":[')
         for b, query_id in enumerate(corpus.query_ids):
             lo, hi = offsets[b], offsets[b + 1]
-            members = [{"features": row, "id": member_id} for member_id, row
-                       in zip(corpus.member_ids[lo:hi], corpus.X[lo:hi].tolist())]
-            fh.write(("," if b else "") + canonical_json({
-                "members": members,
-                "query_id": query_id,
-                "transferred_label": labels[b],
-                "true_labels_hidden": None if hidden is None else hidden[lo:hi].tolist(),
-            }))
+            rows = encode(corpus.X[lo:hi].tolist())[2:-2].split("],[")  # floats hold no "]"
+            members = ",".join([f'{{"features":[{row}],"id":{string(member_id)}}}'
+                                for member_id, row in zip(corpus.member_ids[lo:hi], rows)])
+            tail = "null" if hidden is None else encode(hidden[lo:hi].tolist())
+            fh.write(f'{"," if b else ""}{{"members":[{members}],"query_id":{string(query_id)},'
+                     f'"transferred_label":{labels[b]},"true_labels_hidden":{tail}}}')
         fh.write(f'],"feature_dim":{corpus.X.shape[1]},'
                  f'"num_classes":{corpus.num_classes}}}')
 

@@ -214,5 +214,5 @@ def write_features_csv(ids: list[str], features: np.ndarray,
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"f{i}" for i in range(features.shape[1])])
-        for ex_id, row in zip(ids, features):
-            writer.writerow([ex_id] + [repr(float(v)) for v in row])
+        writer.writerows([ex_id, *row] for ex_id, row
+                         in zip(ids, features.astype(np.float64, copy=False).tolist()))

@@ -45,12 +45,14 @@ class TransitionDiagnostics:
     entries: np.ndarray
 
 
-def estimate_transition(oracle: ModelParams, corpus: WebCorpus) -> TransitionMatrix:
+def estimate_transition(oracle: ModelParams, corpus: WebCorpus,
+                        corpus_fingerprint: str | None = None) -> TransitionMatrix:
     """Stack the oracle's posteriors on the class representatives as rows.
 
     One ``predict`` pass scores every member in flattened corpus order; exact
     ties go to the lowest flattened index.  The matrix is estimated once,
-    globally; callers hold it fixed during training.
+    globally; callers hold it fixed during training.  A caller that already
+    holds ``fingerprint(corpus)`` passes it, so the corpus is not hashed again.
     """
     if oracle.config.num_classes != corpus.num_classes:
         raise ValidationError(
@@ -62,7 +64,7 @@ def estimate_transition(oracle: ModelParams, corpus: WebCorpus) -> TransitionMat
     reps = posteriors.argmax(axis=0)
     provenance = {
         "oracle": fingerprint(oracle),
-        "corpus": fingerprint(corpus),
+        "corpus": corpus_fingerprint or fingerprint(corpus),
         "representatives": {str(c): flat.ids[i] for c, i in enumerate(reps.tolist())},
     }
     return TransitionMatrix(entries=posteriors[reps], provenance=provenance)

@@ -243,18 +243,19 @@ def train_stage(init, ds: Dataset, cfg: TrainConfig, transition=None,
 def run_seed(arms, clean_train: Dataset, web: WebCorpus | None,
              cfg_web: TrainConfig, cfg_clean: TrainConfig, model_cfg: ModelConfig,
              transition_override: TransitionMatrix | None = None,
-             renormalize: bool = False) -> dict:
+             renormalize: bool = False, web_fingerprint: str | None = None) -> dict:
     """Train the given arms of one seed together; map each arm to
     (final params, ArmResult) or to the toolkit error that failed it.
 
     The clean-only stage is trained once: it is BL1's stage and the
     noise-corrected arm's oracle, so its failure fails both.  The transition
-    is estimated from it.  Then each phase (web pretrain, clean fine-tune)
+    is estimated from it, taking ``web_fingerprint``, if given, as the
+    corpus's ``fingerprint``.  Then each phase (web pretrain, clean fine-tune)
     stacks the live web arms' stages into one ``train_stage`` call per loss
     form: they share the dataset, TrainConfig and ModelConfig, and with
     ``renormalize`` the noise-corrected arm's web stage differs in loss form
-    and trains on its own.  A member that diverges fails only its own arm,
-    and a web corpus that cannot be flattened only the web arms.  Every arm's
+    and trains on its own.  A member that diverges fails only its own arm, and
+    a web corpus that cannot be flattened only the web arms.  Every arm's
     numbers are those it gets alone, and its ``web_access_log`` counts the
     corpus's reads from this call's start.
 
@@ -295,7 +296,7 @@ def run_seed(arms, clean_train: Dataset, web: WebCorpus | None,
     if live(ARM_PROPOSED):
         if transition is None:
             try:
-                transition = estimate_transition(clean_stage.params, web)
+                transition = estimate_transition(clean_stage.params, web, web_fingerprint)
             except WeblyError as exc:
                 failed[ARM_PROPOSED] = exc
         snapshot("after_estimation", live(ARM_PROPOSED))

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from webly import cli
+from webly import cli, metrics, noise
 from webly.cli import DEFAULT_CONFIG, load_config, main
 from webly.data import (
+    WebCorpus,
     canonical_json,
     load_dataset,
     load_web_corpus,
@@ -463,6 +464,25 @@ class TestRun:
         for arm in ("BL2", "Proposed"):
             assert rows[arm]["status"] == "failed"
             assert "empty corpus" in rows[arm]["error"]
+
+    @pytest.mark.parametrize("source", ["files", "synth"])
+    def test_web_corpus_hashed_once_per_run_or_per_seed(self, tmp_path, monkeypatch, source):
+        arms, seeds = ["BL1", "BL2", "Proposed"], [0, 1, 2]
+        if source == "files":
+            cfg, _ = self.file_config(tmp_path, arms=arms, seeds=seeds)
+        else:
+            cfg = tiny_config(tmp_path, arms=arms, seeds=seeds)
+        hashed = []
+        for module in (cli, metrics, noise):  # every module that imports fingerprint
+            real = module.fingerprint
+            monkeypatch.setattr(module, "fingerprint", lambda obj, real=real: (
+                hashed.append(obj) if isinstance(obj, WebCorpus) else None) or real(obj))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(hashed) == (1 if source == "files" else len(seeds))
+        for seed in seeds:
+            prov = json.loads((out / "Proposed" / str(seed) / "provenance.json").read_text())
+            assert prov["transition_provenance"]["corpus"] == prov["inputs"]["web"]
 
 
 class TestEval:

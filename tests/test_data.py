@@ -16,6 +16,8 @@ from webly.data import (
     Dataset,
     NoiseSpec,
     WebCorpus,
+    _class_models,
+    canonical_json,
     flatten_web,
     grouped_split,
     load_dataset,
@@ -298,6 +300,73 @@ class TestSynthWebCorpus:
                       bag_size=0, seed=0)
 
 
+def reference_synth_web_corpus(clean_train, noise, background):
+    """The per-bag form of ``synth_web_corpus``: each bag's members are drawn
+    and computed together, one bag after another."""
+    k = clean_train.num_classes
+    means, stds = _class_models(clean_train)
+    center = clean_train.X.mean(axis=0) + np.asarray(background.mean_offset)
+    rng = np.random.default_rng(noise.seed)
+    m, n = noise.bag_size, len(clean_train)
+    kernel_cum = np.cumsum(noise.cross_category_kernel, axis=1)
+    X = np.empty((n * m, clean_train.feature_dim))
+    hidden = np.empty(n * m, dtype=np.int64)
+    for b, y in enumerate(clean_train.y.tolist()):
+        outlier = rng.random(m) < noise.cross_domain_rate
+        classes = np.searchsorted(kernel_cum[y], rng.random(m)).clip(max=k - 1)
+        unit = rng.standard_normal((m, clean_train.feature_dim))
+        loc = np.where(outlier[:, None], center, means[classes])
+        scale = np.where(outlier, background.scale, stds[classes])
+        X[b * m:(b + 1) * m] = loc + unit * scale[:, None]
+        hidden[b * m:(b + 1) * m] = np.where(outlier, CROSS_DOMAIN, classes)
+    member_ids = [f"{q}-w{i}" for q in clean_train.ids for i in range(m)]
+    return X, hidden, member_ids
+
+
+PAIR_FLIP = [[0.6, 0.4, 0.0], [0.0, 0.6, 0.4], [0.4, 0.0, 0.6]]
+
+
+class TestSynthReference:
+    """The all-members-at-once synth against its per-bag form: the same
+    feature bytes, hidden labels and member ids."""
+
+    @pytest.mark.parametrize("k, d, kernel, rate, bag_size, background", [
+        (3, 3, np.full((3, 3), 1 / 3), 0.3, 1, BackgroundSpec()),
+        (3, 3, np.full((3, 3), 1 / 3), 0.0, 5, BackgroundSpec()),
+        (3, 3, np.full((3, 3), 1 / 3), 1.0, 5, BackgroundSpec(scale=0.5)),
+        (3, 3, PAIR_FLIP, 0.2, 4, BackgroundSpec()),
+        (2, 2, [[0.7, 0.3], [0.2, 0.8]], 0.25, 6, BackgroundSpec(mean_offset=-3.0)),
+        (3, 1, PAIR_FLIP, 0.2, 3, BackgroundSpec(scale=2)),
+        (3, 3, PAIR_FLIP, 0.4, 3, BackgroundSpec(mean_offset=[1.0, -2.0, 0.5], scale=0.7)),
+    ], ids=["bag-size-1", "rate-0", "rate-1", "pair-flip", "two-classes",
+            "one-feature", "vector-offset"])
+    def test_matches_the_per_bag_loop(self, k, d, kernel, rate, bag_size, background):
+        clean = make_clean(k=k, per_class=15, d=d, seed=k + d)
+        clean = clean.take(np.random.default_rng(d).permutation(len(clean)), "mixed")
+        noise = NoiseSpec(cross_category_kernel=kernel, cross_domain_rate=rate,
+                          bag_size=bag_size, seed=13)
+        web = synth_web_corpus(clean, noise, background)
+        X, hidden, member_ids = reference_synth_web_corpus(clean, noise, background)
+        assert web.X.tobytes() == X.tobytes()
+        assert web.true_labels_hidden.tolist() == hidden.tolist()
+        assert web.member_ids.tolist() == member_ids
+        if rate in (0.0, 1.0):
+            assert ((hidden == CROSS_DOMAIN).all() if rate else (hidden >= 0).all())
+
+    def test_transient_memory_stays_below_twice_the_features(self):
+        clean = make_clean(k=5, per_class=340, d=8)
+        noise = NoiseSpec(cross_category_kernel=np.full((5, 5), 0.2),
+                          cross_domain_rate=0.2, bag_size=20, seed=3)
+        tracemalloc.start()
+        try:
+            web = synth_web_corpus(clean, noise, BackgroundSpec(mean_offset=6.0, scale=1.5))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(web.member_ids) == 34_000
+        assert peak - held <= 2 * web.X.nbytes
+
+
 class TestFlattenWeb:
     def build(self, bag_size=5):
         # three queries (one per class), one bag each
@@ -481,6 +550,123 @@ class TestWebCorpusJson:
             load_web_corpus(path)
         except WeblyError:
             pass
+
+
+def reference_save_web_corpus(corpus, path):
+    """The per-bag writer that built each bag as member dicts and wrote its
+    ``canonical_json``."""
+    offsets = corpus.offsets.tolist()
+    labels = corpus.labels.tolist()
+    hidden = corpus.true_labels_hidden
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"bags":[')
+        for b, query_id in enumerate(corpus.query_ids):
+            lo, hi = offsets[b], offsets[b + 1]
+            members = [{"features": row, "id": member_id} for member_id, row
+                       in zip(corpus.member_ids[lo:hi], corpus.X[lo:hi].tolist())]
+            fh.write(("," if b else "") + canonical_json({
+                "members": members,
+                "query_id": query_id,
+                "transferred_label": labels[b],
+                "true_labels_hidden": None if hidden is None else hidden[lo:hi].tolist(),
+            }))
+        fh.write(f'],"feature_dim":{corpus.X.shape[1]},'
+                 f'"num_classes":{corpus.num_classes}}}')
+
+
+def reference_write_dataset_csv(ds, path):
+    """The CSV writer that formatted every float with ``repr`` itself."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "group_id", "label"] + [f"f{i}" for i in range(ds.feature_dim)])
+        writer.writerows([ex_id, group_id, str(label)] + [repr(v) for v in row]
+                         for ex_id, group_id, label, row
+                         in zip(ds.ids, ds.group_ids, ds.y.tolist(), ds.X.tolist()))
+
+
+# Text that JSON escapes or CSV quotes, and floats whose repr takes every form
+ODD_IDS = ["plain", "na\u00efve-\u00fc", "smile-\U0001F600", 'say "hi"', "back\\slash",
+           "ctl-\x00\x1f\x7f", "a,b", "two\nlines", "cr\rhere", "line\u2028sep"]
+ODD_FLOATS = [0.1, 1e-05, 1e+16, -0.0, 5e-324, 1.7976931348623157e+308, 3.0]
+
+
+def odd_corpus(hidden: bool) -> WebCorpus:
+    """Five bags of 3, 0, 4, 1 and 2 members over ids and floats of every form."""
+    sizes = [3, 0, 4, 1, 2]
+    m, b = sum(sizes), len(sizes)
+    return WebCorpus(query_ids=ODD_IDS[::-1][:b], labels=[i % 3 for i in range(b)],
+                     offsets=np.cumsum([0, *sizes]), member_ids=ODD_IDS[:m],
+                     X=np.resize(ODD_FLOATS, (m, 5)), num_classes=3,
+                     true_labels_hidden=[(-1, 0, 2)[i % 3] for i in range(m)] if hidden
+                     else None)
+
+
+@st.composite
+def small_corpora(draw):
+    k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(0, 3), max_size=4))
+    m, b = sum(sizes), len(sizes)
+    return WebCorpus(
+        query_ids=draw(st.lists(st.text(max_size=4), min_size=b, max_size=b)),
+        labels=draw(st.lists(st.integers(0, k - 1), min_size=b, max_size=b)),
+        offsets=np.cumsum([0, *sizes]),
+        member_ids=draw(st.lists(st.text(max_size=4), min_size=m, max_size=m, unique=True)),
+        X=np.reshape(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=m * d, max_size=m * d)), (m, d)),
+        num_classes=k,
+        true_labels_hidden=draw(st.none() | st.lists(st.integers(-1, k - 1),
+                                                     min_size=m, max_size=m)))
+
+
+@st.composite
+def small_datasets(draw):
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    return Dataset(ids=draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True)),
+                   group_ids=draw(st.lists(st.text(max_size=4), min_size=n, max_size=n)),
+                   X=np.reshape(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                              min_size=n * d, max_size=n * d)), (n, d)),
+                   y=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), num_classes=3)
+
+
+class TestWritersMatchTheirReferences:
+    """The column writers write the bytes of the per-row and per-bag forms
+    they replaced, kept above as references."""
+
+    def assert_same_bytes(self, tmp_path, write, reference, data):
+        new, old = tmp_path / "new", tmp_path / "old"
+        write(data, new)
+        reference(data, old)
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_web_corpus_with_odd_ids_floats_and_an_empty_bag(self, tmp_path, hidden):
+        corpus = odd_corpus(hidden)
+        self.assert_same_bytes(tmp_path, save_web_corpus, reference_save_web_corpus, corpus)
+        assert load_web_corpus(tmp_path / "new").member_ids.tolist() == ODD_IDS
+
+    @pytest.mark.parametrize("hidden", [None, []])
+    def test_web_corpus_without_bags(self, tmp_path, hidden):
+        corpus = WebCorpus(query_ids=[], labels=[], offsets=[0], member_ids=[],
+                           X=np.empty((0, 2)), num_classes=2, true_labels_hidden=hidden)
+        self.assert_same_bytes(tmp_path, save_web_corpus, reference_save_web_corpus, corpus)
+
+    def test_dataset_csv_with_ids_that_need_quoting(self, tmp_path):
+        n = len(ODD_IDS)
+        ds = Dataset(ids=ODD_IDS, group_ids=ODD_IDS[::-1], X=np.resize(ODD_FLOATS, (n, 5)),
+                     y=np.arange(n) % 3, num_classes=3)
+        self.assert_same_bytes(tmp_path, write_dataset_csv, reference_write_dataset_csv, ds)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(corpus=small_corpora())
+    def test_small_random_corpora(self, tmp_path, corpus):
+        self.assert_same_bytes(tmp_path, save_web_corpus, reference_save_web_corpus, corpus)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ds=small_datasets())
+    def test_small_random_datasets(self, tmp_path, ds):
+        self.assert_same_bytes(tmp_path, write_dataset_csv, reference_write_dataset_csv, ds)
 
 
 def one_bag(hidden=None, member_ids=("m",), X=None, label=0):

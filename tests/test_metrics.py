@@ -1,10 +1,11 @@
 """Tests for the metrics suite: confusion, accuracy, kappa, AUC, evaluate."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_clean_dataset
 from webly.data import Dataset
@@ -19,6 +20,7 @@ from webly.metrics import (
     roc_auc_one_vs_rest,
     write_eval_csv,
     write_eval_json,
+    write_features_csv,
 )
 from webly.model import ModelConfig, ModelParams, init_params, predict
 
@@ -273,3 +275,44 @@ class TestMacroRecall:
     def test_absent_classes_excluded(self):
         conf = np.array([[4, 0, 0], [2, 2, 0], [0, 0, 0]])
         assert macro_recall(conf) == pytest.approx((1.0 + 0.5) / 2)
+
+
+def reference_write_features_csv(ids, features, path):
+    """The features writer that formatted every value with ``repr(float(v))``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"f{i}" for i in range(features.shape[1])])
+        for ex_id, row in zip(ids, features):
+            writer.writerow([ex_id] + [repr(float(v)) for v in row])
+
+
+class TestFeaturesCsv:
+    """``write_features_csv`` writes the bytes of its per-value reference."""
+
+    IDS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "na\u00efve"]
+    FLOATS = [0.1, 1e-05, 1e+16, -0.0, 5e-324, 1.7976931348623157e+308, 3.0]
+
+    def assert_same_bytes(self, tmp_path, ids, features):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_features_csv(ids, features, new)
+        reference_write_features_csv(ids, features, old)
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("values, dtype", [
+        (FLOATS, np.float64),
+        ([0.1, 1e-05, -0.0, 1e-45, 3.0], np.float32),
+        ([-3, 0, 2], np.int64),
+    ], ids=["float64", "float32", "int64"])
+    def test_ids_that_need_quoting_and_odd_values(self, tmp_path, values, dtype):
+        features = np.resize(np.array(values, dtype=dtype), (len(self.IDS), 5))
+        self.assert_same_bytes(tmp_path, self.IDS, features)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_small_random_tables(self, tmp_path, data):
+        n, d = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 3))
+        ids = data.draw(st.lists(st.text(max_size=4), min_size=n, max_size=n))
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=n * d, max_size=n * d))
+        self.assert_same_bytes(tmp_path, ids, np.reshape(values, (n, d)))
