@@ -10,8 +10,9 @@ Invariants are checked once, vectorised, when a dataset or corpus is built.
 The synthetic crawl draws its random numbers bag by bag, then computes all
 members at once.  The file formats are those of the former per-row model, byte
 for byte: ``web.json`` is written one bag's text at a time, with no member
-dicts, and read member by member into the columns, so the reader's peak is the
-text and the columns (about twice the file), never a member's dict or floats.
+dicts, and read one bag at a time from a window of its text, member by member
+into the columns, so the reader's peak is the columns and about one window
+(1.2 times the file at 34,000 members), never the whole text or a member's dict.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ CROSS_DOMAIN = -1
 
 # What a member object of web.json decodes to once load_web_corpus holds its columns
 _MEMBER = object()
+JSON_WINDOW = 1 << 18  # characters of web.json that load_web_corpus reads at a time
 
 
 def _reject(bad: np.ndarray, ids: np.ndarray, message: str, values=None) -> None:
@@ -564,11 +566,12 @@ def save_web_corpus(corpus: WebCorpus, path: str | Path) -> None:
 
 
 def load_web_corpus(path: str | Path) -> WebCorpus:
-    """Read a corpus written by ``save_web_corpus``; any defect of the
-    document, a boolean feature too, raises ParseError naming the path.
-    A hook packs each member object into the id column and one flat float64
-    buffer (``X``) as soon as it is parsed and leaves a marker in its place,
-    so at its peak the reader holds the document text and the columns."""
+    """Read a corpus written by ``save_web_corpus``; any defect of the document,
+    a boolean feature or a count or label that is not an integer too, raises
+    ParseError naming the path.  The document is walked over a window of
+    ``JSON_WINDOW`` characters, each bag decoded and reduced to its columns in
+    turn (a hook packs each member's id and features as it is parsed), so at
+    its peak the reader holds the columns and about one window of text."""
     member_ids, features, widths = [], array("d"), set()
 
     def pack(obj: dict):
@@ -582,30 +585,88 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
         member_ids.append(obj["id"])
         return _MEMBER
 
+    decode, space = json.JSONDecoder(object_hook=pack).raw_decode, json.decoder.WHITESPACE.match
+    doc, query_ids, labels, sizes, packed, hidden, hidden_sizes = {}, [], [], [], [], [], []
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, object_hook=pack)
-        k, d, bags = int(doc["num_classes"]), int(doc["feature_dim"]), list(doc["bags"])
-        sizes = [len(bag["members"]) for bag in bags]
-        packed = sum(bag["members"].count(_MEMBER) for bag in bags)
-        if not packed == sum(sizes) == len(member_ids):  # members only in members lists
+            text, pos, eof, start = "", 0, False, 0  # start: text[0]'s place in the file
+            def fill():  # keep the text from pos on, and read as much again, at least a window
+                nonlocal text, pos, eof, start
+                text, start, size = text[pos:], start + pos, max(JSON_WINDOW, len(text) - pos)
+                chunk = fh.read(size)
+                text, pos, eof = text + chunk, 0, len(chunk) < size
+            def token() -> str:  # the next character after whitespace, "" at the end
+                nonlocal pos
+                while (pos := space(text, pos).end()) == len(text) and not eof:
+                    fill()
+                return text[pos:pos + 1]
+            def sep(allowed: tuple) -> str:  # the next character, one of ``allowed``
+                nonlocal pos
+                if token() not in allowed:
+                    raise ValueError(f"Expecting {'/'.join(allowed)} (character {start + pos})")
+                pos += 1
+                return text[pos - 1]
+            def value(after: tuple):  # the value at pos, and the separator after it
+                nonlocal pos
+                n, m = len(member_ids), len(features)
+                if len(text) - pos < JSON_WINDOW // 8 and not eof:  # read on before the edge
+                    fill()
+                while True:
+                    try:  # a value cut off by the window fails, or is a number without ``after``
+                        obj, end = decode(text, space(text, pos).end())
+                        end = space(text, end).end()
+                        if text[end:end + 1] in after:
+                            pos = end + 1
+                            return obj, text[end]
+                        raise json.JSONDecodeError(f"Expecting {'/'.join(after)}", text, end)
+                    except json.JSONDecodeError as exc:  # placed in the file, not in the window
+                        if eof:
+                            raise ValueError(f"{exc.msg} (character {start + exc.pos})") from None
+                    del member_ids[n:], features[m:]  # undo what the hook packed, and read on
+                    fill()
+
+            c = sep(("{",))
+            while c != "}":
+                key, _ = value((":",))
+                if type(key) is not str or key == "bags" and key in doc:
+                    raise ValueError(f"a key that is not a string or is repeated: {key!r}")
+                if key != "bags":
+                    doc[key], c = value((",", "}"))
+                    continue
+                sep(("[",))
+                doc[key], c = (), sep(("]",)) if token() == "]" else ","  # walked, not held
+                while c == ",":  # each bag goes into the columns, and its dict is dropped
+                    bag, c = value((",", "]"))
+                    members, tail = bag["members"], bag.get("true_labels_hidden")
+                    sizes.append(len(members))
+                    packed.append(members.count(_MEMBER))
+                    query_ids.append(bag["query_id"])
+                    labels.append(bag["transferred_label"])
+                    hidden_sizes.append(None if tail is None else len(tail))
+                    hidden.extend(tail or ())
+                c = sep((",", "}"))
+            if token():
+                raise ValueError(f"Extra data (character {start + pos})")
+            text = ""  # drop the last window before the columns are built
+        k, d, _ = doc["num_classes"], doc["feature_dim"], doc["bags"]
+        check_fields(doc, {"num_classes": integer(1), "feature_dim": integer(1)})
+        if not sum(packed) == sum(sizes) == len(member_ids):  # members only in members lists
             raise ValueError("a member object lacks features, or another object has them")
-        hidden = [bag.get("true_labels_hidden") for bag in bags]
-        columns = dict(query_ids=[bag["query_id"] for bag in bags],
-                       labels=[int(bag["transferred_label"]) for bag in bags],
-                       offsets=np.cumsum([0] + sizes))
-        if bags and None not in hidden:
-            columns["true_labels_hidden"] = [int(t) for labels in hidden for t in labels]
-    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        columns = dict(query_ids=query_ids, labels=labels, offsets=np.cumsum([0] + sizes))
+        if sizes and None not in hidden_sizes:
+            columns["true_labels_hidden"] = hidden
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            ValidationError) as exc:
+        # ValueError covers UnicodeDecodeError
         raise ParseError(f"{path}: malformed web corpus document: {exc}") from None
 
-    if not {*map(type, columns["query_ids"]), *map(type, member_ids)} <= {str}:
+    if not {*map(type, query_ids), *map(type, member_ids)} <= {str}:
         raise ParseError(f"{path}: query and member ids must be strings")
-    if d < 1 or not widths <= {d}:
+    if not {*map(type, labels), *map(type, hidden)} <= {int}:
+        raise ParseError(f"{path}: transferred and hidden labels must be integers")
+    if not widths <= {d}:
         raise ParseError(f"{path}: every member needs {d} numeric features")
-    if hidden.count(None) not in (0, len(hidden)) or ("true_labels_hidden" in columns
-                                                      and list(map(len, hidden)) != sizes):
+    if hidden_sizes != sizes and hidden_sizes != [None] * len(sizes):
         raise ParseError(f"{path}: true_labels_hidden must be null in every bag or "
                          "hold one label per member in every bag")
     X = np.frombuffer(features, dtype=np.float64).reshape(len(member_ids), d)

@@ -39,7 +39,7 @@ import json
 import operator
 import struct
 from dataclasses import dataclass, asdict
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,7 @@ CHECKPOINT_MAGIC = b"WSLCKPT1"
 INIT_SCALE_RULE = "sqrt_2_over_fan_in"
 EVAL_BLOCK = 512  # rows per forward call in predict and penultimate_features
 MODEL_MAX_PARAMS = 2**27  # packed float64 parameters (1 GiB) a model may have
+FINGERPRINT_BAGS = 32  # web bags hashed per joined chunk: bounds the chunk's parts
 
 
 MODEL_RULES = {
@@ -452,36 +453,40 @@ def fingerprint(obj) -> str:
     id, label and feature row per example; a web corpus as query id and label
     per bag, each followed by id and feature row per member of the bag.  Text
     and numbers stream as UTF-8 text, arrays as little-endian float64, bytes as
-    themselves.  The stream is hashed in joined chunks of parts.
+    themselves.  A dataset is hashed 512 rows and a corpus ``FINGERPRINT_BAGS``
+    bags at a time, each chunk's parts made in C from the columns.
     """
+    h = hashlib.sha256()
     if isinstance(obj, ModelParams):
-        parts = [_header_bytes(obj.config), *_rows(obj.flat.reshape(1, -1))]
+        h.update(_header_bytes(obj.config))
+        h.update(np.ascontiguousarray(obj.flat, dtype="<f8").reshape(-1))
     elif isinstance(obj, Dataset):
-        parts = chain.from_iterable(zip(_texts(obj.ids), _texts(obj.group_ids),
-                                        _texts(obj.y.tolist()), _rows(obj.X)))
+        for at in (slice(lo, lo + 512) for lo in range(0, len(obj), 512)):
+            h.update(b"".join(_parts(obj.X[at], obj.ids[at], obj.group_ids[at],
+                                     map(str, obj.y[at].tolist()))))
     elif isinstance(obj, WebCorpus):
-        members = zip(_texts(obj.member_ids), _rows(obj.X))
-        parts = chain.from_iterable(
-            chain((query_id, label), *islice(members, size)) for query_id, label, size
-            in zip(_texts(obj.query_ids), _texts(obj.labels.tolist()),
-                   np.diff(obj.offsets).tolist()))
+        offsets, labels = obj.offsets.tolist(), obj.labels.tolist()
+        for lo in range(0, len(labels), FINGERPRINT_BAGS):
+            hi = min(lo + FINGERPRINT_BAGS, len(labels))
+            first, last = offsets[lo], offsets[hi]
+            parts = _parts(obj.X[first:last], obj.member_ids[first:last])
+            for b in range(hi - 1, lo - 1, -1):  # each bag's query id and label before its members
+                parts.insert(2 * (offsets[b] - first), f"{obj.query_ids[b]}{labels[b]}".encode())
+            h.update(b"".join(parts))
     else:
-        parts = [obj if isinstance(obj, bytes) else str(obj).encode()]
-    h, parts = hashlib.sha256(), iter(parts)
-    for chunk in iter(lambda: list(islice(parts, 512)), []):
-        h.update(b"".join(chunk))
+        h.update(obj if isinstance(obj, bytes) else str(obj).encode())
     return h.hexdigest()[:16]
 
 
-def _texts(values):
-    return (str(v).encode() for v in values)
-
-
-def _rows(x: np.ndarray):
-    """Each row of a 2-D array as a view of its little-endian float64 bytes."""
-    data = memoryview(np.ascontiguousarray(x, dtype="<f8").reshape(-1).view(np.uint8))
-    width = 8 * x.shape[1]
-    return (data[i * width:(i + 1) * width] for i in range(len(x)))
+def _parts(x: np.ndarray, *texts) -> list:
+    """Per row of ``x``: its string in each column of ``texts`` as UTF-8, then its bytes."""
+    width = len(texts) + 1
+    parts = [b""] * (width * len(x))
+    for i, column in enumerate(texts):
+        parts[i::width] = map(str.encode, column)
+    rows = np.ascontiguousarray(x, dtype="<f8").view(f"V{8 * x.shape[1]}")  # one void per row
+    parts[width - 1::width] = rows[:, 0].tolist()
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import WebCorpus, canonical_json, check_row_stochastic, flatten_web
+from .data import (WebCorpus, canonical_json, check_fields, check_row_stochastic, flatten_web,
+                   integer)
 from .errors import ParseError, ValidationError
 from .model import ModelParams, fingerprint, predict
 
@@ -111,7 +112,9 @@ def load_transition(path: str | Path) -> TransitionMatrix:
         k = doc["k"]
         entries = np.array(doc["rows"], dtype=np.float64)
         provenance = doc.get("provenance", {})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        check_fields(doc, {"k": integer(1),
+                           "provenance": (lambda v: isinstance(v, dict), "an object")})
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and ragged rows
         raise ParseError(f"{path}: malformed transition document: {exc!r}") from None
     if entries.shape != (k, k):

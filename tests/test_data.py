@@ -4,11 +4,13 @@ import csv
 import json
 import re
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import webly.data
 from webly.data import (
     BackgroundSpec,
     CleanSpec,
@@ -469,6 +471,19 @@ class TestWebCorpusJson:
             "numeric-id": text.replace('"q0-w1"', "7"),
             "boolean-first": text.replace("[0.5,", "[true,"),
             "boolean-last": text.replace("4.0]", "false]"),
+            "label-float": text.replace('"transferred_label":1', '"transferred_label":1.9'),
+            "label-boolean": text.replace('"transferred_label":1', '"transferred_label":true'),
+            "label-string": text.replace('"transferred_label":1', '"transferred_label":"1"'),
+            "hidden-float": text.replace('"true_labels_hidden":[1]', '"true_labels_hidden":[0.7]'),
+            "classes-float": text.replace('"num_classes":2', '"num_classes":3.9'),
+            "classes-boolean": text.replace('"transferred_label":1', '"transferred_label":0')
+                                   .replace("[1]}", "[0]}").replace('"num_classes":2',
+                                                                    '"num_classes":true'),
+            "features-float": text.replace('"feature_dim":2', '"feature_dim":2.0'),
+            "bags-twice": text.replace('"feature_dim"',
+                                       text[1:text.index('],"f') + 1] + ',"feature_dim"'),
+            "bags-twice-first-empty": text.replace('{"bags":[', '{"bags":[],"bags":['),
+            "bags-not-an-array": '{"bags":{},"feature_dim":2,"num_classes":2}',
         }
         for name, bad_text in cases.items():
             path = tmp_path / f"{name}.json"
@@ -626,6 +641,145 @@ def small_datasets(draw):
                    X=np.reshape(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                               min_size=n * d, max_size=n * d)), (n, d)),
                    y=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), num_classes=3)
+
+
+def reference_load_web_corpus(path):
+    """The reader that decoded the whole text with ``json.load``, with counts
+    and labels required to be integers that are not booleans."""
+    member_ids, features, widths, member = [], array("d"), set(), object()
+
+    def pack(obj):
+        if "features" not in obj:
+            return obj
+        row = obj["features"]
+        if bool in map(type, row):
+            raise TypeError("a member feature is a boolean")
+        features.extend(row)
+        widths.add(len(row))
+        member_ids.append(obj["id"])
+        return member
+
+    def integer(v):
+        if type(v) is not int:
+            raise TypeError(f"{v!r} is not an integer")
+        return v
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_hook=pack)
+        k, d, bags = integer(doc["num_classes"]), integer(doc["feature_dim"]), list(doc["bags"])
+        sizes = [len(bag["members"]) for bag in bags]
+        packed = sum(bag["members"].count(member) for bag in bags)
+        if not packed == sum(sizes) == len(member_ids):
+            raise ValueError("a member object lacks features, or another object has them")
+        hidden = [bag.get("true_labels_hidden") for bag in bags]
+        columns = dict(query_ids=[bag["query_id"] for bag in bags],
+                       labels=[integer(bag["transferred_label"]) for bag in bags],
+                       offsets=np.cumsum([0] + sizes))
+        if bags and None not in hidden:
+            columns["true_labels_hidden"] = [integer(t) for labels in hidden for t in labels]
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed web corpus document: {exc}") from None
+    if not {*map(type, columns["query_ids"]), *map(type, member_ids)} <= {str}:
+        raise ParseError(f"{path}: query and member ids must be strings")
+    if d < 1 or not widths <= {d}:
+        raise ParseError(f"{path}: every member needs {d} numeric features")
+    if hidden.count(None) not in (0, len(hidden)) or ("true_labels_hidden" in columns
+                                                      and list(map(len, hidden)) != sizes):
+        raise ParseError(f"{path}: true_labels_hidden must be null in every bag or "
+                         "hold one label per member in every bag")
+    X = np.frombuffer(features, dtype=np.float64).reshape(len(member_ids), d)
+    try:
+        return WebCorpus(num_classes=k, member_ids=member_ids, X=X, **columns)
+    except (ValidationError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def read_outcome(read, path):
+    """Every column ``read`` gives for ``path``, or None if it raises ParseError."""
+    try:
+        corpus = read(path)
+    except ParseError:
+        return None
+    hidden = corpus.true_labels_hidden
+    return (corpus.num_classes, corpus.query_ids.tolist(), corpus.labels.tolist(),
+            corpus.offsets.tolist(), corpus.member_ids.tolist(), corpus.X.shape,
+            corpus.X.tobytes(), None if hidden is None else hidden.tolist())
+
+
+class TestWindowedReader:
+    """``load_web_corpus`` reads the text a window at a time and gives what the
+    whole-text reader kept above as a reference gives, columns or ParseError."""
+
+    @pytest.mark.parametrize("window", [1, 7])
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_documents_read_as_the_whole_text_reader_reads_them(
+            self, tmp_path, monkeypatch, window, data):
+        monkeypatch.setattr(webly.data, "JSON_WINDOW", window)
+        path = tmp_path / "web.json"
+        base = data.draw(st.sampled_from(["small", "indented", "odd", "odd-without-hidden"]))
+        if base.startswith("odd"):
+            save_web_corpus(odd_corpus(hidden=base == "odd"), path)
+        else:
+            path.write_text(SMALL_WEB_JSON if base == "small"
+                            else json.dumps(json.loads(SMALL_WEB_JSON), indent=1))
+        blob = path.read_bytes()
+        for _ in range(data.draw(st.integers(1, 2), label="edits")):
+            at = data.draw(st.integers(0, len(blob)), label="at")
+            edit = data.draw(st.sampled_from(["truncate", "replace", "insert"]), label="edit")
+            if edit == "truncate":
+                blob = blob[:at]
+                continue
+            piece = data.draw(st.one_of(
+                st.binary(max_size=3),
+                st.sampled_from(["null", "true", "NaN", '"x"', "[]", "{}", "1e999", "-7", "1.",
+                                 "2.0", "e5", " ", "\n", ",", ":", "]", "}", '"',
+                                 '"bags":']).map(str.encode)), label="piece")
+            blob = blob[:at] + piece + blob[at + (edit == "replace"):]
+        path.write_bytes(blob)
+        assert (read_outcome(load_web_corpus, path)
+                == read_outcome(reference_load_web_corpus, path))
+
+    def test_one_large_bag_is_read_in_doubling_slices(self, tmp_path, monkeypatch):
+        m = 5000
+        corpus = WebCorpus(query_ids=["q"], labels=[0], offsets=[0, m],
+                           member_ids=[f"m{i}" for i in range(m)],
+                           X=np.random.default_rng(0).normal(size=(m, 2)), num_classes=2)
+        path = tmp_path / "web.json"
+        save_web_corpus(corpus, path)
+        reads = []
+
+        def counted_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            read = fh.read
+            fh.read = lambda size: reads.append(size) or read(size)
+            return fh
+
+        monkeypatch.setattr(webly.data, "JSON_WINDOW", 64)
+        monkeypatch.setattr(webly.data, "open", counted_open, raising=False)
+        assert read_outcome(load_web_corpus, path) == read_outcome(
+            reference_load_web_corpus, path)
+        # each retry of the bag reads as much again as the window holds: 14 reads for
+        # about 335,000 characters, where reads of 64 characters would take about 5,200
+        assert path.stat().st_size > 300_000
+        assert len(reads) <= 16
+
+    def test_reader_peak_memory_stays_below_1_4_times_a_large_file(self, tmp_path):
+        noise = NoiseSpec(cross_category_kernel=np.eye(5), cross_domain_rate=0.2,
+                          bag_size=20, seed=3)
+        web = synth_web_corpus(make_clean(k=5, d=8, per_class=100), noise, BackgroundSpec())
+        p = tmp_path / "web.json"
+        save_web_corpus(web, p)
+        assert len(web.member_ids) == 10_000
+        tracemalloc.start()
+        try:
+            load_web_corpus(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * p.stat().st_size
 
 
 class TestWritersMatchTheirReferences:

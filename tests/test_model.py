@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import fd_max_rel_error, make_clean_dataset
-from webly.data import BackgroundSpec, Dataset, NoiseSpec, synth_web_corpus
+from webly.data import BackgroundSpec, Dataset, NoiseSpec, WebCorpus, synth_web_corpus
 from webly.errors import CheckpointError, ValidationError
 from webly.metrics import write_features_csv
 from webly.model import (
@@ -465,6 +465,25 @@ class TestFingerprint:
         assert fingerprint(b"abc") == fingerprint("abc") == self.per_part(["abc"])
         empty = Dataset(ids=[], group_ids=[], X=np.empty((0, 4)), y=[], num_classes=2)
         assert fingerprint(empty) == self.per_part([])
+
+    @pytest.mark.parametrize("sizes, d", [
+        ([], 3),                                    # no bags
+        ([0, 0, 0], 2),                             # only empty bags
+        ([0, 3, 0, 0, 1, 40, 0, 2] * 9, 1),         # uneven bags over chunks, one feature
+        ([33] + [0] * 31 + [1] * 40, 4),            # chunk edges at empty and one-member bags
+    ])
+    def test_corpus_of_uneven_bags_equals_per_part_hashing(self, sizes, d):
+        m, b = sum(sizes), len(sizes)
+        web = WebCorpus(query_ids=[f"q\u00e9{i}" for i in range(b)],
+                        labels=[i % 3 for i in range(b)], offsets=np.cumsum([0, *sizes]),
+                        member_ids=[f"m-\u00fc\U0001F600-{i}" for i in range(m)],
+                        X=np.random.default_rng(m).normal(size=(m, d)), num_classes=3)
+        members, parts = iter(zip(web.member_ids, web.X)), []
+        for query_id, label, size in zip(web.query_ids, web.labels.tolist(), sizes):
+            parts += [query_id, label]
+            for _ in range(size):
+                parts += next(members)
+        assert fingerprint(web) == self.per_part(parts)
 
 
 class TestRowBlocks:

@@ -240,6 +240,9 @@ class TestTransitionJson:
             "wrong-k": good.replace('"k":2', '"k":3'),
             "not-stochastic": good.replace("0.25", "0.5"),
             "not-utf8": '{"k":2,"provenance":{"\xff":1}}',
+            "k-boolean": '{"k":true,"provenance":{},"rows":[[1.0]]}',
+            "k-float": good.replace('"k":2', '"k":2.0'),
+            "provenance-list": good.replace('"provenance":{}', '"provenance":[]'),
         }
         for name, text in cases.items():
             path = tmp_path / f"{name}.json"
