@@ -1,9 +1,9 @@
 """Command-line entry point wiring the toolkit into reproducible experiments.
 
 Verbs: ``synth`` writes a synthetic clean split plus a simulated web corpus;
-``run`` executes experimental arms across seeds into a run directory, one
-seed at a time (its arms trained together on input files read once per run,
-or on synthetic data built for the seed);
+``run`` executes experimental arms across seeds into a run directory, every
+seed's arms trained together (``train.run_seeds``) on input files read once
+per run, or on synthetic data built per seed;
 ``eval`` scores a checkpoint on a dataset; ``estimate-noise`` runs transition
 estimation standalone; ``report`` re-aggregates summaries from existing runs.
 
@@ -20,7 +20,6 @@ import csv
 import json
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +66,7 @@ from .model import (
     save_checkpoint,
 )
 from .noise import estimate_transition, save_transition, validate_transition
-from .train import ARMS, TRAIN_RULES, TrainConfig, run_seed
+from .train import ARMS, TRAIN_RULES, SeedInputs, TrainConfig, run_seeds
 
 DEFAULT_CONFIG = {
     "model": {
@@ -229,6 +228,18 @@ def _summary_row(arm: str, seed: int, scores=None, error: str = "") -> dict:
             "error": error, **{key: score(key) for key in SCORES}}
 
 
+def _checked_scores(doc: dict) -> dict:
+    """An eval.json document whose scores are finite numbers in [0, 1], kappa
+    in [-1, 1] and ``auc_mean`` possibly null; else ValueError or KeyError."""
+    for key in SCORES:
+        value, low = doc[key], -1 if key == "kappa" else 0
+        if value is None and key == "auc_mean":
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not low <= value <= 1:
+            raise ValueError(f"{key} {value!r} is not a number in [{low}, 1]")
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # Config -> toolkit objects
 # ---------------------------------------------------------------------------
@@ -305,7 +316,7 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
 
     ``data`` is the seed's (clean_train, clean_test, web), ``inputs`` their
     fingerprints by name, and ``outcome`` the arm's (final params, ArmResult)
-    from ``run_seed``, or the error that failed it, which is raised here.
+    from ``run_seeds``, or the error that failed it, which is raised here.
     """
     if isinstance(outcome, BaseException):
         raise outcome
@@ -356,32 +367,31 @@ def _with_inputs(data: tuple) -> tuple[tuple, dict]:
                   for name, part in zip(("clean_train", "clean_test", "web"), data)}
 
 
-def _seed_worker(payload: tuple) -> list[dict]:
-    """Train one seed's arms together on its data and write their cells;
-    return the summary rows in arm order.  The data are ``files`` as
-    ``cmd_run`` read them, or else the seed's synthetic data.  A toolkit or
-    I/O error fails the cells it reaches and the others run on."""
-    config, arms, seed, out_dir, timestamp, files = payload
-    data = inputs = None
-    try:
-        data, inputs = files or _with_inputs(build_cell_data(config, seed))
-        clean_train, _, web = data
-        outcomes = run_seed(
-            arms, clean_train, web,
-            _train_config(config["train_web"], seed),
-            _train_config(config["train_clean"], seed),
-            _model_config(config, clean_train.feature_dim, clean_train.num_classes, seed),
-            renormalize=config["loss"]["renormalize_modulated"], web_fingerprint=inputs["web"])
-    except (WeblyError, OSError) as exc:
-        outcomes = dict.fromkeys(arms, exc)
-    rows = []
-    for arm in arms:
+def _train_seeds(config: dict, files: tuple | None) -> dict:
+    """Train the arms of every seed together (``run_seeds``) and map each
+    seed to its (data, inputs, outcomes by arm).  The data are ``files`` as
+    ``cmd_run`` read them, or else the seed's synthetic data; a toolkit or
+    I/O error in a seed's data fails only that seed's cells."""
+    arms, cells, built = config["arms"], {}, {}
+    for seed in config["seeds"]:
         try:
-            rows.append(run_cell(config, arm, seed, Path(out_dir) / arm / str(seed),
-                                 timestamp, data, outcomes[arm], inputs))
-        except (WeblyError, OSError) as exc:  # a failed cell is recorded, others run
-            rows.append(_summary_row(arm, seed, error=f"{type(exc).__name__}: {exc}"))
-    return rows
+            data, inputs = files or _with_inputs(build_cell_data(config, seed))
+            train = data[0]
+            built[seed] = data, inputs, SeedInputs(
+                train, data[2], _train_config(config["train_web"], seed),
+                _train_config(config["train_clean"], seed),
+                _model_config(config, train.feature_dim, train.num_classes, seed),
+                web_fingerprint=inputs["web"])
+        except (WeblyError, OSError) as exc:
+            cells[seed] = None, None, dict.fromkeys(arms, exc)
+    try:
+        outcomes = run_seeds(arms, [seed_inputs for *_, seed_inputs in built.values()],
+                             renormalize=config["loss"]["renormalize_modulated"])
+    except WeblyError as exc:
+        outcomes = [dict.fromkeys(arms, exc)] * len(built)
+    for (seed, (data, inputs, _)), outcome in zip(built.items(), outcomes):
+        cells[seed] = data, inputs, outcome
+    return {seed: cells[seed] for seed in config["seeds"]}
 
 
 def _write_summary(rows: list[dict], path: Path) -> None:
@@ -424,6 +434,13 @@ def cmd_run(args) -> int:
                                   f"{data['clean_train']})") from None
         test = load_dataset(data["clean_test"], num_classes=train.num_classes)
         web = load_web_corpus(data["web"]) if data.get("web") else None
+        for name, part in (("clean_test", test), ("web", web)):
+            if part is not None and part.X.shape[1] != train.feature_dim:
+                raise ValidationError(f"{data[name]}: feature_dim {part.X.shape[1]} does not "
+                                      f"match {data['clean_train']}'s {train.feature_dim}")
+        if web is not None and web.num_classes != train.num_classes:
+            raise ValidationError(f"{data['web']}: num_classes {web.num_classes} does not "
+                                  f"match {data['clean_train']}'s {train.num_classes}")
         files = _with_inputs((train, test, web))
     arms, seeds = config["arms"], config["seeds"]
     timestamp = report_timestamp()
@@ -440,13 +457,14 @@ def cmd_run(args) -> int:
     for cell_dir in (out_dir / arm / str(seed) for arm in arms for seed in seeds):
         if cell_dir.exists():
             shutil.rmtree(cell_dir)
-    payloads = [(config, arms, seed, str(out_dir), timestamp, files) for seed in seeds]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            seed_rows = list(pool.map(_seed_worker, payloads))
-    else:
-        seed_rows = [_seed_worker(p) for p in payloads]
-    rows = [per_seed[i] for i in range(len(arms)) for per_seed in seed_rows]
+    cells, rows = _train_seeds(config, files), []
+    for arm in arms:
+        for seed, (data, inputs, outcomes) in cells.items():
+            try:
+                rows.append(run_cell(config, arm, seed, out_dir / arm / str(seed),
+                                     timestamp, data, outcomes[arm], inputs))
+            except (WeblyError, OSError) as exc:  # a failed cell is recorded, others run
+                rows.append(_summary_row(arm, seed, error=f"{type(exc).__name__}: {exc}"))
 
     _write_summary(rows, out_dir / "summary.csv")
     _print_aggregates(rows, arms)
@@ -497,6 +515,9 @@ def cmd_eval(args) -> int:
     timestamp = report_timestamp()
     params = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data, num_classes=params.config.num_classes)
+    if ds.feature_dim != params.config.input_dim:
+        raise ValidationError(f"{args.data}: feature_dim {ds.feature_dim} does not fit "
+                              f"{args.checkpoint}'s input_dim {params.config.input_dim}")
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(params, ds)
@@ -550,7 +571,7 @@ def cmd_report(args) -> int:
             eval_path = cell_dir / "eval.json"
             try:
                 with open(eval_path, encoding="utf-8") as fh:
-                    rows.append(_summary_row(arm_dir.name, seed, json.load(fh)))
+                    rows.append(_summary_row(arm_dir.name, seed, _checked_scores(json.load(fh))))
             except FileNotFoundError:
                 rows.append(_summary_row(arm_dir.name, seed, error="missing eval.json"))
             except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSON or a score
@@ -587,7 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute arms x seeds into a run directory")
     common(p_run, "comma-separated seed list overriding the config")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="seeds run in parallel")
+                       help="accepted (at least 1) and ignored: a run trains all its "
+                            "seeds in one process, one stack per stage")
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

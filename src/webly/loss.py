@@ -107,20 +107,29 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
 
     rows = t[..., labels, :]                   # (..., B, K): row per example
     wc = wv[labels]
-    if not renormalize:
-        return modulated_cross_entropy_rows(p, rows, -wc, wc / batch,
-                                            np.empty(p.shape[:-1]), np.empty_like(p))
+    if renormalize:
+        return renormalized_cross_entropy_rows(p, t, np.broadcast_to(labels, p.shape[:-1]),
+                                               rows, -wc, wc / batch)
+    return modulated_cross_entropy_rows(p, rows, -wc, wc / batch,
+                                        np.empty(p.shape[:-1]), np.empty_like(p))
 
+
+def renormalized_cross_entropy_rows(p: np.ndarray, t: np.ndarray, labels: np.ndarray,
+                                    rows, neg_w, w_over_b) -> LossReport:
+    """The renormalized modulated loss of posteriors ``p`` (..., B, K) under
+    transitions ``t`` (..., K, K), given each example's label ``labels``
+    (..., B), transition row ``rows``, negated class weight ``neg_w`` and class
+    weight over B ``w_over_b``, gathered by the caller.  Nothing is checked."""
     m = p @ t.swapaxes(-1, -2)                 # (..., B, K) all diffused scores
     z = m.sum(axis=-1)
-    m_label = m[..., np.arange(batch), labels]
-    per_example = -wc * (np.log(np.maximum(m_label, LOG_EPS))
-                         - np.log(np.maximum(z, LOG_EPS)))
+    m_label = np.take_along_axis(m, labels[..., None], axis=-1)[..., 0]
+    per_example = neg_w * (np.log(np.maximum(m_label, LOG_EPS))
+                           - np.log(np.maximum(z, LOG_EPS)))
     u = t.sum(axis=-2)                         # column sums
     gate_m = (m_label > LOG_EPS) / np.where(m_label > LOG_EPS, m_label, 1.0)
     gate_z = (z > LOG_EPS) / np.where(z > LOG_EPS, z, 1.0)
-    grads = (wc / batch)[..., None] * p * (gate_z[..., None] * u[..., None, :]
-                                           - gate_m[..., None] * rows)
+    grads = w_over_b[..., None] * p * (gate_z[..., None] * u[..., None, :]
+                                       - gate_m[..., None] * rows)
     return LossReport(per_example=per_example, logit_grads=grads)
 
 

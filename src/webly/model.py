@@ -10,19 +10,22 @@ A model's parameters are one flat vector in checkpoint order, with per-layer
 views; ``backward`` returns its gradient in the same layout.  Shapes and
 finiteness are checked when parameters are built or loaded, not per call.
 
-Models of one config can be stacked: ``flat`` is then (M, P), one row per
-member, the layer views gain a leading member axis, and ``forward`` runs every
-member over one shared batch (one dropout draw for the stack), giving
-(M, batch, K) posteriors.  Each member's numbers are those it would get alone.
+Models of one config (their seeds aside) can be stacked: ``flat`` is then
+(M, P), one row per member, the layer views gain a leading member axis, and
+``forward`` runs every member over one shared batch (one dropout draw for the
+stack), giving (M, batch, K) posteriors.  A training stage over several
+seeds views its stack as (S, A, P), A members per seed, and gives each
+seed's members the seed's (S, 1, batch, D) batch and masks.  Each member's
+numbers are those it would get alone.
 
 Every pass runs on a workspace (``ForwardCache``) that holds each
 intermediate: ``forward`` checks its batch and runs the unchecked
 ``forward_layers`` on a new one, and ``backward`` writes into the gradient
 buffers of the one it is given (a new one for a forward's cache).  A
 training stage reuses one workspace for all its full batches, and a second
-one for a ragged last batch, and draws every hidden layer's dropout mask
-into it with one call.  ``predict`` and ``penultimate_features`` score a
-dataset in row blocks of ``EVAL_BLOCK``.  All give the numbers of the plain
+one for a ragged last batch, and draws every hidden layer's dropout mask of
+a seed into it with one call.  ``predict`` and ``penultimate_features``
+score a dataset in row blocks of ``EVAL_BLOCK``.  All give the numbers of the plain
 form, bit for bit.
 
 Random streams are those of ``np.random.default_rng(seed)``.  ``pcg64_states``
@@ -36,9 +39,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -102,7 +106,8 @@ class ModelParams:
     (1 x fan_out) are the same memory transposed and as a broadcast row.
     Shapes and finiteness are checked once, at construction; training then
     updates ``flat`` in place.  A stack (``stack``) holds models of one
-    config with ``flat`` of shape (M, P) and views with a leading M axis.
+    config, seeds aside, with ``flat`` of shape (M, P) and views with a
+    leading M axis; ``member_configs`` holds each member's own config.
     """
 
     def __init__(self, config: ModelConfig, weights, biases):
@@ -122,7 +127,7 @@ class ModelParams:
 
     def _adopt(self, config: ModelConfig, flat: np.ndarray) -> None:
         """Take ``flat`` (one vector, or an (M, P) stack) and view its layers."""
-        self.config, self.flat = config, flat
+        self.config, self.flat, self.member_configs = config, flat, None
         lead, weights, biases, pos = flat.shape[:-1], [], [], 0
         for fan_in, fan_out in config.layer_dims():
             end = pos + fan_in * fan_out
@@ -145,17 +150,22 @@ class ModelParams:
 
     @classmethod
     def stack(cls, members) -> "ModelParams":
-        """A copy of models that share one config, ``flat`` of shape (M, P)."""
+        """A copy of models whose configs differ at most in ``init_seed``, so
+        that models of several seeds stack: ``flat`` of shape (M, P), and
+        ``config`` the first member's."""
         config = members[0].config
-        if any(m.config != config for m in members):
-            raise ValidationError("stacked models must share one config")
-        return cls._from_flat(config, np.stack([m.flat for m in members]))
+        if any(replace(m.config, init_seed=config.init_seed) != config for m in members):
+            raise ValidationError("stacked models must share one config but for init_seed")
+        params = cls._from_flat(config, np.stack([m.flat for m in members]))
+        params.member_configs = [m.config for m in members]
+        return params
 
     def unstack(self) -> list["ModelParams"]:
-        """A copy of each member of a stack, in order (of a single model, a
-        one-element list)."""
-        return [ModelParams._from_flat(self.config, row.copy())
-                for row in np.atleast_2d(self.flat)]
+        """A copy of each member of a stack, in order and with the config it
+        was stacked with (of a single model, a one-element list)."""
+        rows = np.atleast_2d(self.flat)
+        configs = self.member_configs or [self.config] * len(rows)
+        return [ModelParams._from_flat(config, row.copy()) for config, row in zip(configs, rows)]
 
 
 class ForwardCache:
@@ -164,12 +174,15 @@ class ForwardCache:
     place by ``forward_layers``: per hidden layer l ``pre_activations[l]`` and
     the activation ``inputs[l + 1]`` (``inputs[0]`` is the last batch), then
     ``logits`` and ``posteriors``.  With ``train`` (and keep < 1) the
-    ``dropout_masks`` are views of one buffer that ``draw_masks`` fills, else
-    None.  With ``grads`` it also holds what ``loss.modulated_cross_entropy_rows``
-    and ``backward`` write: ``gates[l]`` (1.0 where activation l is positive),
-    ``deltas[l]``, ``logit_grads``, ``per_example`` losses, and ``grad``
-    packed like ``params.flat`` with per-layer views ``grads``; else ``grad``
-    is None.
+    ``dropout_masks`` are views of ``kept``, which ``draw_masks`` fills, else
+    None.  The masks are shared along the last lead axis: by every member of
+    an (M, P) stack, and by the members of each seed of a training stage's
+    (S, A, P) stack, whose ``kept`` has one row, and so one set of masks, per
+    seed.  With ``grads`` it also holds what
+    ``loss.modulated_cross_entropy_rows`` and ``backward`` write: ``gates[l]``
+    (1.0 where activation l is positive), ``deltas[l]``, ``logit_grads``,
+    ``per_example`` losses, and ``grad`` packed like ``params.flat`` with
+    per-layer views ``grads``; else ``grad`` is None.
     """
 
     def __init__(self, params: ModelParams, rows: int, train: bool = False,
@@ -180,7 +193,7 @@ class ForwardCache:
         self.dropout = train and cfg.dropout_keep_prob < 1.0 and n > 0
         layers = [(*lead, rows, width) for width in hidden * 2]
         logits = (*lead, rows, cfg.num_classes)
-        shapes = layers + [logits] * 2 + [(rows * sum(hidden) * self.dropout,)]
+        shapes = layers + [logits] * 2 + [(math.prod(lead[:-1]), rows * sum(hidden) * self.dropout)]
         if grads:
             shapes += layers + [logits, (*lead, rows), params.flat.shape]
         buffers = map(np.empty, shapes)
@@ -188,9 +201,11 @@ class ForwardCache:
         self.logits, self.posteriors, self.kept = next(buffers), next(buffers), next(buffers)
         self.inputs = [None, *acts]
         self.dropout_masks = [None] * n
-        if self.dropout:  # per hidden layer, its (rows, width) block
+        if self.dropout:  # per hidden layer, its (rows, width) block of each mask row,
+            # after an axis of 1 that each seed's members broadcast over
             ends = np.cumsum([0, *hidden]) * rows
-            self.dropout_masks = [self.kept[lo:hi].reshape(rows, width)
+            shared = (*lead[:-1], 1) if len(lead) > 1 else ()
+            self.dropout_masks = [self.kept[..., lo:hi].reshape(*shared, rows, width)
                                   for lo, hi, width in zip(ends, ends[1:], hidden)]
         self.grad = None
         if grads:
@@ -198,12 +213,13 @@ class ForwardCache:
             self.logit_grads, self.per_example, self.grad = buffers
             self.grads = ModelParams._from_flat(cfg, self.grad)
 
-    def draw_masks(self, rng: np.random.Generator) -> None:
-        """Redraw every dropout mask with one call of ``rng``."""
+    def draw_masks(self, rng: np.random.Generator, seed: int = 0) -> None:
+        """Redraw every dropout mask (of ``seed``, in an (S, A, P) stack) with
+        one call of ``rng``."""
         if self.dropout:  # numpy fills the buffer in order: each layer's block
             # holds what a draw of its own shape would give
-            np.less(rng.random(out=self.kept), self.params.config.dropout_keep_prob,
-                    out=self.kept)
+            kept = self.kept[seed]
+            np.less(rng.random(out=kept), self.params.config.dropout_keep_prob, out=kept)
 
 
 # numpy's SeedSequence hash constants (initial, multiplier) for the pool mix
@@ -312,9 +328,10 @@ def pcg64_states(seeds) -> np.ndarray:
     return states
 
 
-def rewind(rng: np.random.Generator, state: np.ndarray) -> np.random.Generator:
-    """Set a PCG64 generator to one row of ``pcg64_states``; returns it."""
-    state_hi, state_lo, inc_hi, inc_lo = state.tolist()
+def rewind(rng: np.random.Generator, state) -> np.random.Generator:
+    """Set a PCG64 generator to one row of ``pcg64_states``, an array or the
+    list of its ``.tolist()``; returns it."""
+    state_hi, state_lo, inc_hi, inc_lo = state.tolist() if isinstance(state, np.ndarray) else state
     rng.bit_generator.state = {
         "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
         "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}}

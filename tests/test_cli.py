@@ -3,6 +3,10 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,32 @@ def read_summary(path):
     import csv
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_matches_one_run_per_seed(run, per_seed):
+    """Every cell file of ``run`` equals that of the one-seed run of its seed
+    in ``per_seed``, and its summary rows are theirs.  ``elapsed_s`` is left
+    out, and so is provenance's ``config_sha256``: it hashes the config, and
+    with it the run's list of seeds."""
+    def cells(root):
+        return {p.relative_to(root) for p in root.rglob("*")
+                if p.is_file() and len(p.relative_to(root).parts) > 2}
+
+    files = cells(run)
+    assert files == {rel for single in per_seed.values() for rel in cells(single)}
+    for rel in files:
+        a, b = (run / rel).read_bytes(), (per_seed[int(rel.parts[1])] / rel).read_bytes()
+        if rel.name == "log.jsonl":
+            a, b = ([{k: v for k, v in json.loads(line).items() if k != "elapsed_s"}
+                     for line in text.splitlines()] for text in (a, b))
+        if rel.name == "provenance.json":
+            a, b = ({k: v for k, v in json.loads(text).items() if k != "config_sha256"}
+                    for text in (a, b))
+        assert a == b, rel
+    rows = read_summary(run / "summary.csv")
+    for seed, single in per_seed.items():
+        assert [r for r in rows if r["seed"] == str(seed)] == read_summary(single / "summary.csv")
+    return files
 
 
 class TestSynth:
@@ -347,11 +377,11 @@ class TestRun:
                                                                monkeypatch):
         from webly import train
         from webly.errors import DivergenceError
-        from webly.model import ModelParams
-        real = train.train_stage
+        real, calls = train.train_stage, []
 
         def clean_only_fails(init, *args, **kwargs):
-            if isinstance(init, ModelParams):
+            calls.append(init)
+            if len(calls) == 1:  # the shared clean-only stage trains first
                 raise DivergenceError("clean-only stage diverged")
             return real(init, *args, **kwargs)
 
@@ -377,19 +407,49 @@ class TestRun:
                      "--overwrite"]) == 0
 
     def test_parallel_jobs_match_serial_bytes(self, tmp_path, monkeypatch):
+        # --jobs is accepted and ignored: the seeds train as one stack per stage
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-        cfg = tiny_config(tmp_path, arms=["BL1", "BL2"], seeds=[0, 1])
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert main(["run", "--config", str(cfg), "--out", str(serial)]) == 0
-        assert main(["run", "--config", str(cfg), "--out", str(parallel),
-                     "--jobs", "2"]) == 0
-        assert ((serial / "summary.csv").read_bytes()
-                == (parallel / "summary.csv").read_bytes())
-        for arm in ("BL1", "BL2"):
-            for seed in ("0", "1"):
-                a = serial / arm / seed / "stage1" / "checkpoint.wslckpt"
-                b = parallel / arm / seed / "stage1" / "checkpoint.wslckpt"
-                assert a.read_bytes() == b.read_bytes()
+        cfg = tiny_config(tmp_path, arms=["BL1", "BL2", "Proposed"], seeds=[0, 1])
+        stacked = tmp_path / "stacked"
+        assert main(["run", "--config", str(cfg), "--out", str(stacked), "--jobs", "2"]) == 0
+        per_seed = {seed: tmp_path / f"seed{seed}" for seed in (0, 1)}
+        for seed, out in per_seed.items():
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--seed", str(seed)]) == 0
+        assert len(assert_matches_one_run_per_seed(stacked, per_seed)) == 2 * (5 + 7 + 8)
+
+    def test_failed_data_build_fails_only_its_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        cfg = tiny_config(tmp_path, arms=["BL1", "BL2"], seeds=[0, 1, 2])
+        real = cli.build_cell_data
+
+        def seed_1_fails(config, seed):
+            if seed == 1:
+                raise WeblyError("no data for seed 1")
+            return real(config, seed)
+
+        monkeypatch.setattr(cli, "build_cell_data", seed_1_fails)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = read_summary(out / "summary.csv")
+        assert [(r["arm"], r["seed"], r["status"]) for r in rows] == [
+            (arm, seed, "failed" if seed == "1" else "ok")
+            for arm in ("BL1", "BL2") for seed in ("0", "1", "2")]
+        assert all(r["error"] == "WeblyError: no data for seed 1" for r in rows if r["seed"] == "1")
+        per_seed = {seed: tmp_path / f"seed{seed}" for seed in (0, 2)}
+        for seed, single in per_seed.items():
+            assert main(["run", "--config", str(cfg), "--out", str(single),
+                         "--seed", str(seed)]) == 0
+        assert_matches_one_run_per_seed(out, per_seed)
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        code = ("import sys, webly.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def file_config(self, tmp_path, **overrides):
         """A tiny synth config's data written to files, and a config reading them."""
@@ -414,27 +474,43 @@ class TestRun:
             real = getattr(cli, name)
             monkeypatch.setattr(cli, name, lambda *a, real=real, name=name, **k: (
                 reads.append(name) or real(*a, **k)))
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert main(["run", "--config", str(cfg), "--out", str(serial)]) == 0
+        stacked = tmp_path / "stacked"
+        assert main(["run", "--config", str(cfg), "--out", str(stacked)]) == 0
         assert sorted(reads) == ["load_dataset"] * 2 + ["load_web_corpus"]
-        assert main(["run", "--config", str(cfg), "--out", str(parallel),
-                     "--jobs", "2"]) == 0
-        files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*")
-                               if p.is_file())
-        # the config and summary, then per seed the cells of BL1, BL2 and Proposed
-        assert len(files) == 2 + 3 * (5 + 7 + 8)
-        for rel in files:
-            a, b = (serial / rel).read_bytes(), (parallel / rel).read_bytes()
-            if rel.name == "log.jsonl":
-                a, b = ([{k: v for k, v in json.loads(line).items() if k != "elapsed_s"}
-                         for line in text.splitlines()] for text in (a, b))
-            if rel.name != "effective_config.json":  # holds the output directory
-                assert a == b, rel
+        per_seed = {seed: tmp_path / f"seed{seed}" for seed in (0, 1, 2)}
+        for seed, out in per_seed.items():
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--seed", str(seed)]) == 0
+        # per seed the cells of BL1, BL2 and Proposed
+        assert len(assert_matches_one_run_per_seed(stacked, per_seed)) == 3 * (5 + 7 + 8)
         for seed in ("1", "2"):
-            prov = json.loads((serial / "BL2" / seed / "provenance.json").read_text())
+            prov = json.loads((stacked / "BL2" / seed / "provenance.json").read_text())
             assert dict(prov["web_access_log"]) == {
                 "start": 0, "after_web_stage": 2, "after_clean_stage": 2}
+
+    @pytest.mark.parametrize("name, synth", [
+        ("clean_test", {"feature_dim": 5}),
+        ("web", {"feature_dim": 5}),
+        ("web", {"num_classes": 4, "class_counts": [16, 12, 8, 8]}),
+    ])
+    def test_mismatched_input_file_exits_2_naming_both_files(self, tmp_path, capsys, name,
+                                                             synth):
+        cfg, data_dir = self.file_config(tmp_path, arms=["BL1", "BL2"], seeds=[0, 1])
+        other = json.loads(tiny_config(tmp_path).read_text())
+        other["data"]["synth"].update(synth)
+        (tmp_path / "other.json").write_text(json.dumps(other))
+        assert main(["synth", "--config", str(tmp_path / "other.json"),
+                     "--out", str(tmp_path / "other")]) == 0
+        config = json.loads(cfg.read_text())
+        config["data"][name] = str(tmp_path / "other" / Path(config["data"][name]).name)
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert config["data"][name] in err and config["data"]["clean_train"] in err
+        assert next(iter(synth)) in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["web.json", "clean_test.csv"])
     def test_malformed_input_file_exits_2_without_output(self, tmp_path, capsys, name):
@@ -533,6 +609,20 @@ class TestEval:
                      "--out", str(tmp_path / "out")]) == 2
         assert f"{data}: not UTF-8" in capsys.readouterr().err
 
+    def test_dataset_of_other_feature_dim_exits_2_naming_it(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.wslckpt"
+        save_checkpoint(init_params(ModelConfig(input_dim=8, hidden_sizes=[2],
+                                                num_classes=3)), ckpt)
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(tiny_config(tmp_path)), "--out", str(data)]) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data",
+                     str(data / "clean_test.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(data / "clean_test.csv") in err and "input_dim 8" in err
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_nonzero_without_output(self, tmp_path):
         eval_dir = tmp_path / "eval"
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.wslckpt"),
@@ -597,18 +687,22 @@ class TestReport:
         assert (out / "summary.csv").read_text() == original
 
     def test_malformed_eval_json_is_a_failed_row_naming_the_file(self, tmp_path):
-        cfg = tiny_config(tmp_path, seeds=[0, 1, 2])
+        cfg = tiny_config(tmp_path, seeds=[0, 1, 2, 3, 4])
         out = tmp_path / "runs"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        bad = {"0": '{"accuracy": 0.5', "1": "{}"}
+        bad = {"0": '{"accuracy": 0.5', "1": "{}", "2": "1e999", "3": "1.5"}
         for seed, text in bad.items():
-            (out / "BL1" / seed / "eval.json").write_text(text)
+            path = out / "BL1" / seed / "eval.json"
+            doc = json.loads(path.read_text())
+            path.write_text(text if seed in "01" else
+                            json.dumps(doc).replace(repr(doc["accuracy"]), text))
         assert main(["report", "--runs", str(out)]) == 0
         rows = {r["seed"]: r for r in read_summary(out / "summary.csv")}
         for seed in bad:
             assert rows[seed]["status"] == "failed"
             assert str(out / "BL1" / seed / "eval.json") in rows[seed]["error"]
-        assert rows["2"]["status"] == "ok"
+        assert "accuracy inf" in rows["2"]["error"] and "accuracy 1.5" in rows["3"]["error"]
+        assert rows["4"]["status"] == "ok"
 
 
 class TestOutputPathOfTheWrongKind:

@@ -346,6 +346,44 @@ class TestWorkspace:
                 assert np.array_equal(p, want_p)
                 assert np.array_equal(backward(fresh, upstream), want_grad)
 
+    @pytest.mark.parametrize("keep", [0.7, 1.0])
+    def test_seed_batches_and_masks_equal_each_member_alone(self, keep):
+        # a stage over two seeds of two members each, viewed as (S, A, P):
+        # each seed's members share its rows of a shuffled epoch and its masks
+        cfg = ModelConfig(input_dim=4, hidden_sizes=[5, 3, 7], num_classes=3,
+                          dropout_keep_prob=keep)
+        members = [init_params(ModelConfig(**{**vars(cfg), "init_seed": s})) for s in range(4)]
+        flat = ModelParams.stack(members).flat
+        stack = ModelParams._from_flat(cfg, flat.reshape(2, 2, flat.shape[-1]))
+        rng = np.random.default_rng(5)
+        epoch = rng.normal(size=(2, 1, 20, 4))
+        for lo, rows in ((0, 8), (8, 1), (9, 3)):
+            cache = ForwardCache(stack, rows, train=True, grads=True)
+            x, upstream = epoch[..., lo:lo + rows, :], rng.normal(size=(2, 2, rows, 3))
+            for seed in (1, 0):
+                cache.draw_masks(np.random.default_rng((seed, rows)), seed)
+            posteriors = forward_layers(cache, x)
+            grad = backward(cache, upstream)
+            for m, member in enumerate(members):
+                seed, at = divmod(m, 2)
+                p, alone = forward(member, x[seed, 0], train=True, dropout_seed=(seed, rows))
+                assert np.array_equal(posteriors[seed, at], p)
+                assert np.array_equal(grad[seed, at], backward(alone, upstream[seed, at]))
+
+    def test_seed_axis_matmul_equals_each_members_product(self):
+        # forward's x @ W and backward's x^T @ dz with each seed's (1, B, D)
+        # slice of an epoch broadcast over its A members' (A, D, H) weights
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            s, a, b, d, h, lo = (int(v) for v in rng.integers(1, [5, 5, 40, 20, 20, 5]))
+            x = rng.normal(size=(s, 1, lo + b + 3, d))[..., lo:lo + b, :]
+            w, dz = rng.normal(size=(s, a, d, h)), rng.normal(size=(s, a, b, h))
+            product, grad = np.matmul(x, w), np.matmul(x.swapaxes(-1, -2), dz)
+            for i in range(s):
+                for j in range(a):
+                    assert np.array_equal(product[i, j], x[i, 0] @ w[i, j])
+                    assert np.array_equal(grad[i, j], x[i, 0].T @ dz[i, j])
+
 
 class TestPcg64States:
     """``pcg64_states`` gives the PCG64 state ``np.random.default_rng`` starts

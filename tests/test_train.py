@@ -7,8 +7,9 @@ import pytest
 
 from conftest import make_clean_dataset, random_transition
 from webly import train
-from webly.data import BackgroundSpec, Dataset, NoiseSpec, WebCorpus, synth_web_corpus
-from webly.errors import DivergenceError, ValidationError
+from webly.data import (BackgroundSpec, CleanSpec, Dataset, NoiseSpec, WebCorpus, synth_clean,
+                        synth_web_corpus)
+from webly.errors import DivergenceError, ValidationError, WeblyError
 from webly.loss import median_frequency_weights, modulated_cross_entropy
 from webly.model import (ModelConfig, ModelParams, backward, forward, init_params, predict,
                          save_checkpoint)
@@ -18,10 +19,13 @@ from webly.train import (
     ARM_BL2,
     ARM_PROPOSED,
     ARMS,
+    SeedInputs,
+    SeedStack,
     TrainConfig,
     effective_lr,
     run_arm,
     run_seed,
+    run_seeds,
     sgd_momentum_step,
     train_stage,
 )
@@ -504,12 +508,13 @@ class TestRunSeed:
             "start": 0, "after_web_stage": 2, "after_clean_stage": 2}
 
     def test_shared_clean_stage_failure_fails_bl1_and_proposed_only(self, monkeypatch):
-        real = train.train_stage
+        real, calls = train.train_stage, []
 
-        def clean_only_fails(init, ds, cfg, transition=None, renormalize=False):
-            if isinstance(init, ModelParams):
+        def clean_only_fails(init, *args):
+            calls.append(init)
+            if len(calls) == 1:  # the shared clean-only stage trains first
                 raise DivergenceError("clean-only stage diverged")
-            return real(init, ds, cfg, transition, renormalize)
+            return real(init, *args)
 
         monkeypatch.setattr(train, "train_stage", clean_only_fails)
         together = run_seed(ARMS, self.clean, self.web, *self.args)
@@ -588,3 +593,201 @@ class TestTrainConfigValidation:
             TrainConfig(momentum=1.0, **good)
         with pytest.raises(ValidationError):
             TrainConfig(lr_decay_factor=1.0, **good)
+
+
+def seed_dataset(counts, seed):
+    """A 3-class, 4-feature clean set of ``counts`` rows per class."""
+    means = np.zeros((3, 4))
+    means[np.arange(3), np.arange(3)] = 3.0
+    return synth_clean(CleanSpec(num_classes=3, feature_dim=4, class_means=means, sigma=1.0,
+                                 class_counts=counts, groups_per_class=3, seed=seed))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCrossSeedStack:
+    """Members of several seeds, each on its own dataset, class weights,
+    shuffle stream and dropout stream, train in one stack to the bits each
+    gets alone."""
+
+    # 27 rows each, with other class counts and so other class weights
+    datasets = [seed_dataset([12, 9, 6], 1), seed_dataset([9, 9, 9], 2),
+                seed_dataset([6, 12, 9], 3)]
+    shuffle_seeds = [4, 5, 2**32 + 1]
+
+    def inits(self, keep, count):
+        cfg = ModelConfig(input_dim=4, hidden_sizes=[5, 3], num_classes=3,
+                          dropout_keep_prob=keep)
+        return [init_params(replace(cfg, init_seed=10 + i)) for i in range(count)]
+
+    def assert_alone(self, got, inits, transitions, member_seeds, cfg, renormalize=False):
+        for result, init, t, s in zip(got, inits, transitions, member_seeds):
+            alone = train_stage(init, self.datasets[s],
+                                replace(cfg, shuffle_seed=self.shuffle_seeds[s]), t, renormalize)
+            assert np.array_equal(result.params.flat, alone.params.flat)
+            assert result.params.config == init.config
+            assert without_timings(result.log) == without_timings(alone.log)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("member_seeds", [[0, 0, 1, 1, 2, 2], [1, 0, 2, 0, 2, 1]])
+    @pytest.mark.parametrize("keep, batch_size", [(0.7, 8), (1.0, 13), (0.7, 64)])
+    def test_members_of_three_seeds_match_each_alone(self, keep, batch_size, member_seeds,
+                                                     renormalize):
+        cfg = TrainConfig(epochs=3, batch_size=batch_size)
+        rng = np.random.default_rng(1)
+        transitions = [None if i % 2 else TransitionMatrix(
+            entries=random_transition(3, rng), provenance={}) for i in range(6)]
+        inits = self.inits(keep, 6)
+        got = train_stage(inits, SeedStack(self.datasets, self.shuffle_seeds, member_seeds),
+                          cfg, transitions, renormalize)
+        assert len(got) == 6
+        self.assert_alone(got, inits, transitions, member_seeds, cfg, renormalize)
+
+    def test_diverging_member_leaves_the_other_seeds_bit_identical(self):
+        cfg = TrainConfig(epochs=3, batch_size=8)
+        good = self.inits(0.7, 3)
+        bad = ModelParams(good[1].config, [w * 1e200 for w in good[1].weights],
+                          good[1].biases)
+        got = train_stage([good[0], bad, good[2]], SeedStack(self.datasets, self.shuffle_seeds,
+                                                             [0, 1, 2]), cfg, [None] * 3)
+        assert isinstance(got[1], DivergenceError)
+        self.assert_alone([got[0], got[2]], [good[0], good[2]], [None, None], [0, 2], cfg)
+
+    def test_stack_checks_its_seeds(self):
+        cfg = TrainConfig(epochs=1, batch_size=8)
+        inits = self.inits(0.7, 2)
+        shorter = seed_dataset([6, 6, 6], 4)
+        with pytest.raises(ValidationError, match="rows"):
+            train_stage(inits, SeedStack([self.datasets[0], shorter], [0, 1], [0, 1]), cfg,
+                        [None, None])
+        with pytest.raises(ValidationError, match="member seeds"):
+            train_stage(inits, SeedStack(self.datasets, self.shuffle_seeds, [0, 2]), cfg,
+                        [None, None])
+        with pytest.raises(ValidationError, match="as many members"):  # 2 and 1
+            train_stage(self.inits(0.7, 3), SeedStack(self.datasets[:2], [0, 1], [0, 1, 0]),
+                        cfg, [None] * 3)
+        with pytest.raises(ValidationError, match="one config"):
+            train_stage([inits[0], init_params(replace(inits[1].config, hidden_sizes=[5]))],
+                        self.datasets[0], cfg, [None, None])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestCrossSeedRun:
+    """``run_seeds`` stacks every stage over the seeds whose data share one
+    size, and each seed's arms get the numbers of ``run_seed`` on that seed."""
+
+    def seed(self, s, per_class=12, web=None):
+        clean = make_clean_dataset(k=3, d=4, per_class=per_class, separation=3.0, sigma=1.0,
+                                   seed=17 + s)
+        return SeedInputs(clean, web or make_web(clean, seed=20 + s),
+                          TrainConfig(epochs=3, batch_size=16, shuffle_seed=7 + s),
+                          TrainConfig(epochs=3, batch_size=8, shuffle_seed=8 + s),
+                          ModelConfig(input_dim=4, hidden_sizes=[8], num_classes=3,
+                                      init_seed=5 + s))
+
+    def alone(self, seed, **kwargs):
+        return run_seed(ARMS, seed.clean_train, seed.web, seed.cfg_web, seed.cfg_clean,
+                        seed.model_cfg, **kwargs)
+
+    def assert_same_seed(self, got, want, arms=ARMS):
+        for arm in arms:
+            (params, result), (want_params, expected) = got[arm], want[arm]
+            assert params.flat.tobytes() == want_params.flat.tobytes()
+            assert [s.params.flat.tobytes() for s in result.stages] == [
+                s.params.flat.tobytes() for s in expected.stages]
+            assert [without_timings(s.log) for s in result.stages] == [
+                without_timings(s.log) for s in expected.stages]
+            assert result.web_access_log == expected.web_access_log
+            if arm == ARM_PROPOSED:
+                assert result.transition.entries.tobytes() == expected.transition.entries.tobytes()
+                assert result.transition.provenance == expected.transition.provenance
+                assert result.oracle.flat.tobytes() == expected.oracle.flat.tobytes()
+
+    def record_stacks(self, monkeypatch):
+        """Per ``train_stage`` call, its number of seeds and of members."""
+        real, stacks = train.train_stage, []
+
+        def recorded(init, ds, *args):
+            stacks.append((len(ds.datasets), len(init)))
+            return real(init, ds, *args)
+
+        monkeypatch.setattr(train, "train_stage", recorded)
+        return stacks
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_seeds_of_one_size_train_one_stack_per_stage(self, monkeypatch, renormalize):
+        seeds = [self.seed(s) for s in range(3)]
+        stacks = self.record_stacks(monkeypatch)
+        got = run_seeds(ARMS, seeds, renormalize=renormalize)
+        monkeypatch.undo()
+        web = [(3, 3), (3, 3)] if renormalize else [(3, 6)]  # one stack per loss form
+        assert stacks == [(3, 3), *web, (3, 6)]
+        for seed, outcome in zip(seeds, got):
+            self.assert_same_seed(outcome, self.alone(seed, renormalize=renormalize))
+
+    def test_seeds_of_two_sizes_train_as_two_stacks(self, monkeypatch):
+        seeds = [self.seed(0), self.seed(1, per_class=10), self.seed(2)]
+        stacks = self.record_stacks(monkeypatch)
+        got = run_seeds(ARMS, seeds)
+        monkeypatch.undo()
+        assert stacks == [(2, 2), (1, 1), (2, 4), (1, 2), (2, 4), (1, 2)]
+        for seed, outcome in zip(seeds, got):
+            self.assert_same_seed(outcome, self.alone(seed))
+
+    def test_one_corpus_for_every_seed_counts_each_seeds_reads(self):
+        web = make_web(self.seed(0).clean_train)
+        seeds = [self.seed(s, web=web) for s in range(3)]
+        got = run_seeds(ARMS, seeds)
+        assert web.access_count == 6  # each seed's two reads, each counted in its own log
+        for seed, outcome in zip(seeds, got):
+            self.assert_same_seed(outcome, self.alone(seed))
+
+    def test_diverged_members_fail_only_their_own_cells(self):
+        seeds = [self.seed(s) for s in range(3)]
+        web = seeds[1].web  # a far member overflows the web stage of seed 1 only
+        far = web.X.copy()
+        far[0] = [1e308, -1e308, 1e308, -1e308]
+        seeds[1].web = WebCorpus(query_ids=web.query_ids, labels=web.labels,
+                                 offsets=web.offsets, member_ids=web.member_ids, X=far,
+                                 num_classes=3)
+        got = run_seeds(ARMS, seeds)
+        assert isinstance(got[1][ARM_BL2], DivergenceError)
+        assert isinstance(got[1][ARM_PROPOSED], WeblyError)  # its oracle scores the far member
+        self.assert_same_seed(got[1], self.alone(seeds[1]), arms=[ARM_BL1])
+        for s in (0, 2):
+            self.assert_same_seed(got[s], self.alone(seeds[s]))
+
+    def test_other_toolkit_error_of_a_stack_fails_only_its_seed(self, monkeypatch):
+        seeds = [self.seed(s) for s in range(3)]
+        clean = seeds[1].clean_train  # same size, but class 2 absent: its weights raise
+        seeds[1].clean_train = Dataset(clean.ids, clean.group_ids, clean.X,
+                                       np.where(clean.y == 2, 0, clean.y), 3)
+        stacks = self.record_stacks(monkeypatch)
+        got = run_seeds(ARMS, seeds)
+        monkeypatch.undo()
+        # the clean-only stack fails and trains again one seed at a time; seed
+        # 1's BL2, its oracle having failed, then stacks apart
+        assert stacks == [(3, 3), (1, 1), (1, 1), (1, 1), (2, 4), (1, 1), (2, 4), (1, 1)]
+        for arm in (ARM_BL1, ARM_PROPOSED, ARM_BL2):
+            assert isinstance(got[1][arm], ValidationError)
+            assert "class absent" in str(got[1][arm])
+        for s in (0, 2):
+            self.assert_same_seed(got[s], self.alone(seeds[s]))
+
+    def test_failed_web_init_fails_only_its_seeds_web_arms(self, monkeypatch):
+        seeds = [self.seed(s) for s in range(3)]
+        real, calls = train.init_params, []
+
+        def seed_1_web_init_fails(cfg):
+            if cfg == seeds[1].model_cfg:
+                calls.append(cfg)
+                if len(calls) == 2:  # its first init is the clean-only stage's
+                    raise ValidationError("no init for seed 1")
+            return real(cfg)
+
+        monkeypatch.setattr(train, "init_params", seed_1_web_init_fails)
+        got = run_seeds(ARMS, seeds)
+        monkeypatch.undo()
+        assert [str(got[1][arm]) for arm in (ARM_BL2, ARM_PROPOSED)] == ["no init for seed 1"] * 2
+        self.assert_same_seed(got[1], self.alone(seeds[1]), arms=[ARM_BL1])
+        for s in (0, 2):
+            self.assert_same_seed(got[s], self.alone(seeds[s]))
