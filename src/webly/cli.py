@@ -311,16 +311,15 @@ def _model_config(config: dict, input_dim: int, num_classes: int,
 # ---------------------------------------------------------------------------
 
 def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
-             data: tuple, outcome, inputs: dict | None) -> dict:
+             data: tuple, arm_result, inputs: dict | None) -> dict:
     """Write one (arm, seed) cell's artifacts and return its summary row.
 
     ``data`` is the seed's (clean_train, clean_test, web), ``inputs`` their
-    fingerprints by name, and ``outcome`` the arm's (final params, ArmResult)
-    from ``run_seeds``, or the error that failed it, which is raised here.
+    fingerprints by name, and ``arm_result`` the arm's ArmResult from
+    ``run_seeds``, or the error that failed it, which is raised here.
     """
-    if isinstance(outcome, BaseException):
-        raise outcome
-    final_params, arm_result = outcome
+    if isinstance(arm_result, BaseException):
+        raise arm_result
     clean_test = data[1]
 
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -338,11 +337,12 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
     if arm_result.transition is not None:
         save_transition(arm_result.transition, cell_dir / "transition.json")
 
-    report = evaluate(final_params, clean_test)
+    report = evaluate(arm_result.final_params, clean_test)
     write_eval_json(report, cell_dir / "eval.json", timestamp=timestamp)
     write_eval_csv(report, cell_dir / "eval.csv")
 
-    experiment_config = {k: v for k, v in config.items() if k != "output_dir"}
+    # the cell's own config: the run's output directory and seed list aside
+    experiment_config = {k: v for k, v in config.items() if k not in ("output_dir", "seeds")}
     provenance = {
         "arm": arm,
         "seed": seed,

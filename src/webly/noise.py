@@ -54,6 +54,7 @@ def estimate_transition(oracle: ModelParams, corpus: WebCorpus,
     ties go to the lowest flattened index.  The matrix is estimated once,
     globally; callers hold it fixed during training.  A caller that already
     holds ``fingerprint(corpus)`` passes it, so the corpus is not hashed again.
+    A member whose posterior is not finite raises ValidationError naming it.
     """
     if oracle.config.num_classes != corpus.num_classes:
         raise ValidationError(
@@ -61,7 +62,12 @@ def estimate_transition(oracle: ModelParams, corpus: WebCorpus,
             f"{corpus.num_classes}"
         )
     flat = flatten_web(corpus)
-    posteriors = predict(oracle, flat)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        posteriors = predict(oracle, flat)
+    if not np.isfinite(posteriors.sum()):  # a NaN or an infinity anywhere
+        bad = np.isfinite(posteriors).all(axis=1).argmin()
+        raise ValidationError(f"web member {flat.ids[bad]!r}: its features overflow the "
+                              f"oracle (non-finite posterior)")
     reps = posteriors.argmax(axis=0)
     provenance = {
         "oracle": fingerprint(oracle),

@@ -10,32 +10,31 @@ shuffle order is the stream of ``np.random.default_rng((shuffle_seed,
 epoch))`` and a step's dropout masks that of ``(shuffle_seed, epoch,
 batch)``, all seeded at stage start (``model.pcg64_states``).
 
-Every stage trains a lockstep stack of models of one config, seeds aside:
-one (M, P) parameter array (``ModelParams.stack``), with the gradient and
-momentum in the same layout, and a lone model is a stack of one.  A stack
-holds the members of one or more seeds (``SeedStack``), as many per seed:
-each seed brings its dataset, shuffle stream and dropout stream, and the
+Every stage trains a lockstep stack of models of one config, seeds aside: one
+(M, P) parameter array (``ModelParams.stack``), with the gradient and momentum
+in the same layout, and a lone model is a stack of one.  A stack holds the
+members of one or more seeds (``SeedStack``), seed by seed and as many per
+seed: each seed brings its dataset, shuffle stream and dropout stream, and the
 stack is viewed as (S, A, P), or (A, P) for one seed, so that each seed's A
-members share its batch and masks by broadcasting.
-Dropout is the model's setting.  Parameters, the transition, the class
-weights and the dataset are checked when they are built, and their fit once
-at stage start.  A batch is one fused step on a workspace allocated once per
-stage for the full batches (``model.ForwardCache``; a ragged last batch has a
-second one): dropout drawn into it, layers, loss on the transition rows and
-class weight terms gathered once per epoch, backward straight into its packed
-gradient, and the update, with nothing allocated per step but a few small
-temporaries.  Each epoch writes every seed's shuffled rows into one buffer
-allocated once per stage, one copy per seed however many members it has,
-and a step's batch is a slice of it.  It checks only that the
-updated parameters are finite.
+members share its batch and masks by broadcasting.  Dropout is the model's
+setting.  Parameters, the transition, the class weights and the dataset are
+checked when they are built, and their fit once at stage start.  A batch is
+one fused step on a workspace allocated once per stage for the full batches
+(``model.ForwardCache``; a ragged last batch has a second one): dropout drawn
+into it, layers, loss on the transition rows and class weight terms gathered
+once per epoch, backward straight into its packed gradient, and the update,
+with nothing allocated per step but a few small temporaries.  Each epoch
+writes every seed's shuffled rows into one buffer allocated once per stage,
+one copy per seed however many members it has, and a step's batch is a slice
+of it.  It checks only that the updated parameters are finite.
 
-The arms of every seed of a run train together (``run_seeds``): BL1's stage
-is also the oracle, and each stage of the plan runs the members of all seeds
-whose datasets share one size, whose configs and loss form agree and which
-bring as many members as one stack, each member bit-identical to its stage
-run alone.  The stack keeps its
-shape for the whole stage: a member that diverges records its error, and its
-rows of the parameters and the velocity are set to zero so that the stack
+The arms of every seed of a run train together (``run_seeds``), each (seed,
+arm) cell an ArmResult filled phase by phase: BL1's stage is also the oracle,
+and each stage of the plan runs the members of all seeds whose datasets share
+one size, whose configs and loss form agree and which bring as many members as
+one stack, each member bit-identical to its stage run alone.  The stack keeps
+its shape for the whole stage: a member that diverges records its error, and
+its rows of the parameters and the velocity are set to zero so that the stack
 stays finite.
 """
 
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,10 +101,10 @@ class ArmResult:
     the oracle (when one was trained), and web-access counter snapshots."""
 
     arm: str
-    stages: list[StageResult]
-    transition: TransitionMatrix | None
-    oracle: ModelParams | None
-    web_access_log: list[tuple[str, int]]
+    stages: list[StageResult] = field(default_factory=list)
+    transition: TransitionMatrix | None = None
+    oracle: ModelParams | None = None
+    web_access_log: list[tuple[str, int]] = field(default_factory=list)
 
     @property
     def final_params(self) -> ModelParams:
@@ -146,13 +145,12 @@ def momentum_update(theta: np.ndarray, step: np.ndarray, velocity: np.ndarray,
 @dataclass
 class SeedStack:
     """The seeds of a cross-seed stage: per seed its dataset and the shuffle
-    seed of its streams, and per member of the stack the index of its seed.
+    seed of its streams.  Its members come seed by seed, as many per seed.
     The datasets share one size, feature dim and class count; ``len`` is one
     dataset's rows."""
 
     datasets: list[Dataset]
     shuffle_seeds: list[int]
-    member_seeds: list[int]
 
     def __len__(self) -> int:
         return len(self.datasets[0])
@@ -173,32 +171,29 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     The result is then a list holding, per member, its StageResult or its
     first DivergenceError.  Every stage trains as such a stack, a lone model
     as a stack of one, and ``ds`` as a ``SeedStack``, a Dataset as one seed
-    with ``cfg.shuffle_seed``, whose seeds each have as many members: each
-    epoch draws one shuffle order per seed and each step one set of dropout
-    masks per seed, each seed's members share its (1, B, D) batch and its
-    masks, and each member's numbers are those it gets alone.  A diverged member stays in the stack,
-    restarted from zero parameters and velocity and no longer logged, until
-    every member has diverged.
+    with ``cfg.shuffle_seed``, whose members come seed by seed, as many per
+    seed: each epoch draws one shuffle order per seed and each step one set
+    of dropout masks per seed, each seed's members share its (1, B, D) batch
+    and its masks, and each member's numbers are those it gets alone.  A
+    diverged member stays in the stack, restarted from zero parameters and
+    velocity and no longer logged, until every member has diverged.
     """
     solo = isinstance(init, ModelParams)
     members = [init] if solo else list(init)
     transitions = [transition] if solo else list(transition)
     if isinstance(ds, Dataset):
-        ds = SeedStack([ds], [cfg.shuffle_seed], [0] * len(members))
-    if not len(transitions) == len(ds.member_seeds) == len(members):
-        raise ValidationError(f"{len(members)} models but {len(transitions)} transitions "
-                              f"and {len(ds.member_seeds)} member seeds")
-    counts = [list(ds.member_seeds).count(s) for s in range(len(ds.datasets))]
-    if sum(counts) != len(members) or len(set(counts)) != 1:
-        raise ValidationError(f"member seeds {ds.member_seeds} do not give each of "
-                              f"{len(ds.datasets)} seeds as many members")
+        ds = SeedStack([ds], [cfg.shuffle_seed])
+    seeds = len(ds.datasets)
+    if len(transitions) != len(members) or len(members) % seeds:
+        raise ValidationError(f"{len(members)} members and {len(transitions)} transitions "
+                              f"for {seeds} seeds: need one transition per member and as "
+                              f"many members per seed")
     n = len(ds)
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")
-    # the members in seed order, viewed as (S, A, P): each seed's A members
-    # share its batch and masks along the member axis
-    order = np.argsort(ds.member_seeds, kind="stable")
-    params = ModelParams.stack([members[i] for i in order])
+    # the members viewed as (S, A, P): each seed's A members share its batch
+    # and masks along the member axis
+    params = ModelParams.stack(members)
     k = params.config.num_classes
     for d in ds.datasets:
         if len(d) != n:
@@ -212,14 +207,14 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     # The stack's lead axes: (S, A), or (A,) for one seed, since numpy
     # charges every call of the step for each axis of its arrays.  Each
     # per-epoch array is built as (S, A or 1, n, ...) and viewed with them.
-    seeds, size = len(ds.datasets), params.flat.shape[-1]
-    lead = (counts[0],) if seeds == 1 else (seeds, counts[0])
+    size, per_seed = params.flat.shape[-1], len(members) // seeds
+    lead = (per_seed,) if seeds == 1 else (seeds, per_seed)
     grouped = ModelParams._from_flat(params.config, params.flat.reshape(*lead, size))
     seed_models = [ModelParams._from_flat(params.config, flat)
                    for flat in params.flat.reshape(seeds, -1, size)]
-    entries = np.stack([np.eye(k) if transitions[i] is None else transitions[i].entries
-                        for i in order]).reshape(seeds, -1, k, k)
-    seed_at, member_at = np.arange(seeds)[:, None, None], np.arange(counts[0])[:, None]
+    entries = np.stack([np.eye(k) if t is None else t.entries for t in transitions]
+                       ).reshape(seeds, -1, k, k)
+    seed_at, member_at = np.arange(seeds)[:, None, None], np.arange(per_seed)[:, None]
     labels = np.stack([d.y for d in ds.datasets])
     x_epoch = np.empty((seeds, n, params.config.input_dim))  # each seed's shuffled rows
     x_view = x_epoch.reshape(*lead[:-1], 1, n, params.config.input_dim)
@@ -299,7 +294,6 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
                 })
     outcome = [result or StageResult(params=member_params, log=log)
                for result, member_params, log in zip(outcome, params.unstack(), logs)]
-    outcome = [outcome[i] for i in np.argsort(order)]  # back in the members' order
     if solo and isinstance(outcome[0], DivergenceError):
         raise outcome[0]
     return outcome[0] if solo else outcome
@@ -319,20 +313,11 @@ class SeedInputs:
     web_fingerprint: str | None = None
 
 
-def run_seed(arms, clean_train: Dataset, web: WebCorpus | None,
-             cfg_web: TrainConfig, cfg_clean: TrainConfig, model_cfg: ModelConfig,
-             transition_override: TransitionMatrix | None = None,
-             renormalize: bool = False, web_fingerprint: str | None = None) -> dict:
-    """Train the given arms of one seed together: ``run_seeds`` of that seed."""
-    seed = SeedInputs(clean_train, web, cfg_web, cfg_clean, model_cfg, web_fingerprint)
-    return run_seeds(arms, [seed], transition_override, renormalize)[0]
-
-
 def run_seeds(arms, seeds: list[SeedInputs],
               transition_override: TransitionMatrix | None = None,
               renormalize: bool = False) -> list[dict]:
     """Train the given arms of every seed together; per seed, map each arm
-    to (final params, ArmResult) or to the toolkit error that failed it.
+    to its ArmResult or to the toolkit error that failed it.
 
     The clean-only stage is trained once per seed: it is BL1's stage and the
     noise-corrected arm's oracle, so its failure fails both.  The transition
@@ -346,9 +331,10 @@ def run_seeds(arms, seeds: list[SeedInputs],
     form and stacks apart.  A member that diverges fails only its own arm of
     its seed, a web corpus that cannot be flattened only the web arms of its
     seed, and any other toolkit error of a stack only the seed it belongs to
-    (the stack's seeds are then trained one by one).  Every arm's numbers are those it gets alone, and its
-    ``web_access_log`` counts the corpus reads made for its seed from this
-    call's start, also when seeds share one corpus object.
+    (the stack's seeds are then trained one by one).  Every arm's numbers
+    are those it gets alone, and its ``web_access_log`` counts the corpus
+    reads made for its seed from this call's start, also when seeds share
+    one corpus object.
 
     ``transition_override`` is a diagnostic hook that replaces the estimated
     transition in the noise-corrected arm (and skips oracle training when no
@@ -359,17 +345,17 @@ def run_seeds(arms, seeds: list[SeedInputs],
         if arm not in ARMS:
             raise ValidationError(f"unknown arm {arm!r}; expected one of {ARMS}")
     webs, reads = [seed.web for seed in seeds], [0] * len(seeds)
-    failed: list[dict[str, WeblyError]] = [{} for _ in seeds]
-    access_logs = [{arm: [] for arm in arms} for _ in seeds]
+    # each (seed, arm) cell's ArmResult, filled phase by phase, or its error
+    cells = [{arm: ArmResult(arm) for arm in arms} for _ in seeds]
     order = range(len(seeds))
 
     def live(s, *names):
-        return [arm for arm in arms if arm in names and arm not in failed[s]]
+        return [arm for arm in arms if arm in names and isinstance(cells[s][arm], ArmResult)]
 
     def snapshot(phase: str, *names) -> None:
         for s in order:
             for arm in live(s, *names):
-                access_logs[s][arm].append((phase, reads[s]))
+                cells[s][arm].web_access_log.append((phase, reads[s]))
 
     def read(s, fn, *args):
         """``fn(*args)``, which reads seed s's corpus, counting its reads."""
@@ -380,11 +366,11 @@ def run_seeds(arms, seeds: list[SeedInputs],
             reads[s] += webs[s].access_count - before
 
     def train(members, data, cfg_of, init_of, transition_of=lambda s, arm: None) -> dict:
-        """Map each (seed, arm) member to its stage result or error, in one
-        ``train_stage`` call per stack of seeds whose data and configs fit and
-        that bring as many members.  A stack of several seeds that raises a
-        toolkit error trains again seed by seed, so that the error fails only
-        its own seed's members."""
+        """Map each (seed, arm) member, given seed by seed, to its stage
+        result or error, in one ``train_stage`` call per stack of seeds whose
+        data and configs fit and that bring as many members.  A stack of
+        several seeds that raises a toolkit error trains again seed by seed,
+        so that the error fails only its own seed's members."""
         keyed = []
         for s, arm in members:  # configs are unhashable: key by their repr
             d, renorm = data[s], renormalize and transition_of(s, arm) is not None
@@ -401,8 +387,7 @@ def run_seeds(arms, seeds: list[SeedInputs],
             try:
                 got = train_stage([init_of(*member) for member in stack],
                                   SeedStack([data[s] for s in on],
-                                            [cfg_of(s).shuffle_seed for s in on],
-                                            [on.index(s) for s, _ in stack]),
+                                            [cfg_of(s).shuffle_seed for s in on]),
                                   cfg_of(on[0]), [transition_of(*member) for member in stack],
                                   renorm)
             except WeblyError as exc:
@@ -417,68 +402,55 @@ def run_seeds(arms, seeds: list[SeedInputs],
     for s in order:
         if webs[s] is None:
             for arm in live(s, ARM_BL2, ARM_PROPOSED):
-                failed[s][arm] = ValidationError(f"arm {arm} requires a web corpus")
+                cells[s][arm] = ValidationError(f"arm {arm} requires a web corpus")
 
     oracle_arms = [live(s, ARM_BL1) + (live(s, ARM_PROPOSED) if transition_override is None
                                        else []) for s in order]
-    clean, clean_stage = [seed.clean_train for seed in seeds], [None] * len(seeds)
+    clean = [seed.clean_train for seed in seeds]
     for (s, _), result in train([(s, ARM_BL1) for s in order if oracle_arms[s]], clean,
                                 lambda s: seeds[s].cfg_clean,
                                 lambda s, _: init_params(seeds[s].model_cfg)).items():
-        if isinstance(result, WeblyError):
-            failed[s].update(dict.fromkeys(oracle_arms[s], result))
-        else:
-            clean_stage[s] = result
+        for arm in oracle_arms[s]:
+            if isinstance(result, WeblyError):
+                cells[s][arm] = result
+            elif arm == ARM_BL1:
+                cells[s][arm].stages.append(result)
+            else:
+                cells[s][arm].oracle = result.params
     snapshot("after_clean_stage", ARM_BL1)
 
-    transition = [transition_override] * len(seeds)
     for s in order:
-        if live(s, ARM_PROPOSED) and transition[s] is None:
+        for arm in live(s, ARM_PROPOSED):
             try:
-                transition[s] = read(s, estimate_transition, clean_stage[s].params,
-                                     webs[s], seeds[s].web_fingerprint)
+                cells[s][arm].transition = transition_override or read(
+                    s, estimate_transition, cells[s][arm].oracle, webs[s],
+                    seeds[s].web_fingerprint)
             except WeblyError as exc:
-                failed[s][ARM_PROPOSED] = exc
+                cells[s][arm] = exc
     snapshot("after_estimation", ARM_PROPOSED)
 
-    flat, params = [None] * len(seeds), {}
+    flat, web_init = [None] * len(seeds), {}
     for s in order:
         web_arms = live(s, ARM_BL2, ARM_PROPOSED)
         if web_arms:
             try:
                 flat[s] = read(s, flatten_web, webs[s])
-                params.update(dict.fromkeys([(s, arm) for arm in web_arms],
-                                            init_params(seeds[s].model_cfg)))
+                web_init[s] = init_params(seeds[s].model_cfg)
             except WeblyError as exc:
-                failed[s].update(dict.fromkeys(web_arms, exc))
-    stages: dict[tuple, list[StageResult]] = {member: [] for member in params}
-    for phase, data, cfg_of, transition_of in (
-            ("after_web_stage", flat, lambda s: seeds[s].cfg_web,
-             lambda s, arm: transition[s] if arm == ARM_PROPOSED else None),
-            ("after_clean_stage", clean, lambda s: seeds[s].cfg_clean, lambda s, arm: None)):
-        members = [(s, arm) for s, arm in params if arm not in failed[s]]
-        for (s, arm), result in train(members, data, cfg_of, lambda *member: params[member],
-                                      transition_of).items():
+                cells[s].update(dict.fromkeys(web_arms, exc))
+    for phase, data, cfg_of, init_of, transition_of in (
+            ("after_web_stage", flat, lambda s: seeds[s].cfg_web, lambda s, _: web_init[s],
+             lambda s, arm: cells[s][arm].transition),
+            ("after_clean_stage", clean, lambda s: seeds[s].cfg_clean,
+             lambda s, arm: cells[s][arm].final_params, lambda s, arm: None)):
+        members = [(s, arm) for s in web_init for arm in live(s, ARM_BL2, ARM_PROPOSED)]
+        for (s, arm), result in train(members, data, cfg_of, init_of, transition_of).items():
             if isinstance(result, WeblyError):
-                failed[s][arm] = result
+                cells[s][arm] = result
             else:
-                stages[s, arm].append(result)
-                params[s, arm] = result.params
+                cells[s][arm].stages.append(result)
         snapshot(phase, ARM_BL2, ARM_PROPOSED)
-
-    outcomes = [{} for _ in seeds]
-    for s, arm in ((s, arm) for s in order for arm in arms):
-        if arm in failed[s]:
-            outcomes[s][arm] = failed[s][arm]
-            continue
-        is_proposed = arm == ARM_PROPOSED
-        result = ArmResult(
-            arm=arm, stages=[clean_stage[s]] if arm == ARM_BL1 else stages[s, arm],
-            transition=transition[s] if is_proposed else None,
-            oracle=clean_stage[s].params if is_proposed and transition_override is None else None,
-            web_access_log=access_logs[s][arm])
-        outcomes[s][arm] = (result.final_params, result)
-    return outcomes
+    return cells
 
 
 def run_arm(arm: str, clean_train: Dataset, web: WebCorpus | None,
@@ -486,11 +458,11 @@ def run_arm(arm: str, clean_train: Dataset, web: WebCorpus | None,
             model_cfg: ModelConfig,
             transition_override: TransitionMatrix | None = None,
             renormalize: bool = False) -> tuple[ModelParams, ArmResult]:
-    """Execute one experimental arm end to end: ``run_seed`` with that arm
-    alone, raising the toolkit error that failed it."""
-    outcome = run_seed([arm], clean_train, web, cfg_web, cfg_clean, model_cfg,
-                       transition_override=transition_override,
-                       renormalize=renormalize)[arm]
-    if isinstance(outcome, WeblyError):
-        raise outcome
-    return outcome
+    """Execute one experimental arm end to end: ``run_seeds`` of that arm on
+    one seed.  Returns (final params, ArmResult), or raises the toolkit error
+    that failed it."""
+    seed = SeedInputs(clean_train, web, cfg_web, cfg_clean, model_cfg)
+    result = run_seeds([arm], [seed], transition_override, renormalize)[0][arm]
+    if isinstance(result, WeblyError):
+        raise result
+    return result.final_params, result

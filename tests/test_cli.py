@@ -23,7 +23,7 @@ from webly.data import (
     write_dataset_csv,
 )
 from webly.errors import WeblyError
-from webly.model import ModelConfig, init_params, save_checkpoint
+from webly.model import ModelConfig, ModelParams, init_params, save_checkpoint
 from webly.noise import load_transition
 
 
@@ -66,8 +66,8 @@ def read_summary(path):
 def assert_matches_one_run_per_seed(run, per_seed):
     """Every cell file of ``run`` equals that of the one-seed run of its seed
     in ``per_seed``, and its summary rows are theirs.  ``elapsed_s`` is left
-    out, and so is provenance's ``config_sha256``: it hashes the config, and
-    with it the run's list of seeds."""
+    out; provenance's ``config_sha256`` hashes the config without the run's
+    seed list, so provenance is compared whole."""
     def cells(root):
         return {p.relative_to(root) for p in root.rglob("*")
                 if p.is_file() and len(p.relative_to(root).parts) > 2}
@@ -79,9 +79,6 @@ def assert_matches_one_run_per_seed(run, per_seed):
         if rel.name == "log.jsonl":
             a, b = ([{k: v for k, v in json.loads(line).items() if k != "elapsed_s"}
                      for line in text.splitlines()] for text in (a, b))
-        if rel.name == "provenance.json":
-            a, b = ({k: v for k, v in json.loads(text).items() if k != "config_sha256"}
-                    for text in (a, b))
         assert a == b, rel
     rows = read_summary(run / "summary.csv")
     for seed, single in per_seed.items():
@@ -665,6 +662,21 @@ class TestEstimateNoise:
         assert str(web) in err and "empty corpus" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_member_overflowing_the_oracle_exits_2_naming_it(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.wslckpt"  # a linear oracle whose logits overflow to +-inf
+        save_checkpoint(ModelParams(ModelConfig(input_dim=2, hidden_sizes=[], num_classes=2),
+                                    [10.0 * np.eye(2)], [np.zeros(2)]), ckpt)
+        web = tmp_path / "web.json"
+        save_web_corpus(WebCorpus(query_ids=["q0", "q1"], labels=[0, 1], offsets=[0, 1, 2],
+                                  member_ids=["m0", "far"], X=[[0.1, 0.2], [1e308, -1e308]],
+                                  num_classes=2), web)
+        out = tmp_path / "t.json"
+        assert main(["estimate-noise", "--checkpoint", str(ckpt), "--web", str(web),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(web) in err and "'far'" in err and "overflow" in err
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestReport:
     def test_reaggregates_existing_run_directory(self, tmp_path):
@@ -745,12 +757,31 @@ def _sections(config, prefix=()):
             yield from _sections(value, prefix + (key,))
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False) | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
-        st.text(max_size=4), inner, max_size=3),
-    max_leaves=8)
+def json_values(numbers):
+    return st.recursive(
+        st.none() | st.booleans() | numbers | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+            st.text(max_size=4), inner, max_size=3),
+        max_leaves=8)
+
+
+JSON_VALUES = json_values(st.integers() | st.floats(allow_nan=False))
+# numbers small enough that a retyped size synthesizes a few MB at most
+SMALL_JSON_VALUES = json_values(st.integers(-2, 24) | st.floats(-4.0, 24.0))
+
+
+def mutate(data, config: dict, values) -> None:
+    """Rename, drop or retype (to a draw of ``values``) one key of ``config``."""
+    *parents, key = data.draw(st.sampled_from(list(_sections(config))), label="key")
+    section = config
+    for name in parents:
+        section = section[name]
+    edit = data.draw(st.sampled_from(["rename", "drop", "retype"]), label="edit")
+    value = section.pop(key)
+    if edit == "rename":
+        section[key + data.draw(st.text(min_size=1, max_size=2))] = value
+    elif edit == "retype":
+        section[key] = data.draw(values, label="value")
 
 
 class TestConfigRoundTrip:
@@ -759,22 +790,27 @@ class TestConfigRoundTrip:
     @given(data=st.data())
     def test_mutated_config_loads_or_raises_webly_error(self, tmp_path, data):
         config = copy.deepcopy(DEFAULT_CONFIG)
-        *parents, key = data.draw(st.sampled_from(list(_sections(config))), label="key")
-        section = config
-        for name in parents:
-            section = section[name]
-        edit = data.draw(st.sampled_from(["rename", "drop", "retype"]), label="edit")
-        value = section.pop(key)
-        if edit == "rename":
-            section[key + data.draw(st.text(min_size=1, max_size=2))] = value
-        elif edit == "retype":
-            section[key] = data.draw(JSON_VALUES, label="value")
+        mutate(data, config, JSON_VALUES)
         path = tmp_path / "mutated.json"
         path.write_text(json.dumps(config))
         try:
             assert isinstance(load_config(str(path)), dict)
         except WeblyError:
             pass
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_run_on_a_mutated_synth_section_exits_without_traceback(self, tmp_path, capsys,
+                                                                     data):
+        config = json.loads(tiny_config(tmp_path, arms=["BL1", "BL2", "Proposed"]).read_text())
+        mutate(data, config["data"]["synth"], SMALL_JSON_VALUES)
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(config))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "runs"),
+                     "--overwrite"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("shape", ["train_dropout", "files_without_web"])
     def test_effective_config_reads_back_unchanged(self, tmp_path, shape):

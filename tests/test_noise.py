@@ -136,6 +136,13 @@ class TestEstimateTransition:
         assert t.provenance["representatives"] == {"0": "m0", "1": "m1"}
         assert "oracle" in t.provenance and "corpus" in t.provenance
 
+    def test_member_overflowing_the_oracle_is_named(self):
+        corpus = WebCorpus(query_ids=["q0", "q1"], labels=[0, 1], offsets=[0, 2, 3],
+                           member_ids=["near", "far", "other"],
+                           X=[[0.5, 0.1], [1e308, -1e308], [0.0, 0.3]], num_classes=2)
+        with pytest.raises(ValidationError, match="web member 'far': its features overflow"):
+            estimate_transition(posterior_oracle(2, scale=10.0), corpus)  # logits +-inf
+
     def test_permutation_equivariance(self):
         clean = make_clean_dataset(k=3, per_class=6, separation=3.0,
                                    sigma=1.0, seed=9)

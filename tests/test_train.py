@@ -24,7 +24,6 @@ from webly.train import (
     TrainConfig,
     effective_lr,
     run_arm,
-    run_seed,
     run_seeds,
     sgd_momentum_step,
     train_stage,
@@ -483,12 +482,16 @@ class TestRunSeed:
         TestRunArm.setup_method(self)
         self.args = (self.cfg_web, self.cfg_clean, self.model_cfg)
 
-    def alone(self, arm, **kwargs):
-        return run_arm(arm, self.clean, make_web(self.clean), *self.args, **kwargs)
+    def together(self, arms=ARMS, web=None, **kwargs):
+        """``run_seeds`` of the given arms on this one seed."""
+        seed = SeedInputs(self.clean, self.web if web is None else web, *self.args)
+        return run_seeds(arms, [seed], **kwargs)[0]
 
-    def assert_same_arm(self, got, want):
-        (params, result), (want_params, want_result) = got, want
-        assert np.array_equal(params.flat, want_params.flat)
+    def alone(self, arm, **kwargs):
+        return run_arm(arm, self.clean, make_web(self.clean), *self.args, **kwargs)[1]
+
+    def assert_same_arm(self, result, want_result):
+        assert np.array_equal(result.final_params.flat, want_result.final_params.flat)
         assert len(result.stages) == len(want_result.stages)
         for a, b in zip(result.stages, want_result.stages):
             assert np.array_equal(a.params.flat, b.params.flat)
@@ -498,13 +501,12 @@ class TestRunSeed:
 
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_arms_trained_together_match_arms_run_alone(self, renormalize):
-        together = run_seed(ARMS, self.clean, self.web, *self.args,
-                            renormalize=renormalize)
+        together = self.together(renormalize=renormalize)
         for arm in ARMS:
             self.assert_same_arm(together[arm], self.alone(arm, renormalize=renormalize))
-        assert together[ARM_PROPOSED][1].oracle is together[ARM_BL1][0]
+        assert together[ARM_PROPOSED].oracle is together[ARM_BL1].final_params
         # the corpus is read once to estimate and once to train the web stages
-        assert dict(together[ARM_BL2][1].web_access_log) == {
+        assert dict(together[ARM_BL2].web_access_log) == {
             "start": 0, "after_web_stage": 2, "after_clean_stage": 2}
 
     def test_shared_clean_stage_failure_fails_bl1_and_proposed_only(self, monkeypatch):
@@ -517,7 +519,7 @@ class TestRunSeed:
             return real(init, *args)
 
         monkeypatch.setattr(train, "train_stage", clean_only_fails)
-        together = run_seed(ARMS, self.clean, self.web, *self.args)
+        together = self.together()
         assert isinstance(together[ARM_BL1], DivergenceError)
         assert together[ARM_PROPOSED] is together[ARM_BL1]
         monkeypatch.undo()
@@ -534,7 +536,7 @@ class TestRunSeed:
                     for r, t in zip(results, transition)]
 
         monkeypatch.setattr(train, "train_stage", proposed_diverges)
-        together = run_seed(ARMS, self.clean, self.web, *self.args)
+        together = self.together()
         assert str(together[ARM_PROPOSED]) == "diverged"
         monkeypatch.undo()
         for arm in (ARM_BL1, ARM_BL2):
@@ -545,15 +547,14 @@ class TestRunSeed:
         empty = WebCorpus(query_ids=[f"q{b}" for b in range(bag_count)],
                           labels=[0] * bag_count, offsets=[0] * (bag_count + 1),
                           member_ids=[], X=np.empty((0, 4)), num_classes=3)
-        together = run_seed(ARMS, self.clean, empty, *self.args)
+        together = self.together(web=empty)
         self.assert_same_arm(together[ARM_BL1], self.alone(ARM_BL1))
         for arm in (ARM_BL2, ARM_PROPOSED):
             assert isinstance(together[arm], ValidationError)
             assert "empty corpus" in str(together[arm])
         # with a given transition the noise-corrected arm reaches the web stage
         identity = TransitionMatrix(entries=np.eye(3), provenance={})
-        web_only = run_seed([ARM_BL2, ARM_PROPOSED], self.clean, empty, *self.args,
-                            transition_override=identity)
+        web_only = self.together([ARM_BL2, ARM_PROPOSED], empty, transition_override=identity)
         assert all("empty corpus" in str(web_only[arm]) for arm in (ARM_BL2, ARM_PROPOSED))
 
     def test_hidden_true_labels_are_never_read(self):
@@ -563,23 +564,42 @@ class TestRunSeed:
         shuffled = WebCorpus(query_ids=web.query_ids, labels=web.labels,
                              offsets=web.offsets, member_ids=web.member_ids, X=web.X,
                              num_classes=web.num_classes, true_labels_hidden=permuted)
-        got = run_seed(ARMS, self.clean, shuffled, *self.args)
-        want = run_seed(ARMS, self.clean, make_web(self.clean), *self.args)
+        got = self.together(web=shuffled)
+        want = self.together(web=make_web(self.clean))
         for arm in ARMS:
-            (_, result), (_, expected) = got[arm], want[arm]
+            result, expected = got[arm], want[arm]
             assert [s.params.flat.tobytes() for s in result.stages] == [
                 s.params.flat.tobytes() for s in expected.stages]
             assert result.web_access_log == expected.web_access_log
-        transitions = [r[1].transition for r in (got[ARM_PROPOSED], want[ARM_PROPOSED])]
+        transitions = [r.transition for r in (got[ARM_PROPOSED], want[ARM_PROPOSED])]
         assert transitions[0].entries.tobytes() == transitions[1].entries.tobytes()
         assert transitions[0].provenance == transitions[1].provenance
 
     def test_web_access_log_counts_from_the_call_start(self):
-        first = run_seed(ARMS, self.clean, self.web, *self.args)
-        again = run_seed(ARMS, self.clean, self.web, *self.args)
+        first = self.together()
+        again = self.together()
         assert self.web.access_count == 4
         for arm in ARMS:
-            assert again[arm][1].web_access_log == first[arm][1].web_access_log
+            assert again[arm].web_access_log == first[arm].web_access_log
+
+    @pytest.mark.parametrize("override", ["identity", "random"])
+    def test_override_skips_the_oracle_and_keeps_bl1s_clean_stage(self, override):
+        entries = np.eye(3) if override == "identity" else random_transition(
+            3, np.random.default_rng(2))
+        given = TransitionMatrix(entries=entries, provenance={"given": override})
+        together = self.together(transition_override=given)
+        proposed = together[ARM_PROPOSED]
+        assert proposed.oracle is None
+        assert proposed.transition is given
+        # the corpus is read only to flatten it for the web stage
+        assert dict(proposed.web_access_log) == {
+            "start": 0, "after_estimation": 0, "after_web_stage": 1, "after_clean_stage": 1}
+        assert len(together[ARM_BL1].stages) == 1
+        self.assert_same_arm(together[ARM_BL1], self.alone(ARM_BL1))
+        self.assert_same_arm(together[ARM_BL2], self.alone(ARM_BL2))
+        self.assert_same_arm(proposed, self.alone(ARM_PROPOSED, transition_override=given))
+        if override == "identity":  # the identity reproduces BL2 exactly
+            self.assert_same_arm(proposed, together[ARM_BL2])
 
 
 class TestTrainConfigValidation:
@@ -619,8 +639,8 @@ class TestCrossSeedStack:
                           dropout_keep_prob=keep)
         return [init_params(replace(cfg, init_seed=10 + i)) for i in range(count)]
 
-    def assert_alone(self, got, inits, transitions, member_seeds, cfg, renormalize=False):
-        for result, init, t, s in zip(got, inits, transitions, member_seeds):
+    def assert_alone(self, got, inits, transitions, seeds, cfg, renormalize=False):
+        for result, init, t, s in zip(got, inits, transitions, seeds):
             alone = train_stage(init, self.datasets[s],
                                 replace(cfg, shuffle_seed=self.shuffle_seeds[s]), t, renormalize)
             assert np.array_equal(result.params.flat, alone.params.flat)
@@ -628,27 +648,25 @@ class TestCrossSeedStack:
             assert without_timings(result.log) == without_timings(alone.log)
 
     @pytest.mark.parametrize("renormalize", [False, True])
-    @pytest.mark.parametrize("member_seeds", [[0, 0, 1, 1, 2, 2], [1, 0, 2, 0, 2, 1]])
     @pytest.mark.parametrize("keep, batch_size", [(0.7, 8), (1.0, 13), (0.7, 64)])
-    def test_members_of_three_seeds_match_each_alone(self, keep, batch_size, member_seeds,
-                                                     renormalize):
+    def test_members_of_three_seeds_match_each_alone(self, keep, batch_size, renormalize):
         cfg = TrainConfig(epochs=3, batch_size=batch_size)
         rng = np.random.default_rng(1)
         transitions = [None if i % 2 else TransitionMatrix(
             entries=random_transition(3, rng), provenance={}) for i in range(6)]
         inits = self.inits(keep, 6)
-        got = train_stage(inits, SeedStack(self.datasets, self.shuffle_seeds, member_seeds),
-                          cfg, transitions, renormalize)
-        assert len(got) == 6
-        self.assert_alone(got, inits, transitions, member_seeds, cfg, renormalize)
+        got = train_stage(inits, SeedStack(self.datasets, self.shuffle_seeds), cfg, transitions,
+                          renormalize)
+        assert len(got) == 6  # two members per seed, seed by seed
+        self.assert_alone(got, inits, transitions, [0, 0, 1, 1, 2, 2], cfg, renormalize)
 
     def test_diverging_member_leaves_the_other_seeds_bit_identical(self):
         cfg = TrainConfig(epochs=3, batch_size=8)
         good = self.inits(0.7, 3)
         bad = ModelParams(good[1].config, [w * 1e200 for w in good[1].weights],
                           good[1].biases)
-        got = train_stage([good[0], bad, good[2]], SeedStack(self.datasets, self.shuffle_seeds,
-                                                             [0, 1, 2]), cfg, [None] * 3)
+        got = train_stage([good[0], bad, good[2]], SeedStack(self.datasets, self.shuffle_seeds),
+                          cfg, [None] * 3)
         assert isinstance(got[1], DivergenceError)
         self.assert_alone([got[0], got[2]], [good[0], good[2]], [None, None], [0, 2], cfg)
 
@@ -657,14 +675,13 @@ class TestCrossSeedStack:
         inits = self.inits(0.7, 2)
         shorter = seed_dataset([6, 6, 6], 4)
         with pytest.raises(ValidationError, match="rows"):
-            train_stage(inits, SeedStack([self.datasets[0], shorter], [0, 1], [0, 1]), cfg,
+            train_stage(inits, SeedStack([self.datasets[0], shorter], [0, 1]), cfg,
                         [None, None])
-        with pytest.raises(ValidationError, match="member seeds"):
-            train_stage(inits, SeedStack(self.datasets, self.shuffle_seeds, [0, 2]), cfg,
-                        [None, None])
-        with pytest.raises(ValidationError, match="as many members"):  # 2 and 1
-            train_stage(self.inits(0.7, 3), SeedStack(self.datasets[:2], [0, 1], [0, 1, 0]),
-                        cfg, [None] * 3)
+        with pytest.raises(ValidationError, match="as many members"):  # 3 members, 2 seeds
+            train_stage(self.inits(0.7, 3), SeedStack(self.datasets[:2], [0, 1]), cfg,
+                        [None] * 3)
+        with pytest.raises(ValidationError, match="one transition per member"):
+            train_stage(inits, SeedStack(self.datasets[:2], [0, 1]), cfg, [None])
         with pytest.raises(ValidationError, match="one config"):
             train_stage([inits[0], init_params(replace(inits[1].config, hidden_sizes=[5]))],
                         self.datasets[0], cfg, [None, None])
@@ -673,7 +690,8 @@ class TestCrossSeedStack:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestCrossSeedRun:
     """``run_seeds`` stacks every stage over the seeds whose data share one
-    size, and each seed's arms get the numbers of ``run_seed`` on that seed."""
+    size, and each seed's arms get the numbers of ``run_seeds`` on that seed
+    alone."""
 
     def seed(self, s, per_class=12, web=None):
         clean = make_clean_dataset(k=3, d=4, per_class=per_class, separation=3.0, sigma=1.0,
@@ -685,13 +703,12 @@ class TestCrossSeedRun:
                                       init_seed=5 + s))
 
     def alone(self, seed, **kwargs):
-        return run_seed(ARMS, seed.clean_train, seed.web, seed.cfg_web, seed.cfg_clean,
-                        seed.model_cfg, **kwargs)
+        return run_seeds(ARMS, [seed], **kwargs)[0]
 
     def assert_same_seed(self, got, want, arms=ARMS):
         for arm in arms:
-            (params, result), (want_params, expected) = got[arm], want[arm]
-            assert params.flat.tobytes() == want_params.flat.tobytes()
+            result, expected = got[arm], want[arm]
+            assert result.final_params.flat.tobytes() == expected.final_params.flat.tobytes()
             assert [s.params.flat.tobytes() for s in result.stages] == [
                 s.params.flat.tobytes() for s in expected.stages]
             assert [without_timings(s.log) for s in result.stages] == [
@@ -700,7 +717,9 @@ class TestCrossSeedRun:
             if arm == ARM_PROPOSED:
                 assert result.transition.entries.tobytes() == expected.transition.entries.tobytes()
                 assert result.transition.provenance == expected.transition.provenance
-                assert result.oracle.flat.tobytes() == expected.oracle.flat.tobytes()
+                assert (result.oracle is None) == (expected.oracle is None)
+                if result.oracle is not None:
+                    assert result.oracle.flat.tobytes() == expected.oracle.flat.tobytes()
 
     def record_stacks(self, monkeypatch):
         """Per ``train_stage`` call, its number of seeds and of members."""
@@ -733,6 +752,20 @@ class TestCrossSeedRun:
         for seed, outcome in zip(seeds, got):
             self.assert_same_seed(outcome, self.alone(seed))
 
+    def test_override_fills_each_seeds_cells_from_its_own_stages(self, monkeypatch):
+        seeds = [self.seed(s) for s in range(3)]
+        given = TransitionMatrix(entries=random_transition(3, np.random.default_rng(3)),
+                                 provenance={})
+        stacks = self.record_stacks(monkeypatch)
+        got = run_seeds(ARMS, seeds, transition_override=given)
+        monkeypatch.undo()
+        assert stacks == [(3, 3), (3, 6), (3, 6)]  # the clean-only stage is BL1's alone
+        for seed, outcome in zip(seeds, got):
+            assert outcome[ARM_PROPOSED].oracle is None
+            assert outcome[ARM_PROPOSED].transition is given
+            self.assert_same_seed(outcome, self.alone(seed, transition_override=given))
+            self.assert_same_seed(outcome, self.alone(seed), arms=[ARM_BL1])
+
     def test_one_corpus_for_every_seed_counts_each_seeds_reads(self):
         web = make_web(self.seed(0).clean_train)
         seeds = [self.seed(s, web=web) for s in range(3)]
@@ -751,7 +784,7 @@ class TestCrossSeedRun:
                                  num_classes=3)
         got = run_seeds(ARMS, seeds)
         assert isinstance(got[1][ARM_BL2], DivergenceError)
-        assert isinstance(got[1][ARM_PROPOSED], WeblyError)  # its oracle scores the far member
+        assert "overflow the oracle" in str(got[1][ARM_PROPOSED])  # estimation names the member
         self.assert_same_seed(got[1], self.alone(seeds[1]), arms=[ARM_BL1])
         for s in (0, 2):
             self.assert_same_seed(got[s], self.alone(seeds[s]))
