@@ -371,21 +371,23 @@ def _train_seeds(config: dict, files: tuple | None) -> dict:
     """Train the arms of every seed together (``run_seeds``) and map each
     seed to its (data, inputs, outcomes by arm).  The data are ``files`` as
     ``cmd_run`` read them, or else the seed's synthetic data; a toolkit or
-    I/O error in a seed's data fails only that seed's cells."""
+    I/O error in a seed's data fails only that seed's cells.  The model is
+    sized at the clean-train file's dims, or at ``data.synth``'s."""
     arms, cells, built = config["arms"], {}, {}
     for seed in config["seeds"]:
         try:
             data, inputs = files or _with_inputs(build_cell_data(config, seed))
-            train = data[0]
-            built[seed] = data, inputs, SeedInputs(
-                train, data[2], _train_config(config["train_web"], seed),
-                _train_config(config["train_clean"], seed),
-                _model_config(config, train.feature_dim, train.num_classes, seed),
-                web_fingerprint=inputs["web"])
+            built[seed] = data, inputs, SeedInputs(data[0], data[2], seed, inputs["web"])
         except (WeblyError, OSError) as exc:
             cells[seed] = None, None, dict.fromkeys(arms, exc)
+    spec = config["data"].get("synth")
+    dims = ((files[0][0].feature_dim, files[0][0].num_classes) if files
+            else (spec["feature_dim"], spec["num_classes"]))
     try:
         outcomes = run_seeds(arms, [seed_inputs for *_, seed_inputs in built.values()],
+                             _train_config(config["train_web"], 0),
+                             _train_config(config["train_clean"], 0),
+                             _model_config(config, *dims, 0),
                              renormalize=config["loss"]["renormalize_modulated"])
     except WeblyError as exc:
         outcomes = [dict.fromkeys(arms, exc)] * len(built)
@@ -442,8 +444,7 @@ def cmd_run(args) -> int:
             raise ValidationError(f"{data['web']}: num_classes {web.num_classes} does not "
                                   f"match {data['clean_train']}'s {train.num_classes}")
         files = _with_inputs((train, test, web))
-    arms, seeds = config["arms"], config["seeds"]
-    timestamp = report_timestamp()
+    arms, timestamp = config["arms"], report_timestamp()
 
     out_dir = Path(config["output_dir"])
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
@@ -454,9 +455,9 @@ def cmd_run(args) -> int:
         json.dump(config, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-    for cell_dir in (out_dir / arm / str(seed) for arm in arms for seed in seeds):
-        if cell_dir.exists():
-            shutil.rmtree(cell_dir)
+    for arm_dir in (out_dir / arm for arm in ARMS):  # every cell of an earlier run
+        if arm_dir.exists():
+            shutil.rmtree(arm_dir)
     cells, rows = _train_seeds(config, files), []
     for arm in arms:
         for seed, (data, inputs, outcomes) in cells.items():

@@ -28,14 +28,13 @@ writes every seed's shuffled rows into one buffer allocated once per stage,
 one copy per seed however many members it has, and a step's batch is a slice
 of it.  It checks only that the updated parameters are finite.
 
-The arms of every seed of a run train together (``run_seeds``), each (seed,
-arm) cell an ArmResult filled phase by phase: BL1's stage is also the oracle,
-and each stage of the plan runs the members of all seeds whose datasets share
-one size, whose configs and loss form agree and which bring as many members as
-one stack, each member bit-identical to its stage run alone.  The stack keeps
-its shape for the whole stage: a member that diverges records its error, and
-its rows of the parameters and the velocity are set to zero so that the stack
-stays finite.
+The arms of every seed of a run train together under the run's configs,
+offset by the seed (``run_seeds``), each (seed, arm) cell an ArmResult filled
+phase by phase: BL1's stage is also the oracle, and each stage of the plan
+stacks the members of all seeds whose datasets share one size and loss form
+and which bring as many members, each bit-identical to its stage alone.  A
+member that diverges, or whose seed's dataset or own transition does not fit
+at stage start, records its error and keeps its place as zero rows.
 """
 
 from __future__ import annotations
@@ -164,19 +163,22 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     transition-modulated loss.  Class weights are median-frequency balanced
     from this dataset's labels, computed once at stage start.  ``init`` is
     copied, never changed.  Velocity starts at zero.  Deterministic given the
-    config.  Returns a StageResult, or raises DivergenceError.
+    config.  Returns a StageResult, or raises the WeblyError that failed it.
 
     ``init`` may instead be a list of models of one config (seeds aside),
     trained in lockstep, with ``transition`` a list of one entry per member.
     The result is then a list holding, per member, its StageResult or its
-    first DivergenceError.  Every stage trains as such a stack, a lone model
-    as a stack of one, and ``ds`` as a ``SeedStack``, a Dataset as one seed
-    with ``cfg.shuffle_seed``, whose members come seed by seed, as many per
-    seed: each epoch draws one shuffle order per seed and each step one set
-    of dropout masks per seed, each seed's members share its (1, B, D) batch
-    and its masks, and each member's numbers are those it gets alone.  A
-    diverged member stays in the stack, restarted from zero parameters and
-    velocity and no longer logged, until every member has diverged.
+    first error: a DivergenceError, or the ValidationError of its seed's
+    dataset lacking a class or of its transition's k.  Every stage trains as
+    such a stack, a lone model as a stack of one, and ``ds`` as a
+    ``SeedStack``, a Dataset as one seed with ``cfg.shuffle_seed``, whose
+    members come seed by seed, as many per seed: each epoch draws one
+    shuffle order per seed and each step one set of dropout masks per seed,
+    each seed's members share its (1, B, D) batch and its masks, and each
+    member's numbers are those it gets alone.  A failed member stays in the
+    stack, trained on from zero parameters and velocity with identity rows
+    and unit weights, unlogged, until every member has failed (at stage
+    start, no epoch runs).  A fault of the whole call raises.
     """
     solo = isinstance(init, ModelParams)
     members = [init] if solo else list(init)
@@ -200,27 +202,36 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
             raise ValidationError(f"stacked datasets of {n} and {len(d)} rows")
         if d.feature_dim != params.config.input_dim or d.num_classes != k:
             raise ValidationError("dataset dims do not match model config")
-    weights = np.stack([median_frequency_weights(d.label_counts()).w for d in ds.datasets])
-    for t in transitions:
+    # a seed missing a class fails its members, a transition of another k its own member
+    size, per_seed = params.flat.shape[-1], len(members) // seeds
+    outcome: list = [None] * len(members)
+    weights = np.ones((seeds, k))
+    for s, d in enumerate(ds.datasets):
+        try:
+            weights[s] = median_frequency_weights(d.label_counts()).w
+        except ValidationError as exc:
+            outcome[s * per_seed:(s + 1) * per_seed] = [exc] * per_seed
+    for m, t in enumerate(transitions):
         if t is not None and t.k != k:
-            raise ValidationError(f"transition k={t.k} != num_classes {k}")
+            outcome[m] = outcome[m] or ValidationError(f"transition k={t.k} != num_classes {k}")
+    params.flat[[m for m, result in enumerate(outcome) if result]] = 0.0
     # The stack's lead axes: (S, A), or (A,) for one seed, since numpy
     # charges every call of the step for each axis of its arrays.  Each
     # per-epoch array is built as (S, A or 1, n, ...) and viewed with them.
-    size, per_seed = params.flat.shape[-1], len(members) // seeds
     lead = (per_seed,) if seeds == 1 else (seeds, per_seed)
     grouped = ModelParams._from_flat(params.config, params.flat.reshape(*lead, size))
     seed_models = [ModelParams._from_flat(params.config, flat)
                    for flat in params.flat.reshape(seeds, -1, size)]
-    entries = np.stack([np.eye(k) if t is None else t.entries for t in transitions]
-                       ).reshape(seeds, -1, k, k)
+    entries = np.stack([np.eye(k) if t is None or result else t.entries
+                        for t, result in zip(transitions, outcome)]).reshape(seeds, -1, k, k)
     seed_at, member_at = np.arange(seeds)[:, None, None], np.arange(per_seed)[:, None]
     labels = np.stack([d.y for d in ds.datasets])
     x_epoch = np.empty((seeds, n, params.config.input_dim))  # each seed's shuffled rows
     x_view = x_epoch.reshape(*lead[:-1], 1, n, params.config.input_dim)
     # every epoch's shuffle and every step's dropout stream per seed, seeded
     # up front; one reused generator is rewound to each
-    epochs, starts = range(cfg.epochs), range(0, n, cfg.batch_size)
+    epochs = range(cfg.epochs if None in outcome else 0)  # no epoch if every member failed
+    starts = range(0, n, cfg.batch_size)
     shuffle_states = pcg64_states((seed, e) for e in epochs for seed in ds.shuffle_seeds
                                   ).reshape(len(epochs), seeds, 4)
     mask_states = pcg64_states((seed, e, b) for e in epochs for b in range(len(starts))
@@ -234,7 +245,6 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
         full if last == rows else ForwardCache(grouped, last, train=True, grads=True)]
     velocity = np.zeros_like(params.flat)
     logs: list[list[dict]] = [[] for _ in members]
-    outcome: list = [None] * len(members)
     for epoch in epochs:
         lr = effective_lr(cfg, epoch)
         epoch_start = time.perf_counter()
@@ -294,7 +304,7 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
                 })
     outcome = [result or StageResult(params=member_params, log=log)
                for result, member_params, log in zip(outcome, params.unstack(), logs)]
-    if solo and isinstance(outcome[0], DivergenceError):
+    if solo and isinstance(outcome[0], WeblyError):
         raise outcome[0]
     return outcome[0] if solo else outcome
 
@@ -302,36 +312,35 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
 @dataclass
 class SeedInputs:
     """What one seed of ``run_seeds`` trains on: its clean split, web corpus
-    (or None), stage and model configs, and the corpus's fingerprint if the
-    caller holds it."""
+    (or None), the offset it adds to the run's shuffle and init seeds, and
+    the corpus's fingerprint if the caller holds it."""
 
     clean_train: Dataset
     web: WebCorpus | None
-    cfg_web: TrainConfig
-    cfg_clean: TrainConfig
-    model_cfg: ModelConfig
+    seed: int
     web_fingerprint: str | None = None
 
 
-def run_seeds(arms, seeds: list[SeedInputs],
-              transition_override: TransitionMatrix | None = None,
+def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: TrainConfig,
+              model_cfg: ModelConfig, transition_override: TransitionMatrix | None = None,
               renormalize: bool = False) -> list[dict]:
     """Train the given arms of every seed together; per seed, map each arm
     to its ArmResult or to the toolkit error that failed it.
 
-    The clean-only stage is trained once per seed: it is BL1's stage and the
-    noise-corrected arm's oracle, so its failure fails both.  The transition
-    is then estimated per seed from it, taking the seed's
-    ``web_fingerprint``, if given, as the corpus's ``fingerprint``.  Then each
-    phase (web pretrain, clean fine-tune) trains the live web arms.  Every
-    stage trains the members of all seeds whose datasets share one size,
-    whose configs agree but for their seeds, and which bring as many live
-    arms, as one stack per loss form (``train_stage`` on a ``SeedStack``):
+    Every seed trains under the run's configs, its ``seed`` added to their
+    ``shuffle_seed`` and ``init_seed``.  The clean-only stage is trained
+    once per seed: it is BL1's stage and the noise-corrected arm's oracle,
+    so its failure fails both.  The transition is then estimated per seed
+    from it, taking the seed's ``web_fingerprint``, if given, as the
+    corpus's ``fingerprint``.  Then each phase (web pretrain, clean
+    fine-tune) trains the live web arms.  Every stage trains the members of
+    all seeds whose datasets share one size and which bring as many live
+    arms as one stack per loss form (``train_stage`` on a ``SeedStack``):
     with ``renormalize`` the noise-corrected arm's web stage differs in loss
-    form and stacks apart.  A member that diverges fails only its own arm of
-    its seed, a web corpus that cannot be flattened only the web arms of its
-    seed, and any other toolkit error of a stack only the seed it belongs to
-    (the stack's seeds are then trained one by one).  Every arm's numbers
+    form and stacks apart.  A member that diverges or whose transition does
+    not fit fails only its own arm of its seed, a dataset without every
+    class only its seed's members of that stage, and a web corpus that
+    cannot be flattened only the web arms of its seed.  Every arm's numbers
     are those it gets alone, and its ``web_access_log`` counts the corpus
     reads made for its seed from this call's start, also when seeds share
     one corpus object.
@@ -345,6 +354,8 @@ def run_seeds(arms, seeds: list[SeedInputs],
         if arm not in ARMS:
             raise ValidationError(f"unknown arm {arm!r}; expected one of {ARMS}")
     webs, reads = [seed.web for seed in seeds], [0] * len(seeds)
+    model_cfgs = [replace(model_cfg, init_seed=model_cfg.init_seed + seed.seed)
+                  for seed in seeds]
     # each (seed, arm) cell's ArmResult, filled phase by phase, or its error
     cells = [{arm: ArmResult(arm) for arm in arms} for _ in seeds]
     order = range(len(seeds))
@@ -365,35 +376,24 @@ def run_seeds(arms, seeds: list[SeedInputs],
         finally:
             reads[s] += webs[s].access_count - before
 
-    def train(members, data, cfg_of, init_of, transition_of=lambda s, arm: None) -> dict:
+    def train(members, data, cfg, init_of, transition_of=lambda s, arm: None) -> dict:
         """Map each (seed, arm) member, given seed by seed, to its stage
         result or error, in one ``train_stage`` call per stack of seeds whose
-        data and configs fit and that bring as many members.  A stack of
-        several seeds that raises a toolkit error trains again seed by seed,
-        so that the error fails only its own seed's members."""
-        keyed = []
-        for s, arm in members:  # configs are unhashable: key by their repr
-            d, renorm = data[s], renormalize and transition_of(s, arm) is not None
-            keyed.append(((len(d), d.feature_dim, d.num_classes, renorm,
-                           repr(replace(cfg_of(s), shuffle_seed=0)),
-                           repr(replace(seeds[s].model_cfg, init_seed=0))), s, arm))
-        per_seed, stacks = Counter((key, s) for key, s, _ in keyed), {}
+        data share one size and that bring as many members of one loss form."""
+        keyed = [((len(data[s]), data[s].feature_dim, data[s].num_classes,
+                   renormalize and transition_of(s, arm) is not None), s, arm)
+                 for s, arm in members]
+        per_seed, stacks, results = Counter((key, s) for key, s, _ in keyed), {}, {}
         for key, s, arm in keyed:
             stacks.setdefault((*key, per_seed[key, s]), []).append((s, arm))
-        results, todo = {}, [(key[3], stack) for key, stack in stacks.items()]
-        while todo:
-            renorm, stack = todo.pop(0)
+        for key, stack in stacks.items():
             on = list(dict.fromkeys(s for s, _ in stack))
             try:
                 got = train_stage([init_of(*member) for member in stack],
                                   SeedStack([data[s] for s in on],
-                                            [cfg_of(s).shuffle_seed for s in on]),
-                                  cfg_of(on[0]), [transition_of(*member) for member in stack],
-                                  renorm)
-            except WeblyError as exc:
-                if len(on) > 1:
-                    todo += [(renorm, [m for m in stack if m[0] == s]) for s in on]
-                    continue
+                                            [cfg.shuffle_seed + seeds[s].seed for s in on]),
+                                  cfg, [transition_of(*member) for member in stack], key[3])
+            except WeblyError as exc:  # a fault of the whole stack
                 got = [exc] * len(stack)
             results.update(zip(stack, got))
         return results
@@ -408,8 +408,7 @@ def run_seeds(arms, seeds: list[SeedInputs],
                                        else []) for s in order]
     clean = [seed.clean_train for seed in seeds]
     for (s, _), result in train([(s, ARM_BL1) for s in order if oracle_arms[s]], clean,
-                                lambda s: seeds[s].cfg_clean,
-                                lambda s, _: init_params(seeds[s].model_cfg)).items():
+                                cfg_clean, lambda s, _: init_params(model_cfgs[s])).items():
         for arm in oracle_arms[s]:
             if isinstance(result, WeblyError):
                 cells[s][arm] = result
@@ -435,16 +434,16 @@ def run_seeds(arms, seeds: list[SeedInputs],
         if web_arms:
             try:
                 flat[s] = read(s, flatten_web, webs[s])
-                web_init[s] = init_params(seeds[s].model_cfg)
+                web_init[s] = init_params(model_cfgs[s])
             except WeblyError as exc:
                 cells[s].update(dict.fromkeys(web_arms, exc))
-    for phase, data, cfg_of, init_of, transition_of in (
-            ("after_web_stage", flat, lambda s: seeds[s].cfg_web, lambda s, _: web_init[s],
+    for phase, data, cfg, init_of, transition_of in (
+            ("after_web_stage", flat, cfg_web, lambda s, _: web_init[s],
              lambda s, arm: cells[s][arm].transition),
-            ("after_clean_stage", clean, lambda s: seeds[s].cfg_clean,
+            ("after_clean_stage", clean, cfg_clean,
              lambda s, arm: cells[s][arm].final_params, lambda s, arm: None)):
         members = [(s, arm) for s in web_init for arm in live(s, ARM_BL2, ARM_PROPOSED)]
-        for (s, arm), result in train(members, data, cfg_of, init_of, transition_of).items():
+        for (s, arm), result in train(members, data, cfg, init_of, transition_of).items():
             if isinstance(result, WeblyError):
                 cells[s][arm] = result
             else:
@@ -461,8 +460,8 @@ def run_arm(arm: str, clean_train: Dataset, web: WebCorpus | None,
     """Execute one experimental arm end to end: ``run_seeds`` of that arm on
     one seed.  Returns (final params, ArmResult), or raises the toolkit error
     that failed it."""
-    seed = SeedInputs(clean_train, web, cfg_web, cfg_clean, model_cfg)
-    result = run_seeds([arm], [seed], transition_override, renormalize)[0][arm]
+    result = run_seeds([arm], [SeedInputs(clean_train, web, 0)], cfg_web, cfg_clean, model_cfg,
+                       transition_override, renormalize)[0][arm]
     if isinstance(result, WeblyError):
         raise result
     return result.final_params, result

@@ -403,6 +403,18 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out),
                      "--overwrite"]) == 0
 
+    def test_overwrite_clears_every_cell_of_the_earlier_run(self, tmp_path):
+        cfg = tiny_config(tmp_path, arms=["BL1", "BL2", "Proposed"])
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "0,1"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "0",
+                     "--overwrite"]) == 0
+        assert sorted(p.relative_to(out).as_posix() for p in out.glob("*/*")) == [
+            "BL1/0", "BL2/0", "Proposed/0"]
+        assert main(["report", "--runs", str(out)]) == 0
+        assert [(r["arm"], r["seed"]) for r in read_summary(out / "summary.csv")] == [
+            ("BL1", "0"), ("BL2", "0"), ("Proposed", "0")]
+
     def test_parallel_jobs_match_serial_bytes(self, tmp_path, monkeypatch):
         # --jobs is accepted and ignored: the seeds train as one stack per stage
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")

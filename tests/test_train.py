@@ -122,6 +122,27 @@ class TestLockstepStage:
         with pytest.raises(ValidationError, match="transitions"):
             train_stage([self.good, self.good], self.ds, self.cfg, [None])
 
+    def test_transition_of_another_k_fails_only_its_member(self):
+        rng = np.random.default_rng(0)
+        transitions = [None, TransitionMatrix(entries=random_transition(4, rng), provenance={}),
+                       TransitionMatrix(entries=random_transition(3, rng), provenance={})]
+        results = train_stage([self.good] * 3, self.ds, self.cfg, transitions)
+        assert isinstance(results[1], ValidationError) and "k=4" in str(results[1])
+        for result, transition in ((results[0], transitions[0]), (results[2], transitions[2])):
+            alone = train_stage(self.good, self.ds, self.cfg, transition=transition)
+            assert np.array_equal(result.params.flat, alone.params.flat)
+            assert without_timings(result.log) == without_timings(alone.log)
+        with pytest.raises(ValidationError, match="k=4"):  # a lone model raises its fault
+            train_stage(self.good, self.ds, self.cfg, transition=transitions[1])
+
+    def test_stage_whose_every_member_failed_runs_no_epoch(self, monkeypatch):
+        epochs = []
+        monkeypatch.setattr(train, "predict", lambda params, ds: epochs.append(ds))
+        wrong = TransitionMatrix(entries=np.eye(4), provenance={})
+        results = train_stage([self.good, self.good], self.ds, self.cfg, [wrong, wrong])
+        assert all("k=4" in str(r) for r in results)
+        assert epochs == []
+
 
 def reference_stage(init, ds, cfg, transitions, renormalize=False):
     """The per-batch loop that ``train_stage``'s fused step replaced, through
@@ -484,8 +505,8 @@ class TestRunSeed:
 
     def together(self, arms=ARMS, web=None, **kwargs):
         """``run_seeds`` of the given arms on this one seed."""
-        seed = SeedInputs(self.clean, self.web if web is None else web, *self.args)
-        return run_seeds(arms, [seed], **kwargs)[0]
+        seed = SeedInputs(self.clean, self.web if web is None else web, 0)
+        return run_seeds(arms, [seed], *self.args, **kwargs)[0]
 
     def alone(self, arm, **kwargs):
         return run_arm(arm, self.clean, make_web(self.clean), *self.args, **kwargs)[1]
@@ -601,6 +622,15 @@ class TestRunSeed:
         if override == "identity":  # the identity reproduces BL2 exactly
             self.assert_same_arm(proposed, together[ARM_BL2])
 
+    def test_override_of_another_k_fails_only_proposed(self):
+        # BL2 takes no transition and BL1 none: they train as they do alone
+        wrong = TransitionMatrix(entries=np.eye(4), provenance={})
+        together = self.together(transition_override=wrong)
+        assert isinstance(together[ARM_PROPOSED], ValidationError)
+        assert "k=4" in str(together[ARM_PROPOSED])
+        for arm in (ARM_BL1, ARM_BL2):
+            self.assert_same_arm(together[arm], self.alone(arm))
+
 
 class TestTrainConfigValidation:
     def test_rejects_bad_values(self):
@@ -670,6 +700,21 @@ class TestCrossSeedStack:
         assert isinstance(got[1], DivergenceError)
         self.assert_alone([got[0], got[2]], [good[0], good[2]], [None, None], [0, 2], cfg)
 
+    def test_seed_without_a_class_fails_only_its_members(self):
+        cfg = TrainConfig(epochs=3, batch_size=8)
+        d = self.datasets[1]  # 27 rows, class 2 relabelled 0: no median-frequency weights
+        absent = Dataset(d.ids, d.group_ids, d.X, np.where(d.y == 2, 0, d.y), 3)
+        rng = np.random.default_rng(2)
+        transitions = [None if i % 2 else TransitionMatrix(
+            entries=random_transition(3, rng), provenance={}) for i in range(6)]
+        inits = self.inits(0.7, 6)
+        got = train_stage(inits, SeedStack([self.datasets[0], absent, self.datasets[2]],
+                                           self.shuffle_seeds), cfg, transitions)
+        for result in got[2:4]:
+            assert isinstance(result, ValidationError) and "class absent" in str(result)
+        self.assert_alone(got[:2] + got[4:], inits[:2] + inits[4:],
+                          transitions[:2] + transitions[4:], [0, 0, 2, 2], cfg)
+
     def test_stack_checks_its_seeds(self):
         cfg = TrainConfig(epochs=1, batch_size=8)
         inits = self.inits(0.7, 2)
@@ -693,17 +738,18 @@ class TestCrossSeedRun:
     size, and each seed's arms get the numbers of ``run_seeds`` on that seed
     alone."""
 
+    # the run's web, clean and model configs; seed s adds s to their seeds
+    configs = (TrainConfig(epochs=3, batch_size=16, shuffle_seed=7),
+               TrainConfig(epochs=3, batch_size=8, shuffle_seed=8),
+               ModelConfig(input_dim=4, hidden_sizes=[8], num_classes=3, init_seed=5))
+
     def seed(self, s, per_class=12, web=None):
         clean = make_clean_dataset(k=3, d=4, per_class=per_class, separation=3.0, sigma=1.0,
                                    seed=17 + s)
-        return SeedInputs(clean, web or make_web(clean, seed=20 + s),
-                          TrainConfig(epochs=3, batch_size=16, shuffle_seed=7 + s),
-                          TrainConfig(epochs=3, batch_size=8, shuffle_seed=8 + s),
-                          ModelConfig(input_dim=4, hidden_sizes=[8], num_classes=3,
-                                      init_seed=5 + s))
+        return SeedInputs(clean, web or make_web(clean, seed=20 + s), s)
 
     def alone(self, seed, **kwargs):
-        return run_seeds(ARMS, [seed], **kwargs)[0]
+        return run_seeds(ARMS, [seed], *self.configs, **kwargs)[0]
 
     def assert_same_seed(self, got, want, arms=ARMS):
         for arm in arms:
@@ -736,7 +782,7 @@ class TestCrossSeedRun:
     def test_seeds_of_one_size_train_one_stack_per_stage(self, monkeypatch, renormalize):
         seeds = [self.seed(s) for s in range(3)]
         stacks = self.record_stacks(monkeypatch)
-        got = run_seeds(ARMS, seeds, renormalize=renormalize)
+        got = run_seeds(ARMS, seeds, *self.configs, renormalize=renormalize)
         monkeypatch.undo()
         web = [(3, 3), (3, 3)] if renormalize else [(3, 6)]  # one stack per loss form
         assert stacks == [(3, 3), *web, (3, 6)]
@@ -746,7 +792,7 @@ class TestCrossSeedRun:
     def test_seeds_of_two_sizes_train_as_two_stacks(self, monkeypatch):
         seeds = [self.seed(0), self.seed(1, per_class=10), self.seed(2)]
         stacks = self.record_stacks(monkeypatch)
-        got = run_seeds(ARMS, seeds)
+        got = run_seeds(ARMS, seeds, *self.configs)
         monkeypatch.undo()
         assert stacks == [(2, 2), (1, 1), (2, 4), (1, 2), (2, 4), (1, 2)]
         for seed, outcome in zip(seeds, got):
@@ -757,7 +803,7 @@ class TestCrossSeedRun:
         given = TransitionMatrix(entries=random_transition(3, np.random.default_rng(3)),
                                  provenance={})
         stacks = self.record_stacks(monkeypatch)
-        got = run_seeds(ARMS, seeds, transition_override=given)
+        got = run_seeds(ARMS, seeds, *self.configs, transition_override=given)
         monkeypatch.undo()
         assert stacks == [(3, 3), (3, 6), (3, 6)]  # the clean-only stage is BL1's alone
         for seed, outcome in zip(seeds, got):
@@ -769,7 +815,7 @@ class TestCrossSeedRun:
     def test_one_corpus_for_every_seed_counts_each_seeds_reads(self):
         web = make_web(self.seed(0).clean_train)
         seeds = [self.seed(s, web=web) for s in range(3)]
-        got = run_seeds(ARMS, seeds)
+        got = run_seeds(ARMS, seeds, *self.configs)
         assert web.access_count == 6  # each seed's two reads, each counted in its own log
         for seed, outcome in zip(seeds, got):
             self.assert_same_seed(outcome, self.alone(seed))
@@ -782,7 +828,7 @@ class TestCrossSeedRun:
         seeds[1].web = WebCorpus(query_ids=web.query_ids, labels=web.labels,
                                  offsets=web.offsets, member_ids=web.member_ids, X=far,
                                  num_classes=3)
-        got = run_seeds(ARMS, seeds)
+        got = run_seeds(ARMS, seeds, *self.configs)
         assert isinstance(got[1][ARM_BL2], DivergenceError)
         assert "overflow the oracle" in str(got[1][ARM_PROPOSED])  # estimation names the member
         self.assert_same_seed(got[1], self.alone(seeds[1]), arms=[ARM_BL1])
@@ -795,11 +841,11 @@ class TestCrossSeedRun:
         seeds[1].clean_train = Dataset(clean.ids, clean.group_ids, clean.X,
                                        np.where(clean.y == 2, 0, clean.y), 3)
         stacks = self.record_stacks(monkeypatch)
-        got = run_seeds(ARMS, seeds)
+        got = run_seeds(ARMS, seeds, *self.configs)
         monkeypatch.undo()
-        # the clean-only stack fails and trains again one seed at a time; seed
-        # 1's BL2, its oracle having failed, then stacks apart
-        assert stacks == [(3, 3), (1, 1), (1, 1), (1, 1), (2, 4), (1, 1), (2, 4), (1, 1)]
+        # seed 1's member of the clean-only stack fails in its slot; its BL2,
+        # its oracle having failed, then stacks apart
+        assert stacks == [(3, 3), (2, 4), (1, 1), (2, 4), (1, 1)]
         for arm in (ARM_BL1, ARM_PROPOSED, ARM_BL2):
             assert isinstance(got[1][arm], ValidationError)
             assert "class absent" in str(got[1][arm])
@@ -811,14 +857,14 @@ class TestCrossSeedRun:
         real, calls = train.init_params, []
 
         def seed_1_web_init_fails(cfg):
-            if cfg == seeds[1].model_cfg:
+            if cfg.init_seed == self.configs[2].init_seed + 1:
                 calls.append(cfg)
                 if len(calls) == 2:  # its first init is the clean-only stage's
                     raise ValidationError("no init for seed 1")
             return real(cfg)
 
         monkeypatch.setattr(train, "init_params", seed_1_web_init_fails)
-        got = run_seeds(ARMS, seeds)
+        got = run_seeds(ARMS, seeds, *self.configs)
         monkeypatch.undo()
         assert [str(got[1][arm]) for arm in (ARM_BL2, ARM_PROPOSED)] == ["no init for seed 1"] * 2
         self.assert_same_seed(got[1], self.alone(seeds[1]), arms=[ARM_BL1])
