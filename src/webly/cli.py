@@ -403,19 +403,19 @@ def _write_summary(rows: list[dict], path: Path) -> None:
         writer.writerows(rows)
 
 
-def _print_aggregates(rows: list[dict], arms: list[str], out=sys.stdout) -> None:
-    print("per-arm aggregates over seeds (mean +/- std):", file=out)
+def _print_aggregates(rows: list[dict], arms: list[str]) -> None:
+    print("per-arm aggregates over seeds (mean +/- std):")
     for arm in arms:
         vals = [r for r in rows if r["arm"] == arm and r["status"] == "ok"]
         if not vals:
-            print(f"  {arm}: no successful cells", file=out)
+            print(f"  {arm}: no successful cells")
             continue
         parts = []
         for key in SCORES:
             nums = [float(r[key]) for r in vals if r[key] != ""]
             if nums:
                 parts.append(f"{key}={np.mean(nums):.4f}+/-{np.std(nums):.4f}")
-        print(f"  {arm} (n={len(vals)}): " + " ".join(parts), file=out)
+        print(f"  {arm} (n={len(vals)}): " + " ".join(parts))
 
 
 def cmd_run(args) -> int:
@@ -515,6 +515,9 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     timestamp = report_timestamp()
     params = load_checkpoint(args.checkpoint)
+    if args.export_features and not params.config.hidden_sizes:
+        raise ValidationError(f"{args.checkpoint}: model has no hidden layer "
+                              "to export features from")
     ds = load_dataset(args.data, num_classes=params.config.num_classes)
     if ds.feature_dim != params.config.input_dim:
         raise ValidationError(f"{args.data}: feature_dim {ds.feature_dim} does not fit "
@@ -564,9 +567,10 @@ def cmd_report(args) -> int:
         arms_seen.append(arm_dir.name)
         seeds = []
         for cell_dir in (p for p in arm_dir.iterdir() if p.is_dir()):
-            try:
-                seeds.append((int(cell_dir.name), cell_dir))
-            except ValueError:
+            name = cell_dir.name  # only a name that run writes: no sign, padding or "_"
+            if name.isdecimal() and str(int(name)) == name:
+                seeds.append((int(name), cell_dir))
+            else:
                 print(f"note: skipping {cell_dir}: not a seed directory", file=sys.stderr)
         for seed, cell_dir in sorted(seeds):
             eval_path = cell_dir / "eval.json"

@@ -13,8 +13,8 @@ finiteness are checked when parameters are built or loaded, not per call.
 Models of one config (their seeds aside) can be stacked: ``flat`` is then
 (M, P), one row per member, the layer views gain a leading member axis, and
 ``forward`` runs every member over one shared batch (one dropout draw for the
-stack), giving (M, batch, K) posteriors.  A training stage over several
-seeds views its stack as (S, A, P), A members per seed, and gives each
+stack), giving (M, batch, K) posteriors.  A training stage views its stack
+as (S, A, P), A members for each of S seeds (S = 1 included), and gives each
 seed's members the seed's (S, 1, batch, D) batch and masks.  Each member's
 numbers are those it would get alone.
 
@@ -107,7 +107,8 @@ class ModelParams:
     Shapes and finiteness are checked once, at construction; training then
     updates ``flat`` in place.  A stack (``stack``) holds models of one
     config, seeds aside, with ``flat`` of shape (M, P) and views with a
-    leading M axis; ``member_configs`` holds each member's own config.
+    leading M axis; ``config`` is the first member's, so a member's own
+    config stays with its caller.
     """
 
     def __init__(self, config: ModelConfig, weights, biases):
@@ -127,7 +128,7 @@ class ModelParams:
 
     def _adopt(self, config: ModelConfig, flat: np.ndarray) -> None:
         """Take ``flat`` (one vector, or an (M, P) stack) and view its layers."""
-        self.config, self.flat, self.member_configs = config, flat, None
+        self.config, self.flat = config, flat
         lead, weights, biases, pos = flat.shape[:-1], [], [], 0
         for fan_in, fan_out in config.layer_dims():
             end = pos + fan_in * fan_out
@@ -156,16 +157,7 @@ class ModelParams:
         config = members[0].config
         if any(replace(m.config, init_seed=config.init_seed) != config for m in members):
             raise ValidationError("stacked models must share one config but for init_seed")
-        params = cls._from_flat(config, np.stack([m.flat for m in members]))
-        params.member_configs = [m.config for m in members]
-        return params
-
-    def unstack(self) -> list["ModelParams"]:
-        """A copy of each member of a stack, in order and with the config it
-        was stacked with (of a single model, a one-element list)."""
-        rows = np.atleast_2d(self.flat)
-        configs = self.member_configs or [self.config] * len(rows)
-        return [ModelParams._from_flat(config, row.copy()) for config, row in zip(configs, rows)]
+        return cls._from_flat(config, np.stack([m.flat for m in members]))
 
 
 class ForwardCache:

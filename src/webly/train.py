@@ -15,7 +15,7 @@ Every stage trains a lockstep stack of models of one config, seeds aside: one
 in the same layout, and a lone model is a stack of one.  A stack holds the
 members of one or more seeds (``SeedStack``), seed by seed and as many per
 seed: each seed brings its dataset, shuffle stream and dropout stream, and the
-stack is viewed as (S, A, P), or (A, P) for one seed, so that each seed's A
+stack is viewed as (S, A, P), one seed included, so that each seed's A
 members share its batch and masks by broadcasting.  Dropout is the model's
 setting.  Parameters, the transition, the class weights and the dataset are
 checked when they are built, and their fit once at stage start.  A batch is
@@ -167,18 +167,19 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
 
     ``init`` may instead be a list of models of one config (seeds aside),
     trained in lockstep, with ``transition`` a list of one entry per member.
-    The result is then a list holding, per member, its StageResult or its
-    first error: a DivergenceError, or the ValidationError of its seed's
-    dataset lacking a class or of its transition's k.  Every stage trains as
-    such a stack, a lone model as a stack of one, and ``ds`` as a
-    ``SeedStack``, a Dataset as one seed with ``cfg.shuffle_seed``, whose
-    members come seed by seed, as many per seed: each epoch draws one
-    shuffle order per seed and each step one set of dropout masks per seed,
-    each seed's members share its (1, B, D) batch and its masks, and each
-    member's numbers are those it gets alone.  A failed member stays in the
-    stack, trained on from zero parameters and velocity with identity rows
-    and unit weights, unlogged, until every member has failed (at stage
-    start, no epoch runs).  A fault of the whole call raises.
+    The result is then a list holding, per member, its StageResult (under
+    its own config) or its first error: a DivergenceError, or the
+    ValidationError of its seed's dataset lacking a class or of its
+    transition's k.  Every stage trains as such a stack, a lone model as a
+    stack of one, and ``ds`` as a ``SeedStack``, a Dataset as one seed with
+    ``cfg.shuffle_seed``, whose members come seed by seed, as many per
+    seed, viewed as (seeds, members per seed) for one seed too: each epoch
+    draws one shuffle order per seed and each step one set of dropout masks
+    per seed, each seed's members share its (1, B, D) batch and its masks,
+    and each member's numbers are those it gets alone.  A failed member
+    stays in the stack, trained on from zero parameters and velocity with
+    identity rows and unit weights, unlogged, until every member has failed
+    (at stage start, no epoch runs).  A fault of the whole call raises.
     """
     solo = isinstance(init, ModelParams)
     members = [init] if solo else list(init)
@@ -215,19 +216,13 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
         if t is not None and t.k != k:
             outcome[m] = outcome[m] or ValidationError(f"transition k={t.k} != num_classes {k}")
     params.flat[[m for m, result in enumerate(outcome) if result]] = 0.0
-    # The stack's lead axes: (S, A), or (A,) for one seed, since numpy
-    # charges every call of the step for each axis of its arrays.  Each
-    # per-epoch array is built as (S, A or 1, n, ...) and viewed with them.
-    lead = (per_seed,) if seeds == 1 else (seeds, per_seed)
-    grouped = ModelParams._from_flat(params.config, params.flat.reshape(*lead, size))
-    seed_models = [ModelParams._from_flat(params.config, flat)
-                   for flat in params.flat.reshape(seeds, -1, size)]
+    grouped = ModelParams._from_flat(params.config, params.flat.reshape(seeds, per_seed, size))
+    seed_models = [ModelParams._from_flat(params.config, flat) for flat in grouped.flat]
     entries = np.stack([np.eye(k) if t is None or result else t.entries
                         for t, result in zip(transitions, outcome)]).reshape(seeds, -1, k, k)
     seed_at, member_at = np.arange(seeds)[:, None, None], np.arange(per_seed)[:, None]
     labels = np.stack([d.y for d in ds.datasets])
-    x_epoch = np.empty((seeds, n, params.config.input_dim))  # each seed's shuffled rows
-    x_view = x_epoch.reshape(*lead[:-1], 1, n, params.config.input_dim)
+    x_epoch = np.empty((seeds, 1, n, params.config.input_dim))  # each seed's shuffled rows
     # every epoch's shuffle and every step's dropout stream per seed, seeded
     # up front; one reused generator is rewound to each
     epochs = range(cfg.epochs if None in outcome else 0)  # no epoch if every member failed
@@ -250,24 +245,23 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
         epoch_start = time.perf_counter()
         orders = np.stack([rewind(rng, state).permutation(n)
                            for state in shuffle_states[epoch].tolist()])
-        for d, seed_order, seed_rows in zip(ds.datasets, orders, x_epoch):
+        for d, seed_order, seed_rows in zip(ds.datasets, orders, x_epoch[:, 0]):
             d.X.take(seed_order, axis=0, out=seed_rows, mode="clip")
-        # each example's labels, class weight terms and each member's
-        # transition rows, sliced per batch
+        # each example's labels and class weight terms, (S, 1, n), and each
+        # member's transition rows, (S, A, n, k), sliced per batch
         y_epoch = labels[seed_at, orders[:, None]]
-        t_epoch = entries[seed_at, member_at, y_epoch].reshape(*lead, n, k)
-        w_epoch = weights[seed_at, y_epoch].reshape(*lead[:-1], 1, n)
-        y_epoch = y_epoch.reshape(w_epoch.shape)
+        t_epoch = entries[seed_at, member_at, y_epoch]
+        w_epoch = weights[seed_at, y_epoch]
         neg_w, w_over_b = -w_epoch, w_epoch / cfg.batch_size
         w_over_b[..., starts[-1]:] = w_epoch[..., starts[-1]:] / last
-        loss_sum = np.zeros(lead)
+        loss_sum = np.zeros((seeds, per_seed))
         for batch_idx, (lo, states) in enumerate(zip(starts, mask_states[epoch].tolist())):
             hi, cache = lo + cfg.batch_size, step_caches[batch_idx]  # one fused step
             for seed, state in enumerate(states):
                 cache.draw_masks(rewind(rng, state), seed)
-            posteriors = forward_layers(cache, x_view[..., lo:hi, :])
+            posteriors = forward_layers(cache, x_epoch[..., lo:hi, :])
             report = (renormalized_cross_entropy_rows(
-                          posteriors, entries.reshape(*lead, k, k), y_epoch[..., lo:hi],
+                          posteriors, entries, y_epoch[..., lo:hi],
                           t_epoch[..., lo:hi, :], neg_w[..., lo:hi], w_over_b[..., lo:hi])
                       if renormalize
                       else modulated_cross_entropy_rows(
@@ -302,8 +296,8 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
                     "train_accuracy": float(acc),
                     "elapsed_s": elapsed,
                 })
-    outcome = [result or StageResult(params=member_params, log=log)
-               for result, member_params, log in zip(outcome, params.unstack(), logs)]
+    outcome = [result or StageResult(ModelParams._from_flat(member.config, row.copy()), log)
+               for result, member, row, log in zip(outcome, members, params.flat, logs)]
     if solo and isinstance(outcome[0], WeblyError):
         raise outcome[0]
     return outcome[0] if solo else outcome

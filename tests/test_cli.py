@@ -632,6 +632,20 @@ class TestEval:
         assert str(data / "clean_test.csv") in err and "input_dim 8" in err
         assert not out.exists()
 
+    def test_export_features_without_hidden_layer_exits_2_before_output(self, tmp_path,
+                                                                          capsys):
+        ckpt = tmp_path / "m.wslckpt"
+        save_checkpoint(init_params(ModelConfig(input_dim=4, hidden_sizes=[],
+                                                num_classes=3)), ckpt)
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(tiny_config(tmp_path)), "--out", str(data)]) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data / "clean_test.csv"),
+                     "--out", str(out), "--export-features"]) == 2
+        assert f"{ckpt}: model has no hidden layer" in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
+
     def test_missing_checkpoint_exits_nonzero_without_output(self, tmp_path):
         eval_dir = tmp_path / "eval"
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.wslckpt"),
@@ -709,6 +723,29 @@ class TestReport:
         assert main(["report", "--runs", str(out)]) == 0
         assert "notaseed" in capsys.readouterr().err
         assert (out / "summary.csv").read_text() == original
+
+    @staticmethod
+    def write_cells(root, *names):
+        doc = {"accuracy": 0.5, "macro_recall": 0.5, "kappa": 0.25, "auc_mean": None}
+        for name in names:
+            (root / "BL1" / name).mkdir(parents=True)
+            (root / "BL1" / name / "eval.json").write_text(json.dumps(doc))
+
+    def test_prints_the_aggregates_to_the_current_stdout(self, tmp_path, capsys):
+        self.write_cells(tmp_path, "0")
+        assert main(["report", "--runs", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "per-arm aggregates over seeds" in out
+        assert "BL1 (n=1): accuracy=0.5000+/-0.0000" in out
+
+    def test_counts_only_seed_names_that_run_writes(self, tmp_path, capsys):
+        self.write_cells(tmp_path, "1", "01", "+1", "1_0")
+        assert main(["report", "--runs", str(tmp_path)]) == 0
+        assert [r["seed"] for r in read_summary(tmp_path / "summary.csv")] == ["1"]
+        err = capsys.readouterr().err
+        for name in ("01", "+1", "1_0"):
+            assert f"note: skipping {tmp_path / 'BL1' / name}: not a seed directory" in err
+        assert err.count("note: skipping") == 3
 
     def test_malformed_eval_json_is_a_failed_row_naming_the_file(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=[0, 1, 2, 3, 4])

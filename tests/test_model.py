@@ -257,9 +257,8 @@ class TestStackedModels:
             assert w.shape[0] == b.shape[0] == 2
             assert np.shares_memory(w, stack.flat)
             assert np.shares_memory(b, stack.flat)
-        for member, copy in zip(self.members(), stack.unstack()):
-            assert np.array_equal(member.flat, copy.flat)
-            assert not np.shares_memory(copy.flat, stack.flat)
+        for member, row in zip(self.members(), stack.flat):
+            assert np.array_equal(member.flat, row)
 
     def test_forward_and_backward_match_each_member_bit_for_bit(self):
         members = self.members()

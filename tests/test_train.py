@@ -185,7 +185,7 @@ def reference_stage(init, ds, cfg, transitions, renormalize=False):
                 rows = [rows[r] for r in keep]
                 if not rows:
                     return outcome
-                params = ModelParams.stack([params.unstack()[r] for r in keep])
+                params = ModelParams._from_flat(params.config, params.flat[keep])
                 velocity, loss_sum, batch_loss = velocity[keep], loss_sum[keep], batch_loss[keep]
                 t = TransitionMatrix(entries=t.entries[keep], provenance={})
             loss_sum += batch_loss
