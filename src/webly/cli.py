@@ -212,7 +212,7 @@ def load_config(path: str | None) -> dict:
 def _parse_seeds(text: str) -> list[int]:
     """Comma-separated distinct non-negative integers from a ``--seed`` value."""
     parts = text.split(",")
-    seeds = [int(part) for part in parts if part.strip().isdecimal()]
+    seeds = [int(part) for part in parts if part.isascii() and part.strip().isdecimal()]
     if len(seeds) != len(parts) or len(set(seeds)) != len(seeds):
         raise ValidationError(f"--seed {text!r}: expected distinct non-negative "
                               "integers separated by commas")
@@ -429,6 +429,10 @@ def cmd_run(args) -> int:
     data, files = config["data"], None
     if "synth" not in data:  # read once before any output, clean_train first to size the model
         train = load_dataset(data["clean_train"])
+        absent = np.flatnonzero(train.label_counts() == 0).tolist()
+        if absent:
+            raise ValidationError(f"{data['clean_train']}: class absent from training data: "
+                                  f"{absent}")
         try:
             _model_config(config, train.feature_dim, train.num_classes, 0)
         except ValidationError as exc:

@@ -353,6 +353,10 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
                     rows.append([float(v) for v in row[3:]])
                 except ValueError:
                     raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
+                numbers = "".join(row[2:])  # int() and float() also read "_" and non-ASCII digits
+                if not numbers.isascii() or "_" in numbers:
+                    raise ParseError(f"{path}: line {lineno}: label and features must be "
+                                     "ASCII numbers without '_'")
                 ids.append(row[0])
                 group_ids.append(row[1])
                 labels.append(label)

@@ -3,9 +3,11 @@
 The modulated loss replaces each example's predicted probability with the
 transition-diffused score s_c = sum_j t_cj * p_j, where c is the example's
 (noisy) label, then applies the usual weighted negative log.  With an identity
-transition this reduces bit-for-bit to plain weighted cross-entropy.  Gradients
-are taken with respect to the output-layer logits, through the softmax and the
-linear modulation, for the batch-mean scalar loss.
+transition this reduces bit-for-bit to plain weighted cross-entropy.  The
+renormalized form divides s_c by the sum of all diffused scores, z = p.u with
+u the transition's column sums: -w_c * (log s_c - log z).  Gradients are taken
+with respect to the output-layer logits, through the softmax and the linear
+modulation, for the batch-mean scalar loss.
 """
 
 from __future__ import annotations
@@ -70,11 +72,11 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
                             renormalize: bool = False) -> LossReport:
     """Weighted cross-entropy on transition-diffused scores.
 
-    Per example with noisy label c the score is row c of the transition dotted
-    with the posterior; the per-example loss is -w_c * log(max(score, 1e-12))
-    and the scalar is the batch mean.  ``renormalize`` switches to the
-    documented alternative that renormalizes the diffused scores across classes
-    before the log (off by default).
+    Per example with noisy label c the score s is row c of the transition
+    dotted with the posterior; the per-example loss is -w_c * log(max(s,
+    1e-12)) and the scalar is the batch mean.  ``renormalize`` switches to the
+    documented alternative over s / z, z the posterior dotted with the
+    transition's column sums, each clamped before its log (off by default).
 
     Posteriors may be an (M, batch, K) stack of members scored on one batch;
     the transition is then an (M, K, K) stack, one per member, and ``loss`` is
@@ -107,48 +109,35 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
 
     rows = t[..., labels, :]                   # (..., B, K): row per example
     wc = wv[labels]
-    if renormalize:
-        return renormalized_cross_entropy_rows(p, t, np.broadcast_to(labels, p.shape[:-1]),
-                                               rows, -wc, wc / batch)
-    return modulated_cross_entropy_rows(p, rows, -wc, wc / batch,
-                                        np.empty(p.shape[:-1]), np.empty_like(p))
-
-
-def renormalized_cross_entropy_rows(p: np.ndarray, t: np.ndarray, labels: np.ndarray,
-                                    rows, neg_w, w_over_b) -> LossReport:
-    """The renormalized modulated loss of posteriors ``p`` (..., B, K) under
-    transitions ``t`` (..., K, K), given each example's label ``labels``
-    (..., B), transition row ``rows``, negated class weight ``neg_w`` and class
-    weight over B ``w_over_b``, gathered by the caller.  Nothing is checked."""
-    m = p @ t.swapaxes(-1, -2)                 # (..., B, K) all diffused scores
-    z = m.sum(axis=-1)
-    m_label = np.take_along_axis(m, labels[..., None], axis=-1)[..., 0]
-    per_example = neg_w * (np.log(np.maximum(m_label, LOG_EPS))
-                           - np.log(np.maximum(z, LOG_EPS)))
-    u = t.sum(axis=-2)                         # column sums
-    gate_m = (m_label > LOG_EPS) / np.where(m_label > LOG_EPS, m_label, 1.0)
-    gate_z = (z > LOG_EPS) / np.where(z > LOG_EPS, z, 1.0)
-    grads = w_over_b[..., None] * p * (gate_z[..., None] * u[..., None, :]
-                                       - gate_m[..., None] * rows)
-    return LossReport(per_example=per_example, logit_grads=grads)
+    col_sums = t.sum(axis=-2, keepdims=True) if renormalize else None
+    return modulated_cross_entropy_rows(p, rows, -wc, wc / batch, np.empty(p.shape[:-1]),
+                                        np.empty_like(p), col_sums)
 
 
 def modulated_cross_entropy_rows(p: np.ndarray, rows, neg_w, w_over_b,
-                                 per_example: np.ndarray, logit_grads: np.ndarray
-                                 ) -> LossReport:
-    """The plain modulated loss of posteriors ``p`` (..., B, K) given each
-    example's transition row ``rows`` (..., B, K), negated class weight
-    ``neg_w`` and class weight over B ``w_over_b`` (B,), gathered by the
-    caller; written into ``per_example`` (..., B) and ``logit_grads``
-    (..., B, K).  Nothing is checked."""
+                                 per_example: np.ndarray, logit_grads: np.ndarray,
+                                 col_sums=None) -> LossReport:
+    """The modulated loss of posteriors ``p`` (..., B, K) given each example's
+    transition row ``rows`` (..., B, K), negated class weight ``neg_w`` and
+    class weight over B ``w_over_b`` (B,), gathered by the caller; written into
+    ``per_example`` (..., B) and ``logit_grads`` (..., B, K).  With the column
+    sums ``col_sums`` u (..., 1, K) it is renormalized.  Nothing is checked."""
     s = np.einsum("...bk,...bk->...b", rows, p, out=per_example)  # labeled-class score
-    # d(mean loss)/d(logit_k) = (w_c/B) * (p_k - t_ck p_k / s); the whole
-    # row vanishes where the score sits under the log clamp.
     active = s > LOG_EPS
     grads = np.multiply(rows, p, out=logit_grads)
-    grads /= np.where(active, s, 1.0)[..., None]
-    np.subtract(p, grads, out=grads)
-    grads *= (w_over_b * active)[..., None]
-    np.log(np.maximum(s, LOG_EPS, out=s), out=s)
+    grads /= np.where(active, s, np.inf)[..., None]  # t_ck p_k / s, 0 where s is clamped
+    if col_sums is None:
+        # d(mean loss)/d(logit_k) = (w_c/B) * (p_k - t_ck p_k / s); the whole
+        # row vanishes where the score sits under the log clamp.
+        np.subtract(p, grads, out=grads)
+        grads *= (w_over_b * active)[..., None]
+        np.log(np.maximum(s, LOG_EPS, out=s), out=s)
+    else:  # over z = p.u: (w_c/B) * p_k (u_k / z - t_ck / s), each term 0 if clamped
+        z = np.einsum("...bk,...jk->...b", p, col_sums)
+        np.subtract(p * col_sums * ((z > LOG_EPS) / np.maximum(z, LOG_EPS))[..., None], grads,
+                    out=grads)
+        grads *= w_over_b[..., None]
+        np.log(np.maximum(s, LOG_EPS, out=s), out=s)
+        s -= np.log(np.maximum(z, LOG_EPS, out=z), out=z)
     s *= neg_w
     return LossReport(per_example=s, logit_grads=grads)

@@ -47,11 +47,9 @@ import numpy as np
 
 from .data import Dataset, WebCorpus, check_fields, flatten_web, integer, real
 from .errors import DivergenceError, ValidationError, WeblyError
-from .loss import (median_frequency_weights, modulated_cross_entropy_rows,
-                   renormalized_cross_entropy_rows)
-# perfbench/tracing.py wraps train.modulated_cross_entropy as its loss.call span,
-# and its selftest requires the name; train_stage calls the _rows forms, so the
-# span records no call in training.
+from .loss import median_frequency_weights, modulated_cross_entropy_rows
+# perfbench/tracing.py wraps this name as its loss.call span (its selftest needs it);
+# train_stage calls the _rows form, so the span records no call in training.
 from .loss import modulated_cross_entropy  # noqa: F401
 from .model import (ForwardCache, ModelConfig, ModelParams, backward, forward_layers,
                     init_params, pcg64_states, predict, rewind)
@@ -160,7 +158,8 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
 
     ``transition`` selects the loss: None trains with plain weighted
     cross-entropy (the modulated loss with the identity), otherwise the
-    transition-modulated loss.  Class weights are median-frequency balanced
+    transition-modulated loss, renormalized with ``renormalize`` over column
+    sums gathered once per stage.  Class weights are median-frequency balanced
     from this dataset's labels, computed once at stage start.  ``init`` is
     copied, never changed.  Velocity starts at zero.  Deterministic given the
     config.  Returns a StageResult, or raises the WeblyError that failed it.
@@ -220,6 +219,7 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     seed_models = [ModelParams._from_flat(params.config, flat) for flat in grouped.flat]
     entries = np.stack([np.eye(k) if t is None or result else t.entries
                         for t, result in zip(transitions, outcome)]).reshape(seeds, -1, k, k)
+    col_sums = entries.sum(axis=-2, keepdims=True) if renormalize else None
     seed_at, member_at = np.arange(seeds)[:, None, None], np.arange(per_seed)[:, None]
     labels = np.stack([d.y for d in ds.datasets])
     x_epoch = np.empty((seeds, 1, n, params.config.input_dim))  # each seed's shuffled rows
@@ -260,13 +260,9 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
             for seed, state in enumerate(states):
                 cache.draw_masks(rewind(rng, state), seed)
             posteriors = forward_layers(cache, x_epoch[..., lo:hi, :])
-            report = (renormalized_cross_entropy_rows(
-                          posteriors, entries, y_epoch[..., lo:hi],
-                          t_epoch[..., lo:hi, :], neg_w[..., lo:hi], w_over_b[..., lo:hi])
-                      if renormalize
-                      else modulated_cross_entropy_rows(
-                          posteriors, t_epoch[..., lo:hi, :], neg_w[..., lo:hi],
-                          w_over_b[..., lo:hi], cache.per_example, cache.logit_grads))
+            report = modulated_cross_entropy_rows(
+                posteriors, t_epoch[..., lo:hi, :], neg_w[..., lo:hi], w_over_b[..., lo:hi],
+                cache.per_example, cache.logit_grads, col_sums)
             grad = backward(cache, report.logit_grads).reshape(params.flat.shape)
             grad *= lr
             # A non-finite loss or gradient makes the updated theta non-finite.

@@ -1,6 +1,7 @@
 """Tests for the command-line verbs and the run-directory contract."""
 
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -177,6 +178,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out),
                      "--seed", "a"]) == 2
         assert "'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["\u0663,1", "1,\uff12", "1_0"])
+    def test_seed_beyond_ascii_digits_exits_2_naming_it(self, tmp_path, capsys, seeds):
+        with pytest.raises(WeblyError, match="non-negative integers"):
+            cli._parse_seeds(seeds)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(tiny_config(tmp_path)), "--out", str(out),
+                     "--seed", seeds]) == 2
+        assert repr(seeds) in capsys.readouterr().err
         assert not out.exists()
 
     def test_failed_cell_recorded_others_continue(self, tmp_path):
@@ -415,7 +426,7 @@ class TestRun:
         assert [(r["arm"], r["seed"]) for r in read_summary(out / "summary.csv")] == [
             ("BL1", "0"), ("BL2", "0"), ("Proposed", "0")]
 
-    def test_parallel_jobs_match_serial_bytes(self, tmp_path, monkeypatch):
+    def test_seeds_trained_together_match_one_run_per_seed_bytes(self, tmp_path, monkeypatch):
         # --jobs is accepted and ignored: the seeds train as one stack per stage
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         cfg = tiny_config(tmp_path, arms=["BL1", "BL2", "Proposed"], seeds=[0, 1])
@@ -534,6 +545,20 @@ class TestRun:
         capsys.readouterr()
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_clean_train_lacking_a_class_exits_2_naming_it_before_output(self, tmp_path,
+                                                                         capsys):
+        cfg, data_dir = self.file_config(tmp_path, arms=["BL1", "BL2"], seeds=[0, 1])
+        path = data_dir / "clean_train.csv"
+        header, *lines = path.read_text().splitlines()
+        kept = [line for line in lines if next(csv.reader([line]))[2] != "1"]
+        assert 0 < len(kept) < len(lines)
+        path.write_text("\n".join([header] + kept) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{path}: class absent from training data: [1]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_memberless_web_corpus_fails_only_the_web_arms(self, tmp_path):

@@ -77,6 +77,27 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=re.escape(f"{p}: line 3") + ".*int64"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("row", [
+        "b,g1,1_0,1.0,2.0",            # int() reads it as 10
+        "b,g1,\u0661,1.0,2.0",         # an Arabic-Indic 1
+        "b,g1,\uff11,1.0,2.0",         # a fullwidth 1
+        "b,g1,1,1_0,2.0",              # float() reads it as 10.0
+        "b,g1,1,1.0,\u0662.5",         # an Arabic-Indic 2.5
+        "b,g1,1,1.0,2.0\u00a0",        # a no-break space
+    ])
+    def test_label_or_feature_beyond_ascii_digits_names_line(self, tmp_path, row):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["a,g1,0,1.0,2.0", row])
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 3: ") + ".*ASCII"):
+            load_dataset(p)
+
+    def test_sign_and_surrounding_spaces_keep_their_value(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["a,g1, +1 , +1.5 ,-2e-1", "b,g1,0,1.0,2.0"])
+        ds = load_dataset(p)
+        assert ds.y.tolist() == [1, 0]
+        assert ds.X.tolist() == [[1.5, -0.2], [1.0, 2.0]]
+
     def test_inferred_class_count_above_row_count_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, ["a,g1,0,1.0,2.0", "b,g1,1000000000,1.0,2.0"])

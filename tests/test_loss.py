@@ -195,6 +195,83 @@ class TestStackedLoss:
                                     np.ones(3))
 
 
+class TestRenormalizedClosedForm:
+    """The renormalized loss against its closed form, example by example: with
+    label c, s = p T^T and z = sum_k s_k, the loss is -w_c (log s_c - log z)
+    and the logit gradient (w_c / B) p_k (u_k / z - t_ck / s_c), u the column
+    sums of T; a score under LOG_EPS is clamped in the loss and drops its term
+    from the gradient."""
+
+    @staticmethod
+    def closed_form(p, labels, t, w):
+        batch, k = p.shape
+        per_example, grads = np.empty(batch), np.empty((batch, k))
+        u = t.sum(axis=0)
+        for i, c in enumerate(labels):
+            scores = p[i] @ t.T
+            s, z = scores[c], scores.sum()
+            per_example[i] = -w[c] * (math.log(max(s, LOG_EPS)) - math.log(max(z, LOG_EPS)))
+            for j in range(k):
+                term_z = u[j] / z if z > LOG_EPS else 0.0
+                term_s = t[c, j] / s if s > LOG_EPS else 0.0
+                grads[i, j] = w[c] / batch * p[i, j] * (term_z - term_s)
+        return per_example, grads
+
+    @staticmethod
+    def instance(rng):
+        """Random posteriors and sparse transitions, with rows whose scores sit
+        under LOG_EPS: one-hot posteriors on zero transition entries or on a
+        zero column, and posteriors with only ~1e-18 of mass off one class."""
+        k, batch = 3, 8
+        t = rng.uniform(size=(k, k)) * (rng.uniform(size=(k, k)) < 0.6)
+        t[:, 2] = 0.0                           # column 2 zero: z = 0 on e_2
+        t[np.arange(k), rng.integers(0, 2, size=k)] += 0.1
+        t /= t.sum(axis=1, keepdims=True)
+        p = random_posteriors(rng, batch, k)
+        p[:3] = np.eye(k)                       # one-hot, e_2 among them
+        p[3] = softmax(np.array([0.0, -40.0, 40.0]))
+        return p, rng.integers(0, k, size=batch), t, rng.uniform(0.5, 2.0, size=k)
+
+    def test_single_model_matches_the_closed_form(self):
+        rng = np.random.default_rng(21)
+        clamped = 0
+        for _ in range(50):
+            p, labels, t, w = self.instance(rng)
+            report = modulated_cross_entropy(p, labels, t, w, renormalize=True)
+            per_example, grads = self.closed_form(p, labels, t, w)
+            assert np.max(np.abs(report.per_example - per_example)) < 1e-12
+            assert np.max(np.abs(report.logit_grads - grads)) < 1e-12
+            clamped += np.sum(np.einsum("bk,bk->b", p, t[labels]) <= LOG_EPS)
+        assert clamped > 0
+
+    def test_stack_matches_the_closed_form_per_member(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            members = [self.instance(rng) for _ in range(3)]
+            labels, w = members[0][1], members[0][3]
+            p, t = (np.stack([m[i] for m in members]) for i in (0, 2))
+            report = modulated_cross_entropy(p, labels, t, w, renormalize=True)
+            for i in range(3):
+                per_example, grads = self.closed_form(p[i], labels, t[i], w)
+                assert np.max(np.abs(report.per_example[i] - per_example)) < 1e-12
+                assert np.max(np.abs(report.logit_grads[i] - grads)) < 1e-12
+
+    def test_clamped_scores_by_hand(self):
+        # T's column 1 is zero.  Label 0 on e_1: s = t_01 = 0 and z = u_1 = 0,
+        # both clamped: loss 0, gradient 0.  Label 1 on e_0: s = t_10 = 0 is
+        # clamped, z = u_0 = 1.5: loss -2 (log 1e-12 - log 1.5), gradient
+        # (2 / 2) e_0 u_0 / z = e_0.
+        t = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        p = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        report = modulated_cross_entropy(p, [0, 1], t, np.array([1.0, 2.0, 1.0]),
+                                         renormalize=True)
+        assert report.per_example[0] == 0.0
+        assert report.per_example[1] == pytest.approx(-2 * (math.log(LOG_EPS)
+                                                            - math.log(1.5)), rel=1e-15)
+        np.testing.assert_allclose(report.logit_grads, [[0, 0, 0], [1, 0, 0]], rtol=0,
+                                   atol=1e-15)
+
+
 class TestPlainWeightedCrossEntropy:
     """Weighted cross-entropy is the modulated loss with an identity transition."""
 
