@@ -132,10 +132,13 @@ def modulated_cross_entropy_rows(p: np.ndarray, rows, neg_w, w_over_b,
         np.subtract(p, grads, out=grads)
         grads *= (w_over_b * active)[..., None]
         np.log(np.maximum(s, LOG_EPS, out=s), out=s)
-    else:  # over z = p.u: (w_c/B) * p_k (u_k / z - t_ck / s), each term 0 if clamped
+    else:  # over z = p.u: (w_c/B) * p_k ((u_k / z - 1) [z > eps] - (t_ck / s - 1) [s > eps]),
+        # the derivative of the clamped loss
         z = np.einsum("...bk,...jk->...b", p, col_sums)
-        np.subtract(p * col_sums * ((z > LOG_EPS) / np.maximum(z, LOG_EPS))[..., None], grads,
+        z_active = z > LOG_EPS
+        np.subtract(p * col_sums * (z_active / np.maximum(z, LOG_EPS))[..., None], grads,
                     out=grads)
+        grads += p * np.subtract(active, z_active, dtype=np.float64)[..., None]
         grads *= w_over_b[..., None]
         np.log(np.maximum(s, LOG_EPS, out=s), out=s)
         s -= np.log(np.maximum(z, LOG_EPS, out=z), out=z)

@@ -19,9 +19,9 @@ seed's members the seed's (S, 1, batch, D) batch and masks.  Each member's
 numbers are those it would get alone.
 
 Every pass runs on a workspace (``ForwardCache``) that holds each
-intermediate: ``forward`` checks its batch and runs the unchecked
-``forward_layers`` on a new one, and ``backward`` writes into the gradient
-buffers of the one it is given (a new one for a forward's cache).  A
+intermediate of the forward and the backward pass: ``forward`` checks its
+batch and runs the unchecked ``forward_layers`` on a new one, and
+``backward`` writes into the gradient buffers of the one it is given.  A
 training stage reuses one workspace for all its full batches, and a second
 one for a ragged last batch, and draws every hidden layer's dropout mask of
 a seed into it with one call.  ``predict`` and ``penultimate_features``
@@ -170,15 +170,13 @@ class ForwardCache:
     None.  The masks are shared along the last lead axis: by every member of
     an (M, P) stack, and by the members of each seed of a training stage's
     (S, A, P) stack, whose ``kept`` has one row, and so one set of masks, per
-    seed.  With ``grads`` it also holds what
-    ``loss.modulated_cross_entropy_rows`` and ``backward`` write: ``gates[l]``
-    (1.0 where activation l is positive), ``deltas[l]``, ``logit_grads``,
-    ``per_example`` losses, and ``grad`` packed like ``params.flat`` with
-    per-layer views ``grads``; else ``grad`` is None.
+    seed.  It also holds what ``loss.modulated_cross_entropy_rows`` and
+    ``backward`` write: ``gates[l]`` (1.0 where activation l is positive),
+    ``deltas[l]``, ``logit_grads``, ``per_example`` losses, and ``grad``
+    packed like ``params.flat`` with per-layer views ``grads``.
     """
 
-    def __init__(self, params: ModelParams, rows: int, train: bool = False,
-                 grads: bool = False):
+    def __init__(self, params: ModelParams, rows: int, train: bool = False):
         cfg, lead = params.config, params.flat.shape[:-1]
         hidden, n = cfg.hidden_sizes, len(cfg.hidden_sizes)
         self.params = params
@@ -186,8 +184,7 @@ class ForwardCache:
         layers = [(*lead, rows, width) for width in hidden * 2]
         logits = (*lead, rows, cfg.num_classes)
         shapes = layers + [logits] * 2 + [(math.prod(lead[:-1]), rows * sum(hidden) * self.dropout)]
-        if grads:
-            shapes += layers + [logits, (*lead, rows), params.flat.shape]
+        shapes += layers + [logits, (*lead, rows), params.flat.shape]
         buffers = map(np.empty, shapes)
         self.pre_activations, acts = ([next(buffers) for _ in hidden] for _ in range(2))
         self.logits, self.posteriors, self.kept = next(buffers), next(buffers), next(buffers)
@@ -199,11 +196,9 @@ class ForwardCache:
             shared = (*lead[:-1], 1) if len(lead) > 1 else ()
             self.dropout_masks = [self.kept[..., lo:hi].reshape(*shared, rows, width)
                                   for lo, hi, width in zip(ends, ends[1:], hidden)]
-        self.grad = None
-        if grads:
-            self.gates, self.deltas = ([next(buffers) for _ in hidden] for _ in range(2))
-            self.logit_grads, self.per_example, self.grad = buffers
-            self.grads = ModelParams._from_flat(cfg, self.grad)
+        self.gates, self.deltas = ([next(buffers) for _ in hidden] for _ in range(2))
+        self.logit_grads, self.per_example, self.grad = buffers
+        self.grads = ModelParams._from_flat(cfg, self.grad)
 
     def draw_masks(self, rng: np.random.Generator, seed: int = 0) -> None:
         """Redraw every dropout mask (of ``seed``, in an (S, A, P) stack) with
@@ -396,21 +391,16 @@ def backward(cache: ForwardCache, logit_grads: np.ndarray) -> np.ndarray:
 
     Exact analytic chain rule through the dropout masks recorded in the cache.
     Returns the gradient packed like ``ModelParams.flat`` (per member for a
-    stack): a workspace's own ``grad`` when it has one (a training stage's),
-    which the next backward on it overwrites, else a new array.  Each layer's
-    gradient is written straight into its view.  A delta is gated by
-    activation > 0, which holds exactly where the unit is kept and its
-    pre-activation is positive.
+    stack): the workspace's own ``grad``, which the next backward on it
+    overwrites.  Each layer's gradient is written straight into its view.  A
+    delta is gated by activation > 0, which holds exactly where the unit is
+    kept and its pre-activation is positive.
     """
     if logit_grads.shape != cache.logits.shape:
         raise ValidationError(
             f"upstream gradient shape {logit_grads.shape} != logits "
             f"{cache.logits.shape}"
         )
-    if cache.grad is None:  # a forward's cache: work in a new workspace
-        work = ForwardCache(cache.params, logit_grads.shape[-2], grads=True)
-        work.inputs, work.dropout_masks = cache.inputs, cache.dropout_masks
-        cache = work
     params, grads = cache.params, cache.grads
     keep = params.config.dropout_keep_prob
     dz = logit_grads  # upstream gradient of the current layer's output

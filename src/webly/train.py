@@ -22,8 +22,9 @@ checked when they are built, and their fit once at stage start.  A batch is
 one fused step on a workspace allocated once per stage for the full batches
 (``model.ForwardCache``; a ragged last batch has a second one): dropout drawn
 into it, layers, loss on the transition rows and class weight terms gathered
-once per epoch, backward straight into its packed gradient, and the update,
-with nothing allocated per step but a few small temporaries.  Each epoch
+once per epoch, backward straight into its packed gradient, and the update
+(``sgd_momentum_step``), with nothing allocated per step but the scaled
+gradient and a few small temporaries.  Each epoch
 writes every seed's shuffled rows into one buffer allocated once per stage,
 one copy per seed however many members it has, and a step's batch is a slice
 of it.  It checks only that the updated parameters are finite.
@@ -123,15 +124,8 @@ def sgd_momentum_step(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     ``members`` lists the rows that are not finite.  A non-finite gradient
     always makes its row so.
     """
-    momentum_update(theta, lr * grad, velocity, momentum)
-
-
-def momentum_update(theta: np.ndarray, step: np.ndarray, velocity: np.ndarray,
-                    momentum: float) -> None:
-    """``sgd_momentum_step`` given ``step`` = lr * grad (a training step
-    scales its gradient buffer in place)."""
     velocity *= momentum
-    velocity -= step
+    velocity -= lr * grad
     theta += velocity
     if not np.isfinite(theta).all():
         bad = ~np.isfinite(theta).all(axis=-1)
@@ -235,9 +229,9 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     rng = np.random.Generator(np.random.PCG64())
     # per batch its workspace: one for the full batches, a second for a ragged last one
     rows, last = min(n, cfg.batch_size), n - starts[-1]
-    full = ForwardCache(grouped, rows, train=True, grads=True)
+    full = ForwardCache(grouped, rows, train=True)
     step_caches = [full] * (len(starts) - 1) + [
-        full if last == rows else ForwardCache(grouped, last, train=True, grads=True)]
+        full if last == rows else ForwardCache(grouped, last, train=True)]
     velocity = np.zeros_like(params.flat)
     logs: list[list[dict]] = [[] for _ in members]
     for epoch in epochs:
@@ -264,10 +258,9 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
                 posteriors, t_epoch[..., lo:hi, :], neg_w[..., lo:hi], w_over_b[..., lo:hi],
                 cache.per_example, cache.logit_grads, col_sums)
             grad = backward(cache, report.logit_grads).reshape(params.flat.shape)
-            grad *= lr
             # A non-finite loss or gradient makes the updated theta non-finite.
             try:
-                momentum_update(params.flat, grad, velocity, cfg.momentum)
+                sgd_momentum_step(params.flat, grad, velocity, lr, cfg.momentum)
             except DivergenceError as exc:
                 for r in exc.members:
                     outcome[r] = outcome[r] or DivergenceError(
@@ -318,9 +311,11 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
     to its ArmResult or to the toolkit error that failed it.
 
     Every seed trains under the run's configs, its ``seed`` added to their
-    ``shuffle_seed`` and ``init_seed``.  The clean-only stage is trained
-    once per seed: it is BL1's stage and the noise-corrected arm's oracle,
-    so its failure fails both.  The transition is then estimated per seed
+    ``shuffle_seed`` and ``init_seed``.  Each seed's initial model is built
+    once, and its clean-only stage and web stage both start from it (a
+    stage trains a copy).  The clean-only stage is trained once per seed: it
+    is BL1's stage and the noise-corrected arm's oracle, so its failure
+    fails both.  The transition is then estimated per seed
     from it, taking the seed's ``web_fingerprint``, if given, as the
     corpus's ``fingerprint``.  Then each phase (web pretrain, clean
     fine-tune) trains the live web arms.  Every stage trains the members of
@@ -344,8 +339,8 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
         if arm not in ARMS:
             raise ValidationError(f"unknown arm {arm!r}; expected one of {ARMS}")
     webs, reads = [seed.web for seed in seeds], [0] * len(seeds)
-    model_cfgs = [replace(model_cfg, init_seed=model_cfg.init_seed + seed.seed)
-                  for seed in seeds]
+    inits = [init_params(replace(model_cfg, init_seed=model_cfg.init_seed + seed.seed))
+             for seed in seeds]
     # each (seed, arm) cell's ArmResult, filled phase by phase, or its error
     cells = [{arm: ArmResult(arm) for arm in arms} for _ in seeds]
     order = range(len(seeds))
@@ -398,7 +393,7 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
                                        else []) for s in order]
     clean = [seed.clean_train for seed in seeds]
     for (s, _), result in train([(s, ARM_BL1) for s in order if oracle_arms[s]], clean,
-                                cfg_clean, lambda s, _: init_params(model_cfgs[s])).items():
+                                cfg_clean, lambda s, _: inits[s]).items():
         for arm in oracle_arms[s]:
             if isinstance(result, WeblyError):
                 cells[s][arm] = result
@@ -418,21 +413,21 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
                 cells[s][arm] = exc
     snapshot("after_estimation", ARM_PROPOSED)
 
-    flat, web_init = [None] * len(seeds), {}
+    flat = [None] * len(seeds)
     for s in order:
         web_arms = live(s, ARM_BL2, ARM_PROPOSED)
         if web_arms:
             try:
                 flat[s] = read(s, flatten_web, webs[s])
-                web_init[s] = init_params(model_cfgs[s])
             except WeblyError as exc:
                 cells[s].update(dict.fromkeys(web_arms, exc))
     for phase, data, cfg, init_of, transition_of in (
-            ("after_web_stage", flat, cfg_web, lambda s, _: web_init[s],
+            ("after_web_stage", flat, cfg_web, lambda s, _: inits[s],
              lambda s, arm: cells[s][arm].transition),
             ("after_clean_stage", clean, cfg_clean,
              lambda s, arm: cells[s][arm].final_params, lambda s, arm: None)):
-        members = [(s, arm) for s in web_init for arm in live(s, ARM_BL2, ARM_PROPOSED)]
+        members = [(s, arm) for s in order if flat[s] is not None
+                   for arm in live(s, ARM_BL2, ARM_PROPOSED)]
         for (s, arm), result in train(members, data, cfg, init_of, transition_of).items():
             if isinstance(result, WeblyError):
                 cells[s][arm] = result

@@ -198,9 +198,9 @@ class TestStackedLoss:
 class TestRenormalizedClosedForm:
     """The renormalized loss against its closed form, example by example: with
     label c, s = p T^T and z = sum_k s_k, the loss is -w_c (log s_c - log z)
-    and the logit gradient (w_c / B) p_k (u_k / z - t_ck / s_c), u the column
-    sums of T; a score under LOG_EPS is clamped in the loss and drops its term
-    from the gradient."""
+    and the logit gradient (w_c / B) p_k ((u_k / z - 1) - (t_ck / s_c - 1)),
+    u the column sums of T; a score under LOG_EPS is clamped in the loss, so
+    its term, the derivative of its log, drops from the gradient."""
 
     @staticmethod
     def closed_form(p, labels, t, w):
@@ -212,8 +212,8 @@ class TestRenormalizedClosedForm:
             s, z = scores[c], scores.sum()
             per_example[i] = -w[c] * (math.log(max(s, LOG_EPS)) - math.log(max(z, LOG_EPS)))
             for j in range(k):
-                term_z = u[j] / z if z > LOG_EPS else 0.0
-                term_s = t[c, j] / s if s > LOG_EPS else 0.0
+                term_z = u[j] / z - 1 if z > LOG_EPS else 0.0
+                term_s = t[c, j] / s - 1 if s > LOG_EPS else 0.0
                 grads[i, j] = w[c] / batch * p[i, j] * (term_z - term_s)
         return per_example, grads
 
@@ -260,7 +260,7 @@ class TestRenormalizedClosedForm:
         # T's column 1 is zero.  Label 0 on e_1: s = t_01 = 0 and z = u_1 = 0,
         # both clamped: loss 0, gradient 0.  Label 1 on e_0: s = t_10 = 0 is
         # clamped, z = u_0 = 1.5: loss -2 (log 1e-12 - log 1.5), gradient
-        # (2 / 2) e_0 u_0 / z = e_0.
+        # (2 / 2) e_0 (u_0 / z - 1) = 0, as the softmax is flat at a one-hot.
         t = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         p = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         report = modulated_cross_entropy(p, [0, 1], t, np.array([1.0, 2.0, 1.0]),
@@ -268,8 +268,35 @@ class TestRenormalizedClosedForm:
         assert report.per_example[0] == 0.0
         assert report.per_example[1] == pytest.approx(-2 * (math.log(LOG_EPS)
                                                             - math.log(1.5)), rel=1e-15)
-        np.testing.assert_allclose(report.logit_grads, [[0, 0, 0], [1, 0, 0]], rtol=0,
-                                   atol=1e-15)
+        np.testing.assert_allclose(report.logit_grads, np.zeros((2, 3)), rtol=0, atol=1e-15)
+
+    def test_gradient_on_clamped_rows_equals_central_differences(self):
+        # rows with s clamped and z not (the first two), with both clamped
+        # (the third), and with neither (the last)
+        t = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        logits = np.array([[5.0, 0.0, -30.0], [0.0, -30.0, -35.0], [-40.0, 40.0, -40.0],
+                           [1.0, -0.5, 0.3]])
+        labels, w, h = [1, 1, 0, 2], np.array([1.0, 2.0, 0.5]), 1e-6
+
+        def mean_loss(a):
+            report = modulated_cross_entropy(softmax(a), labels, t, w, renormalize=True)
+            return report.loss
+
+        p = softmax(logits)
+        s, z = np.einsum("bk,bk->b", p, t[labels]), p @ t.sum(axis=0)
+        assert (s <= LOG_EPS).tolist() == [True, True, True, False]
+        assert (z <= LOG_EPS).tolist() == [False, False, True, False]
+        numeric = np.empty_like(logits)
+        for i, j in np.ndindex(*logits.shape):
+            step = np.zeros_like(logits)
+            step[i, j] = h
+            numeric[i, j] = (mean_loss(logits + step) - mean_loss(logits - step)) / (2 * h)
+        grads = modulated_cross_entropy(p, labels, t, w, renormalize=True).logit_grads
+        np.testing.assert_allclose(grads, numeric, rtol=0, atol=1e-8)
+        # the first row's (w_1 / B) p_k (u_k / z - 1), with 1 - p_0 = p_1 = 0.006692851
+        np.testing.assert_allclose(grads[0], [0.5 * 0.006692851, -0.5 * 0.006692851, 0],
+                                   rtol=1e-6, atol=1e-15)
+        assert not grads[2].any()
 
 
 class TestPlainWeightedCrossEntropy:

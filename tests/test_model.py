@@ -185,7 +185,7 @@ class TestBackward:
         x = rng.normal(size=(6, 5))
         upstream = rng.normal(size=(6, 3))
         _, cache = forward(params, x, train=True, dropout_seed=2)
-        full = backward(cache, upstream)
+        full = backward(cache, upstream).copy()  # the next backward overwrites the workspace
         acc = np.zeros_like(full)
         for n in range(6):
             masked = np.zeros_like(upstream)
@@ -325,8 +325,8 @@ class TestWorkspace:
                              [b + 0.3 for b in first.biases])
         rng = np.random.default_rng(5)
         for params in (first, ModelParams.stack([first, second])):
-            full = ForwardCache(params, 8, train=True, grads=True)
-            ragged = [ForwardCache(params, rows, train=True, grads=True) for rows in (1, 3)]
+            full = ForwardCache(params, 8, train=True)
+            ragged = [ForwardCache(params, rows, train=True) for rows in (1, 3)]
             for batch, cache in enumerate([full, full, *ragged]):
                 rows = cache.logits.shape[-2]
                 x = rng.normal(size=(rows, 4))
@@ -345,6 +345,18 @@ class TestWorkspace:
                 assert np.array_equal(p, want_p)
                 assert np.array_equal(backward(fresh, upstream), want_grad)
 
+    def test_backward_on_a_forward_cache_writes_into_its_workspace(self):
+        cfg = ModelConfig(input_dim=4, hidden_sizes=[5, 3], num_classes=3,
+                          dropout_keep_prob=0.7, init_seed=6)
+        params = init_params(cfg)
+        rng = np.random.default_rng(8)
+        x, upstream = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+        _, cache = forward(params, x, train=True, dropout_seed=3)
+        grad = backward(cache, upstream)
+        assert np.shares_memory(grad, cache.grad)
+        masks = per_layer_dropout_forward(params, x, 3)[1]
+        assert np.array_equal(grad, allocating_forward_backward(params, x, masks, upstream)[1])
+
     @pytest.mark.parametrize("keep", [0.7, 1.0])
     def test_seed_batches_and_masks_equal_each_member_alone(self, keep):
         # a stage over two seeds of two members each, viewed as (S, A, P):
@@ -357,7 +369,7 @@ class TestWorkspace:
         rng = np.random.default_rng(5)
         epoch = rng.normal(size=(2, 1, 20, 4))
         for lo, rows in ((0, 8), (8, 1), (9, 3)):
-            cache = ForwardCache(stack, rows, train=True, grads=True)
+            cache = ForwardCache(stack, rows, train=True)
             x, upstream = epoch[..., lo:lo + rows, :], rng.normal(size=(2, 2, rows, 3))
             for seed in (1, 0):
                 cache.draw_masks(np.random.default_rng((seed, rows)), seed)

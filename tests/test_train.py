@@ -352,6 +352,19 @@ class TestTrainStage:
         assert result.log == []
         assert np.array_equal(result.params.flat, init.flat)
 
+    def test_every_step_updates_through_sgd_momentum_step(self, monkeypatch):
+        real, rates = train.sgd_momentum_step, []
+
+        def counted(theta, grad, velocity, lr, momentum):
+            rates.append(lr)
+            return real(theta, grad, velocity, lr, momentum)
+
+        monkeypatch.setattr(train, "sgd_momentum_step", counted)
+        cfg = TrainConfig(epochs=3, batch_size=8, lr_decay_every=2)
+        train_stage(init_params(self.model_cfg()), self.make_ds(), cfg)
+        # 60 rows in batches of 8: seven full batches and a ragged one per epoch
+        assert rates == [effective_lr(cfg, epoch) for epoch in range(3) for _ in range(8)]
+
     def test_init_params_are_left_unchanged(self):
         init = init_params(self.model_cfg())
         before = init.flat.copy()
@@ -852,21 +865,37 @@ class TestCrossSeedRun:
         for s in (0, 2):
             self.assert_same_seed(got[s], self.alone(seeds[s]))
 
-    def test_failed_web_init_fails_only_its_seeds_web_arms(self, monkeypatch):
+    def test_failed_web_flatten_fails_only_its_seeds_web_arms(self, monkeypatch):
         seeds = [self.seed(s) for s in range(3)]
-        real, calls = train.init_params, []
+        real = train.flatten_web
 
-        def seed_1_web_init_fails(cfg):
-            if cfg.init_seed == self.configs[2].init_seed + 1:
-                calls.append(cfg)
-                if len(calls) == 2:  # its first init is the clean-only stage's
-                    raise ValidationError("no init for seed 1")
-            return real(cfg)
+        def seed_1_flatten_fails(corpus):
+            if corpus is seeds[1].web:
+                raise ValidationError("no flat corpus for seed 1")
+            return real(corpus)
 
-        monkeypatch.setattr(train, "init_params", seed_1_web_init_fails)
+        monkeypatch.setattr(train, "flatten_web", seed_1_flatten_fails)
         got = run_seeds(ARMS, seeds, *self.configs)
         monkeypatch.undo()
-        assert [str(got[1][arm]) for arm in (ARM_BL2, ARM_PROPOSED)] == ["no init for seed 1"] * 2
+        assert [str(got[1][arm]) for arm in (ARM_BL2, ARM_PROPOSED)] == [
+            "no flat corpus for seed 1"] * 2
         self.assert_same_seed(got[1], self.alone(seeds[1]), arms=[ARM_BL1])
         for s in (0, 2):
             self.assert_same_seed(got[s], self.alone(seeds[s]))
+
+    def test_each_seed_builds_one_initial_model_for_all_its_stages(self, monkeypatch):
+        seeds = [self.seed(s) for s in range(3)]
+        real, built = train.init_params, []
+
+        def recorded(cfg):
+            built.append(real(cfg))
+            return built[-1]
+
+        monkeypatch.setattr(train, "init_params", recorded)
+        run_seeds(ARMS, seeds, *self.configs)
+        monkeypatch.undo()
+        assert [m.config.init_seed for m in built] == [self.configs[2].init_seed + s
+                                                       for s in range(3)]
+        # the clean-only and the web stage both started from it and left it as built
+        for model in built:
+            assert model.flat.tobytes() == init_params(model.config).flat.tobytes()
