@@ -24,8 +24,9 @@ batch and runs the unchecked ``forward_layers`` on a new one, and
 ``backward`` writes into the gradient buffers of the one it is given.  A
 training stage reuses one workspace for all its full batches, and a second
 one for a ragged last batch, and draws every hidden layer's dropout mask of
-a seed into it with one call.  ``predict`` and ``penultimate_features``
-score a dataset in row blocks of ``EVAL_BLOCK``.  All give the numbers of the plain
+a seed into it with one call; a third, without dropout, scores each epoch's
+rows in equal blocks.  ``predict`` and ``penultimate_features`` score a
+dataset in row blocks of ``EVAL_BLOCK``.  All give the numbers of the plain
 form, bit for bit.
 
 Random streams are those of ``np.random.default_rng(seed)``.  ``pcg64_states``
@@ -337,10 +338,12 @@ def init_params(cfg: ModelConfig) -> ModelParams:
 
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis via max subtraction, into ``out`` if given;
-    stable for logits up to ~1e308."""
-    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    stable for logits up to ~1e308.  The row max reduces the leading axis of a
+    transposed copy: a max is exact in any order, and the signed zero or NaN
+    it picks cannot change ``exp(l - max)``."""
+    e = np.subtract(logits, np.maximum.reduce(logits.T.copy()).T[..., None], out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

@@ -27,7 +27,9 @@ once per epoch, backward straight into its packed gradient, and the update
 gradient and a few small temporaries.  Each epoch
 writes every seed's shuffled rows into one buffer allocated once per stage,
 one copy per seed however many members it has, and a step's batch is a slice
-of it.  It checks only that the updated parameters are finite.
+of it.  It checks only that the updated parameters are finite, and scores
+each epoch's accuracy on those rows on one more workspace, in equal blocks
+of at most ``max(2, EVAL_BLOCK // seeds)`` rows, as ``predict`` would.
 
 The arms of every seed of a run train together under the run's configs,
 offset by the seed (``run_seeds``), each (seed, arm) cell an ArmResult filled
@@ -52,8 +54,8 @@ from .loss import median_frequency_weights, modulated_cross_entropy_rows
 # perfbench/tracing.py wraps this name as its loss.call span (its selftest needs it);
 # train_stage calls the _rows form, so the span records no call in training.
 from .loss import modulated_cross_entropy  # noqa: F401
-from .model import (ForwardCache, ModelConfig, ModelParams, backward, forward_layers,
-                    init_params, pcg64_states, predict, rewind)
+from .model import (EVAL_BLOCK, ForwardCache, ModelConfig, ModelParams, backward,
+                    forward_layers, init_params, pcg64_states, rewind)
 from .noise import TransitionMatrix, estimate_transition
 
 ARM_BL1 = "BL1"
@@ -147,6 +149,7 @@ class SeedStack:
         return len(self.datasets[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence is its member's error
 def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool = False):
     """Run one stage of mini-batch SGD over the dataset.
 
@@ -210,7 +213,6 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
             outcome[m] = outcome[m] or ValidationError(f"transition k={t.k} != num_classes {k}")
     params.flat[[m for m, result in enumerate(outcome) if result]] = 0.0
     grouped = ModelParams._from_flat(params.config, params.flat.reshape(seeds, per_seed, size))
-    seed_models = [ModelParams._from_flat(params.config, flat) for flat in grouped.flat]
     entries = np.stack([np.eye(k) if t is None or result else t.entries
                         for t, result in zip(transitions, outcome)]).reshape(seeds, -1, k, k)
     col_sums = entries.sum(axis=-2, keepdims=True) if renormalize else None
@@ -232,6 +234,9 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     full = ForwardCache(grouped, rows, train=True)
     step_caches = [full] * (len(starts) - 1) + [
         full if last == rows else ForwardCache(grouped, last, train=True)]
+    # each epoch's accuracy: its shuffled rows in equal blocks, the last ending at row n
+    block = min(n, max(2, EVAL_BLOCK // seeds))
+    scoring, predicted = ForwardCache(grouped, block), np.empty((seeds, per_seed, n), np.intp)
     velocity = np.zeros_like(params.flat)
     logs: list[list[dict]] = [[] for _ in members]
     for epoch in epochs:
@@ -270,11 +275,13 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
                 # a diverged member trains on from zero, unlogged, so the stack stays finite
                 params.flat[list(exc.members)] = velocity[list(exc.members)] = 0.0
             loss_sum += report.per_example.sum(axis=-1)
+        del t_epoch, w_epoch, neg_w, w_over_b  # freed first: two epochs' gathers never coexist
         if None not in outcome:
             break
-        train_acc = np.concatenate([  # each seed's members on its dataset
-            (predict(seed_params, d).argmax(axis=-1) == d.y).mean(axis=-1)
-            for seed_params, d in zip(seed_models, ds.datasets)])
+        for lo in (min(start, n - block) for start in range(0, n, block)):
+            forward_layers(scoring, x_epoch[..., lo:lo + block, :]).argmax(
+                axis=-1, out=predicted[..., lo:lo + block])
+        train_acc = (predicted == y_epoch).mean(axis=-1).ravel()
         elapsed = time.perf_counter() - epoch_start
         for log, result, mean_loss, acc in zip(logs, outcome, loss_sum.ravel() / n, train_acc):
             if result is None:

@@ -462,6 +462,20 @@ class TestRun:
                          "--seed", str(seed)]) == 0
         assert_matches_one_run_per_seed(out, per_seed)
 
+    def test_diverging_stage_prints_only_its_failed_cells(self, tmp_path):
+        # numpy's overflow warnings would print with their source lines first
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({"train_web": {"learning_rate_init": 1e300, "epochs": 2},
+                                   "train_clean": {"epochs": 2}}))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-W", "default", "-m", "webly.cli", "run",
+                               "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1, done.stderr
+        lines = done.stderr.splitlines()
+        assert [line.split(": ")[:2] for line in lines] == [
+            [f"failed cell {arm}/0", "DivergenceError"] for arm in ("BL2", "Proposed")], lines
+
     def test_importing_the_cli_loads_no_process_pool(self):
         code = ("import sys, webly.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")

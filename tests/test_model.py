@@ -148,6 +148,50 @@ class TestForward:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
+def plain_softmax(logits):
+    """The softmax as written out: max over the last axis, exp, row sum."""
+    e = np.exp(logits - logits.max(-1, keepdims=True))
+    return e / e.sum(-1, keepdims=True)
+
+
+def special_rows(k, rng):
+    """Twelve rows of k logits: tied maxima, a -0.0/+0.0 tie for the max,
+    rows holding +inf, -inf or NaN, all -inf, and plain normal rows."""
+    rows = rng.normal(size=(12, k))
+    rows[0, [0, k - 1]] = rows[0].max() + 1.0  # a tie at the max, first and last
+    rows[1] = -rng.uniform(1.0, 2.0, size=k)
+    rows[1, 0], rows[1, k - 1] = -0.0, 0.0
+    rows[2] = rows[1, ::-1]  # +0.0 first, then -0.0
+    rows[3, 1] = np.inf
+    rows[4, 0] = -np.inf
+    rows[5] = -np.inf
+    rows[6, k // 2] = np.nan
+    rows[7, [0, 1]] = np.inf, np.nan
+    rows[8, [0, 1]] = -np.inf, np.inf
+    rows[9] = 0.0
+    rows[9, ::2] = -0.0
+    return rows
+
+
+class TestSoftmaxRowMax:
+    """``softmax`` takes the row max from a transposed copy; its output is
+    bit-equal to the plain form's on every layout and on special values."""
+
+    @pytest.mark.parametrize("k", [2, 5, 10, 17])
+    @pytest.mark.parametrize("lead", [(), (12,), (3, 4), (2, 3, 2)])
+    def test_bit_equal_to_the_plain_form(self, k, lead):
+        rows = special_rows(k, np.random.default_rng(k))
+        inputs = list(rows) if not lead else [rows.reshape(*lead, k)]
+        with np.errstate(invalid="ignore"):  # inf - inf in the rows holding both
+            for logits in inputs:
+                want = plain_softmax(logits)
+                out = np.empty_like(logits)
+                for got in (softmax(logits), softmax(logits, out=out)):
+                    assert got.shape == logits.shape
+                    assert got.tobytes() == want.tobytes()
+                assert out.tobytes() == want.tobytes()
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         cfg = ModelConfig(input_dim=3, hidden_sizes=[5], num_classes=4)

@@ -11,8 +11,8 @@ from webly.data import (BackgroundSpec, CleanSpec, Dataset, NoiseSpec, WebCorpus
                         synth_web_corpus)
 from webly.errors import DivergenceError, ValidationError, WeblyError
 from webly.loss import median_frequency_weights, modulated_cross_entropy
-from webly.model import (ModelConfig, ModelParams, backward, forward, init_params, predict,
-                         save_checkpoint)
+from webly.model import (EVAL_BLOCK, ModelConfig, ModelParams, backward, forward, init_params,
+                         predict, save_checkpoint)
 from webly.noise import TransitionMatrix
 from webly.train import (
     ARM_BL1,
@@ -88,8 +88,10 @@ def without_timings(log):
     return [{k: v for k, v in entry.items() if k != "elapsed_s"} for entry in log]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestLockstepStage:
+    """Under the suite's ``error::RuntimeWarning`` filter, with no ignore mark:
+    a diverging member is recorded as its error, and the stage warns nothing."""
+
     def setup_method(self):
         self.ds = make_clean_dataset(k=3, d=4, per_class=12, separation=3.0,
                                      sigma=1.0, seed=17)
@@ -136,8 +138,8 @@ class TestLockstepStage:
             train_stage(self.good, self.ds, self.cfg, transition=transitions[1])
 
     def test_stage_whose_every_member_failed_runs_no_epoch(self, monkeypatch):
-        epochs = []
-        monkeypatch.setattr(train, "predict", lambda params, ds: epochs.append(ds))
+        epochs = []  # any forward pass, a step's or the epoch's scoring
+        monkeypatch.setattr(train, "forward_layers", lambda cache, batch: epochs.append(batch))
         wrong = TransitionMatrix(entries=np.eye(4), provenance={})
         results = train_stage([self.good, self.good], self.ds, self.cfg, [wrong, wrong])
         assert all("k=4" in str(r) for r in results)
@@ -303,8 +305,14 @@ class TestFusedStepMatchesReference:
         # the stack keeps its shape and stays finite, and the two others
         # train on.
         finite = []  # per epoch, whether the whole stack scored is finite
-        monkeypatch.setattr(train, "predict", lambda params, ds: (
-            finite.append(np.isfinite(params.flat).all()) or predict(params, ds)))
+        forward_layers = train.forward_layers
+
+        def scored(cache, batch):
+            if not cache.dropout:  # the steps draw dropout (keep 0.7), the scoring does not
+                finite.append(np.isfinite(cache.params.flat).all())
+            return forward_layers(cache, batch)
+
+        monkeypatch.setattr(train, "forward_layers", scored)
         ds = self.far_row_dataset()
         good = self.models([5, 3, 7], 0.7, 3)
         first = ModelParams(good[0].config, [w * 1e200 for w in good[0].weights],
@@ -645,6 +653,45 @@ class TestRunSeed:
             self.assert_same_arm(together[arm], self.alone(arm))
 
 
+class TestEpochScoring:
+    """Each epoch's logged ``train_accuracy`` is ``predict``'s on the member's
+    parameters after that epoch, for every split of the rows into the
+    stage's scoring blocks, one seed or several."""
+
+    @staticmethod
+    def dataset(n, seed):
+        """n rows of 4 noisy features, labels from feature 0 with both classes."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 4))
+        y = (x[:, 0] + rng.normal(size=n) > 0).astype(int)
+        y[:2] = [0, 1][:n]
+        return Dataset(ids=[f"r{i}" for i in range(n)], group_ids=["g"] * n, X=x, y=y,
+                       num_classes=2)
+
+    @pytest.mark.parametrize("seeds", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1,
+                                   2 * EVAL_BLOCK + 1])
+    def test_logged_accuracy_is_predicts(self, seeds, n):
+        datasets = [self.dataset(n, 10 + s) for s in range(seeds)]
+        cfg = ModelConfig(input_dim=4, hidden_sizes=[8], num_classes=2, dropout_keep_prob=0.7)
+        models = [init_params(replace(cfg, init_seed=2 * s + a))
+                  for s in range(seeds) for a in range(2)]  # two members per seed
+        stack = SeedStack(datasets, [7 + s for s in range(seeds)])
+        train_cfg = TrainConfig(epochs=2, batch_size=64, learning_rate_init=0.05)
+        results = train_stage(models, stack, train_cfg, [None] * len(models))
+        if n == 1:  # a one-row dataset lacks a class: its stage fails before any epoch
+            assert all(isinstance(r, ValidationError) for r in results)
+            return
+        after_first = train_stage(models, stack, replace(train_cfg, epochs=1),
+                                  [None] * len(models))
+        for m, (result, first) in enumerate(zip(results, after_first)):
+            ds = datasets[m // 2]
+            assert len(result.log) == 2
+            for entry, params in zip(result.log, (first.params, result.params)):
+                accuracy = (predict(params, ds).argmax(-1) == ds.y).mean()
+                assert entry["train_accuracy"] == accuracy
+
+
 class TestTrainConfigValidation:
     def test_rejects_bad_values(self):
         good = dict(epochs=1, batch_size=1)
@@ -666,7 +713,6 @@ def seed_dataset(counts, seed):
                                  class_counts=counts, groups_per_class=3, seed=seed))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestCrossSeedStack:
     """Members of several seeds, each on its own dataset, class weights,
     shuffle stream and dropout stream, train in one stack to the bits each
@@ -745,7 +791,6 @@ class TestCrossSeedStack:
                         self.datasets[0], cfg, [None, None])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestCrossSeedRun:
     """``run_seeds`` stacks every stage over the seeds whose data share one
     size, and each seed's arms get the numbers of ``run_seeds`` on that seed
