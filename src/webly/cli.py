@@ -526,9 +526,12 @@ def cmd_eval(args) -> int:
     if ds.feature_dim != params.config.input_dim:
         raise ValidationError(f"{args.data}: feature_dim {ds.feature_dim} does not fit "
                               f"{args.checkpoint}'s input_dim {params.config.input_dim}")
+    try:
+        report = evaluate(params, ds)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.checkpoint}: {exc}") from None
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate(params, ds)
     write_eval_json(report, out_dir / "eval.json", timestamp)
     write_eval_csv(report, out_dir / "eval.csv")
     if args.export_features:

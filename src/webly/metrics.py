@@ -107,7 +107,8 @@ def roc_auc_one_vs_rest(scores, is_positive) -> float:
 
 
 def evaluate(params: ModelParams, ds) -> EvalReport:
-    """Predict once, then derive every reported metric from the posteriors.
+    """Predict once, then derive every reported metric from the posteriors,
+    or raise ValidationError naming the first row whose posterior is not finite.
 
     Per-class AUC is taken from posterior columns; a class with no positives
     (or no negatives) in the dataset gets a None AUC with a reason note and is
@@ -120,7 +121,12 @@ def evaluate(params: ModelParams, ds) -> EvalReport:
         raise ValidationError(
             f"model has {params.config.num_classes} classes, dataset has {k}"
         )
-    posteriors = predict(params, ds)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        posteriors = predict(params, ds)
+    if not np.isfinite(posteriors.sum()):  # a NaN or an infinity anywhere
+        bad = np.isfinite(posteriors).all(axis=1).argmin()
+        raise ValidationError(f"row {ds.ids[bad]!r}: its features overflow the model "
+                              "(non-finite posterior)")
     y = ds.y
     preds = posteriors.argmax(axis=1)          # ties go to the lowest index
     conf = confusion_matrix(y, preds, k)

@@ -9,25 +9,21 @@ suite.  Everything runs in float64.
 A model's parameters are one flat vector in checkpoint order, with per-layer
 views; ``backward`` returns its gradient in the same layout.  Shapes and
 finiteness are checked when parameters are built or loaded, not per call.
-
 Models of one config (their seeds aside) can be stacked: ``flat`` is then
 (M, P), one row per member, the layer views gain a leading member axis, and
-``forward`` runs every member over one shared batch (one dropout draw for the
-stack), giving (M, batch, K) posteriors.  A training stage views its stack
-as (S, A, P), A members for each of S seeds (S = 1 included), and gives each
-seed's members the seed's (S, 1, batch, D) batch and masks.  Each member's
-numbers are those it would get alone.
+``forward`` runs every member over one shared batch and dropout draw.  A
+training stage views its stack as (S, A, P), A members for each of S seeds,
+and gives each seed's members its (S, 1, batch, D) batch and masks.  Each
+member's numbers are those it would get alone.
 
-Every pass runs on a workspace (``ForwardCache``) that holds each
-intermediate of the forward and the backward pass: ``forward`` checks its
+Every pass runs on a workspace (``ForwardCache``) holding each intermediate
+of both passes and each layer's operands, built once: ``forward`` checks its
 batch and runs the unchecked ``forward_layers`` on a new one, and
 ``backward`` writes into the gradient buffers of the one it is given.  A
-training stage reuses one workspace for all its full batches, and a second
-one for a ragged last batch, and draws every hidden layer's dropout mask of
-a seed into it with one call; a third, without dropout, scores each epoch's
-rows in equal blocks.  ``predict`` and ``penultimate_features`` score a
-dataset in row blocks of ``EVAL_BLOCK``.  All give the numbers of the plain
-form, bit for bit.
+training stage uses one workspace for its full batches, one for a ragged last
+batch and one without dropout to score each epoch's rows, and draws a seed's
+dropout masks with one call.  ``predict`` and ``penultimate_features`` score
+in row blocks of ``EVAL_BLOCK``.  All give the plain form's bits.
 
 Random streams are those of ``np.random.default_rng(seed)``.  ``pcg64_states``
 ports numpy's seeding (the ``SeedSequence`` hash mix and PCG64's first step)
@@ -172,9 +168,9 @@ class ForwardCache:
     an (M, P) stack, and by the members of each seed of a training stage's
     (S, A, P) stack, whose ``kept`` has one row, and so one set of masks, per
     seed.  It also holds what ``loss.modulated_cross_entropy_rows`` and
-    ``backward`` write: ``gates[l]`` (1.0 where activation l is positive),
-    ``deltas[l]``, ``logit_grads``, ``per_example`` losses, and ``grad``
-    packed like ``params.flat`` with per-layer views ``grads``.
+    ``backward`` write: ``gates[l]``, ``deltas[l]``, ``logit_grads``, and
+    ``grad`` packed like ``params.flat`` with per-layer views ``grads``; and
+    each pass's per-layer operands, ``forward_ops`` and ``backward_ops``.
     """
 
     def __init__(self, params: ModelParams, rows: int, train: bool = False):
@@ -185,7 +181,7 @@ class ForwardCache:
         layers = [(*lead, rows, width) for width in hidden * 2]
         logits = (*lead, rows, cfg.num_classes)
         shapes = layers + [logits] * 2 + [(math.prod(lead[:-1]), rows * sum(hidden) * self.dropout)]
-        shapes += layers + [logits, (*lead, rows), params.flat.shape]
+        shapes += layers + [logits, params.flat.shape]
         buffers = map(np.empty, shapes)
         self.pre_activations, acts = ([next(buffers) for _ in hidden] for _ in range(2))
         self.logits, self.posteriors, self.kept = next(buffers), next(buffers), next(buffers)
@@ -198,8 +194,13 @@ class ForwardCache:
             self.dropout_masks = [self.kept[..., lo:hi].reshape(*shared, rows, width)
                                   for lo, hi, width in zip(ends, ends[1:], hidden)]
         self.gates, self.deltas = ([next(buffers) for _ in hidden] for _ in range(2))
-        self.logit_grads, self.per_example, self.grad = buffers
-        self.grads = ModelParams._from_flat(cfg, self.grad)
+        self.logit_grads, self.grad = buffers
+        self.grads = grads = ModelParams._from_flat(cfg, self.grad)
+        self.forward_ops = tuple(zip(params.weights, params.bias_rows, self.pre_activations,
+                                     acts, self.dropout_masks))
+        self.backward_ops = tuple(zip(grads.biases[1:], grads.weights[1:],
+                                      [a.swapaxes(-1, -2) for a in acts], params.weights_t[1:],
+                                      self.deltas, acts, self.gates))[::-1]
 
     def draw_masks(self, rng: np.random.Generator, seed: int = 0) -> None:
         """Redraw every dropout mask (of ``seed``, in an (S, A, P) stack) with
@@ -377,10 +378,10 @@ def forward_layers(cache: ForwardCache, batch: np.ndarray) -> np.ndarray:
     checked."""
     params, keep = cache.params, cache.params.config.dropout_keep_prob
     cache.inputs[0] = a = batch
-    for l, (z, mask) in enumerate(zip(cache.pre_activations, cache.dropout_masks)):
-        np.matmul(a, params.weights[l], out=z)
-        z += params.bias_rows[l]
-        a = np.maximum(z, 0.0, out=cache.inputs[l + 1])
+    for weights, bias_row, z, activation, mask in cache.forward_ops:
+        np.matmul(a, weights, out=z)
+        z += bias_row
+        a = np.maximum(z, 0.0, out=activation)
         if mask is not None:
             a *= mask
             a /= keep
@@ -396,25 +397,25 @@ def backward(cache: ForwardCache, logit_grads: np.ndarray) -> np.ndarray:
     Returns the gradient packed like ``ModelParams.flat`` (per member for a
     stack): the workspace's own ``grad``, which the next backward on it
     overwrites.  Each layer's gradient is written straight into its view.  A
-    delta is gated by activation > 0, which holds exactly where the unit is
-    kept and its pre-activation is positive.
+    delta is gated by the sign of its activation, as by activation > 0: an
+    activation is max(z, +0.0) * mask / keep with z = a.W + b, never -0.0 as
+    a bias starts at +0.0 and b + v is -0.0 only if both are, and a NaN one
+    has made its row's whole delta NaN before the gate.
     """
     if logit_grads.shape != cache.logits.shape:
-        raise ValidationError(
-            f"upstream gradient shape {logit_grads.shape} != logits "
-            f"{cache.logits.shape}"
-        )
-    params, grads = cache.params, cache.grads
-    keep = params.config.dropout_keep_prob
+        raise ValidationError(f"upstream gradient shape {logit_grads.shape} != logits "
+                              f"{cache.logits.shape}")
+    keep, grads = cache.params.config.dropout_keep_prob, cache.grads
     dz = logit_grads  # upstream gradient of the current layer's output
-    for l in range(len(params.weights) - 1, -1, -1):
-        if l < len(cache.deltas):
-            dz = np.matmul(dz, params.weights_t[l + 1], out=cache.deltas[l])
-            dz *= np.greater(cache.inputs[l + 1], 0.0, out=cache.gates[l])
-            if cache.dropout_masks[l] is not None:
-                dz /= keep
-        np.add.reduce(dz, axis=-2, out=grads.biases[l])
-        np.matmul(cache.inputs[l].swapaxes(-1, -2), dz, out=grads.weights[l])
+    for bias_grad, weight_grad, inputs_t, weights_t, delta, activation, gate in cache.backward_ops:
+        np.add.reduce(dz, axis=-2, out=bias_grad)
+        np.matmul(inputs_t, dz, out=weight_grad)
+        dz = np.matmul(dz, weights_t, out=delta)
+        dz *= np.sign(activation, out=gate)
+        if cache.dropout:
+            dz /= keep
+    np.add.reduce(dz, axis=-2, out=grads.biases[0])
+    np.matmul(cache.inputs[0].swapaxes(-1, -2), dz, out=grads.weights[0])
     return cache.grad
 
 

@@ -11,25 +11,22 @@ epoch))`` and a step's dropout masks that of ``(shuffle_seed, epoch,
 batch)``, all seeded at stage start (``model.pcg64_states``).
 
 Every stage trains a lockstep stack of models of one config, seeds aside: one
-(M, P) parameter array (``ModelParams.stack``), with the gradient and momentum
-in the same layout, and a lone model is a stack of one.  A stack holds the
-members of one or more seeds (``SeedStack``), seed by seed and as many per
-seed: each seed brings its dataset, shuffle stream and dropout stream, and the
-stack is viewed as (S, A, P), one seed included, so that each seed's A
-members share its batch and masks by broadcasting.  Dropout is the model's
-setting.  Parameters, the transition, the class weights and the dataset are
-checked when they are built, and their fit once at stage start.  A batch is
-one fused step on a workspace allocated once per stage for the full batches
-(``model.ForwardCache``; a ragged last batch has a second one): dropout drawn
-into it, layers, loss on the transition rows and class weight terms gathered
-once per epoch, backward straight into its packed gradient, and the update
-(``sgd_momentum_step``), with nothing allocated per step but the scaled
-gradient and a few small temporaries.  Each epoch
-writes every seed's shuffled rows into one buffer allocated once per stage,
-one copy per seed however many members it has, and a step's batch is a slice
-of it.  It checks only that the updated parameters are finite, and scores
-each epoch's accuracy on those rows on one more workspace, in equal blocks
-of at most ``max(2, EVAL_BLOCK // seeds)`` rows, as ``predict`` would.
+(M, P) parameter array (``ModelParams.stack``) viewed as (S, A, P), A members
+for each of S seeds (one included), with the gradient and momentum alike.
+Each seed brings its dataset, shuffle stream and dropout stream, and its A
+members share its batch and masks by broadcasting.  Parameters, transitions,
+class weights and datasets are checked when built, their fit once at stage
+start.  A batch is one fused step on a workspace allocated once per stage
+(``model.ForwardCache``; a ragged last batch has a second one): dropout
+drawn into it, layers, the loss's gradient on the transition rows and class
+weights gathered once per epoch, backward into its packed gradient, and the
+update (``sgd_momentum_step``), allocating only the scaled gradient and a few
+small temporaries.  The step leaves each example's labeled-class score in a
+buffer, and the epoch finishes the logged loss from it in a few calls.  Each
+epoch writes every seed's shuffled rows into one buffer, a step's batch is a
+slice of it, and the epoch's accuracy is scored on those rows on one more
+workspace, in equal blocks of at most ``max(2, EVAL_BLOCK // seeds)`` rows,
+as ``predict`` would.  Only the updated parameters are checked for finiteness.
 
 The arms of every seed of a run train together under the run's configs,
 offset by the seed (``run_seeds``), each (seed, arm) cell an ArmResult filled
@@ -50,7 +47,7 @@ import numpy as np
 
 from .data import Dataset, WebCorpus, check_fields, flatten_web, integer, real
 from .errors import DivergenceError, ValidationError, WeblyError
-from .loss import median_frequency_weights, modulated_cross_entropy_rows
+from .loss import example_losses, median_frequency_weights, modulated_cross_entropy_rows
 # perfbench/tracing.py wraps this name as its loss.call span (its selftest needs it);
 # train_stage calls the _rows form, so the span records no call in training.
 from .loss import modulated_cross_entropy  # noqa: F401
@@ -120,11 +117,11 @@ def sgd_momentum_step(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
                       lr: float, momentum: float) -> None:
     """Classic momentum update in place: v <- momentum*v - lr*g; theta <- theta + v.
 
-    The arrays are one vector, or (M, P) stacks with one row per member;
+    The arrays are one vector, or (..., P) stacks with one row per member;
     ``grad`` is left as it is.  Raises DivergenceError when the updated
     ``theta`` is not all finite; every row is updated first, and the error's
-    ``members`` lists the rows that are not finite.  A non-finite gradient
-    always makes its row so.
+    ``members`` lists the rows not finite, in C order.  A non-finite
+    gradient always makes its row so.
     """
     velocity *= momentum
     velocity -= lr * grad
@@ -169,10 +166,8 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     transition's k.  Every stage trains as such a stack, a lone model as a
     stack of one, and ``ds`` as a ``SeedStack``, a Dataset as one seed with
     ``cfg.shuffle_seed``, whose members come seed by seed, as many per
-    seed, viewed as (seeds, members per seed) for one seed too: each epoch
-    draws one shuffle order per seed and each step one set of dropout masks
-    per seed, each seed's members share its (1, B, D) batch and its masks,
-    and each member's numbers are those it gets alone.  A failed member
+    seed: each seed's members share its shuffle orders, batches and dropout
+    masks, and get the numbers each gets alone.  A failed member
     stays in the stack, trained on from zero parameters and velocity with
     identity rows and unit weights, unlogged, until every member has failed
     (at stage start, no epoch runs).  A fault of the whole call raises.
@@ -190,8 +185,6 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     n = len(ds)
     if n == 0:
         raise ValidationError("cannot train on an empty dataset")
-    # the members viewed as (S, A, P): each seed's A members share its batch
-    # and masks along the member axis
     params = ModelParams.stack(members)
     k = params.config.num_classes
     for d in ds.datasets:
@@ -237,7 +230,9 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     # each epoch's accuracy: its shuffled rows in equal blocks, the last ending at row n
     block = min(n, max(2, EVAL_BLOCK // seeds))
     scoring, predicted = ForwardCache(grouped, block), np.empty((seeds, per_seed, n), np.intp)
-    velocity = np.zeros_like(params.flat)
+    scores = np.empty((seeds, per_seed, n))  # each step's scores (and z), made losses per epoch
+    z = np.empty_like(scores) if renormalize else None
+    velocity = np.zeros_like(grouped.flat)
     logs: list[list[dict]] = [[] for _ in members]
     for epoch in epochs:
         lr = effective_lr(cfg, epoch)
@@ -251,21 +246,20 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
         y_epoch = labels[seed_at, orders[:, None]]
         t_epoch = entries[seed_at, member_at, y_epoch]
         w_epoch = weights[seed_at, y_epoch]
-        neg_w, w_over_b = -w_epoch, w_epoch / cfg.batch_size
+        w_over_b = w_epoch / cfg.batch_size
         w_over_b[..., starts[-1]:] = w_epoch[..., starts[-1]:] / last
-        loss_sum = np.zeros((seeds, per_seed))
         for batch_idx, (lo, states) in enumerate(zip(starts, mask_states[epoch].tolist())):
             hi, cache = lo + cfg.batch_size, step_caches[batch_idx]  # one fused step
             for seed, state in enumerate(states):
                 cache.draw_masks(rewind(rng, state), seed)
             posteriors = forward_layers(cache, x_epoch[..., lo:hi, :])
-            report = modulated_cross_entropy_rows(
-                posteriors, t_epoch[..., lo:hi, :], neg_w[..., lo:hi], w_over_b[..., lo:hi],
-                cache.per_example, cache.logit_grads, col_sums)
-            grad = backward(cache, report.logit_grads).reshape(params.flat.shape)
+            logit_grads = modulated_cross_entropy_rows(
+                posteriors, t_epoch[..., lo:hi, :], w_over_b[..., lo:hi], scores[..., lo:hi],
+                z if z is None else z[..., lo:hi], cache.logit_grads, col_sums)
             # A non-finite loss or gradient makes the updated theta non-finite.
             try:
-                sgd_momentum_step(params.flat, grad, velocity, lr, cfg.momentum)
+                sgd_momentum_step(grouped.flat, backward(cache, logit_grads), velocity, lr,
+                                  cfg.momentum)
             except DivergenceError as exc:
                 for r in exc.members:
                     outcome[r] = outcome[r] or DivergenceError(
@@ -273,11 +267,17 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
                 if None not in outcome:
                     break
                 # a diverged member trains on from zero, unlogged, so the stack stays finite
-                params.flat[list(exc.members)] = velocity[list(exc.members)] = 0.0
-            loss_sum += report.per_example.sum(axis=-1)
-        del t_epoch, w_epoch, neg_w, w_over_b  # freed first: two epochs' gathers never coexist
+                for flat in (params.flat, velocity.reshape(params.flat.shape)):
+                    flat[list(exc.members)] = 0.0
         if None not in outcome:
             break
+        # each batch's loss sum, as the step took it, added up from zero in step order
+        losses = example_losses(scores, z, -w_epoch)
+        sums = np.zeros((seeds, per_seed, len(starts) + 1))
+        sums[..., 1:-1] = losses[..., :starts[-1]].reshape(seeds, per_seed, -1, rows).sum(axis=-1)
+        sums[..., -1] = losses[..., starts[-1]:].sum(axis=-1)
+        loss_sum = sums.cumsum(axis=-1)[..., -1]
+        del t_epoch, w_epoch, w_over_b  # freed first: two epochs' gathers never coexist
         for lo in (min(start, n - block) for start in range(0, n, block)):
             forward_layers(scoring, x_epoch[..., lo:lo + block, :]).argmax(
                 axis=-1, out=predicted[..., lo:lo + block])

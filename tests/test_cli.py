@@ -462,6 +462,27 @@ class TestRun:
                          "--seed", str(seed)]) == 0
         assert_matches_one_run_per_seed(out, per_seed)
 
+    def test_test_set_overflowing_the_model_fails_its_cells(self, tmp_path, monkeypatch):
+        real = cli.run_seeds
+
+        def huge_bl1(*args, **kwargs):  # seed 1's BL1 model overflows on every test row
+            cells = real(*args, **kwargs)
+            flat = cells[1]["BL1"].stages[-1].params.flat
+            flat *= 1e120
+            return cells
+
+        monkeypatch.setattr(cli, "run_seeds", huge_bl1)
+        out = tmp_path / "runs"
+        # three layers, so weights scaled by 1e120 overflow the logits
+        cfg = tiny_config(tmp_path, model={"hidden_sizes": [16, 16]}, seeds=[0, 1])
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = read_summary(out / "summary.csv")
+        assert [r["status"] for r in rows] == ["ok", "failed"]
+        first = cli.build_cell_data(load_config(cfg), 1)[1].ids[0]
+        assert rows[1]["error"] == (f"ValidationError: row {first!r}: its features overflow "
+                                    f"the model (non-finite posterior)")
+        assert not (out / "BL1" / "1" / "eval.json").exists()
+
     def test_diverging_stage_prints_only_its_failed_cells(self, tmp_path):
         # numpy's overflow warnings would print with their source lines first
         cfg = tmp_path / "diverge.json"
@@ -684,6 +705,22 @@ class TestEval:
                      "--out", str(out), "--export-features"]) == 2
         assert f"{ckpt}: model has no hidden layer" in capsys.readouterr().err
         assert not (out / "eval.json").exists()
+
+    def test_checkpoint_whose_logits_overflow_exits_2_before_output(self, tmp_path, capfd):
+        params = init_params(ModelConfig(input_dim=4, hidden_sizes=[16, 16], num_classes=3))
+        ckpt = tmp_path / "m.wslckpt"
+        save_checkpoint(ModelParams(params.config, [w * 1e120 for w in params.weights],
+                                    params.biases), ckpt)
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(tiny_config(tmp_path)), "--out", str(data)]) == 0
+        out, first = tmp_path / "out", load_dataset(data / "clean_test.csv").ids[0]
+        capfd.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data / "clean_test.csv"),
+                     "--out", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert captured.err == (f"error: {ckpt}: row {first!r}: its features overflow the "
+                                f"model (non-finite posterior)\n")
+        assert captured.out == "" and not out.exists()
 
     def test_missing_checkpoint_exits_nonzero_without_output(self, tmp_path):
         eval_dir = tmp_path / "eval"

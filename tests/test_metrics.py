@@ -158,6 +158,15 @@ class TestRocAuc:
 
 
 class TestEvaluate:
+    def test_posterior_overflow_is_rejected_naming_the_row(self):
+        ds = make_clean_dataset(k=3, per_class=4, seed=2)
+        cfg = ModelConfig(input_dim=3, hidden_sizes=[16, 16], num_classes=3)
+        params = init_params(cfg)
+        huge = ModelParams(cfg, [w * 1e120 for w in params.weights], params.biases)
+        with pytest.raises(ValidationError,
+                           match=f"row {ds.ids[0]!r}: its features overflow the model"):
+            evaluate(huge, ds)
+
     def test_perfect_model(self):
         # saturated linear model on near-one-hot features
         ds = make_clean_dataset(k=3, per_class=10, separation=1.0, sigma=0.01,

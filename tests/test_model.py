@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import fd_max_rel_error, make_clean_dataset
 from webly.data import BackgroundSpec, Dataset, NoiseSpec, WebCorpus, synth_web_corpus
 from webly.errors import CheckpointError, ValidationError
+from webly.loss import modulated_cross_entropy
 from webly.metrics import write_features_csv
 from webly.model import (
     EVAL_BLOCK,
@@ -438,6 +439,55 @@ class TestWorkspace:
                 for j in range(a):
                     assert np.array_equal(product[i, j], x[i, 0] @ w[i, j])
                     assert np.array_equal(grad[i, j], x[i, 0].T @ dz[i, j])
+
+
+class TestSignGates:
+    """``backward`` gates each delta by ``np.sign`` of its activation, which
+    gives the bits of gating by ``np.greater(activation, 0.0)``: an
+    activation is +0.0, positive or NaN, and a NaN one sits in a row whose
+    delta is all NaN before the gate."""
+
+    @pytest.mark.parametrize("keep", [0.7, 1.0])
+    def test_sign_gates_equal_greater_gates(self, keep):
+        cfg = ModelConfig(input_dim=4, hidden_sizes=[5, 3, 4], num_classes=3,
+                          dropout_keep_prob=keep, init_seed=2)
+        first = init_params(cfg)  # biases +0.0
+        second = ModelParams(cfg, [w * -0.8 for w in first.weights],
+                             [b + 0.3 for b in first.biases])
+        params = ModelParams.stack([first, second])
+        x = np.random.default_rng(4).normal(size=(8, 4))
+        x[1] = 0.0  # pre-activations of exactly +0.0 in the first member
+        x[2] = [np.inf, 0.0, 0.0, 0.0]  # +inf and -inf, then inf or NaN further up
+        x[3] = [np.nan, 0.0, 0.0, 0.0]  # a NaN row
+        labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+        cache = ForwardCache(params, 8, train=True)
+        cache.draw_masks(np.random.default_rng(9))
+        with np.errstate(over="ignore", invalid="ignore"):
+            posteriors = forward_layers(cache, x)
+            upstream = modulated_cross_entropy(posteriors, labels, np.stack([np.eye(3)] * 2),
+                                               np.ones(3)).logit_grads
+            grad = backward(cache, upstream).copy()
+            z = cache.pre_activations
+            assert (z[0][0, 1] == 0.0).all() and np.isposinf(z[0][:, 2]).any()
+            assert np.isnan(z[0][:, 3]).all()
+            # the same chain gated by activation > 0
+            dz, parts = upstream, []
+            for l in range(len(params.weights) - 1, -1, -1):
+                if l < len(cache.gates):
+                    delta, activation = dz @ params.weights_t[l + 1], cache.inputs[l + 1]
+                    nan_rows = np.isnan(activation).any(axis=-1)
+                    assert np.isnan(delta[nan_rows]).all()
+                    greater = np.greater(activation, 0.0, out=np.empty_like(activation))
+                    number = ~np.isnan(activation)
+                    assert np.array_equal(cache.gates[l][number], greater[number])
+                    assert not np.signbit(cache.gates[l][number]).any()
+                    dz = delta * greater
+                    if keep < 1:
+                        dz /= keep
+                parts += [np.add.reduce(dz, axis=-2),
+                          (cache.inputs[l].swapaxes(-1, -2) @ dz).reshape(2, -1)]
+        want = np.concatenate(parts[::-1], axis=-1)
+        assert np.array_equal(grad.view(np.uint64), want.view(np.uint64))
 
 
 class TestPcg64States:

@@ -10,7 +10,7 @@ from webly import train
 from webly.data import (BackgroundSpec, CleanSpec, Dataset, NoiseSpec, WebCorpus, synth_clean,
                         synth_web_corpus)
 from webly.errors import DivergenceError, ValidationError, WeblyError
-from webly.loss import median_frequency_weights, modulated_cross_entropy
+from webly.loss import LOG_EPS, median_frequency_weights, modulated_cross_entropy
 from webly.model import (EVAL_BLOCK, ModelConfig, ModelParams, backward, forward, init_params,
                          predict, save_checkpoint)
 from webly.noise import TransitionMatrix
@@ -789,6 +789,63 @@ class TestCrossSeedStack:
         with pytest.raises(ValidationError, match="one config"):
             train_stage([inits[0], init_params(replace(inits[1].config, hidden_sizes=[5]))],
                         self.datasets[0], cfg, [None, None])
+
+
+def with_far_row(ds):
+    """``ds`` plus a class-0 row far out on feature 3: a member with huge
+    feature-3 weights overflows there, and every other member saturates,
+    its labeled-class score clamped to 0 where it predicts another class."""
+    return Dataset(ids=[*ds.ids, "far"], group_ids=[*ds.group_ids, "g0"],
+                   X=np.vstack([ds.X, [0.0, 0.0, 0.0, 1e100]]), y=[*ds.y, 0],
+                   num_classes=ds.num_classes)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestEpochLoss:
+    """Each step leaves its examples' scores in an epoch buffer, and the
+    logged ``mean_loss`` is finished from them once per epoch: it equals the
+    per-batch sums of ``modulated_cross_entropy(...).per_example``, added
+    batch by batch in step order, bit for bit."""
+
+    # 28 rows each: batches of 8 leave a ragged last batch of 4, and batches of 3
+    # ten batch sums, more than numpy's pairwise sum adds up in order
+    datasets = [with_far_row(d) for d in TestCrossSeedStack.datasets]
+    shuffle_seeds = TestCrossSeedStack.shuffle_seeds
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("batch_size", [8, 3])
+    def test_three_seeds_of_two_members_with_clamped_rows_and_a_divergence(
+            self, batch_size, renormalize, monkeypatch):
+        clamped = []  # per step, whether a labeled-class score sat under the clamp
+        kernel = train.modulated_cross_entropy_rows
+
+        def recorded(p, rows, w_over_b, s, *rest):
+            grads = kernel(p, rows, w_over_b, s, *rest)
+            clamped.append(bool((s <= LOG_EPS).any()))
+            return grads
+
+        monkeypatch.setattr(train, "modulated_cross_entropy_rows", recorded)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size)
+        inits = TestCrossSeedStack().inits(0.7, 6)
+        inits[3] = inits[3].copy()
+        inits[3].weights[0][3] *= 1e250  # overflows on the far row's batch
+        rng = np.random.default_rng(3)
+        transitions = [None if i % 2 == 0 else TransitionMatrix(
+            entries=random_transition(3, rng), provenance={}) for i in range(6)]
+        got = train_stage(inits, SeedStack(self.datasets, self.shuffle_seeds), cfg,
+                          transitions, renormalize)
+        assert any(clamped)
+        for s, seed in enumerate(self.shuffle_seeds):
+            want = reference_stage(inits[2 * s:2 * s + 2], self.datasets[s],
+                                   replace(cfg, shuffle_seed=seed), transitions[2 * s:2 * s + 2],
+                                   renormalize)
+            for result, expected in zip(got[2 * s:2 * s + 2], want):
+                TestFusedStepMatchesReference().assert_matches(result, expected)
+        assert isinstance(got[3], DivergenceError)
+        last = f"batch {-(-len(self.datasets[0]) // batch_size) - 1}"
+        assert "epoch 0" in str(got[3]) and last not in str(got[3])  # mid-epoch
+        live = [r for r in got if not isinstance(r, WeblyError)]
+        assert len(live) >= 4 and all(len(r.log) == cfg.epochs for r in live)
 
 
 class TestCrossSeedRun:
