@@ -136,7 +136,8 @@ RULES = {
     "model": MODEL_RULES,
     "train_web": TRAIN_RULES,
     "train_clean": TRAIN_RULES,
-    "loss": {"renormalize_modulated": ((lambda v: isinstance(v, bool)), "true or false")},
+    # one loss form: the key stays, false only, while perfbench/run.py writes it
+    "loss": {"renormalize_modulated": ((lambda v: v is False), "false")},
     "data": dict.fromkeys(("clean_train", "clean_test", "web"),
                           ((lambda v: isinstance(v, str)), "a file path")),
     "data.synth": {
@@ -387,8 +388,7 @@ def _train_seeds(config: dict, files: tuple | None) -> dict:
         outcomes = run_seeds(arms, [seed_inputs for *_, seed_inputs in built.values()],
                              _train_config(config["train_web"], 0),
                              _train_config(config["train_clean"], 0),
-                             _model_config(config, *dims, 0),
-                             renormalize=config["loss"]["renormalize_modulated"])
+                             _model_config(config, *dims, 0))
     except WeblyError as exc:
         outcomes = [dict.fromkeys(arms, exc)] * len(built)
     for (seed, (data, inputs, _)), outcome in zip(built.items(), outcomes):
@@ -549,7 +549,7 @@ def cmd_estimate_noise(args) -> int:
     try:
         transition = estimate_transition(params, corpus)
     except ValidationError as exc:
-        raise ValidationError(f"{args.web}: {exc}") from None
+        raise ValidationError(f"{args.web}, oracle {args.checkpoint}: {exc}") from None
     out_path = Path(args.out or "transition.json")
     save_transition(transition, out_path)
     diag = validate_transition(transition)

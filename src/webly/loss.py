@@ -3,12 +3,11 @@
 The modulated loss replaces each example's predicted probability with the
 transition-diffused score s_c = sum_j t_cj * p_j, where c is the example's
 (noisy) label, then applies the usual weighted negative log.  With an identity
-transition this reduces bit-for-bit to plain weighted cross-entropy.  The
-renormalized form divides s_c by the sum of all diffused scores, z = p.u with
-u the transition's column sums: -w_c * (log s_c - log z).  Gradients are taken
-with respect to the output-layer logits, through the softmax and the linear
-modulation, for the batch-mean scalar loss.  The kernel leaves the scores,
-and ``example_losses`` makes them losses, in training once per epoch.
+transition this reduces bit-for-bit to plain weighted cross-entropy.
+Gradients are taken with respect to the output-layer logits, through the
+softmax and the linear modulation, for the batch-mean scalar loss.  The kernel
+leaves the scores, and ``example_losses`` makes them losses, in training once
+per epoch.
 """
 
 from __future__ import annotations
@@ -69,15 +68,12 @@ def median_frequency_weights(label_counts) -> ClassWeights:
     return ClassWeights(w=med / freqs)
 
 
-def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
-                            renormalize: bool = False) -> LossReport:
+def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w) -> LossReport:
     """Weighted cross-entropy on transition-diffused scores.
 
     Per example with noisy label c the score s is row c of the transition
     dotted with the posterior; the per-example loss is -w_c * log(max(s,
-    1e-12)) and the scalar is the batch mean.  ``renormalize`` switches to the
-    documented alternative over s / z, z the posterior dotted with the
-    transition's column sums, each clamped before its log (off by default).
+    1e-12)) and the scalar is the batch mean.
 
     Posteriors may be an (M, batch, K) stack of members scored on one batch;
     the transition is then an (M, K, K) stack, one per member, and ``loss`` is
@@ -110,42 +106,28 @@ def modulated_cross_entropy(posteriors: np.ndarray, labels, transition, w,
 
     rows = t[..., labels, :]                   # (..., B, K): row per example
     wc = wv[labels]
-    col_sums = t.sum(axis=-2, keepdims=True) if renormalize else None
-    s, z = np.empty(p.shape[:-1]), np.empty(p.shape[:-1]) if renormalize else None
-    grads = modulated_cross_entropy_rows(p, rows, wc / batch, s, z, np.empty_like(p), col_sums)
-    return LossReport(per_example=example_losses(s, z, -wc), logit_grads=grads)
+    s = np.empty(p.shape[:-1])
+    grads = modulated_cross_entropy_rows(p, rows, wc / batch, s, np.empty_like(p))
+    return LossReport(per_example=example_losses(s, -wc), logit_grads=grads)
 
 
-def modulated_cross_entropy_rows(p: np.ndarray, rows, w_over_b, s: np.ndarray, z,
-                                 logit_grads: np.ndarray, col_sums=None) -> np.ndarray:
+def modulated_cross_entropy_rows(p: np.ndarray, rows, w_over_b, s: np.ndarray,
+                                 logit_grads: np.ndarray) -> np.ndarray:
     """The gradient for posteriors ``p`` (..., B, K), transition rows ``rows``
     (..., B, K) and class weights over B ``w_over_b`` (B,), into ``logit_grads``;
-    the labeled-class scores go into ``s`` (..., B), and z = p.u into ``z`` if
-    renormalized over column sums ``col_sums`` u (..., 1, K).  Unchecked."""
+    the labeled-class scores go into ``s`` (..., B).  Unchecked."""
     np.einsum("...bk,...bk->...b", rows, p, out=s)  # labeled-class score
     active = s > LOG_EPS
     grads = np.multiply(rows, p, out=logit_grads)
     np.divide(grads, s[..., None], out=grads, where=active[..., None])  # t_ck p_k / s, unclamped
-    if col_sums is None:
-        # d(mean loss)/d(logit_k) = (w_c/B) * (p_k - t_ck p_k / s); the whole
-        # row vanishes where the score sits under the log clamp.
-        np.subtract(p, grads, out=grads)
-        grads *= (w_over_b * active)[..., None]
-    else:  # over z = p.u: (w_c/B) * p_k ((u_k / z - 1) [z > eps] - (t_ck / s - 1) [s > eps]),
-        # the derivative of the clamped loss
-        np.einsum("...bk,...jk->...b", p, col_sums, out=z)
-        z_active = z > LOG_EPS
-        grads *= active[..., None]  # 0 where s is clamped
-        np.subtract(p * col_sums * (z_active / np.maximum(z, LOG_EPS))[..., None], grads,
-                    out=grads)
-        grads += p * np.subtract(active, z_active, dtype=np.float64)[..., None]
-        grads *= w_over_b[..., None]
+    # d(mean loss)/d(logit_k) = (w_c/B) * (p_k - t_ck p_k / s); the whole
+    # row vanishes where the score sits under the log clamp.
+    np.subtract(p, grads, out=grads)
+    grads *= (w_over_b * active)[..., None]
     return grads
 
 
-def example_losses(s: np.ndarray, z, neg_w) -> np.ndarray:
-    """Per example -w_c (log max(s, eps) [- log max(z, eps)]) into ``s``; ``neg_w`` is -w_c."""
+def example_losses(s: np.ndarray, neg_w) -> np.ndarray:
+    """Per example -w_c log max(s, eps) into ``s``; ``neg_w`` is -w_c."""
     np.log(np.maximum(s, LOG_EPS, out=s), out=s)
-    if z is not None:
-        s -= np.log(np.maximum(z, LOG_EPS, out=z), out=z)
     return np.multiply(s, neg_w, out=s)

@@ -54,13 +54,17 @@ def estimate_transition(oracle: ModelParams, corpus: WebCorpus,
     ties go to the lowest flattened index.  The matrix is estimated once,
     globally; callers hold it fixed during training.  A caller that already
     holds ``fingerprint(corpus)`` passes it, so the corpus is not hashed again.
-    A member whose posterior is not finite raises ValidationError naming it.
+    A corpus of another class count or feature dim than the oracle's raises
+    ValidationError, as does a member whose posterior is not finite, naming it.
     """
     if oracle.config.num_classes != corpus.num_classes:
         raise ValidationError(
             f"oracle has {oracle.config.num_classes} classes, corpus has "
             f"{corpus.num_classes}"
         )
+    if oracle.config.input_dim != corpus.X.shape[1]:
+        raise ValidationError(f"corpus feature_dim {corpus.X.shape[1]} does not fit the "
+                              f"oracle's input_dim {oracle.config.input_dim}")
     flat = flatten_web(corpus)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         posteriors = predict(oracle, flat)

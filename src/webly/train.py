@@ -31,10 +31,10 @@ as ``predict`` would.  Only the updated parameters are checked for finiteness.
 The arms of every seed of a run train together under the run's configs,
 offset by the seed (``run_seeds``), each (seed, arm) cell an ArmResult filled
 phase by phase: BL1's stage is also the oracle, and each stage of the plan
-stacks the members of all seeds whose datasets share one size and loss form
-and which bring as many members, each bit-identical to its stage alone.  A
-member that diverges, or whose seed's dataset or own transition does not fit
-at stage start, records its error and keeps its place as zero rows.
+stacks the members of all seeds whose datasets share one size and which
+bring as many members, each bit-identical to its stage alone.  A member that
+diverges, or whose seed's dataset or own transition does not fit at stage
+start, records its error and keeps its place as zero rows.
 """
 
 from __future__ import annotations
@@ -147,13 +147,12 @@ class SeedStack:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a divergence is its member's error
-def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool = False):
+def train_stage(init, ds, cfg: TrainConfig, transition=None):
     """Run one stage of mini-batch SGD over the dataset.
 
     ``transition`` selects the loss: None trains with plain weighted
     cross-entropy (the modulated loss with the identity), otherwise the
-    transition-modulated loss, renormalized with ``renormalize`` over column
-    sums gathered once per stage.  Class weights are median-frequency balanced
+    transition-modulated loss.  Class weights are median-frequency balanced
     from this dataset's labels, computed once at stage start.  ``init`` is
     copied, never changed.  Velocity starts at zero.  Deterministic given the
     config.  Returns a StageResult, or raises the WeblyError that failed it.
@@ -208,7 +207,6 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     grouped = ModelParams._from_flat(params.config, params.flat.reshape(seeds, per_seed, size))
     entries = np.stack([np.eye(k) if t is None or result else t.entries
                         for t, result in zip(transitions, outcome)]).reshape(seeds, -1, k, k)
-    col_sums = entries.sum(axis=-2, keepdims=True) if renormalize else None
     seed_at, member_at = np.arange(seeds)[:, None, None], np.arange(per_seed)[:, None]
     labels = np.stack([d.y for d in ds.datasets])
     x_epoch = np.empty((seeds, 1, n, params.config.input_dim))  # each seed's shuffled rows
@@ -230,8 +228,7 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
     # each epoch's accuracy: its shuffled rows in equal blocks, the last ending at row n
     block = min(n, max(2, EVAL_BLOCK // seeds))
     scoring, predicted = ForwardCache(grouped, block), np.empty((seeds, per_seed, n), np.intp)
-    scores = np.empty((seeds, per_seed, n))  # each step's scores (and z), made losses per epoch
-    z = np.empty_like(scores) if renormalize else None
+    scores = np.empty((seeds, per_seed, n))  # each step's scores, made losses per epoch
     velocity = np.zeros_like(grouped.flat)
     logs: list[list[dict]] = [[] for _ in members]
     for epoch in epochs:
@@ -255,7 +252,7 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
             posteriors = forward_layers(cache, x_epoch[..., lo:hi, :])
             logit_grads = modulated_cross_entropy_rows(
                 posteriors, t_epoch[..., lo:hi, :], w_over_b[..., lo:hi], scores[..., lo:hi],
-                z if z is None else z[..., lo:hi], cache.logit_grads, col_sums)
+                cache.logit_grads)
             # A non-finite loss or gradient makes the updated theta non-finite.
             try:
                 sgd_momentum_step(grouped.flat, backward(cache, logit_grads), velocity, lr,
@@ -272,7 +269,7 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None, renormalize: bool =
         if None not in outcome:
             break
         # each batch's loss sum, as the step took it, added up from zero in step order
-        losses = example_losses(scores, z, -w_epoch)
+        losses = example_losses(scores, -w_epoch)
         sums = np.zeros((seeds, per_seed, len(starts) + 1))
         sums[..., 1:-1] = losses[..., :starts[-1]].reshape(seeds, per_seed, -1, rows).sum(axis=-1)
         sums[..., -1] = losses[..., starts[-1]:].sum(axis=-1)
@@ -312,8 +309,8 @@ class SeedInputs:
 
 
 def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: TrainConfig,
-              model_cfg: ModelConfig, transition_override: TransitionMatrix | None = None,
-              renormalize: bool = False) -> list[dict]:
+              model_cfg: ModelConfig, transition_override: TransitionMatrix | None = None
+              ) -> list[dict]:
     """Train the given arms of every seed together; per seed, map each arm
     to its ArmResult or to the toolkit error that failed it.
 
@@ -327,15 +324,13 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
     corpus's ``fingerprint``.  Then each phase (web pretrain, clean
     fine-tune) trains the live web arms.  Every stage trains the members of
     all seeds whose datasets share one size and which bring as many live
-    arms as one stack per loss form (``train_stage`` on a ``SeedStack``):
-    with ``renormalize`` the noise-corrected arm's web stage differs in loss
-    form and stacks apart.  A member that diverges or whose transition does
-    not fit fails only its own arm of its seed, a dataset without every
-    class only its seed's members of that stage, and a web corpus that
-    cannot be flattened only the web arms of its seed.  Every arm's numbers
-    are those it gets alone, and its ``web_access_log`` counts the corpus
-    reads made for its seed from this call's start, also when seeds share
-    one corpus object.
+    arms as one stack (``train_stage`` on a ``SeedStack``).  A member that
+    diverges or whose transition does not fit fails only its own arm of its
+    seed, a dataset without every class only its seed's members of that
+    stage, and a web corpus that cannot be flattened only the web arms of
+    its seed.  Every arm's numbers are those it gets alone, and its
+    ``web_access_log`` counts the corpus reads made for its seed from this
+    call's start, also when seeds share one corpus object.
 
     ``transition_override`` is a diagnostic hook that replaces the estimated
     transition in the noise-corrected arm (and skips oracle training when no
@@ -371,20 +366,18 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
     def train(members, data, cfg, init_of, transition_of=lambda s, arm: None) -> dict:
         """Map each (seed, arm) member, given seed by seed, to its stage
         result or error, in one ``train_stage`` call per stack of seeds whose
-        data share one size and that bring as many members of one loss form."""
-        keyed = [((len(data[s]), data[s].feature_dim, data[s].num_classes,
-                   renormalize and transition_of(s, arm) is not None), s, arm)
-                 for s, arm in members]
-        per_seed, stacks, results = Counter((key, s) for key, s, _ in keyed), {}, {}
-        for key, s, arm in keyed:
-            stacks.setdefault((*key, per_seed[key, s]), []).append((s, arm))
+        data share one size and that bring as many members."""
+        per_seed, stacks, results = Counter(s for s, _ in members), {}, {}
+        for s, arm in members:
+            key = len(data[s]), data[s].feature_dim, data[s].num_classes, per_seed[s]
+            stacks.setdefault(key, []).append((s, arm))
         for key, stack in stacks.items():
             on = list(dict.fromkeys(s for s, _ in stack))
             try:
                 got = train_stage([init_of(*member) for member in stack],
                                   SeedStack([data[s] for s in on],
                                             [cfg.shuffle_seed + seeds[s].seed for s in on]),
-                                  cfg, [transition_of(*member) for member in stack], key[3])
+                                  cfg, [transition_of(*member) for member in stack])
             except WeblyError as exc:  # a fault of the whole stack
                 got = [exc] * len(stack)
             results.update(zip(stack, got))
@@ -447,13 +440,13 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
 def run_arm(arm: str, clean_train: Dataset, web: WebCorpus | None,
             cfg_web: TrainConfig, cfg_clean: TrainConfig,
             model_cfg: ModelConfig,
-            transition_override: TransitionMatrix | None = None,
-            renormalize: bool = False) -> tuple[ModelParams, ArmResult]:
+            transition_override: TransitionMatrix | None = None
+            ) -> tuple[ModelParams, ArmResult]:
     """Execute one experimental arm end to end: ``run_seeds`` of that arm on
     one seed.  Returns (final params, ArmResult), or raises the toolkit error
     that failed it."""
     result = run_seeds([arm], [SeedInputs(clean_train, web, 0)], cfg_web, cfg_clean, model_cfg,
-                       transition_override, renormalize)[0][arm]
+                       transition_override)[0][arm]
     if isinstance(result, WeblyError):
         raise result
     return result.final_params, result

@@ -15,6 +15,12 @@ def random_transition(k, rng):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def pair_flip_transition(k, diagonal=0.6):
+    """Pair-flip matrix: ``diagonal`` on the diagonal, the rest on class i+1
+    mod k, zero elsewhere, so a posterior on a zero entry scores nothing."""
+    return diagonal * np.eye(k) + (1 - diagonal) * np.roll(np.eye(k), 1, axis=1)
+
+
 def make_clean_dataset(k=3, d=None, per_class=20, separation=8.0, sigma=0.5,
                        seed=0, groups_per_class=4):
     """Axis-aligned Gaussian mixture; separation is in feature units."""
@@ -29,8 +35,7 @@ def make_clean_dataset(k=3, d=None, per_class=20, separation=8.0, sigma=0.5,
 
 
 def fd_max_rel_error(cfg: ModelConfig, batch_size=8, n_coords=100, h=1e-4,
-                     seed=0, keep_prob=0.8, renormalize=False,
-                     dropout_seed=1234):
+                     seed=0, keep_prob=0.8, dropout_seed=1234):
     """Max relative error between analytic and central-difference gradients.
 
     The end-to-end scalar is the modulated weighted cross-entropy of a
@@ -60,12 +65,10 @@ def fd_max_rel_error(cfg: ModelConfig, batch_size=8, n_coords=100, h=1e-4,
 
     def scalar_loss(p: ModelParams) -> float:
         posteriors, _ = forward(p, x, train=True, dropout_seed=dropout_seed)
-        return modulated_cross_entropy(posteriors, labels, t, w,
-                                       renormalize=renormalize).loss
+        return modulated_cross_entropy(posteriors, labels, t, w).loss
 
     posteriors, cache = forward(params, x, train=True, dropout_seed=dropout_seed)
-    report = modulated_cross_entropy(posteriors, labels, t, w,
-                                     renormalize=renormalize)
+    report = modulated_cross_entropy(posteriors, labels, t, w)
     analytic = backward(cache, report.logit_grads)
 
     total = params.flat.size

@@ -297,6 +297,8 @@ class TestRun:
         ("data.synth", "num_classes", 10**6),
         ("data.synth.noise", "bag_size", 10**9),
         ("model", "hidden_sizes", [10**20]),
+        # the one loss form: the key is accepted as false only
+        ("loss", "renormalize_modulated", True),
     ])
     def test_bad_section_value_exits_2_naming_it(self, tmp_path, capsys,
                                                  section, key, value):
@@ -779,6 +781,21 @@ class TestEstimateNoise:
         assert str(web) in err and "'far'" in err and "overflow" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_corpus_of_other_feature_dim_exits_2_naming_both_files(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.wslckpt"
+        save_checkpoint(init_params(ModelConfig(input_dim=8, hidden_sizes=[2],
+                                                num_classes=3)), ckpt)
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(tiny_config(tmp_path)), "--out", str(data)]) == 0
+        out = tmp_path / "t.json"
+        capsys.readouterr()
+        assert main(["estimate-noise", "--checkpoint", str(ckpt), "--web",
+                     str(data / "web.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(data / "web.json") in err and str(ckpt) in err
+        assert "feature_dim 4" in err and "input_dim 8" in err
+        assert "batch shape" not in err and not out.exists()
+
 
 class TestReport:
     def test_reaggregates_existing_run_directory(self, tmp_path):
@@ -973,6 +990,28 @@ class TestConfigRoundTrip:
                     "Proposed/0/stage2/checkpoint.wslckpt",
                     "Proposed/0/provenance.json"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+class TestPaperShapedConfigs:
+    """The committed paper-shaped configs: 10 classes of the paper's skin-lesion
+    counts, 16 features and 5 groups per class, everything else at the
+    default; the twin's crawl noise is pair-flip 0.6."""
+
+    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+    @pytest.mark.parametrize("name", ["paper_shaped.json", "paper_shaped_pairflip.json"])
+    def test_config_loads_and_builds_seed_0_at_the_paper_shape(self, name):
+        config = load_config(str(self.CONFIGS / name))
+        clean_train, clean_test, web = cli.build_cell_data(config, 0)
+        assert (len(clean_train), len(clean_test), len(web.member_ids)) == (779, 520, 15580)
+        assert clean_train.num_classes == 10 and clean_train.feature_dim == 16
+        kernel = cli.synth_specs(config["data"]["synth"])[1].cross_category_kernel
+        if name == "paper_shaped.json":  # the default uniform kernel, diagonal 0.7
+            want = np.full((10, 10), (1 - 0.7) / 9)
+            np.fill_diagonal(want, 0.7)
+        else:
+            want = 0.6 * np.eye(10) + 0.4 * np.roll(np.eye(10), 1, axis=1)
+        assert np.array_equal(kernel, want)
 
 
 class TestDefaultConfigBytes:

@@ -94,35 +94,31 @@ class TestModulatedCrossEntropy:
 
     def test_logit_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        for renormalize in (False, True):
-            for trial in range(20):
-                k = int(rng.integers(2, 6))
-                batch = int(rng.integers(1, 7))
-                z = rng.normal(scale=2.0, size=(batch, k))
-                labels = rng.integers(0, k, size=batch)
-                t = random_transition(k, rng)
-                w = rng.uniform(0.5, 2.0, size=k)
+        for trial in range(20):
+            k = int(rng.integers(2, 6))
+            batch = int(rng.integers(1, 7))
+            z = rng.normal(scale=2.0, size=(batch, k))
+            labels = rng.integers(0, k, size=batch)
+            t = random_transition(k, rng)
+            w = rng.uniform(0.5, 2.0, size=k)
 
-                def loss_of(zv):
-                    return modulated_cross_entropy(
-                        softmax(zv), labels, t, w,
-                        renormalize=renormalize).loss
+            def loss_of(zv):
+                return modulated_cross_entropy(softmax(zv), labels, t, w).loss
 
-                report = modulated_cross_entropy(softmax(z), labels, t, w,
-                                                 renormalize=renormalize)
-                h = 1e-5
-                for r in range(batch):
-                    for c in range(k):
-                        zp, zm = z.copy(), z.copy()
-                        zp[r, c] += h
-                        zm[r, c] -= h
-                        numeric = (loss_of(zp) - loss_of(zm)) / (2 * h)
-                        analytic = report.logit_grads[r, c]
-                        rel = abs(analytic - numeric) / max(abs(analytic),
-                                                            abs(numeric), 1e-8)
-                        # h^2 truncation noise dominates the relative error
-                        # where the gradient itself is near zero
-                        assert rel < 1e-6 or abs(analytic - numeric) < 1e-10
+            report = modulated_cross_entropy(softmax(z), labels, t, w)
+            h = 1e-5
+            for r in range(batch):
+                for c in range(k):
+                    zp, zm = z.copy(), z.copy()
+                    zp[r, c] += h
+                    zm[r, c] -= h
+                    numeric = (loss_of(zp) - loss_of(zm)) / (2 * h)
+                    analytic = report.logit_grads[r, c]
+                    rel = abs(analytic - numeric) / max(abs(analytic),
+                                                        abs(numeric), 1e-8)
+                    # h^2 truncation noise dominates the relative error
+                    # where the gradient itself is near zero
+                    assert rel < 1e-6 or abs(analytic - numeric) < 1e-10
 
     def test_loss_monotone_in_labeled_class_probability(self):
         # Raising p_c with the rest renormalized proportionally never raises
@@ -175,15 +171,13 @@ class TestStackedLoss:
         t = np.stack([np.eye(k)] + [random_transition(k, rng) for _ in range(2)])
         labels = rng.integers(0, k, size=batch)
         w = rng.uniform(0.5, 2.0, size=k)
-        for renormalize in (False, True):
-            stacked = modulated_cross_entropy(p, labels, t, w, renormalize=renormalize)
-            assert stacked.loss.shape == (3,)
-            for i in range(3):
-                alone = modulated_cross_entropy(p[i], labels, t[i], w,
-                                                renormalize=renormalize)
-                assert stacked.loss[i] == alone.loss
-                assert np.array_equal(stacked.per_example[i], alone.per_example)
-                assert np.array_equal(stacked.logit_grads[i], alone.logit_grads)
+        stacked = modulated_cross_entropy(p, labels, t, w)
+        assert stacked.loss.shape == (3,)
+        for i in range(3):
+            alone = modulated_cross_entropy(p[i], labels, t[i], w)
+            assert stacked.loss[i] == alone.loss
+            assert np.array_equal(stacked.per_example[i], alone.per_example)
+            assert np.array_equal(stacked.logit_grads[i], alone.logit_grads)
 
     def test_one_transition_per_member_required(self):
         rng = np.random.default_rng(12)
@@ -193,110 +187,6 @@ class TestStackedLoss:
         with pytest.raises(ValidationError, match="row-stochastic"):
             modulated_cross_entropy(p, [0] * 5, np.stack([np.eye(3), 2 * np.eye(3)]),
                                     np.ones(3))
-
-
-class TestRenormalizedClosedForm:
-    """The renormalized loss against its closed form, example by example: with
-    label c, s = p T^T and z = sum_k s_k, the loss is -w_c (log s_c - log z)
-    and the logit gradient (w_c / B) p_k ((u_k / z - 1) - (t_ck / s_c - 1)),
-    u the column sums of T; a score under LOG_EPS is clamped in the loss, so
-    its term, the derivative of its log, drops from the gradient."""
-
-    @staticmethod
-    def closed_form(p, labels, t, w):
-        batch, k = p.shape
-        per_example, grads = np.empty(batch), np.empty((batch, k))
-        u = t.sum(axis=0)
-        for i, c in enumerate(labels):
-            scores = p[i] @ t.T
-            s, z = scores[c], scores.sum()
-            per_example[i] = -w[c] * (math.log(max(s, LOG_EPS)) - math.log(max(z, LOG_EPS)))
-            for j in range(k):
-                term_z = u[j] / z - 1 if z > LOG_EPS else 0.0
-                term_s = t[c, j] / s - 1 if s > LOG_EPS else 0.0
-                grads[i, j] = w[c] / batch * p[i, j] * (term_z - term_s)
-        return per_example, grads
-
-    @staticmethod
-    def instance(rng):
-        """Random posteriors and sparse transitions, with rows whose scores sit
-        under LOG_EPS: one-hot posteriors on zero transition entries or on a
-        zero column, and posteriors with only ~1e-18 of mass off one class."""
-        k, batch = 3, 8
-        t = rng.uniform(size=(k, k)) * (rng.uniform(size=(k, k)) < 0.6)
-        t[:, 2] = 0.0                           # column 2 zero: z = 0 on e_2
-        t[np.arange(k), rng.integers(0, 2, size=k)] += 0.1
-        t /= t.sum(axis=1, keepdims=True)
-        p = random_posteriors(rng, batch, k)
-        p[:3] = np.eye(k)                       # one-hot, e_2 among them
-        p[3] = softmax(np.array([0.0, -40.0, 40.0]))
-        return p, rng.integers(0, k, size=batch), t, rng.uniform(0.5, 2.0, size=k)
-
-    def test_single_model_matches_the_closed_form(self):
-        rng = np.random.default_rng(21)
-        clamped = 0
-        for _ in range(50):
-            p, labels, t, w = self.instance(rng)
-            report = modulated_cross_entropy(p, labels, t, w, renormalize=True)
-            per_example, grads = self.closed_form(p, labels, t, w)
-            assert np.max(np.abs(report.per_example - per_example)) < 1e-12
-            assert np.max(np.abs(report.logit_grads - grads)) < 1e-12
-            clamped += np.sum(np.einsum("bk,bk->b", p, t[labels]) <= LOG_EPS)
-        assert clamped > 0
-
-    def test_stack_matches_the_closed_form_per_member(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            members = [self.instance(rng) for _ in range(3)]
-            labels, w = members[0][1], members[0][3]
-            p, t = (np.stack([m[i] for m in members]) for i in (0, 2))
-            report = modulated_cross_entropy(p, labels, t, w, renormalize=True)
-            for i in range(3):
-                per_example, grads = self.closed_form(p[i], labels, t[i], w)
-                assert np.max(np.abs(report.per_example[i] - per_example)) < 1e-12
-                assert np.max(np.abs(report.logit_grads[i] - grads)) < 1e-12
-
-    def test_clamped_scores_by_hand(self):
-        # T's column 1 is zero.  Label 0 on e_1: s = t_01 = 0 and z = u_1 = 0,
-        # both clamped: loss 0, gradient 0.  Label 1 on e_0: s = t_10 = 0 is
-        # clamped, z = u_0 = 1.5: loss -2 (log 1e-12 - log 1.5), gradient
-        # (2 / 2) e_0 (u_0 / z - 1) = 0, as the softmax is flat at a one-hot.
-        t = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        p = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        report = modulated_cross_entropy(p, [0, 1], t, np.array([1.0, 2.0, 1.0]),
-                                         renormalize=True)
-        assert report.per_example[0] == 0.0
-        assert report.per_example[1] == pytest.approx(-2 * (math.log(LOG_EPS)
-                                                            - math.log(1.5)), rel=1e-15)
-        np.testing.assert_allclose(report.logit_grads, np.zeros((2, 3)), rtol=0, atol=1e-15)
-
-    def test_gradient_on_clamped_rows_equals_central_differences(self):
-        # rows with s clamped and z not (the first two), with both clamped
-        # (the third), and with neither (the last)
-        t = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        logits = np.array([[5.0, 0.0, -30.0], [0.0, -30.0, -35.0], [-40.0, 40.0, -40.0],
-                           [1.0, -0.5, 0.3]])
-        labels, w, h = [1, 1, 0, 2], np.array([1.0, 2.0, 0.5]), 1e-6
-
-        def mean_loss(a):
-            report = modulated_cross_entropy(softmax(a), labels, t, w, renormalize=True)
-            return report.loss
-
-        p = softmax(logits)
-        s, z = np.einsum("bk,bk->b", p, t[labels]), p @ t.sum(axis=0)
-        assert (s <= LOG_EPS).tolist() == [True, True, True, False]
-        assert (z <= LOG_EPS).tolist() == [False, False, True, False]
-        numeric = np.empty_like(logits)
-        for i, j in np.ndindex(*logits.shape):
-            step = np.zeros_like(logits)
-            step[i, j] = h
-            numeric[i, j] = (mean_loss(logits + step) - mean_loss(logits - step)) / (2 * h)
-        grads = modulated_cross_entropy(p, labels, t, w, renormalize=True).logit_grads
-        np.testing.assert_allclose(grads, numeric, rtol=0, atol=1e-8)
-        # the first row's (w_1 / B) p_k (u_k / z - 1), with 1 - p_0 = p_1 = 0.006692851
-        np.testing.assert_allclose(grads[0], [0.5 * 0.006692851, -0.5 * 0.006692851, 0],
-                                   rtol=1e-6, atol=1e-15)
-        assert not grads[2].any()
 
 
 class TestPlainWeightedCrossEntropy:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_clean_dataset, random_transition
+from conftest import make_clean_dataset, pair_flip_transition, random_transition
 from webly import train
 from webly.data import (BackgroundSpec, CleanSpec, Dataset, NoiseSpec, WebCorpus, synth_clean,
                         synth_web_corpus)
@@ -146,7 +146,15 @@ class TestLockstepStage:
         assert epochs == []
 
 
-def reference_stage(init, ds, cfg, transitions, renormalize=False):
+def web_transitions(count, rng, pair_flip=False, k=3):
+    """``count`` web-stage transitions: random dense ones drawn from ``rng``,
+    or the pair-flip matrix, whose zero entries score nothing."""
+    return [TransitionMatrix(entries=pair_flip_transition(k) if pair_flip
+                             else random_transition(k, rng), provenance={})
+            for _ in range(count)]
+
+
+def reference_stage(init, ds, cfg, transitions):
     """The per-batch loop that ``train_stage``'s fused step replaced, through
     the public, checked calls: ``forward(train=True)``,
     ``modulated_cross_entropy``, ``backward`` and ``sgd_momentum_step``.
@@ -174,8 +182,7 @@ def reference_stage(init, ds, cfg, transitions, renormalize=False):
             hi = lo + cfg.batch_size
             posteriors, cache = forward(params, x[lo:hi], train=True,
                                         dropout_seed=(cfg.shuffle_seed, epoch, batch))
-            report = modulated_cross_entropy(posteriors, y[lo:hi], t, weights,
-                                             renormalize=renormalize)
+            report = modulated_cross_entropy(posteriors, y[lo:hi], t, weights)
             grad = backward(cache, report.logit_grads)
             batch_loss = report.per_example.sum(axis=-1)
             try:
@@ -223,22 +230,19 @@ class TestFusedStepMatchesReference:
             assert np.array_equal(got.params.flat, flat)
             assert without_timings(got.log) == log
 
-    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("pair_flip", [False, True])
     @pytest.mark.parametrize("batch_size", [8, 13])
     @pytest.mark.parametrize("keep", [1.0, 0.7])
     @pytest.mark.parametrize("hidden", [[], [5, 3, 7]])
-    def test_solo_and_stacked(self, hidden, keep, batch_size, renormalize):
+    def test_solo_and_stacked(self, hidden, keep, batch_size, pair_flip):
         cfg = TrainConfig(epochs=3, batch_size=batch_size, shuffle_seed=4)
-        rng = np.random.default_rng(1)
-        transitions = [None] + [TransitionMatrix(entries=random_transition(3, rng),
-                                                 provenance={}) for _ in range(2)]
+        transitions = [None] + web_transitions(2, np.random.default_rng(1), pair_flip)
         models = self.models(hidden, keep, 3)
         for init, t in zip(models, transitions):
-            want, = reference_stage([init], self.ds, cfg, [t], renormalize)
-            self.assert_matches(train_stage(init, self.ds, cfg, t, renormalize), want)
-        got = train_stage(models, self.ds, cfg, transitions, renormalize)
-        for result, want in zip(got, reference_stage(models, self.ds, cfg, transitions,
-                                                     renormalize)):
+            want, = reference_stage([init], self.ds, cfg, [t])
+            self.assert_matches(train_stage(init, self.ds, cfg, t), want)
+        got = train_stage(models, self.ds, cfg, transitions)
+        for result, want in zip(got, reference_stage(models, self.ds, cfg, transitions)):
             self.assert_matches(result, want)
 
     # a shuffle seed of two entropy words; no epochs; no dropout; one batch
@@ -264,43 +268,41 @@ class TestFusedStepMatchesReference:
                        X=np.vstack([self.ds.X, [0.0, 0.0, 0.0, 1e100]]),
                        y=[*self.ds.y, 0], num_classes=3)
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_member_diverging_mid_stage(self, renormalize):
+    @pytest.mark.parametrize("pair_flip", [False, True])
+    def test_member_diverging_mid_stage(self, pair_flip):
         ds = self.far_row_dataset()
         good = self.models([], 1.0, 2)
         bad = good[1].copy()
         bad.weights[0][3] *= 1e250
         models = [good[0], bad, good[1]]
-        transitions = [None, None, TransitionMatrix(
-            entries=random_transition(3, np.random.default_rng(2)), provenance={})]
+        transitions = [None, None, *web_transitions(1, np.random.default_rng(2), pair_flip)]
         cfg = TrainConfig(epochs=3, batch_size=8, shuffle_seed=4)
-        got = train_stage(models, ds, cfg, transitions, renormalize)
-        want = reference_stage(models, ds, cfg, transitions, renormalize)
+        got = train_stage(models, ds, cfg, transitions)
+        want = reference_stage(models, ds, cfg, transitions)
         assert isinstance(want[1], str) and "epoch 0, batch 0" not in want[1]
         assert not any(isinstance(w, str) for w in (want[0], want[2]))
         for result, expected in zip(got, want):
             self.assert_matches(result, expected)
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_member_diverging_mid_stage_in_hidden_layers(self, renormalize):
+    @pytest.mark.parametrize("pair_flip", [False, True])
+    def test_member_diverging_mid_stage_in_hidden_layers(self, pair_flip):
         # As above with three hidden layers and dropout
         ds = self.far_row_dataset()
         good = self.models([5, 3, 7], 0.7, 2)
         bad = good[1].copy()
         bad.weights[0][3] *= 1e250
         models = [good[0], bad, good[1]]
-        transitions = [None, None, TransitionMatrix(
-            entries=random_transition(3, np.random.default_rng(2)), provenance={})]
+        transitions = [None, None, *web_transitions(1, np.random.default_rng(2), pair_flip)]
         cfg = TrainConfig(epochs=3, batch_size=8, shuffle_seed=4)
-        got = train_stage(models, ds, cfg, transitions, renormalize)
-        want = reference_stage(models, ds, cfg, transitions, renormalize)
+        got = train_stage(models, ds, cfg, transitions)
+        want = reference_stage(models, ds, cfg, transitions)
         assert isinstance(want[1], str) and "epoch 0, batch 0" not in want[1]
         assert not any(isinstance(w, str) for w in (want[0], want[2]))
         for result, expected in zip(got, want):
             self.assert_matches(result, expected)
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_two_members_diverging_at_different_steps(self, renormalize, monkeypatch):
+    @pytest.mark.parametrize("pair_flip", [False, True])
+    def test_two_members_diverging_at_different_steps(self, pair_flip, monkeypatch):
         # One member overflows on the first step, one on the far row's batch;
         # the stack keeps its shape and stays finite, and the two others
         # train on.
@@ -320,19 +322,17 @@ class TestFusedStepMatchesReference:
         far = good[1].copy()
         far.weights[0][3] *= 1e250
         models = [good[2], first, far, good[1]]
-        rng = np.random.default_rng(5)
-        transitions = [None, None] + [TransitionMatrix(entries=random_transition(3, rng),
-                                                       provenance={}) for _ in range(2)]
+        transitions = [None, None, *web_transitions(2, np.random.default_rng(5), pair_flip)]
         cfg = TrainConfig(epochs=3, batch_size=8, shuffle_seed=4)
-        got = train_stage(models, ds, cfg, transitions, renormalize)
+        got = train_stage(models, ds, cfg, transitions)
         assert finite == [True] * cfg.epochs
-        want = reference_stage(models, ds, cfg, transitions, renormalize)
+        want = reference_stage(models, ds, cfg, transitions)
         assert "epoch 0, batch 0" in want[1]
         assert isinstance(want[2], str) and "epoch 0, batch 0" not in want[2]
         for result, expected in zip(got, want):
             self.assert_matches(result, expected)
         for member in (0, 3):
-            alone = train_stage(models[member], ds, cfg, transitions[member], renormalize)
+            alone = train_stage(models[member], ds, cfg, transitions[member])
             self.assert_matches(alone, want[member])
 
 
@@ -430,18 +430,6 @@ class TestTrainStage:
         with pytest.raises(ValidationError, match="transition"):
             train_stage(init_params(self.model_cfg()), ds,
                         TrainConfig(epochs=1, batch_size=8), transition=t)
-
-    def test_renormalized_modulation_trains_and_differs(self):
-        ds = self.make_ds()
-        t = TransitionMatrix(entries=np.array([[0.8, 0.2], [0.3, 0.7]]),
-                             provenance={})
-        cfg = TrainConfig(epochs=2, batch_size=8, shuffle_seed=2)
-        plain = train_stage(init_params(self.model_cfg()), ds, cfg, transition=t)
-        renorm = train_stage(init_params(self.model_cfg()), ds, cfg,
-                             transition=t, renormalize=True)
-        assert np.isfinite(renorm.log[-1]["mean_loss"])
-        assert not np.array_equal(plain.params.weights[0],
-                                  renorm.params.weights[0])
 
 
 def make_web(clean, seed=20, bag_size=5, diag=0.8, rho=0.1):
@@ -541,15 +529,20 @@ class TestRunSeed:
         if want_result.transition is not None:
             assert np.array_equal(result.transition.entries, want_result.transition.entries)
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_arms_trained_together_match_arms_run_alone(self, renormalize):
-        together = self.together(renormalize=renormalize)
+    @pytest.mark.parametrize("pair_flip", [False, True])
+    def test_arms_trained_together_match_arms_run_alone(self, pair_flip):
+        given = (TransitionMatrix(entries=pair_flip_transition(3), provenance={})
+                 if pair_flip else None)
+        together = self.together(transition_override=given)
         for arm in ARMS:
-            self.assert_same_arm(together[arm], self.alone(arm, renormalize=renormalize))
-        assert together[ARM_PROPOSED].oracle is together[ARM_BL1].final_params
-        # the corpus is read once to estimate and once to train the web stages
+            self.assert_same_arm(together[arm], self.alone(arm, transition_override=given))
+        assert together[ARM_PROPOSED].oracle is (
+            None if pair_flip else together[ARM_BL1].final_params)
+        # the corpus is read once to estimate (unless given the transition) and
+        # once to train the web stages
+        reads = 1 if pair_flip else 2
         assert dict(together[ARM_BL2].web_access_log) == {
-            "start": 0, "after_web_stage": 2, "after_clean_stage": 2}
+            "start": 0, "after_web_stage": reads, "after_clean_stage": reads}
 
     def test_shared_clean_stage_failure_fails_bl1_and_proposed_only(self, monkeypatch):
         real, calls = train.train_stage, []
@@ -570,8 +563,8 @@ class TestRunSeed:
     def test_diverged_web_member_fails_only_its_arm(self, monkeypatch):
         real = train.train_stage
 
-        def proposed_diverges(init, ds, cfg, transition=None, renormalize=False):
-            results = real(init, ds, cfg, transition, renormalize)
+        def proposed_diverges(init, ds, cfg, transition=None):
+            results = real(init, ds, cfg, transition)
             if isinstance(init, ModelParams):
                 return results
             return [DivergenceError("diverged") if t is not None else r
@@ -728,26 +721,24 @@ class TestCrossSeedStack:
                           dropout_keep_prob=keep)
         return [init_params(replace(cfg, init_seed=10 + i)) for i in range(count)]
 
-    def assert_alone(self, got, inits, transitions, seeds, cfg, renormalize=False):
+    def assert_alone(self, got, inits, transitions, seeds, cfg):
         for result, init, t, s in zip(got, inits, transitions, seeds):
             alone = train_stage(init, self.datasets[s],
-                                replace(cfg, shuffle_seed=self.shuffle_seeds[s]), t, renormalize)
+                                replace(cfg, shuffle_seed=self.shuffle_seeds[s]), t)
             assert np.array_equal(result.params.flat, alone.params.flat)
             assert result.params.config == init.config
             assert without_timings(result.log) == without_timings(alone.log)
 
-    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("pair_flip", [False, True])
     @pytest.mark.parametrize("keep, batch_size", [(0.7, 8), (1.0, 13), (0.7, 64)])
-    def test_members_of_three_seeds_match_each_alone(self, keep, batch_size, renormalize):
+    def test_members_of_three_seeds_match_each_alone(self, keep, batch_size, pair_flip):
         cfg = TrainConfig(epochs=3, batch_size=batch_size)
-        rng = np.random.default_rng(1)
-        transitions = [None if i % 2 else TransitionMatrix(
-            entries=random_transition(3, rng), provenance={}) for i in range(6)]
+        t = web_transitions(3, np.random.default_rng(1), pair_flip)
+        transitions = [t[0], None, t[1], None, t[2], None]
         inits = self.inits(keep, 6)
-        got = train_stage(inits, SeedStack(self.datasets, self.shuffle_seeds), cfg, transitions,
-                          renormalize)
+        got = train_stage(inits, SeedStack(self.datasets, self.shuffle_seeds), cfg, transitions)
         assert len(got) == 6  # two members per seed, seed by seed
-        self.assert_alone(got, inits, transitions, [0, 0, 1, 1, 2, 2], cfg, renormalize)
+        self.assert_alone(got, inits, transitions, [0, 0, 1, 1, 2, 2], cfg)
 
     def test_diverging_member_leaves_the_other_seeds_bit_identical(self):
         cfg = TrainConfig(epochs=3, batch_size=8)
@@ -812,10 +803,10 @@ class TestEpochLoss:
     datasets = [with_far_row(d) for d in TestCrossSeedStack.datasets]
     shuffle_seeds = TestCrossSeedStack.shuffle_seeds
 
-    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("pair_flip", [False, True])
     @pytest.mark.parametrize("batch_size", [8, 3])
     def test_three_seeds_of_two_members_with_clamped_rows_and_a_divergence(
-            self, batch_size, renormalize, monkeypatch):
+            self, batch_size, pair_flip, monkeypatch):
         clamped = []  # per step, whether a labeled-class score sat under the clamp
         kernel = train.modulated_cross_entropy_rows
 
@@ -829,16 +820,14 @@ class TestEpochLoss:
         inits = TestCrossSeedStack().inits(0.7, 6)
         inits[3] = inits[3].copy()
         inits[3].weights[0][3] *= 1e250  # overflows on the far row's batch
-        rng = np.random.default_rng(3)
-        transitions = [None if i % 2 == 0 else TransitionMatrix(
-            entries=random_transition(3, rng), provenance={}) for i in range(6)]
+        t = web_transitions(3, np.random.default_rng(3), pair_flip)
+        transitions = [None, t[0], None, t[1], None, t[2]]
         got = train_stage(inits, SeedStack(self.datasets, self.shuffle_seeds), cfg,
-                          transitions, renormalize)
+                          transitions)
         assert any(clamped)
         for s, seed in enumerate(self.shuffle_seeds):
             want = reference_stage(inits[2 * s:2 * s + 2], self.datasets[s],
-                                   replace(cfg, shuffle_seed=seed), transitions[2 * s:2 * s + 2],
-                                   renormalize)
+                                   replace(cfg, shuffle_seed=seed), transitions[2 * s:2 * s + 2])
             for result, expected in zip(got[2 * s:2 * s + 2], want):
                 TestFusedStepMatchesReference().assert_matches(result, expected)
         assert isinstance(got[3], DivergenceError)
@@ -893,16 +882,17 @@ class TestCrossSeedRun:
         monkeypatch.setattr(train, "train_stage", recorded)
         return stacks
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_seeds_of_one_size_train_one_stack_per_stage(self, monkeypatch, renormalize):
+    @pytest.mark.parametrize("pair_flip", [False, True])
+    def test_seeds_of_one_size_train_one_stack_per_stage(self, monkeypatch, pair_flip):
         seeds = [self.seed(s) for s in range(3)]
+        given = (TransitionMatrix(entries=pair_flip_transition(3), provenance={})
+                 if pair_flip else None)
         stacks = self.record_stacks(monkeypatch)
-        got = run_seeds(ARMS, seeds, *self.configs, renormalize=renormalize)
+        got = run_seeds(ARMS, seeds, *self.configs, transition_override=given)
         monkeypatch.undo()
-        web = [(3, 3), (3, 3)] if renormalize else [(3, 6)]  # one stack per loss form
-        assert stacks == [(3, 3), *web, (3, 6)]
+        assert stacks == [(3, 3), (3, 6), (3, 6)]  # the web arms form one stack
         for seed, outcome in zip(seeds, got):
-            self.assert_same_seed(outcome, self.alone(seed, renormalize=renormalize))
+            self.assert_same_seed(outcome, self.alone(seed, transition_override=given))
 
     def test_seeds_of_two_sizes_train_as_two_stacks(self, monkeypatch):
         seeds = [self.seed(0), self.seed(1, per_class=10), self.seed(2)]
