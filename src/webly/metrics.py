@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _reject
 from .errors import ValidationError
 from .model import ModelParams, fingerprint, predict
 
@@ -118,15 +119,10 @@ def evaluate(params: ModelParams, ds) -> EvalReport:
         raise ValidationError("cannot evaluate on an empty dataset")
     k = ds.num_classes
     if params.config.num_classes != k:
-        raise ValidationError(
-            f"model has {params.config.num_classes} classes, dataset has {k}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        posteriors = predict(params, ds)
-    if not np.isfinite(posteriors.sum()):  # a NaN or an infinity anywhere
-        bad = np.isfinite(posteriors).all(axis=1).argmin()
-        raise ValidationError(f"row {ds.ids[bad]!r}: its features overflow the model "
-                              "(non-finite posterior)")
+        raise ValidationError(f"model has {params.config.num_classes} classes, dataset has {k}")
+    posteriors = predict(params, ds)
+    _reject(~np.isfinite(posteriors).all(axis=1), ds.ids,
+            "row {id!r}: its features overflow the model (non-finite posterior)")
     y = ds.y
     preds = posteriors.argmax(axis=1)          # ties go to the lowest index
     conf = confusion_matrix(y, preds, k)

@@ -20,10 +20,10 @@ Every pass runs on a workspace (``ForwardCache``) holding each intermediate
 of both passes and each layer's operands, built once: ``forward`` checks its
 batch and runs the unchecked ``forward_layers`` on a new one, and
 ``backward`` writes into the gradient buffers of the one it is given.  A
-training stage uses one workspace for its full batches, one for a ragged last
-batch and one without dropout to score each epoch's rows, and draws a seed's
-dropout masks with one call.  ``predict`` and ``penultimate_features`` score
-in row blocks of ``EVAL_BLOCK``.  All give the plain form's bits.
+training stage uses one for its full batches and one for a ragged last
+batch, and draws a seed's dropout masks with one call.  Eval-mode scoring
+(``predict``, ``penultimate_features``, an epoch's accuracy) runs on one, in
+``_eval_blocks``' equal row blocks.  All give the plain form's bits.
 
 Random streams are those of ``np.random.default_rng(seed)``.  ``pcg64_states``
 ports numpy's seeding (the ``SeedSequence`` hash mix and PCG64's first step)
@@ -50,7 +50,7 @@ from .errors import CheckpointError, ValidationError
 
 CHECKPOINT_MAGIC = b"WSLCKPT1"
 INIT_SCALE_RULE = "sqrt_2_over_fan_in"
-EVAL_BLOCK = 512  # rows per forward call in predict and penultimate_features
+EVAL_BLOCK = 512  # rows, over all seeds, per eval-mode pass of _eval_blocks' workspace
 MODEL_MAX_PARAMS = 2**27  # packed float64 parameters (1 GiB) a model may have
 FINGERPRINT_BAGS = 32  # web bags hashed per joined chunk: bounds the chunk's parts
 
@@ -358,18 +358,22 @@ def forward(params: ModelParams, batch: np.ndarray, train: bool = False,
     the dropout masks are shared by every member and the outputs gain a
     leading member axis.  The cache is a new workspace for the batch.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != params.config.input_dim:
-        raise ValidationError(
-            f"batch shape {batch.shape} incompatible with input_dim "
-            f"{params.config.input_dim}"
-        )
-    if not np.isfinite(batch).all():
-        raise ValidationError("non-finite input")
+    batch = _checked_batch(params, batch)
     cache = ForwardCache(params, len(batch), train)
     if train:
         cache.draw_masks(np.random.default_rng(dropout_seed))
     return forward_layers(cache, batch), cache
+
+
+def _checked_batch(params: ModelParams, batch) -> np.ndarray:
+    """``batch`` as float64, if it is a finite (rows, input_dim) array."""
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != params.config.input_dim:
+        raise ValidationError(f"batch shape {batch.shape} incompatible with input_dim "
+                              f"{params.config.input_dim}")
+    if not np.isfinite(batch).all():
+        raise ValidationError("non-finite input")
+    return batch
 
 
 def forward_layers(cache: ForwardCache, batch: np.ndarray) -> np.ndarray:
@@ -419,34 +423,39 @@ def backward(cache: ForwardCache, logit_grads: np.ndarray) -> np.ndarray:
     return cache.grad
 
 
-def _blockwise(params: ModelParams, x: np.ndarray, take) -> np.ndarray:
-    """``take(forward(params, rows))`` over row blocks of ``x`` of about
-    EVAL_BLOCK rows, joined along the row axis.
+def _eval_blocks(params: ModelParams, n: int, seeds: int = 1) -> tuple[ForwardCache, list]:
+    """An eval workspace to score ``n`` rows (per seed of a stage's stack of
+    ``seeds``) and the slices of its equal blocks, of ``EVAL_BLOCK // seeds``
+    rows but at least 2 and at most ``n``, the last ending at row ``n``: a row
+    gets the same BLAS bits in any block of two or more rows, as in one pass
+    over all ``n``, but numpy scores a lone row by matrix-vector product."""
+    block = min(n, max(2, EVAL_BLOCK // seeds))
+    starts = (min(lo, n - block) for lo in range(0, n, block or 1))
+    return ForwardCache(params, block), [slice(lo, lo + block) for lo in starts]
 
-    A row's numbers are those of one forward over all of ``x``: the BLAS
-    matrix product gives a row the same bits in any block of two or more
-    rows, but numpy scores a lone row by matrix-vector product, which rounds
-    differently, so a last block of one row joins the block before it.
-    """
-    n = len(x)
-    starts = list(range(0, n, EVAL_BLOCK)) or [0]
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    parts = [take(forward(params, x[lo:hi], train=False))
-             for lo, hi in zip(starts, starts[1:] + [n])]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+
+@np.errstate(over="ignore", invalid="ignore")  # each caller rejects a non-finite row
+def _blockwise(params: ModelParams, x, take) -> np.ndarray:
+    """``take(cache)`` after each ``_eval_blocks`` pass over ``x``, as one array."""
+    x = _checked_batch(params, x)
+    cache, blocks = _eval_blocks(params, len(x))
+    out = np.empty(take(cache).shape[:-2] + (len(x), take(cache).shape[-1]))
+    for rows in blocks:
+        forward_layers(cache, x[rows])
+        out[..., rows, :] = take(cache)
+    return out
 
 
 def predict(params: ModelParams, ds) -> np.ndarray:
     """Eval-mode posteriors over a whole dataset, order-preserving."""
-    return _blockwise(params, ds.X, lambda out: out[0])
+    return _blockwise(params, ds.X, lambda cache: cache.posteriors)
 
 
 def penultimate_features(params: ModelParams, ds) -> np.ndarray:
     """Last-hidden-layer activations per example, eval mode."""
     if not params.config.hidden_sizes:
         raise ValidationError("model has no hidden layer")
-    return _blockwise(params, ds.X, lambda out: out[1].inputs[-1])
+    return _blockwise(params, ds.X, lambda cache: cache.inputs[-1])
 
 
 def fingerprint(obj) -> str:

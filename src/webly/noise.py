@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (WebCorpus, canonical_json, check_fields, check_row_stochastic, flatten_web,
-                   integer)
+from .data import (WebCorpus, _reject, canonical_json, check_fields, check_row_stochastic,
+                   flatten_web, integer)
 from .errors import ParseError, ValidationError
 from .model import ModelParams, fingerprint, predict
 
@@ -58,20 +58,15 @@ def estimate_transition(oracle: ModelParams, corpus: WebCorpus,
     ValidationError, as does a member whose posterior is not finite, naming it.
     """
     if oracle.config.num_classes != corpus.num_classes:
-        raise ValidationError(
-            f"oracle has {oracle.config.num_classes} classes, corpus has "
-            f"{corpus.num_classes}"
-        )
+        raise ValidationError(f"oracle has {oracle.config.num_classes} classes, corpus has "
+                              f"{corpus.num_classes}")
     if oracle.config.input_dim != corpus.X.shape[1]:
         raise ValidationError(f"corpus feature_dim {corpus.X.shape[1]} does not fit the "
                               f"oracle's input_dim {oracle.config.input_dim}")
     flat = flatten_web(corpus)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        posteriors = predict(oracle, flat)
-    if not np.isfinite(posteriors.sum()):  # a NaN or an infinity anywhere
-        bad = np.isfinite(posteriors).all(axis=1).argmin()
-        raise ValidationError(f"web member {flat.ids[bad]!r}: its features overflow the "
-                              f"oracle (non-finite posterior)")
+    posteriors = predict(oracle, flat)
+    _reject(~np.isfinite(posteriors).all(axis=1), flat.ids,
+            "web member {id!r}: its features overflow the oracle (non-finite posterior)")
     reps = posteriors.argmax(axis=0)
     provenance = {
         "oracle": fingerprint(oracle),

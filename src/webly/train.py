@@ -24,9 +24,9 @@ update (``sgd_momentum_step``), allocating only the scaled gradient and a few
 small temporaries.  The step leaves each example's labeled-class score in a
 buffer, and the epoch finishes the logged loss from it in a few calls.  Each
 epoch writes every seed's shuffled rows into one buffer, a step's batch is a
-slice of it, and the epoch's accuracy is scored on those rows on one more
-workspace, in equal blocks of at most ``max(2, EVAL_BLOCK // seeds)`` rows,
-as ``predict`` would.  Only the updated parameters are checked for finiteness.
+slice of it, and the epoch's accuracy is scored on those rows in the blocks
+and on the eval workspace of ``model._eval_blocks``, the rule ``predict``
+scores by.  Only the updated parameters are checked for finiteness.
 
 The arms of every seed of a run train together under the run's configs,
 offset by the seed (``run_seeds``), each (seed, arm) cell an ArmResult filled
@@ -51,7 +51,7 @@ from .loss import example_losses, median_frequency_weights, modulated_cross_entr
 # perfbench/tracing.py wraps this name as its loss.call span (its selftest needs it);
 # train_stage calls the _rows form, so the span records no call in training.
 from .loss import modulated_cross_entropy  # noqa: F401
-from .model import (EVAL_BLOCK, ForwardCache, ModelConfig, ModelParams, backward,
+from .model import (ForwardCache, ModelConfig, ModelParams, _eval_blocks, backward,
                     forward_layers, init_params, pcg64_states, rewind)
 from .noise import TransitionMatrix, estimate_transition
 
@@ -225,9 +225,8 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None):
     full = ForwardCache(grouped, rows, train=True)
     step_caches = [full] * (len(starts) - 1) + [
         full if last == rows else ForwardCache(grouped, last, train=True)]
-    # each epoch's accuracy: its shuffled rows in equal blocks, the last ending at row n
-    block = min(n, max(2, EVAL_BLOCK // seeds))
-    scoring, predicted = ForwardCache(grouped, block), np.empty((seeds, per_seed, n), np.intp)
+    scoring, blocks = _eval_blocks(grouped, n, seeds)  # each epoch's accuracy
+    predicted = np.empty((seeds, per_seed, n), np.intp)
     scores = np.empty((seeds, per_seed, n))  # each step's scores, made losses per epoch
     velocity = np.zeros_like(grouped.flat)
     logs: list[list[dict]] = [[] for _ in members]
@@ -275,9 +274,8 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None):
         sums[..., -1] = losses[..., starts[-1]:].sum(axis=-1)
         loss_sum = sums.cumsum(axis=-1)[..., -1]
         del t_epoch, w_epoch, w_over_b  # freed first: two epochs' gathers never coexist
-        for lo in (min(start, n - block) for start in range(0, n, block)):
-            forward_layers(scoring, x_epoch[..., lo:lo + block, :]).argmax(
-                axis=-1, out=predicted[..., lo:lo + block])
+        for at in blocks:
+            forward_layers(scoring, x_epoch[..., at, :]).argmax(axis=-1, out=predicted[..., at])
         train_acc = (predicted == y_epoch).mean(axis=-1).ravel()
         elapsed = time.perf_counter() - epoch_start
         for log, result, mean_loss, acc in zip(logs, outcome, loss_sum.ravel() / n, train_acc):

@@ -256,7 +256,7 @@ class TestRun:
         assert main(["run", "--config", str(missing), "--out", str(tmp_path / "runs")]) == 2
         assert str(missing) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key, value", [
+    BAD_VALUES = [
         ("train_web", "epochs", "x"),
         ("train_clean", "batch_size", 0),
         ("train_clean", "momentum", 1.0),
@@ -299,7 +299,11 @@ class TestRun:
         ("model", "hidden_sizes", [10**20]),
         # the one loss form: the key is accepted as false only
         ("loss", "renormalize_modulated", True),
-    ])
+    ]
+
+    # ids from the case itself, so a case added anywhere renames no other
+    @pytest.mark.parametrize("section, key, value", BAD_VALUES,
+                             ids=[f"{section}-{key}-{value}" for section, key, value in BAD_VALUES])
     def test_bad_section_value_exits_2_naming_it(self, tmp_path, capsys,
                                                  section, key, value):
         doc = {key: value}

@@ -16,6 +16,7 @@ from webly.data import BackgroundSpec, Dataset, NoiseSpec, WebCorpus, synth_web_
 from webly.errors import CheckpointError, ValidationError
 from webly.loss import modulated_cross_entropy
 from webly.metrics import write_features_csv
+from webly import model
 from webly.model import (
     EVAL_BLOCK,
     MODEL_MAX_PARAMS,
@@ -255,6 +256,13 @@ class TestPredict:
         cfg = ModelConfig(input_dim=3, hidden_sizes=[8], num_classes=3)
         with pytest.raises(ValidationError):
             predict(init_params(cfg), ds)
+
+    def test_non_finite_row_rejected(self):
+        cfg = ModelConfig(input_dim=3, hidden_sizes=[8], num_classes=3)
+        x = np.ones((4, 3))
+        x[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict(init_params(cfg), SimpleNamespace(X=x))
 
 
 class TestPenultimateFeatures:
@@ -646,6 +654,21 @@ class TestRowBlocks:
             posteriors, cache = forward(params, ds.X, train=False)
             assert np.array_equal(predict(params, ds), posteriors)
             assert np.array_equal(penultimate_features(params, ds), cache.inputs[-1])
+
+    def test_one_workspace_per_call(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return ForwardCache(*args, **kwargs)
+
+        monkeypatch.setattr(model, "ForwardCache", counted)
+        cfg = ModelConfig(input_dim=8, hidden_sizes=[16], num_classes=5)
+        ds = SimpleNamespace(X=np.random.default_rng(0).normal(size=(3 * EVAL_BLOCK + 5, 8)))
+        for score in (predict, penultimate_features):
+            built.clear()
+            score(init_params(cfg), ds)
+            assert len(built) == 1
 
 
 class TestCheckpoint:

@@ -76,9 +76,10 @@ class TestMineRepresentatives:
         assert corpus.access_count == 1
 
     def test_blockwise_pass_matches_one_forward_over_all_members(self):
-        # 1,025 members score in row blocks of 512 and 513: the 1-row tail
-        # joins the block before it (with this seed the last row, scored
-        # alone by matrix-vector product, rounds differently)
+        # 1,025 members score in three blocks of 512 rows, the last (rows
+        # 513 to 1024) overlapping the one before it, so no block is the
+        # lone last row (with this seed it rounds differently scored alone,
+        # by matrix-vector product)
         rng = np.random.default_rng(23)
         oracle = init_params(ModelConfig(input_dim=4, hidden_sizes=[7], num_classes=3,
                                          init_seed=5))
