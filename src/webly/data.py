@@ -9,10 +9,10 @@ Every member inherits its query's label, the only label training sees.
 Invariants are checked once, vectorised, when a dataset or corpus is built.
 The synthetic crawl draws its random numbers bag by bag, then computes all
 members at once.  The file formats are those of the former per-row model, byte
-for byte: ``web.json`` is written one bag's text at a time, with no member
-dicts, and read one bag at a time from a window of its text, member by member
-into the columns, so the reader's peak is the columns and about one window
-(1.2 times the file at 34,000 members), never the whole text or a member's dict.
+for byte.  A CSV row is written as its texts and one join of its floats' ``repr``,
+and a CSV file is read whole, then checked; ``web.json`` is written and read one
+bag at a time, the reader keeping the columns and about one window of the text
+(1.2 times the file at 34,000 members).  The README says where the time goes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -312,6 +314,31 @@ def _expected_header(feature_dim: int) -> list[str]:
     return ["id", "group_id", "label"] + [f"f{i}" for i in range(feature_dim)]
 
 
+def _check_rows(path: Path, rows: list, d: int) -> None:
+    """Raise ParseError naming the first of ``rows`` (lines 2 on) that is not an id, a
+    group id, a base-10 label in int64 and ``d`` numbers, those in ASCII without '_'."""
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != d + 3:
+            raise ParseError(f"{path}: line {lineno}: expected {d + 3} columns, got {len(row)}")
+        try:
+            label = int(row[2])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: label {row[2]!r} "
+                             "is not a base-10 integer") from None
+        if label < 0:
+            raise ParseError(f"{path}: line {lineno}: negative label {label}")
+        if label > INT64_MAX:
+            raise ParseError(f"{path}: line {lineno}: label {label} does not fit int64")
+        try:
+            [*map(float, row[3:])]
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
+        numbers = "".join(row[2:])  # int() and float() also read "_" and non-ASCII digits
+        if not numbers.isascii() or "_" in numbers:
+            raise ParseError(f"{path}: line {lineno}: label and features must be "
+                             "ASCII numbers without '_'")
+
+
 def load_dataset(path: str | Path, num_classes: int | None = None,
                  name: str | None = None) -> Dataset:
     """Load a dataset from CSV with header ``id,group_id,label,f0,...,f{D-1}``.
@@ -322,6 +349,7 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
     errors; duplicate ids raise ValidationError naming the path.
     """
     path = Path(path)
+    rows, error = [], None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -331,43 +359,24 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
             d = len(header) - 3
             if d < 1 or header != _expected_header(d):
                 raise ParseError(f"{path}: line 1: bad header {header!r}")
-
-            ids, group_ids, labels, rows = [], [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != d + 3:
-                    raise ParseError(
-                        f"{path}: line {lineno}: expected {d + 3} columns, got {len(row)}"
-                    )
-                label_str = row[2]
-                try:
-                    label = int(label_str)
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno}: label {label_str!r} "
-                                     "is not a base-10 integer") from None
-                if label < 0:
-                    raise ParseError(f"{path}: line {lineno}: negative label {label}")
-                if label > INT64_MAX:
-                    raise ParseError(f"{path}: line {lineno}: label {label} does not "
-                                     "fit int64")
-                try:
-                    rows.append([float(v) for v in row[3:]])
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
-                numbers = "".join(row[2:])  # int() and float() also read "_" and non-ASCII digits
-                if not numbers.isascii() or "_" in numbers:
-                    raise ParseError(f"{path}: line {lineno}: label and features must be "
-                                     "ASCII numbers without '_'")
-                ids.append(row[0])
-                group_ids.append(row[1])
-                labels.append(label)
+            rows.extend(reader)  # the rows read before a read error are checked first
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        error = ParseError(f"{path}: not UTF-8 text: {exc.reason}")
     except csv.Error as exc:
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-
-    if not ids:
-        raise ValidationError(f"{path}: no examples")
-    X = np.array(rows, dtype=np.float64)
+        error = ParseError(f"{path}: line {reader.line_num}: {exc}")
+    if not rows:
+        raise error or ValidationError(f"{path}: no examples")
+    try:  # every row at once: only a file with a bad row is walked, to name its line
+        ids, group_ids, texts, *columns = zip(*rows)
+        labels, numbers = list(map(int, texts)), "".join(chain(texts, *columns))
+        X = np.fromiter(map(float, chain(*columns)), np.float64, len(rows) * d)
+        if (error or set(map(len, rows)) != {d + 3} or not numbers.isascii()
+                or "_" in numbers or min(labels) < 0 or max(labels) > INT64_MAX):
+            raise ValueError
+    except ValueError:
+        _check_rows(path, rows, d)
+        raise error  # _check_rows names a bad row; with none, the read error failed
+    X = X.reshape(d, -1).T.copy()
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}: line {np.argmin(finite) + 2}: non-finite feature")
@@ -378,9 +387,7 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
                          f"only {len(labels)} rows, so a class would be absent")
     k = num_classes if num_classes is not None else inferred_k
     if inferred_k > k:
-        raise ValidationError(
-            f"{path}: label {inferred_k - 1} exceeds num_classes={k}"
-        )
+        raise ValidationError(f"{path}: label {inferred_k - 1} exceeds num_classes={k}")
     try:
         return Dataset(ids=ids, group_ids=group_ids, X=X, y=labels, num_classes=k,
                        name=name if name is not None else path.stem)
@@ -390,11 +397,24 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
 
 def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
     """Write a dataset in the CSV schema; floats use shortest exact repr."""
+    _write_csv(path, _expected_header(ds.feature_dim),
+               [ds.ids, ds.group_ids, map(str, ds.y.tolist())], ds.X)
+
+
+def _write_csv(path: str | Path, header: list[str], texts: list, x: np.ndarray) -> None:
+    """Write ``header`` and per row of ``x`` its texts in ``texts``, then its floats'
+    shortest exact ``repr`` in one join, as the default ``csv.writer`` dialect does: a
+    column with no comma, quote, CR, LF or NUL as it is, else each text as that writes it."""
+    columns, line = [], csv.writer(SimpleNamespace(write=str)).writerow  # returns its line
+    for column in map(list, texts):
+        rare = any(c in "".join(column) for c in ',"\r\n\x00')  # NUL: csv.Error on 3.10
+        columns.append([t and line([t])[:-2] for t in column] if rare else column)
+    if x.shape[1]:
+        columns.append([",".join(map(repr, row)) for row in x.tolist()])
+    if len(columns) == 1:  # a row of one empty field is written '""'
+        columns[0] = [t or '""' for t in columns[0]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_expected_header(ds.feature_dim))
-        writer.writerows([ex_id, group_id, label, *row] for ex_id, group_id, label, row
-                         in zip(ds.ids, ds.group_ids, ds.y.tolist(), ds.X.tolist()))
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +573,18 @@ def save_web_corpus(corpus: WebCorpus, path: str | Path) -> None:
     bag's text is its ``canonical_json``, built directly with no member dicts."""
     offsets, labels = corpus.offsets.tolist(), corpus.labels.tolist()
     hidden = corpus.true_labels_hidden
-    encode = json.JSONEncoder(separators=(",", ":")).encode
     string = json.encoder.encode_basestring_ascii
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"bags":[')
         for b, query_id in enumerate(corpus.query_ids):
             lo, hi = offsets[b], offsets[b + 1]
-            rows = encode(corpus.X[lo:hi].tolist())[2:-2].split("],[")  # floats hold no "]"
-            members = ",".join([f'{{"features":[{row}],"id":{string(member_id)}}}'
-                                for member_id, row in zip(corpus.member_ids[lo:hi], rows)])
-            tail = "null" if hidden is None else encode(hidden[lo:hi].tolist())
-            fh.write(f'{"," if b else ""}{{"members":[{members}],"query_id":{string(query_id)},'
-                     f'"transferred_label":{labels[b]},"true_labels_hidden":{tail}}}')
+            members = ['{"features":[', "", '],"id":', "", "},"] * (hi - lo)  # repr = JSON
+            members[1::5] = [",".join(map(repr, row)) for row in corpus.X[lo:hi].tolist()]
+            members[3::5] = map(string, corpus.member_ids[lo:hi])
+            tail = "null" if hidden is None else f"[{','.join(map(str, hidden[lo:hi].tolist()))}]"
+            fh.write(f'{"," if b else ""}{{"members":[{"".join(members)[:-1]}],"query_id":'
+                     f'{string(query_id)},"transferred_label":{labels[b]},'
+                     f'"true_labels_hidden":{tail}}}')
         fh.write(f'],"feature_dim":{corpus.X.shape[1]},'
                  f'"num_classes":{corpus.num_classes}}}')
 
@@ -584,7 +604,10 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
         row = obj["features"]
         if bool in map(type, row):
             raise TypeError("a member feature is a boolean")
-        features.extend(row)
+        try:  # a list, the usual case, in one resize; anything else as extend reads it
+            features.fromlist(row)
+        except TypeError:
+            features.extend(row)
         widths.add(len(row))
         member_ids.append(obj["id"])
         return _MEMBER

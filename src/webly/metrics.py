@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _reject
+from .data import _reject, _write_csv
 from .errors import ValidationError
 from .model import ModelParams, fingerprint, predict
 
@@ -213,8 +213,5 @@ def write_features_csv(ids: list[str], features: np.ndarray,
     """id + penultimate-feature rows; floats use shortest exact repr."""
     if len(ids) != features.shape[0]:
         raise ValidationError("ids and feature rows must align")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"f{i}" for i in range(features.shape[1])])
-        writer.writerows([ex_id, *row] for ex_id, row
-                         in zip(ids, features.astype(np.float64, copy=False).tolist()))
+    _write_csv(path, ["id"] + [f"f{i}" for i in range(features.shape[1])], [ids],
+               features.astype(np.float64, copy=False))

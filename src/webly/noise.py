@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (WebCorpus, _reject, canonical_json, check_fields, check_row_stochastic,
-                   flatten_web, integer)
+                   flatten_web, integer, reals)
 from .errors import ParseError, ValidationError
 from .model import ModelParams, fingerprint, predict
 
@@ -117,7 +117,7 @@ def load_transition(path: str | Path) -> TransitionMatrix:
         k = doc["k"]
         entries = np.array(doc["rows"], dtype=np.float64)
         provenance = doc.get("provenance", {})
-        check_fields(doc, {"k": integer(1),
+        check_fields(doc, {"k": integer(1), "rows": reals((2,), "equal-length lists of numbers"),
                            "provenance": (lambda v: isinstance(v, dict), "an object")})
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and ragged rows

@@ -1,12 +1,31 @@
 """Shared helpers: random valid inputs and the finite-difference gradient oracle."""
 
+import csv
 import dataclasses
 
 import numpy as np
+from hypothesis import strategies as st
 
 from webly.data import CleanSpec, synth_clean
 from webly.loss import modulated_cross_entropy
 from webly.model import ModelConfig, ModelParams, backward, forward, init_params
+
+
+# Text of any characters, often ones the CSV dialect quotes (and NUL, which
+# csv.writer rejects on Python 3.10), and finite floats of every repr form
+csv_texts = st.text(st.sampled_from(',"\r\n\x00') | st.characters(codec="utf-8"),
+                    max_size=6)
+csv_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.1, 1e-05, 1e+16, -0.0, 5e-324, 1.7976931348623157e+308, 3.0])
+
+
+def csv_outcome(write, path, *args):
+    """The bytes ``write(*args, path)`` writes, or the csv.Error it raises."""
+    try:
+        write(*args, path)
+    except csv.Error as exc:
+        return repr(exc)
+    return path.read_bytes()
 
 
 def random_transition(k, rng):

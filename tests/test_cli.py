@@ -1079,6 +1079,27 @@ class TestDefaultConfigBytes:
                 text.encode()).hexdigest()
         assert got == self.LOG_SHA256
 
+    # SHA-256 of the files of ``estimate-noise`` and ``eval --export-features`` run on
+    # the default synth data with that run's BL1 stage-1 checkpoint (SOURCE_DATE_EPOCH=0)
+    VERB_SHA256 = {
+        "transition.json": "c7ee4dac9ddca1998d965c328f04092502a6e5eb25d45dfa99045afdfcccb019",
+        "eval/eval.json": "2e7ac8acbdc98e9da4f5e45e5ddb4309ae7a60a03a8559a14df1f8bcb394adac",
+        "eval/eval.csv": "df0ad143315d9163a982012f4ebc87769110b04fbb9aaa9cc63f0bcec1375339",
+        "eval/features.csv": "7da593034513e68994d0560e3620f451552b06d3c9d1376b1cbc718c2e1f4a39",
+    }
+
+    def test_estimate_noise_and_eval_bytes(self, default_run, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        data, ckpt = tmp_path / "data", default_run / "BL1/0/stage1/checkpoint.wslckpt"
+        assert main(["synth", "--out", str(data)]) == 0
+        assert main(["estimate-noise", "--checkpoint", str(ckpt), "--web", str(data / "web.json"),
+                     "--out", str(tmp_path / "transition.json")]) == 0
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data / "clean_test.csv"),
+                     "--out", str(tmp_path / "eval"), "--export-features"]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.VERB_SHA256}
+        assert got == self.VERB_SHA256
+
     def test_run_provenance_fingerprints(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"arms": ["Proposed"]}))

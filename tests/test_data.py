@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import webly.data
+from conftest import csv_floats, csv_outcome, csv_texts
 from webly.data import (
     BackgroundSpec,
     CleanSpec,
@@ -34,6 +35,78 @@ from webly.errors import ParseError, ValidationError, WeblyError
 
 def write_csv(path, rows, header="id,group_id,label,f0,f1"):
     path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
+
+
+def reference_load_dataset(path, num_classes=None, name=None):
+    """The reader that parsed and checked the CSV row by row as it read it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file, header required")
+            d = len(header) - 3
+            if d < 1 or header != ["id", "group_id", "label"] + [f"f{i}" for i in range(d)]:
+                raise ParseError(f"{path}: line 1: bad header {header!r}")
+            ids, group_ids, labels, rows = [], [], [], []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != d + 3:
+                    raise ParseError(f"{path}: line {lineno}: expected {d + 3} columns, "
+                                     f"got {len(row)}")
+                try:
+                    label = int(row[2])
+                except ValueError:
+                    raise ParseError(f"{path}: line {lineno}: label {row[2]!r} "
+                                     "is not a base-10 integer") from None
+                if label < 0:
+                    raise ParseError(f"{path}: line {lineno}: negative label {label}")
+                if label > np.iinfo(np.int64).max:
+                    raise ParseError(f"{path}: line {lineno}: label {label} does not "
+                                     "fit int64")
+                try:
+                    rows.append([float(v) for v in row[3:]])
+                except ValueError:
+                    raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
+                numbers = "".join(row[2:])
+                if not numbers.isascii() or "_" in numbers:
+                    raise ParseError(f"{path}: line {lineno}: label and features must be "
+                                     "ASCII numbers without '_'")
+                ids.append(row[0])
+                group_ids.append(row[1])
+                labels.append(label)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not ids:
+        raise ValidationError(f"{path}: no examples")
+    X = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: line {np.argmin(finite) + 2}: non-finite feature")
+    inferred_k = max(labels) + 1
+    if num_classes is None and inferred_k > len(labels):
+        raise ParseError(f"{path}: line {labels.index(inferred_k - 1) + 2}: label "
+                         f"{inferred_k - 1} implies {inferred_k} classes but there are "
+                         f"only {len(labels)} rows, so a class would be absent")
+    k = num_classes if num_classes is not None else inferred_k
+    if inferred_k > k:
+        raise ValidationError(f"{path}: label {inferred_k - 1} exceeds num_classes={k}")
+    try:
+        return Dataset(ids=ids, group_ids=group_ids, X=X, y=labels, num_classes=k,
+                       name=name if name is not None else path.stem)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def load_outcome(read, path, num_classes):
+    """Every column ``read`` gives for ``path``, or the WeblyError it raises."""
+    try:
+        ds = read(path, num_classes=num_classes)
+    except WeblyError as exc:
+        return type(exc).__name__, str(exc)
+    return (ds.ids.tolist(), ds.group_ids.tolist(), ds.X.shape, ds.X.tobytes(),
+            ds.X.flags.c_contiguous, ds.y.tolist(), ds.num_classes, ds.name)
 
 
 class TestLoadDataset:
@@ -150,6 +223,60 @@ class TestLoadDataset:
             load_dataset(p)
         except WeblyError:
             pass
+
+    LONG_FIELD = b'"' + b"1" * (csv.field_size_limit() + 1)
+
+    @pytest.mark.parametrize("bad, line, want", [
+        (b"\xff", 600, "line 3: non-numeric feature"),  # in a later chunk of the decoder
+        (b"\xff", 100, "not UTF-8 text"),               # in its first chunk
+        (LONG_FIELD, 600, "line 3: non-numeric feature"),
+        (LONG_FIELD, 2, "line 2: field larger than field limit"),
+    ], ids=["late-utf8", "first-chunk-utf8", "late-csv", "early-csv"])
+    def test_bad_row_before_a_read_error_is_named_first(self, tmp_path, bad, line, want):
+        """A read error stops the reader where the text decoder (8 KB at a time)
+        or csv meets it: the rows before that are checked first, and a bad one
+        among them is named, whatever follows it."""
+        p = tmp_path / "d.csv"
+        write_csv(p, ["a,g1,0,1.0,2.0", "b,g1,1,1.0,oops"]
+                  + [f"r{i},g2,1,0.5,0.5" for i in range(600)])
+        lines = p.read_bytes().split(b"\n")
+        lines[line - 1] = bad + lines[line - 1]
+        p.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=re.escape(f"{p}: {want}")):
+            load_dataset(p)
+        assert load_outcome(load_dataset, p, None) == load_outcome(
+            reference_load_dataset, p, None)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_edited_files_read_as_the_row_by_row_reader_reads_them(self, tmp_path, data):
+        """Columns, or the same error naming the same line, as the reference reader
+        gives; the long file spans several chunks of the text decoder, so a read
+        error there can come after rows that are read and checked first."""
+        p = tmp_path / "d.csv"
+        n = data.draw(st.sampled_from([6, 600]), label="rows")
+        odd = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "na\u00efve"]
+        write_dataset_csv(Dataset(ids=[f"{odd[i % 6]}-{i}" for i in range(n)],
+                                  group_ids=[f"g{i % 3}" for i in range(n)],
+                                  X=np.resize(ODD_FLOATS, (n, 2)), y=np.arange(n) % 3,
+                                  num_classes=3), p)
+        blob = p.read_bytes()
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            at = data.draw(st.integers(0, len(blob)), label="at")
+            edit = data.draw(st.sampled_from(["truncate", "replace", "insert"]), label="edit")
+            if edit == "truncate":
+                blob = blob[:at]
+                continue
+            piece = data.draw(st.one_of(st.binary(max_size=3), st.sampled_from(
+                [",", '"', "\r\n", "\n", "\x00", "_", "-1", "x", " ", "1e999", "nan",
+                 "\u0661", "99999999999999999999", "1" * 200, "\xff"]).map(
+                    lambda t: t.encode("latin-1" if t == "\xff" else "utf-8"))), label="piece")
+            blob = blob[:at] + piece + blob[at + (edit == "replace"):]
+        p.write_bytes(blob)
+        num_classes = data.draw(st.sampled_from([None, 3]), label="num_classes")
+        assert (load_outcome(load_dataset, p, num_classes)
+                == load_outcome(reference_load_dataset, p, num_classes))
 
     def test_write_then_load_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -842,6 +969,20 @@ class TestWritersMatchTheirReferences:
     @given(ds=small_datasets())
     def test_small_random_datasets(self, tmp_path, ds):
         self.assert_same_bytes(tmp_path, write_dataset_csv, reference_write_dataset_csv, ds)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_dataset_csv_of_any_text_and_float(self, tmp_path, data):
+        n, d = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
+        ds = Dataset(ids=data.draw(st.lists(csv_texts, min_size=n, max_size=n, unique=True)),
+                     group_ids=data.draw(st.lists(csv_texts, min_size=n, max_size=n)),
+                     X=np.reshape(data.draw(st.lists(csv_floats, min_size=n * d,
+                                                     max_size=n * d)), (n, d)),
+                     y=data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                     num_classes=3)
+        assert (csv_outcome(write_dataset_csv, tmp_path / "new", ds)
+                == csv_outcome(reference_write_dataset_csv, tmp_path / "old", ds))
 
 
 def one_bag(hidden=None, member_ids=("m",), X=None, label=0):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import make_clean_dataset
+from conftest import csv_floats, csv_outcome, csv_texts, make_clean_dataset
 from webly.data import Dataset
 from webly.errors import ValidationError
 from webly.metrics import (
@@ -325,3 +325,14 @@ class TestFeaturesCsv:
         values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                     min_size=n * d, max_size=n * d))
         self.assert_same_bytes(tmp_path, ids, np.reshape(values, (n, d)))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_text_and_float_as_csv_writer_writes_them(self, tmp_path, data):
+        n, d = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
+        ids = data.draw(st.lists(csv_texts, min_size=n, max_size=n))
+        features = np.reshape(data.draw(st.lists(csv_floats, min_size=n * d,
+                                                 max_size=n * d)), (n, d))
+        assert (csv_outcome(write_features_csv, tmp_path / "new.csv", ids, features)
+                == csv_outcome(reference_write_features_csv, tmp_path / "old.csv", ids, features))

@@ -251,6 +251,8 @@ class TestTransitionJson:
             "k-boolean": '{"k":true,"provenance":{},"rows":[[1.0]]}',
             "k-float": good.replace('"k":2', '"k":2.0'),
             "provenance-list": good.replace('"provenance":{}', '"provenance":[]'),
+            "rows-boolean": '{"k":2,"provenance":{},"rows":[[true,false],[false,true]]}',
+            "rows-numeric-strings": '{"k":2,"provenance":{},"rows":[["1","0"],["0","1"]]}',
         }
         for name, text in cases.items():
             path = tmp_path / f"{name}.json"
