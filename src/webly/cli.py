@@ -368,12 +368,12 @@ def _with_inputs(data: tuple) -> tuple[tuple, dict]:
                   for name, part in zip(("clean_train", "clean_test", "web"), data)}
 
 
-def _train_seeds(config: dict, files: tuple | None) -> dict:
-    """Train the arms of every seed together (``run_seeds``) and map each
-    seed to its (data, inputs, outcomes by arm).  The data are ``files`` as
-    ``cmd_run`` read them, or else the seed's synthetic data; a toolkit or
-    I/O error in a seed's data fails only that seed's cells.  The model is
-    sized at the clean-train file's dims, or at ``data.synth``'s."""
+def _train_seeds(config: dict, files: tuple | None, model_cfg: ModelConfig) -> dict:
+    """Train the arms of every seed together (``run_seeds``) from the run's
+    ``model_cfg`` and map each seed to its (data, inputs, outcomes by arm).
+    The data are ``files`` as ``cmd_run`` read them, or else the seed's
+    synthetic data; a toolkit or I/O error in a seed's data fails only that
+    seed's cells."""
     arms, cells, built = config["arms"], {}, {}
     for seed in config["seeds"]:
         try:
@@ -381,14 +381,10 @@ def _train_seeds(config: dict, files: tuple | None) -> dict:
             built[seed] = data, inputs, SeedInputs(data[0], data[2], seed, inputs["web"])
         except (WeblyError, OSError) as exc:
             cells[seed] = None, None, dict.fromkeys(arms, exc)
-    spec = config["data"].get("synth")
-    dims = ((files[0][0].feature_dim, files[0][0].num_classes) if files
-            else (spec["feature_dim"], spec["num_classes"]))
     try:
         outcomes = run_seeds(arms, [seed_inputs for *_, seed_inputs in built.values()],
                              _train_config(config["train_web"], 0),
-                             _train_config(config["train_clean"], 0),
-                             _model_config(config, *dims, 0))
+                             _train_config(config["train_clean"], 0), model_cfg)
     except WeblyError as exc:
         outcomes = [dict.fromkeys(arms, exc)] * len(built)
     for (seed, (data, inputs, _)), outcome in zip(built.items(), outcomes):
@@ -426,15 +422,17 @@ def cmd_run(args) -> int:
         config["seeds"] = _parse_seeds(args.seed)
     if args.jobs < 1:
         raise ValidationError(f"--jobs {args.jobs}: must be at least 1")
-    data, files = config["data"], None
-    if "synth" not in data:  # read once before any output, clean_train first to size the model
+    data, files, spec = config["data"], None, config["data"].get("synth")
+    if spec is not None:  # the model's size at data.synth's dims, checked by load_config
+        model_cfg = _model_config(config, spec["feature_dim"], spec["num_classes"], 0)
+    else:  # read once before any output, clean_train first to size the model
         train = load_dataset(data["clean_train"])
         absent = np.flatnonzero(train.label_counts() == 0).tolist()
         if absent:
             raise ValidationError(f"{data['clean_train']}: class absent from training data: "
                                   f"{absent}")
         try:
-            _model_config(config, train.feature_dim, train.num_classes, 0)
+            model_cfg = _model_config(config, train.feature_dim, train.num_classes, 0)
         except ValidationError as exc:
             raise ValidationError(f"{args.config}: model.{exc} (at the dims of "
                                   f"{data['clean_train']})") from None
@@ -462,7 +460,7 @@ def cmd_run(args) -> int:
     for arm_dir in (out_dir / arm for arm in ARMS):  # every cell of an earlier run
         if arm_dir.exists():
             shutil.rmtree(arm_dir)
-    cells, rows = _train_seeds(config, files), []
+    cells, rows = _train_seeds(config, files, model_cfg), []
     for arm in arms:
         for seed, (data, inputs, outcomes) in cells.items():
             try:

@@ -22,7 +22,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, filterfalse
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -689,6 +689,12 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
 
     if not {*map(type, query_ids), *map(type, member_ids)} <= {str}:
         raise ParseError(f"{path}: query and member ids must be strings")
+    try:  # a lone surrogate, escaped as \ud800 to \udfff, is not text: encode each id not ASCII
+        for text in filterfalse(str.isascii, chain(query_ids, member_ids)):
+            text.encode()
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{path}: query and member ids must be UTF-8 text, not "
+                         f"{exc.object!r}") from None
     if not {*map(type, labels), *map(type, hidden)} <= {int}:
         raise ParseError(f"{path}: transferred and hidden labels must be integers")
     if not widths <= {d}:

@@ -1,7 +1,7 @@
 """SGD-with-momentum training and the three experimental arms.
 
-An arm is a recipe of one or two training stages: BL1 trains on the clean
-corpus only; BL2 pretrains on the flattened web corpus with plain weighted
+An arm is a recipe, its row of ``RECIPES``: BL1 trains on the clean corpus
+only; BL2 pretrains on the flattened web corpus with plain weighted
 cross-entropy, then fine-tunes on clean data; the noise-corrected arm first
 trains an oracle on clean data, estimates the transition matrix from the web
 corpus with it, pretrains on web data with the modulated loss, then fine-tunes
@@ -30,11 +30,11 @@ scores by.  Only the updated parameters are checked for finiteness.
 
 The arms of every seed of a run train together under the run's configs,
 offset by the seed (``run_seeds``), each (seed, arm) cell an ArmResult filled
-phase by phase: BL1's stage is also the oracle, and each stage of the plan
-stacks the members of all seeds whose datasets share one size and which
-bring as many members, each bit-identical to its stage alone.  A member that
-diverges, or whose seed's dataset or own transition does not fit at stage
-start, records its error and keeps its place as zero rows.
+phase by phase, each phase by the arms whose recipe holds it: each stage of
+the plan stacks the members of all seeds whose datasets share one size and
+which bring as many members, each bit-identical to its stage alone.  A member
+that diverges, or whose seed's dataset or own transition does not fit at
+stage start, records its error and keeps its place as zero rows.
 """
 
 from __future__ import annotations
@@ -58,7 +58,11 @@ from .noise import TransitionMatrix, estimate_transition
 ARM_BL1 = "BL1"
 ARM_BL2 = "BL2"
 ARM_PROPOSED = "Proposed"
-ARMS = (ARM_BL1, ARM_BL2, ARM_PROPOSED)
+# each arm's recipe, the phases of run_seeds it trains in: "clean" keeps the clean-only
+# stage, "oracle" takes it as the oracle and "estimate" the transition estimated with
+# it, and "web" pretrains on the flattened web corpus, then fine-tunes on clean data
+RECIPES = {ARM_BL1: {"clean"}, ARM_BL2: {"web"}, ARM_PROPOSED: {"oracle", "estimate", "web"}}
+ARMS = tuple(RECIPES)
 
 
 TRAIN_RULES = {
@@ -314,44 +318,44 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
 
     Every seed trains under the run's configs, its ``seed`` added to their
     ``shuffle_seed`` and ``init_seed``.  Each seed's initial model is built
-    once, and its clean-only stage and web stage both start from it (a
-    stage trains a copy).  The clean-only stage is trained once per seed: it
-    is BL1's stage and the noise-corrected arm's oracle, so its failure
-    fails both.  The transition is then estimated per seed
-    from it, taking the seed's ``web_fingerprint``, if given, as the
-    corpus's ``fingerprint``.  Then each phase (web pretrain, clean
-    fine-tune) trains the live web arms.  Every stage trains the members of
-    all seeds whose datasets share one size and which bring as many live
-    arms as one stack (``train_stage`` on a ``SeedStack``).  A member that
-    diverges or whose transition does not fit fails only its own arm of its
-    seed, a dataset without every class only its seed's members of that
-    stage, and a web corpus that cannot be flattened only the web arms of
-    its seed.  Every arm's numbers are those it gets alone, and its
-    ``web_access_log`` counts the corpus reads made for its seed from this
-    call's start, also when seeds share one corpus object.
+    once, and its clean-only stage and web stage both start from it (a stage
+    trains a copy).  Each phase trains the live arms whose ``RECIPES`` row
+    holds it: the clean-only stage, trained once per seed, is the "clean"
+    arms' stage and the "oracle" arms' oracle, so its failure fails both.  The
+    "estimate" arms' transition is then estimated per seed from it, taking the
+    seed's ``web_fingerprint``, if given, as the corpus's ``fingerprint``.
+    Then each web phase (web pretrain, clean fine-tune) trains the live "web"
+    arms.  Every stage trains the members of all seeds whose datasets share
+    one size and which bring as many live arms as one stack (``train_stage``
+    on a ``SeedStack``).  A member that diverges or whose transition does not
+    fit fails only its own arm of its seed, a dataset without every class only
+    its seed's members of that stage, and a web corpus that cannot be
+    flattened only the web arms of its seed.  Every arm's numbers are those it
+    gets alone, and its ``web_access_log`` counts the corpus reads made for
+    its seed from this call's start, also when seeds share one corpus object.
 
     ``transition_override`` is a diagnostic hook that replaces the estimated
-    transition in the noise-corrected arm (and skips oracle training when no
-    BL1 arm needs the clean stage); forcing the identity there must reproduce
-    BL2 exactly.
+    transition in the "estimate" arms (and skips oracle training when no
+    "clean" arm needs the clean stage); forcing the identity there must
+    reproduce the recipe of "web" alone exactly.
     """
     for arm in arms:
-        if arm not in ARMS:
-            raise ValidationError(f"unknown arm {arm!r}; expected one of {ARMS}")
+        if arm not in RECIPES:
+            raise ValidationError(f"unknown arm {arm!r}; expected one of {tuple(RECIPES)}")
     webs, reads = [seed.web for seed in seeds], [0] * len(seeds)
     inits = [init_params(replace(model_cfg, init_seed=model_cfg.init_seed + seed.seed))
              for seed in seeds]
     # each (seed, arm) cell's ArmResult, filled phase by phase, or its error
-    cells = [{arm: ArmResult(arm) for arm in arms} for _ in seeds]
+    cells = [{arm: ArmResult(arm, web_access_log=[("start", 0)]) for arm in arms} for _ in seeds]
     order = range(len(seeds))
 
-    def live(s, *names):
-        return [arm for arm in arms if arm in names and isinstance(cells[s][arm], ArmResult)]
+    def live(s, phase):
+        return [a for a in arms if phase in RECIPES[a] and isinstance(cells[s][a], ArmResult)]
 
-    def snapshot(phase: str, *names) -> None:
+    def snapshot(label: str, phase: str) -> None:
         for s in order:
-            for arm in live(s, *names):
-                cells[s][arm].web_access_log.append((phase, reads[s]))
+            for arm in live(s, phase):
+                cells[s][arm].web_access_log.append((label, reads[s]))
 
     def read(s, fn, *args):
         """``fn(*args)``, which reads seed s's corpus, counting its reads."""
@@ -381,57 +385,55 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
             results.update(zip(stack, got))
         return results
 
-    snapshot("start", *arms)
     for s in order:
         if webs[s] is None:
-            for arm in live(s, ARM_BL2, ARM_PROPOSED):
+            for arm in live(s, "web"):
                 cells[s][arm] = ValidationError(f"arm {arm} requires a web corpus")
 
-    oracle_arms = [live(s, ARM_BL1) + (live(s, ARM_PROPOSED) if transition_override is None
+    oracle_arms = [live(s, "clean") + (live(s, "oracle") if transition_override is None
                                        else []) for s in order]
     clean = [seed.clean_train for seed in seeds]
-    for (s, _), result in train([(s, ARM_BL1) for s in order if oracle_arms[s]], clean,
+    for (s, _), result in train([(s, None) for s in order if oracle_arms[s]], clean,
                                 cfg_clean, lambda s, _: inits[s]).items():
         for arm in oracle_arms[s]:
             if isinstance(result, WeblyError):
                 cells[s][arm] = result
-            elif arm == ARM_BL1:
+            elif "clean" in RECIPES[arm]:
                 cells[s][arm].stages.append(result)
             else:
                 cells[s][arm].oracle = result.params
-    snapshot("after_clean_stage", ARM_BL1)
+    snapshot("after_clean_stage", "clean")
 
     for s in order:
-        for arm in live(s, ARM_PROPOSED):
+        for arm in live(s, "estimate"):
             try:
                 cells[s][arm].transition = transition_override or read(
                     s, estimate_transition, cells[s][arm].oracle, webs[s],
                     seeds[s].web_fingerprint)
             except WeblyError as exc:
                 cells[s][arm] = exc
-    snapshot("after_estimation", ARM_PROPOSED)
+    snapshot("after_estimation", "estimate")
 
     flat = [None] * len(seeds)
     for s in order:
-        web_arms = live(s, ARM_BL2, ARM_PROPOSED)
+        web_arms = live(s, "web")
         if web_arms:
             try:
                 flat[s] = read(s, flatten_web, webs[s])
             except WeblyError as exc:
                 cells[s].update(dict.fromkeys(web_arms, exc))
-    for phase, data, cfg, init_of, transition_of in (
+    for label, data, cfg, init_of, transition_of in (
             ("after_web_stage", flat, cfg_web, lambda s, _: inits[s],
              lambda s, arm: cells[s][arm].transition),
             ("after_clean_stage", clean, cfg_clean,
              lambda s, arm: cells[s][arm].final_params, lambda s, arm: None)):
-        members = [(s, arm) for s in order if flat[s] is not None
-                   for arm in live(s, ARM_BL2, ARM_PROPOSED)]
+        members = [(s, arm) for s in order if flat[s] is not None for arm in live(s, "web")]
         for (s, arm), result in train(members, data, cfg, init_of, transition_of).items():
             if isinstance(result, WeblyError):
                 cells[s][arm] = result
             else:
                 cells[s][arm].stages.append(result)
-        snapshot(phase, ARM_BL2, ARM_PROPOSED)
+        snapshot(label, "web")
     return cells
 
 

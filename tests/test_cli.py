@@ -588,6 +588,20 @@ class TestRun:
         assert str(path) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_web_id_of_a_lone_surrogate_exits_2_naming_the_file_without_output(
+            self, tmp_path, capsys):
+        cfg, data_dir = self.file_config(tmp_path, arms=["BL1", "BL2"], seeds=[0, 1])
+        path = data_dir / "web.json"
+        doc = json.loads(path.read_text())
+        doc["bags"][0]["members"][0]["id"] = "\ud800"  # json.dumps writes it escaped
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: query and member ids must be UTF-8 text" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_clean_train_lacking_a_class_exits_2_naming_it_before_output(self, tmp_path,
                                                                          capsys):
         cfg, data_dir = self.file_config(tmp_path, arms=["BL1", "BL2"], seeds=[0, 1])
@@ -768,6 +782,24 @@ class TestEstimateNoise:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(web) in err and "empty corpus" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("where", ["member", "query"])
+    def test_id_of_a_lone_surrogate_exits_2_naming_the_file(self, tmp_path, capsys, where):
+        ckpt = tmp_path / "m.wslckpt"
+        save_checkpoint(init_params(ModelConfig(input_dim=2, hidden_sizes=[3],
+                                                num_classes=2)), ckpt)
+        web = tmp_path / "web.json"
+        save_web_corpus(WebCorpus(query_ids=["q0", "q1"], labels=[0, 1], offsets=[0, 1, 2],
+                                  member_ids=["m0", "m1"], X=[[0.1, 0.2], [0.3, 0.4]],
+                                  num_classes=2), web)
+        text = web.read_text()
+        web.write_text(text.replace('"m1"' if where == "member" else '"q1"', '"\\udc80"'))
+        out = tmp_path / "t.json"
+        assert main(["estimate-noise", "--checkpoint", str(ckpt), "--web", str(web),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{web}: query and member ids must be UTF-8 text" in err
         assert "Traceback" not in err and not out.exists()
 
     def test_member_overflowing_the_oracle_exits_2_naming_it(self, tmp_path, capsys):

@@ -636,6 +636,23 @@ class TestRunSeed:
         if override == "identity":  # the identity reproduces BL2 exactly
             self.assert_same_arm(proposed, together[ARM_BL2])
 
+    def test_a_recipe_row_trains_as_a_stack_member_with_no_code_change(self, monkeypatch):
+        stacks = TestCrossSeedRun.record_stacks(self, monkeypatch)
+        want = self.together()
+        monkeypatch.setitem(train.RECIPES, "BL2 again", train.RECIPES[ARM_BL2])
+        got = self.together([*ARMS, "BL2 again"])
+        # clean-only, web and fine-tune stacks: the new row is one more web member
+        assert stacks == [(1, 1), (1, 2), (1, 2), (1, 1), (1, 3), (1, 3)]
+        for arm, expected in [*want.items(), ("BL2 again", want[ARM_BL2])]:
+            result = got[arm]
+            assert [s.params.flat.tobytes() for s in result.stages] == [
+                s.params.flat.tobytes() for s in expected.stages]
+            assert [without_timings(s.log) for s in result.stages] == [
+                without_timings(s.log) for s in expected.stages]
+            assert result.web_access_log == expected.web_access_log
+        assert got[ARM_PROPOSED].transition.entries.tobytes() == (
+            want[ARM_PROPOSED].transition.entries.tobytes())
+
     def test_override_of_another_k_fails_only_proposed(self):
         # BL2 takes no transition and BL1 none: they train as they do alone
         wrong = TransitionMatrix(entries=np.eye(4), provenance={})
