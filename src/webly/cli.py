@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -47,7 +47,9 @@ from .data import (
     save_web_corpus,
     synth_clean,
     synth_web_corpus,
+    write_csv,
     write_dataset_csv,
+    write_json,
 )
 from .errors import ParseError, ValidationError, WeblyError
 from .metrics import (
@@ -126,20 +128,29 @@ SCORES = ("accuracy", "macro_recall", "kappa", "auc_mean")
 SUMMARY_FIELDS = ["arm", "seed", "status", *SCORES, "error"]
 
 
+def _is_path(v) -> bool:
+    """A string the file system can take: ``os.fsencode`` encodes it, with no NUL."""
+    try:
+        return isinstance(v, str) and b"\0" not in os.fsencode(v)
+    except UnicodeEncodeError:  # a lone surrogate that stands for no file-name byte
+        return False
+
+
+PATH_RULE = (_is_path, "a path: a string with no NUL that the file system encoding can encode")
+
 # Leaf rules by dotted section path ("" is the top level, "data" the input files)
 RULES = {
     "": {"seeds": ((lambda v: integers(0)[0](v) and 0 < len(v) == len(set(v))),
                    "a non-empty list of distinct integers >= 0"),
          "arms": ((lambda v: isinstance(v, list) and all(a in ARMS for a in v)
                    and 0 < len(v) == len(set(v))), f"a non-empty list of distinct {ARMS}"),
-         "output_dir": ((lambda v: isinstance(v, str)), "a path")},
+         "output_dir": PATH_RULE},
     "model": MODEL_RULES,
     "train_web": TRAIN_RULES,
     "train_clean": TRAIN_RULES,
     # one loss form: the key stays, false only, while perfbench/run.py writes it
     "loss": {"renormalize_modulated": ((lambda v: v is False), "false")},
-    "data": dict.fromkeys(("clean_train", "clean_test", "web"),
-                          ((lambda v: isinstance(v, str)), "a file path")),
+    "data": dict.fromkeys(("clean_train", "clean_test", "web"), PATH_RULE),
     "data.synth": {
         **CLEAN_RULES,
         "class_means": reals((2,), "null or num_classes lists of feature_dim numbers", True),
@@ -328,9 +339,8 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
     for i, stage in enumerate(arm_result.stages, start=1):
         stage_dir = cell_dir / f"stage{i}"
         stage_dir.mkdir(exist_ok=True)
-        ckpt = stage_dir / "checkpoint.wslckpt"
-        save_checkpoint(stage.params, ckpt)
-        checkpoint_hashes[f"stage{i}"] = fingerprint(ckpt.read_bytes())
+        checkpoint_hashes[f"stage{i}"] = fingerprint(
+            save_checkpoint(stage.params, stage_dir / "checkpoint.wslckpt"))
         with open(stage_dir / "log.jsonl", "w", encoding="utf-8") as fh:
             for entry in stage.log:
                 fh.write(canonical_json(entry) + "\n")
@@ -355,9 +365,7 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
                                   if arm_result.transition is not None else None),
         "web_access_log": arm_result.web_access_log,
     }
-    with open(cell_dir / "provenance.json", "w", encoding="utf-8") as fh:
-        json.dump(provenance, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(provenance, cell_dir / "provenance.json")
 
     return _summary_row(arm, seed, vars(report))
 
@@ -372,31 +380,26 @@ def _train_seeds(config: dict, files: tuple | None, model_cfg: ModelConfig) -> d
     """Train the arms of every seed together (``run_seeds``) from the run's
     ``model_cfg`` and map each seed to its (data, inputs, outcomes by arm).
     The data are ``files`` as ``cmd_run`` read them, or else the seed's
-    synthetic data; a toolkit or I/O error in a seed's data fails only that
-    seed's cells."""
+    synthetic data; a toolkit error in a seed's synthetic build fails only
+    that seed's cells."""
     arms, cells, built = config["arms"], {}, {}
     for seed in config["seeds"]:
         try:
             data, inputs = files or _with_inputs(build_cell_data(config, seed))
             built[seed] = data, inputs, SeedInputs(data[0], data[2], seed, inputs["web"])
-        except (WeblyError, OSError) as exc:
+        except WeblyError as exc:
             cells[seed] = None, None, dict.fromkeys(arms, exc)
-    try:
-        outcomes = run_seeds(arms, [seed_inputs for *_, seed_inputs in built.values()],
-                             _train_config(config["train_web"], 0),
-                             _train_config(config["train_clean"], 0), model_cfg)
-    except WeblyError as exc:
-        outcomes = [dict.fromkeys(arms, exc)] * len(built)
+    outcomes = run_seeds(arms, [seed_inputs for *_, seed_inputs in built.values()],
+                         _train_config(config["train_web"], 0),
+                         _train_config(config["train_clean"], 0), model_cfg)
     for (seed, (data, inputs, _)), outcome in zip(built.items(), outcomes):
         cells[seed] = data, inputs, outcome
     return {seed: cells[seed] for seed in config["seeds"]}
 
 
 def _write_summary(rows: list[dict], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(path, SUMMARY_FIELDS, [[str(row[key]) for row in rows] for key in SUMMARY_FIELDS],
+              np.empty((len(rows), 0)))
 
 
 def _print_aggregates(rows: list[dict], arms: list[str]) -> None:
@@ -453,9 +456,7 @@ def cmd_run(args) -> int:
         raise WeblyError(f"{out_dir} is not empty (use --overwrite)")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with open(out_dir / "effective_config.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(config, out_dir / "effective_config.json")
 
     for arm_dir in (out_dir / arm for arm in ARMS):  # every cell of an earlier run
         if arm_dir.exists():
@@ -494,9 +495,8 @@ def cmd_synth(args) -> int:
              out_dir / "web.json"]
     if any(f.exists() for f in files) and not args.overwrite:
         raise WeblyError(f"outputs exist in {out_dir} (use --overwrite)")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     clean_train, clean_test, web = build_synth_data(spec, seed_offset=offset)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_dataset_csv(clean_train, files[0])
     write_dataset_csv(clean_test, files[1])
     save_web_corpus(web, files[2])

@@ -9,8 +9,9 @@ Every member inherits its query's label, the only label training sees.
 Invariants are checked once, vectorised, when a dataset or corpus is built.
 The synthetic crawl draws its random numbers bag by bag, then computes all
 members at once.  The file formats are those of the former per-row model, byte
-for byte.  A CSV row is written as its texts and one join of its floats' ``repr``,
-and a CSV file is read whole, then checked; ``web.json`` is written and read one
+for byte.  Every CSV goes out through ``write_csv``, a row as its texts and one join of
+its floats' ``repr``, and every indented JSON document through ``write_json``; a CSV
+file is read whole, then checked; ``web.json`` is written and read one
 bag at a time, the reader keeping the columns and about one window of the text
 (1.2 times the file at 34,000 members).  The README says where the time goes.
 """
@@ -339,8 +340,7 @@ def _check_rows(path: Path, rows: list, d: int) -> None:
                              "ASCII numbers without '_'")
 
 
-def load_dataset(path: str | Path, num_classes: int | None = None,
-                 name: str | None = None) -> Dataset:
+def load_dataset(path: str | Path, num_classes: int | None = None) -> Dataset:
     """Load a dataset from CSV with header ``id,group_id,label,f0,...,f{D-1}``.
 
     The number of classes is inferred as max label + 1 unless ``num_classes``
@@ -390,18 +390,18 @@ def load_dataset(path: str | Path, num_classes: int | None = None,
         raise ValidationError(f"{path}: label {inferred_k - 1} exceeds num_classes={k}")
     try:
         return Dataset(ids=ids, group_ids=group_ids, X=X, y=labels, num_classes=k,
-                       name=name if name is not None else path.stem)
+                       name=path.stem)
     except ValidationError as exc:  # a duplicate id
         raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
     """Write a dataset in the CSV schema; floats use shortest exact repr."""
-    _write_csv(path, _expected_header(ds.feature_dim),
-               [ds.ids, ds.group_ids, map(str, ds.y.tolist())], ds.X)
+    write_csv(path, _expected_header(ds.feature_dim),
+              [ds.ids, ds.group_ids, map(str, ds.y.tolist())], ds.X)
 
 
-def _write_csv(path: str | Path, header: list[str], texts: list, x: np.ndarray) -> None:
+def write_csv(path: str | Path, header: list[str], texts: list, x: np.ndarray) -> None:
     """Write ``header`` and per row of ``x`` its texts in ``texts``, then its floats'
     shortest exact ``repr`` in one join, as the default ``csv.writer`` dialect does: a
     column with no comma, quote, CR, LF or NUL as it is, else each text as that writes it."""
@@ -566,6 +566,11 @@ def flatten_web(corpus: WebCorpus) -> Dataset:
 def canonical_json(doc) -> str:
     """Compact JSON with sorted keys: the toolkit's one stable serialization."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def write_json(doc, path: str | Path) -> None:
+    """Write ``doc`` as JSON with sorted keys, indented by 2, and a final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def save_web_corpus(corpus: WebCorpus, path: str | Path) -> None:

@@ -8,8 +8,6 @@ are reproducible.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -17,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _reject, _write_csv
+from .data import _reject, write_csv, write_json
 from .errors import ValidationError
 from .model import ModelParams, fingerprint, predict
 
@@ -176,7 +174,7 @@ def report_timestamp() -> str:
 
 
 def write_eval_json(report: EvalReport, path: str | Path, timestamp: str) -> None:
-    doc = {
+    write_json({
         "dataset": report.metadata.get("dataset"),
         "model": report.metadata.get("model"),
         "confusion": report.confusion.tolist(),
@@ -188,24 +186,18 @@ def write_eval_json(report: EvalReport, path: str | Path, timestamp: str) -> Non
         "auc_mean": report.auc_mean,
         "per_class_counts": report.per_class_counts.tolist(),
         "timestamp": timestamp,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    }, path)
 
 
 def write_eval_csv(report: EvalReport, path: str | Path) -> None:
     """Per-class rows for spreadsheet use: class, count, recall, auc."""
     row_sums = report.confusion.sum(axis=1)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "count", "recall", "auc"])
-        for c in range(report.confusion.shape[0]):
-            recall = (repr(float(report.confusion[c, c] / row_sums[c]))
-                      if row_sums[c] > 0 else "")
-            auc = report.auc_per_class[c]
-            writer.writerow([c, int(row_sums[c]), recall,
-                             "" if auc is None else repr(float(auc))])
+    recall = [repr(float(report.confusion[c, c] / n)) if n > 0 else ""
+              for c, n in enumerate(row_sums)]
+    auc = ["" if a is None else repr(float(a)) for a in report.auc_per_class]
+    write_csv(path, ["class", "count", "recall", "auc"],
+              [map(str, range(len(row_sums))), map(str, row_sums.tolist()), recall, auc],
+              np.empty((len(row_sums), 0)))
 
 
 def write_features_csv(ids: list[str], features: np.ndarray,
@@ -213,5 +205,5 @@ def write_features_csv(ids: list[str], features: np.ndarray,
     """id + penultimate-feature rows; floats use shortest exact repr."""
     if len(ids) != features.shape[0]:
         raise ValidationError("ids and feature rows must align")
-    _write_csv(path, ["id"] + [f"f{i}" for i in range(features.shape[1])], [ids],
-               features.astype(np.float64, copy=False))
+    write_csv(path, ["id"] + [f"f{i}" for i in range(features.shape[1])], [ids],
+              features.astype(np.float64, copy=False))

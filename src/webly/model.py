@@ -522,13 +522,13 @@ def _header_bytes(cfg: ModelConfig) -> bytes:
     return canonical_json({"config": asdict(cfg), "layers": layers}).encode("utf-8")
 
 
-def save_checkpoint(params: ModelParams, path: str | Path) -> None:
+def save_checkpoint(params: ModelParams, path: str | Path) -> bytes:
+    """Write ``params`` to ``path`` in the layout above; return the bytes written."""
     header = _header_bytes(params.config)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(params.flat.astype("<f8", copy=False).tobytes())
+    blob = b"".join([CHECKPOINT_MAGIC, struct.pack("<Q", len(header)), header,
+                     params.flat.astype("<f8", copy=False).tobytes()])
+    Path(path).write_bytes(blob)
+    return blob
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import csv_floats, csv_outcome, csv_texts
 from webly import cli, metrics, noise
 from webly.cli import DEFAULT_CONFIG, load_config, main
 from webly.data import (
@@ -126,6 +127,24 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(out),
                      "--seed", "x"]) == 2
         assert "'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, seed, message", [
+        (lambda doc: doc.update(data={"clean_train": "a.csv", "clean_test": "b.csv"}), "0",
+         "config has no data.synth section"),
+        (lambda doc: None, "0,1", "--seed '0,1': synth takes one seed offset"),
+        (lambda doc: doc["data"]["synth"].update(train_fraction=0.99), "0",
+         "train_fraction leaves no test groups"),
+    ], ids=["file-inputs", "two-seeds", "no-test-group"])
+    def test_config_or_seed_it_cannot_synthesize_exits_2_without_output(
+            self, tmp_path, capsys, edit, seed, message):
+        cfg = tiny_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        edit(doc)
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -299,6 +318,11 @@ class TestRun:
         ("model", "hidden_sizes", [10**20]),
         # the one loss form: the key is accepted as false only
         ("loss", "renormalize_modulated", True),
+        # paths the file system cannot take: a lone surrogate, a NUL
+        ("", "output_dir", "out-\ud800"),
+        ("", "output_dir", "out\u0000x"),
+        ("data", "clean_train", "train-\ud800.csv"),
+        ("data", "clean_train", "train\u0000.csv"),
     ]
 
     # ids from the case itself, so a case added anywhere renames no other
@@ -317,6 +341,12 @@ class TestRun:
             err = capsys.readouterr().err
             assert str(cfg) in err and (f"{section}.{key}" if section else key) in err
             assert not out.exists()
+
+    def test_output_dir_of_a_surrogate_escaped_byte_runs(self, tmp_path, monkeypatch):
+        # "\udcff" is how Python decodes the file-name byte 0xff: a valid path
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(tiny_config(tmp_path, output_dir="o\udcff"))]) == 0
+        assert (tmp_path / os.fsdecode(b"o\xff") / "summary.csv").exists()
 
     def test_file_inputs_need_both_clean_splits(self, tmp_path, capsys):
         cfg = tmp_path / "files.json"
@@ -742,6 +772,16 @@ class TestEval:
                                 f"model (non-finite posterior)\n")
         assert captured.out == "" and not out.exists()
 
+    def test_checkpoint_of_a_nan_parameter_exits_2_naming_it(self, tmp_path, capsys):
+        ckpt, out = tmp_path / "m.wslckpt", tmp_path / "out"
+        save_checkpoint(init_params(ModelConfig(input_dim=4, hidden_sizes=[2],
+                                                num_classes=3)), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:-8] + np.array([np.nan], "<f8").tobytes())  # last bias
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "d.csv"),
+                     "--out", str(out)]) == 2
+        assert f"error: {ckpt}: non-finite parameter" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_nonzero_without_output(self, tmp_path):
         eval_dir = tmp_path / "eval"
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.wslckpt"),
@@ -876,6 +916,23 @@ class TestReport:
             assert f"note: skipping {tmp_path / 'BL1' / name}: not a seed directory" in err
         assert err.count("note: skipping") == 3
 
+    def test_missing_run_directory_exits_2_naming_it(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["report", "--runs", str(runs)]) == 2
+        assert f"error: run directory {runs} not found" in capsys.readouterr().err
+        assert not runs.exists()
+
+    def test_skips_non_arm_directories_and_fails_a_cell_without_eval_json(self, tmp_path):
+        self.write_cells(tmp_path, "0")
+        (tmp_path / "BL1" / "1").mkdir()
+        (tmp_path / "notes" / "0").mkdir(parents=True)
+        (tmp_path / "notes" / "0" / "eval.json").write_text(
+            (tmp_path / "BL1" / "0" / "eval.json").read_text())
+        assert main(["report", "--runs", str(tmp_path)]) == 0
+        assert [(r["arm"], r["seed"], r["status"], r["error"])
+                for r in read_summary(tmp_path / "summary.csv")] == [
+            ("BL1", "0", "ok", ""), ("BL1", "1", "failed", "missing eval.json")]
+
     def test_malformed_eval_json_is_a_failed_row_naming_the_file(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=[0, 1, 2, 3, 4])
         out = tmp_path / "runs"
@@ -893,6 +950,28 @@ class TestReport:
             assert str(out / "BL1" / seed / "eval.json") in rows[seed]["error"]
         assert "accuracy inf" in rows["2"]["error"] and "accuracy 1.5" in rows["3"]["error"]
         assert rows["4"]["status"] == "ok"
+
+
+def reference_write_summary(rows, path):
+    """The summary.csv writer that wrote the rows with ``csv.DictWriter``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=cli.SUMMARY_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+class TestSummaryCsv:
+    SCORES = st.fixed_dictionaries({"accuracy": csv_floats, "macro_recall": csv_floats,
+                                    "kappa": csv_floats, "auc_mean": st.none() | csv_floats})
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.builds(cli._summary_row, st.sampled_from(cli.ARMS),
+                                   st.integers(0, 2**63), st.none() | SCORES,
+                                   csv_texts | st.text()), max_size=4))
+    def test_rows_of_any_error_text_as_csv_dictwriter_writes_them(self, tmp_path, rows):
+        assert (csv_outcome(cli._write_summary, tmp_path / "new.csv", rows)
+                == csv_outcome(reference_write_summary, tmp_path / "old.csv", rows))
 
 
 class TestOutputPathOfTheWrongKind:
@@ -1089,10 +1168,29 @@ class TestDefaultConfigBytes:
         "Proposed/0/stage2": "3080cd7e0b09144362ff1ab8cffdff5a4e4592cd8d1306ce2ae763a7b2a932b0",
     }
 
+    # SHA-256 of the reports of that run, made with SOURCE_DATE_EPOCH=0
+    REPORT_SHA256 = {
+        "BL1/0/eval.csv": "df0ad143315d9163a982012f4ebc87769110b04fbb9aaa9cc63f0bcec1375339",
+        "BL2/0/eval.csv": "7717affa03e4c276c59e6624613d10be6996f9d48d8ef2f0e1a54f62cd198aa6",
+        "Proposed/0/eval.csv": "9e55cae432ceb710821ca0516f1babc066a0be1d0dcd0f2e65f2a3d9f918a553",
+        "BL1/0/eval.json": "52052856f0c2f76655691c101b0945c33c4ebe2fb7ab9e427eca557c09204d13",
+        "BL2/0/eval.json": "765bc982b5fcdf952ed8dadc6bba9d867f272f741b2b55ca3971db30584d8eb2",
+        "Proposed/0/eval.json": "fc390707de71e0a407d19f1a23c902d7fe0064a6509ef4e1c88aa18458ebabd7",
+        "BL1/0/provenance.json":
+            "2d8aec29db41c67b67a3180582508d5a19f7ea36f97cfb2d84d6b019861255d8",
+        "BL2/0/provenance.json":
+            "cbe79a2ad52f6b41d4f8d3391c79cdd2c13c43d799bd995ccdd6fdb52f187c8c",
+        "Proposed/0/provenance.json":
+            "776fb8210fd52acd54deefd89c19533b75f7ea9740ddd377caac415ed65ac461",
+        "summary.csv": "9e8dd08fe7481a93e5d5ffd1ca4d75d8c1ac3f451a143bc7053c352570bfa1a4",
+    }
+
     @pytest.fixture(scope="class")
     def default_run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("default") / "runs"
-        assert main(["run", "--out", str(out), "--seed", "0"]) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("SOURCE_DATE_EPOCH", "0")
+            assert main(["run", "--out", str(out), "--seed", "0"]) == 0
         return out
 
     def test_run_checkpoint_bytes(self, default_run):
@@ -1110,6 +1208,17 @@ class TestDefaultConfigBytes:
             got[str(path.parent.relative_to(default_run))] = hashlib.sha256(
                 text.encode()).hexdigest()
         assert got == self.LOG_SHA256
+
+    def test_run_report_bytes(self, default_run):
+        got = {name: hashlib.sha256((default_run / name).read_bytes()).hexdigest()
+               for name in self.REPORT_SHA256}
+        assert got == self.REPORT_SHA256
+
+    def test_effective_config_bytes(self, default_run):
+        # it holds the run's tmp output path, so it is checked against its own reading
+        text = (default_run / "effective_config.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert json.loads(text) == {**DEFAULT_CONFIG, "output_dir": str(default_run)}
 
     # SHA-256 of the files of ``estimate-noise`` and ``eval --export-features`` run on
     # the default synth data with that run's BL1 stage-1 checkpoint (SOURCE_DATE_EPOCH=0)

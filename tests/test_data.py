@@ -434,6 +434,13 @@ class TestSynthWebCorpus:
         assert np.array_equal(flatten_web(a).X, flatten_web(b).X)
         assert np.array_equal(a.true_labels_hidden, b.true_labels_hidden)
 
+    def test_clean_split_lacking_a_class_rejected(self):
+        clean = make_clean()
+        noise = NoiseSpec(cross_category_kernel=np.eye(3),
+                          cross_domain_rate=0.0, bag_size=2, seed=0)
+        with pytest.raises(ValidationError, match="class 2 absent from clean corpus"):
+            synth_web_corpus(clean.take(clean.y != 2, "no-class-2"), noise, BackgroundSpec())
+
     def test_nonpositive_background_scale_rejected(self):
         with pytest.raises(ValidationError, match="scale"):
             BackgroundSpec(mean_offset=1.0, scale=0.0)

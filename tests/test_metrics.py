@@ -11,6 +11,7 @@ from conftest import csv_floats, csv_outcome, csv_texts, make_clean_dataset
 from webly.data import Dataset
 from webly.errors import ValidationError
 from webly.metrics import (
+    EvalReport,
     _midranks,
     accuracy,
     cohens_kappa,
@@ -250,6 +251,20 @@ class TestEvaluate:
         assert report.auc_mean == pytest.approx(np.mean(defined))
 
 
+def reference_write_eval_csv(report, path):
+    """The eval.csv writer that wrote each class's row with ``csv.writer``."""
+    row_sums = report.confusion.sum(axis=1)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["class", "count", "recall", "auc"])
+        for c in range(report.confusion.shape[0]):
+            recall = (repr(float(report.confusion[c, c] / row_sums[c]))
+                      if row_sums[c] > 0 else "")
+            auc = report.auc_per_class[c]
+            writer.writerow([c, int(row_sums[c]), recall,
+                             "" if auc is None else repr(float(auc))])
+
+
 class TestReportFiles:
     def make_report(self):
         ds = make_clean_dataset(k=3, per_class=6, seed=13)
@@ -274,6 +289,30 @@ class TestReportFiles:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 3
         assert lines[0] == "class,count,recall,auc"
+
+    def test_one_class_dataset_has_no_auc(self, tmp_path):
+        ds = make_clean_dataset(k=2, per_class=5, seed=15)
+        report = evaluate(init_params(ModelConfig(input_dim=2, hidden_sizes=[3], num_classes=2)),
+                          ds.take(ds.y == 0, "class-0-only"))
+        assert report.auc_notes == {0: "no negative examples", 1: "class absent from dataset"}
+        assert report.auc_per_class == [None, None] and report.auc_mean is None
+        write_eval_csv(report, tmp_path / "eval.csv")
+        assert (tmp_path / "eval.csv").read_text().splitlines()[1:] == [
+            f"0,5,{report.confusion[0, 0] / 5:.1f},", "1,0,,"]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_eval_csv_as_csv_writer_writes_it(self, tmp_path, data):
+        k = data.draw(st.integers(1, 5))
+        confusion = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=k, max_size=k), min_size=k, max_size=k)))
+        aucs = data.draw(st.lists(st.none() | csv_floats, min_size=k, max_size=k))
+        report = EvalReport(confusion=confusion, accuracy=0.0, macro_recall=0.0, kappa=0.0,
+                            auc_per_class=aucs, auc_notes={}, auc_mean=None,
+                            per_class_counts=confusion.sum(axis=1), metadata={})
+        assert (csv_outcome(write_eval_csv, tmp_path / "new.csv", report)
+                == csv_outcome(reference_write_eval_csv, tmp_path / "old.csv", report))
 
 
 class TestMacroRecall:
