@@ -62,6 +62,7 @@ from .metrics import (
 from .model import (
     MODEL_RULES,
     ModelConfig,
+    check_fit,
     fingerprint,
     load_checkpoint,
     penultimate_features,
@@ -287,6 +288,9 @@ def synth_specs(spec: dict, seed_offset: int = 0
                           bag_size=noise["bag_size"], seed=noise["seed"] + seed_offset)
         background = BackgroundSpec(**spec["background"])
         check_crawl_fits(crawl, background, k, d)
+        if min(clean.groups_per_class, max(clean.class_counts)) < 2:  # ids cycle per class
+            raise ValidationError(f"groups_per_class {clean.groups_per_class} and data.synth"
+                                  f".class_counts {clean.class_counts} make 1 group; splits need 2")
     except ValidationError as exc:
         raise ValidationError(f"data.synth.{exc}") from None
     return clean, crawl, background
@@ -296,8 +300,11 @@ def build_synth_data(spec: dict, seed_offset: int = 0
                      ) -> tuple[Dataset, Dataset, WebCorpus]:
     """Materialize (clean_train, clean_test, web) from a synthetic data spec."""
     clean, crawl, background = synth_specs(spec, seed_offset)
-    clean_train, clean_test = grouped_split(
-        synth_clean(clean), spec["train_fraction"], spec["split_seed"] + seed_offset)
+    try:  # seeded by split_seed + seed_offset, a split may fail at some offsets only
+        clean_train, clean_test = grouped_split(
+            synth_clean(clean), spec["train_fraction"], spec["split_seed"] + seed_offset)
+    except ValidationError as exc:
+        raise ValidationError(f"data.synth.{exc}") from None
     return clean_train, clean_test, synth_web_corpus(clean_train, crawl, background)
 
 
@@ -441,13 +448,12 @@ def cmd_run(args) -> int:
                                   f"{data['clean_train']})") from None
         test = load_dataset(data["clean_test"], num_classes=train.num_classes)
         web = load_web_corpus(data["web"]) if data.get("web") else None
-        for name, part in (("clean_test", test), ("web", web)):
-            if part is not None and part.X.shape[1] != train.feature_dim:
-                raise ValidationError(f"{data[name]}: feature_dim {part.X.shape[1]} does not "
-                                      f"match {data['clean_train']}'s {train.feature_dim}")
-        if web is not None and web.num_classes != train.num_classes:
-            raise ValidationError(f"{data['web']}: num_classes {web.num_classes} does not "
-                                  f"match {data['clean_train']}'s {train.num_classes}")
+        try:
+            for name, part in (("clean_test", test), ("web", web)):
+                if part is not None:
+                    check_fit(model_cfg, part)
+        except ValidationError as exc:
+            raise ValidationError(f"{data[name]}: {exc} (sized by {data['clean_train']})") from None
         files = _with_inputs((train, test, web))
     arms, timestamp = config["arms"], report_timestamp()
 
@@ -486,7 +492,7 @@ def cmd_synth(args) -> int:
     config = load_config(args.config)
     spec = config["data"].get("synth")
     if spec is None:
-        raise ValidationError("config has no data.synth section")
+        raise ValidationError(f"{args.config}: config has no data.synth section")
     offset, *more = _parse_seeds(args.seed or "0")
     if more:
         raise ValidationError(f"--seed {args.seed!r}: synth takes one seed offset")
@@ -495,7 +501,10 @@ def cmd_synth(args) -> int:
              out_dir / "web.json"]
     if any(f.exists() for f in files) and not args.overwrite:
         raise WeblyError(f"outputs exist in {out_dir} (use --overwrite)")
-    clean_train, clean_test, web = build_synth_data(spec, seed_offset=offset)
+    try:
+        clean_train, clean_test, web = build_synth_data(spec, seed_offset=offset)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.config}: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     write_dataset_csv(clean_train, files[0])
     write_dataset_csv(clean_test, files[1])
@@ -517,23 +526,17 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     timestamp = report_timestamp()
     params = load_checkpoint(args.checkpoint)
-    if args.export_features and not params.config.hidden_sizes:
-        raise ValidationError(f"{args.checkpoint}: model has no hidden layer "
-                              "to export features from")
     ds = load_dataset(args.data, num_classes=params.config.num_classes)
-    if ds.feature_dim != params.config.input_dim:
-        raise ValidationError(f"{args.data}: feature_dim {ds.feature_dim} does not fit "
-                              f"{args.checkpoint}'s input_dim {params.config.input_dim}")
-    try:
+    try:  # everything is computed before --out is made
         report = evaluate(params, ds)
+        feats = penultimate_features(params, ds) if args.export_features else None
     except ValidationError as exc:
-        raise ValidationError(f"{args.checkpoint}: {exc}") from None
+        raise ValidationError(f"{args.data}, {args.checkpoint}: {exc}") from None
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_eval_json(report, out_dir / "eval.json", timestamp)
     write_eval_csv(report, out_dir / "eval.csv")
-    if args.export_features:
-        feats = penultimate_features(params, ds)
+    if feats is not None:
         write_features_csv(ds.ids, feats, out_dir / "features.csv")
     print(f"accuracy={report.accuracy:.4f} macro_recall={report.macro_recall:.4f} "
           f"kappa={report.kappa:.4f} "
@@ -555,7 +558,7 @@ def cmd_estimate_noise(args) -> int:
     print(f"row sums: {[f'{s:.12f}' for s in diag.row_sums]}")
     print(f"diagonally dominant rows: {diag.diagonally_dominant} "
           f"(all: {diag.all_rows_dominant})")
-    for row in diag.entries:
+    for row in transition.entries:
         print("  " + " ".join(f"{v:.6f}" for v in row))
     return 0
 

@@ -609,10 +609,7 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
         row = obj["features"]
         if bool in map(type, row):
             raise TypeError("a member feature is a boolean")
-        try:  # a list, the usual case, in one resize; anything else as extend reads it
-            features.fromlist(row)
-        except TypeError:
-            features.extend(row)
+        features.fromlist(row)  # a list in one resize; anything else is a TypeError
         widths.add(len(row))
         member_ids.append(obj["id"])
         return _MEMBER

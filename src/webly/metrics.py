@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import _reject, write_csv, write_json
 from .errors import ValidationError
-from .model import ModelParams, fingerprint, predict
+from .model import ModelParams, check_fit, fingerprint, predict
 
 
 @dataclass
@@ -115,9 +115,8 @@ def evaluate(params: ModelParams, ds) -> EvalReport:
     """
     if len(ds) == 0:
         raise ValidationError("cannot evaluate on an empty dataset")
+    check_fit(params.config, ds)
     k = ds.num_classes
-    if params.config.num_classes != k:
-        raise ValidationError(f"model has {params.config.num_classes} classes, dataset has {k}")
     posteriors = predict(params, ds)
     _reject(~np.isfinite(posteriors).all(axis=1), ds.ids,
             "row {id!r}: its features overflow the model (non-finite posterior)")

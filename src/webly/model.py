@@ -93,6 +93,14 @@ class ModelConfig:
         return list(zip(sizes[:-1], sizes[1:]))
 
 
+def check_fit(config: ModelConfig, data) -> None:
+    """Raise ValidationError unless ``data`` (a Dataset or a WebCorpus) fits the model."""
+    d, k = data.X.shape[1], data.num_classes
+    if (d, k) != (config.input_dim, config.num_classes):
+        raise ValidationError(f"feature_dim {d} and num_classes {k} do not fit a model of "
+                              f"input_dim {config.input_dim} and num_classes {config.num_classes}")
+
+
 class ModelParams:
     """Every weight and bias of a model in one float64 vector, ``flat``.
 
@@ -423,13 +431,13 @@ def backward(cache: ForwardCache, logit_grads: np.ndarray) -> np.ndarray:
     return cache.grad
 
 
-def _eval_blocks(params: ModelParams, n: int, seeds: int = 1) -> tuple[ForwardCache, list]:
-    """An eval workspace to score ``n`` rows (per seed of a stage's stack of
-    ``seeds``) and the slices of its equal blocks, of ``EVAL_BLOCK // seeds``
+def _eval_blocks(params: ModelParams, n: int) -> tuple[ForwardCache, list]:
+    """An eval workspace to score ``n`` rows (per seed, for a stage's (S, A, P)
+    stack of S seeds) and the slices of its equal blocks, of ``EVAL_BLOCK // S``
     rows but at least 2 and at most ``n``, the last ending at row ``n``: a row
     gets the same BLAS bits in any block of two or more rows, as in one pass
     over all ``n``, but numpy scores a lone row by matrix-vector product."""
-    block = min(n, max(2, EVAL_BLOCK // seeds))
+    block = min(n, max(2, EVAL_BLOCK // math.prod(params.flat.shape[:-2])))
     starts = (min(lo, n - block) for lo in range(0, n, block or 1))
     return ForwardCache(params, block), [slice(lo, lo + block) for lo in starts]
 

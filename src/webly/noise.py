@@ -18,7 +18,7 @@ import numpy as np
 from .data import (WebCorpus, _reject, canonical_json, check_fields, check_row_stochastic,
                    flatten_web, integer, reals)
 from .errors import ParseError, ValidationError
-from .model import ModelParams, fingerprint, predict
+from .model import ModelParams, check_fit, fingerprint, predict
 
 
 @dataclass
@@ -43,7 +43,6 @@ class TransitionDiagnostics:
     row_sums: np.ndarray
     diagonally_dominant: list[bool]
     all_rows_dominant: bool
-    entries: np.ndarray
 
 
 def estimate_transition(oracle: ModelParams, corpus: WebCorpus,
@@ -54,15 +53,10 @@ def estimate_transition(oracle: ModelParams, corpus: WebCorpus,
     ties go to the lowest flattened index.  The matrix is estimated once,
     globally; callers hold it fixed during training.  A caller that already
     holds ``fingerprint(corpus)`` passes it, so the corpus is not hashed again.
-    A corpus of another class count or feature dim than the oracle's raises
+    A corpus that does not fit the oracle (``check_fit``) raises
     ValidationError, as does a member whose posterior is not finite, naming it.
     """
-    if oracle.config.num_classes != corpus.num_classes:
-        raise ValidationError(f"oracle has {oracle.config.num_classes} classes, corpus has "
-                              f"{corpus.num_classes}")
-    if oracle.config.input_dim != corpus.X.shape[1]:
-        raise ValidationError(f"corpus feature_dim {corpus.X.shape[1]} does not fit the "
-                              f"oracle's input_dim {oracle.config.input_dim}")
+    check_fit(oracle.config, corpus)  # before flatten_web, which ticks access_count
     flat = flatten_web(corpus)
     posteriors = predict(oracle, flat)
     _reject(~np.isfinite(posteriors).all(axis=1), flat.ids,
@@ -87,8 +81,7 @@ def validate_transition(t: TransitionMatrix) -> TransitionDiagnostics:
     dominant = (np.diagonal(entries) > off.max(axis=1)).tolist()
     return TransitionDiagnostics(row_sums=entries.sum(axis=1),
                                  diagonally_dominant=dominant,
-                                 all_rows_dominant=all(dominant),
-                                 entries=entries)
+                                 all_rows_dominant=all(dominant))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from .loss import example_losses, median_frequency_weights, modulated_cross_entr
 # perfbench/tracing.py wraps this name as its loss.call span (its selftest needs it);
 # train_stage calls the _rows form, so the span records no call in training.
 from .loss import modulated_cross_entropy  # noqa: F401
-from .model import (ForwardCache, ModelConfig, ModelParams, _eval_blocks, backward,
+from .model import (ForwardCache, ModelConfig, ModelParams, _eval_blocks, backward, check_fit,
                     forward_layers, init_params, pcg64_states, rewind)
 from .noise import TransitionMatrix, estimate_transition
 
@@ -193,8 +193,7 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None):
     for d in ds.datasets:
         if len(d) != n:
             raise ValidationError(f"stacked datasets of {n} and {len(d)} rows")
-        if d.feature_dim != params.config.input_dim or d.num_classes != k:
-            raise ValidationError("dataset dims do not match model config")
+        check_fit(params.config, d)
     # a seed missing a class fails its members, a transition of another k its own member
     size, per_seed = params.flat.shape[-1], len(members) // seeds
     outcome: list = [None] * len(members)
@@ -229,7 +228,7 @@ def train_stage(init, ds, cfg: TrainConfig, transition=None):
     full = ForwardCache(grouped, rows, train=True)
     step_caches = [full] * (len(starts) - 1) + [
         full if last == rows else ForwardCache(grouped, last, train=True)]
-    scoring, blocks = _eval_blocks(grouped, n, seeds)  # each epoch's accuracy
+    scoring, blocks = _eval_blocks(grouped, n)  # each epoch's accuracy
     predicted = np.empty((seeds, per_seed, n), np.intp)
     scores = np.empty((seeds, per_seed, n))  # each step's scores, made losses per epoch
     velocity = np.zeros_like(grouped.flat)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import csv_floats, csv_outcome, csv_texts
-from webly import cli, metrics, noise
+from webly import cli, metrics, noise, train
 from webly.cli import DEFAULT_CONFIG, load_config, main
 from webly.data import (
     WebCorpus,
@@ -24,7 +24,7 @@ from webly.data import (
     save_web_corpus,
     write_dataset_csv,
 )
-from webly.errors import WeblyError
+from webly.errors import ValidationError, WeblyError
 from webly.model import ModelConfig, ModelParams, init_params, save_checkpoint
 from webly.noise import load_transition
 
@@ -132,10 +132,15 @@ class TestSynth:
     @pytest.mark.parametrize("edit, seed, message", [
         (lambda doc: doc.update(data={"clean_train": "a.csv", "clean_test": "b.csv"}), "0",
          "config has no data.synth section"),
+        (lambda doc: doc.update(data={"clean_train": "a.csv", "clean_test": "b.csv"}), "0",
+         "config.json: config has no data.synth section"),
         (lambda doc: None, "0,1", "--seed '0,1': synth takes one seed offset"),
         (lambda doc: doc["data"]["synth"].update(train_fraction=0.99), "0",
          "train_fraction leaves no test groups"),
-    ], ids=["file-inputs", "two-seeds", "no-test-group"])
+        (lambda doc: doc["data"]["synth"].update(train_fraction=0.99), "0",
+         "config.json: data.synth.train_fraction leaves no test groups"),
+    ], ids=["file-inputs", "file-inputs-names-the-file", "two-seeds", "no-test-group",
+            "no-test-group-names-the-key"])
     def test_config_or_seed_it_cannot_synthesize_exits_2_without_output(
             self, tmp_path, capsys, edit, seed, message):
         cfg = tiny_config(tmp_path)
@@ -323,6 +328,9 @@ class TestRun:
         ("", "output_dir", "out\u0000x"),
         ("data", "clean_train", "train-\ud800.csv"),
         ("data", "clean_train", "train\u0000.csv"),
+        # a grouped split needs two groups: group ids cycle within each class
+        ("data.synth", "groups_per_class", 1),
+        ("data.synth", "class_counts", [1, 1, 1, 1, 1]),
     ]
 
     # ids from the case itself, so a case added anywhere renames no other
@@ -391,6 +399,22 @@ class TestRun:
         assert str(cfg) in err and "model.hidden_sizes" in err
         assert "input_dim 8 and num_classes 5" in err and "clean_train.csv" in err
         assert "web.json" not in err and not out.exists()
+
+    def test_split_failing_at_some_seeds_fails_only_their_cells_naming_the_key(self, tmp_path):
+        # at the paper's shape, train_fraction 0.8 leaves no test group at seeds 0, 1, 2, 5
+        # and 8 (split_seed + seed), and splits at seeds 3, 4, 6, 7 and 9
+        doc = json.loads(TestPaperShapedConfigs.CONFIGS.joinpath("paper_shaped.json").read_text())
+        doc["data"]["synth"]["train_fraction"] = 0.8
+        doc.update(train_web={"epochs": 1}, train_clean={"epochs": 1}, seeds=[0, 3])
+        cfg, out = tmp_path / "paper.json", tmp_path / "out"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = read_summary(out / "summary.csv")
+        assert {(r["seed"], r["status"]) for r in rows} == {("0", "failed"), ("3", "ok")}
+        for row in rows:
+            if row["seed"] == "0":
+                assert row["error"] == ("ValidationError: data.synth.train_fraction leaves no "
+                                        "test groups")
 
     @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
     def test_bad_source_date_epoch_exits_2_without_output(self, tmp_path, capsys,
@@ -768,8 +792,8 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data / "clean_test.csv"),
                      "--out", str(out)]) == 2
         captured = capfd.readouterr()
-        assert captured.err == (f"error: {ckpt}: row {first!r}: its features overflow the "
-                                f"model (non-finite posterior)\n")
+        assert captured.err == (f"error: {data / 'clean_test.csv'}, {ckpt}: row {first!r}: its "
+                                f"features overflow the model (non-finite posterior)\n")
         assert captured.out == "" and not out.exists()
 
     def test_checkpoint_of_a_nan_parameter_exits_2_naming_it(self, tmp_path, capsys):
@@ -792,6 +816,29 @@ class TestEval:
 
 
 class TestEstimateNoise:
+    # what estimate-noise prints after "wrote <out>" for the default synth corpus and
+    # the BL1 stage-1 checkpoint of a default run at seed 0
+    DEFAULT_STDOUT = (
+        "row sums: ['1.000000000000', '1.000000000000', '1.000000000000', '1.000000000000', "
+        "'1.000000000000']\n"
+        "diagonally dominant rows: [True, True, True, True, True] (all: True)\n"
+        "  0.999974 0.000001 0.000014 0.000000 0.000012\n"
+        "  0.000000 0.999997 0.000003 0.000000 0.000000\n"
+        "  0.000000 0.000000 1.000000 0.000000 0.000000\n"
+        "  0.000003 0.000000 0.000000 0.999995 0.000002\n"
+        "  0.000000 0.000004 0.000036 0.000000 0.999960\n")
+
+    def test_stdout_at_the_default_config(self, tmp_path, capsys):
+        cfg, data, runs = tmp_path / "bl1.json", tmp_path / "data", tmp_path / "runs"
+        cfg.write_text(json.dumps({"arms": ["BL1"]}))  # BL1 trains as in a run of every arm
+        assert main(["synth", "--out", str(data)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(runs), "--seed", "0"]) == 0
+        ckpt, out = runs / "BL1/0/stage1/checkpoint.wslckpt", tmp_path / "transition.json"
+        capsys.readouterr()
+        assert main(["estimate-noise", "--checkpoint", str(ckpt), "--web", str(data / "web.json"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n" + self.DEFAULT_STDOUT
+
     def test_byte_identical_rerun_and_diagnostics(self, tmp_path, capsys):
         cfg0 = tiny_config(tmp_path)
         data_dir = tmp_path / "files"
@@ -871,6 +918,83 @@ class TestEstimateNoise:
         assert str(data / "web.json") in err and str(ckpt) in err
         assert "feature_dim 4" in err and "input_dim 8" in err
         assert "batch shape" not in err and not out.exists()
+
+
+def synth_files(tmp_path, name, **synth):
+    """The files ``webly synth`` writes to ``tmp_path / name`` for the tiny
+    config (4 features, 3 classes) with ``synth`` over its data.synth."""
+    doc = json.loads(tiny_config(tmp_path).read_text())
+    doc["data"]["synth"].update(synth)
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    return {"clean_train": tmp_path / name / "clean_train.csv",
+            "clean_test": tmp_path / name / "clean_test.csv",
+            "web": tmp_path / name / "web.json"}
+
+
+class TestOneFitRule:
+    """Every place where data meet a model rejects data of another feature_dim
+    or class count with ``model.check_fit``'s one message; the verbs name the
+    files it came from."""
+
+    RUN_FILES = {  # a file input of other dims, and the data.synth it is made from
+        "run-clean_test-features": ("clean_test", {"feature_dim": 5}),
+        "run-web-features": ("web", {"feature_dim": 5}),
+        "run-web-classes": ("web", {"num_classes": 4, "class_counts": [16, 12, 8, 8]}),
+    }
+
+    @staticmethod
+    def message(d, k, model_dims):
+        return (f"feature_dim {d} and num_classes {k} do not fit a model of "
+                f"input_dim {model_dims[0]} and num_classes {model_dims[1]}")
+
+    @pytest.mark.parametrize("site", ["train_stage", "train_stage-stacked",
+                                      "estimate_transition", "evaluate", "eval",
+                                      "estimate-noise", *RUN_FILES])
+    def test_every_site_raises_the_one_message(self, tmp_path, capsys, site):
+        files, out = synth_files(tmp_path, "data"), tmp_path / "out"
+        model = init_params(ModelConfig(input_dim=8, hidden_sizes=[2], num_classes=3))
+        ckpt = tmp_path / "m.wslckpt"
+        save_checkpoint(model, ckpt)
+        ds, web = load_dataset(files["clean_train"]), load_web_corpus(files["web"])
+        want, cfg = self.message(4, 3, (8, 3)), train.TrainConfig(epochs=1, batch_size=8)
+        calls = {
+            "train_stage": lambda: train.train_stage(model, ds, cfg),
+            "train_stage-stacked": lambda: train.train_stage(
+                [model, model], train.SeedStack([ds, ds], [0, 1]), cfg, [None, None]),
+            "estimate_transition": lambda: noise.estimate_transition(model, web),
+            "evaluate": lambda: metrics.evaluate(model, ds),
+        }
+        if site in calls:
+            with pytest.raises(ValidationError) as info:
+                calls[site]()
+            assert str(info.value) == want
+            assert web.access_count == 0  # a corpus that does not fit is never flattened
+            return
+        capsys.readouterr()
+        if site == "eval":
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(files["clean_test"]),
+                    "--out", str(out), "--export-features"]
+            want = f"{files['clean_test']}, {ckpt}: {want}"
+        elif site == "estimate-noise":
+            argv = ["estimate-noise", "--checkpoint", str(ckpt), "--web", str(files["web"]),
+                    "--out", str(out)]
+            want = f"{files['web']}, oracle {ckpt}: {want}"
+        else:  # run on file inputs sizes the model from clean_train: 4 features, 3 classes
+            name, synth = self.RUN_FILES[site]
+            files[name] = synth_files(tmp_path, "other", **synth)[name]
+            doc = json.loads(tiny_config(tmp_path, arms=["BL1", "BL2"]).read_text())
+            doc["data"] = {key: str(path) for key, path in files.items()}
+            cfg_path = tmp_path / "files.json"
+            cfg_path.write_text(json.dumps(doc))
+            argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+            d, k = synth.get("feature_dim", 4), synth.get("num_classes", 3)
+            want = (f"{files[name]}: {self.message(d, k, (4, 3))} "
+                    f"(sized by {files['clean_train']})")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
 
 
 class TestReport:

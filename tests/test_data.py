@@ -649,6 +649,15 @@ class TestWebCorpusJson:
             with pytest.raises(ParseError, match=re.escape(str(path))):
                 load_web_corpus(path)
 
+    @pytest.mark.parametrize("features", ['"0.5"', '""', '{"a":0.5}', "{}", "0.5", "null",
+                                          '["0.5",-1.25]', "[0.5,true]"])
+    def test_features_not_a_list_of_numbers_raise_parse_error_naming_the_path(
+            self, tmp_path, features):
+        path = tmp_path / "web.json"
+        path.write_text(SMALL_WEB_JSON.replace("[0.5,-1.25]", features))
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            load_web_corpus(path)
+
     def test_escaped_surrogate_pair_is_one_character_of_an_id(self, tmp_path):
         path = tmp_path / "web.json"
         path.write_text(SMALL_WEB_JSON.replace('"q0-w1"', '"\\ud83d\\ude00"'))
