@@ -5,7 +5,8 @@ Verbs: ``synth`` writes a synthetic clean split plus a simulated web corpus;
 seed's arms trained together (``train.run_seeds``) on input files read once
 per run, or on synthetic data built per seed;
 ``eval`` scores a checkpoint on a dataset; ``estimate-noise`` runs transition
-estimation standalone; ``report`` re-aggregates summaries from existing runs.
+estimation standalone; ``report`` re-aggregates summaries and paired verdicts
+from existing runs.
 
 Configuration is a single JSON document; all defaults are materialized into
 ``effective_config.json`` inside the run directory so a run can be reproduced
@@ -17,9 +18,12 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import shutil
+import statistics
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +55,7 @@ from .data import (
     write_dataset_csv,
     write_json,
 )
-from .errors import ParseError, ValidationError, WeblyError
+from .errors import ParseError, ValidationError, WeblyError, named
 from .metrics import (
     evaluate,
     report_timestamp,
@@ -127,6 +131,7 @@ DEFAULT_CONFIG = {
 SYNTH_MAX_VALUES = 2**27  # float64 values (1 GiB) a data.synth section may ask for
 SCORES = ("accuracy", "macro_recall", "kappa", "auc_mean")
 SUMMARY_FIELDS = ["arm", "seed", "status", *SCORES, "error"]
+VERDICT_FIELDS = ["earlier", "later", "accuracy_diff", "se", "t", "n", "left_out"]
 
 
 def _is_path(v) -> bool:
@@ -198,12 +203,10 @@ def load_config(path: str | None) -> dict:
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    try:
+    with named(f"{path}: cannot read a JSON document: ", ParseError, (OSError, ValueError)):
         with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: JSON syntax or UTF-8 decoding
-        raise ParseError(f"{path}: cannot read a JSON document: {exc}") from None
-    try:
+            user = json.load(fh)  # ValueError: JSON syntax or UTF-8 decoding
+    with named(f"{path}: "):
         config = _checked(DEFAULT_CONFIG, user, "")
         keep = config["model"]["dropout_keep_prob"]
         for section in ("train_web", "train_clean"):  # dropout is set in model only
@@ -213,12 +216,8 @@ def load_config(path: str | None) -> dict:
         if "synth" in config["data"]:
             clean, _, _ = synth_specs(config["data"]["synth"])
             dims = clean.feature_dim, clean.num_classes
-        try:
+        with named("model."):
             _model_config(config, *dims, 0)
-        except ValidationError as exc:
-            raise ValidationError(f"model.{exc}") from None
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     return config
 
 
@@ -274,7 +273,7 @@ def synth_specs(spec: dict, seed_offset: int = 0
     if means is None:
         means = np.zeros((k, d))
         means[np.arange(k), np.arange(k) % d] = spec["separation"]
-    try:
+    with named("data.synth."):
         clean = CleanSpec(num_classes=k, feature_dim=d, class_means=means,
                           sigma=spec["sigma"], class_counts=list(spec["class_counts"]),
                           groups_per_class=spec["groups_per_class"],
@@ -291,8 +290,6 @@ def synth_specs(spec: dict, seed_offset: int = 0
         if min(clean.groups_per_class, max(clean.class_counts)) < 2:  # ids cycle per class
             raise ValidationError(f"groups_per_class {clean.groups_per_class} and data.synth"
                                   f".class_counts {clean.class_counts} make 1 group; splits need 2")
-    except ValidationError as exc:
-        raise ValidationError(f"data.synth.{exc}") from None
     return clean, crawl, background
 
 
@@ -300,11 +297,9 @@ def build_synth_data(spec: dict, seed_offset: int = 0
                      ) -> tuple[Dataset, Dataset, WebCorpus]:
     """Materialize (clean_train, clean_test, web) from a synthetic data spec."""
     clean, crawl, background = synth_specs(spec, seed_offset)
-    try:  # seeded by split_seed + seed_offset, a split may fail at some offsets only
+    with named("data.synth."):  # seeded by split_seed + seed_offset: may fail at some offsets only
         clean_train, clean_test = grouped_split(
             synth_clean(clean), spec["train_fraction"], spec["split_seed"] + seed_offset)
-    except ValidationError as exc:
-        raise ValidationError(f"data.synth.{exc}") from None
     return clean_train, clean_test, synth_web_corpus(clean_train, crawl, background)
 
 
@@ -424,6 +419,45 @@ def _print_aggregates(rows: list[dict], arms: list[str]) -> None:
         print(f"  {arm} (n={len(vals)}): " + " ".join(parts))
 
 
+def _verdicts(rows: list[dict], arms: list[str]) -> list[dict]:
+    """Per pair of ``arms`` (earlier, later), in order: over the n seeds where
+    both cells are ok, the mean per-seed accuracy difference later minus
+    earlier, its paired SE (the differences' sample std over sqrt(n)) and t,
+    and the count of the pair's other seeds, left out.  The mean is None at
+    n 0, SE and t at n < 2 or an SE of 0."""
+    acc = {(r["arm"], r["seed"]): float(r["accuracy"]) for r in rows if r["status"] == "ok"}
+    verdicts = []
+    for earlier, later in combinations(arms, 2):
+        seeds = dict.fromkeys(r["seed"] for r in rows if r["arm"] in (earlier, later))
+        diffs = [acc[later, s] - acc[earlier, s] for s in seeds
+                 if (earlier, s) in acc and (later, s) in acc]
+        n = len(diffs)
+        se = statistics.stdev(diffs) / math.sqrt(n) if n > 1 else 0.0
+        mean = statistics.fmean(diffs) if n else None
+        verdicts.append({"earlier": earlier, "later": later, "accuracy_diff": mean,
+                         "se": se or None, "t": mean / se if se else None,
+                         "n": n, "left_out": len(seeds) - n})
+    return verdicts
+
+
+def _summarize(rows: list[dict], arms: list[str], out_dir: Path) -> None:
+    """Write summary.csv and verdicts.csv to ``out_dir``, and print the
+    per-arm aggregates, then the verdicts."""
+    _write_summary(rows, out_dir / "summary.csv")
+    verdicts = _verdicts(rows, arms)
+    write_csv(out_dir / "verdicts.csv", VERDICT_FIELDS,  # str of a float is its repr
+              [["" if v[key] is None else str(v[key]) for v in verdicts] for key in VERDICT_FIELDS],
+              np.empty((len(verdicts), 0)))
+    _print_aggregates(rows, arms)
+    if verdicts:
+        print("paired verdicts on accuracy (later - earlier, over seeds where both are ok):")
+    for v in verdicts:
+        diff, se, t = (("n/a" if v[key] is None else f"{v[key]:.4f}")
+                       for key in ("accuracy_diff", "se", "t"))
+        print(f"  {v['later']} - {v['earlier']}: diff={diff} se={se} t={t} "
+              f"(n={v['n']}, left out {v['left_out']})")
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.out:
@@ -476,8 +510,7 @@ def cmd_run(args) -> int:
             except (WeblyError, OSError) as exc:  # a failed cell is recorded, others run
                 rows.append(_summary_row(arm, seed, error=f"{type(exc).__name__}: {exc}"))
 
-    _write_summary(rows, out_dir / "summary.csv")
-    _print_aggregates(rows, arms)
+    _summarize(rows, arms, out_dir)
     failed = [r for r in rows if r["status"] != "ok"]
     for r in failed:
         print(f"failed cell {r['arm']}/{r['seed']}: {r['error']}", file=sys.stderr)
@@ -501,10 +534,8 @@ def cmd_synth(args) -> int:
              out_dir / "web.json"]
     if any(f.exists() for f in files) and not args.overwrite:
         raise WeblyError(f"outputs exist in {out_dir} (use --overwrite)")
-    try:
+    with named(f"{args.config}: "):
         clean_train, clean_test, web = build_synth_data(spec, seed_offset=offset)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.config}: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     write_dataset_csv(clean_train, files[0])
     write_dataset_csv(clean_test, files[1])
@@ -527,11 +558,9 @@ def cmd_eval(args) -> int:
     timestamp = report_timestamp()
     params = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data, num_classes=params.config.num_classes)
-    try:  # everything is computed before --out is made
+    with named(f"{args.data}, {args.checkpoint}: "):  # everything is computed before --out is made
         report = evaluate(params, ds)
         feats = penultimate_features(params, ds) if args.export_features else None
-    except ValidationError as exc:
-        raise ValidationError(f"{args.data}, {args.checkpoint}: {exc}") from None
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_eval_json(report, out_dir / "eval.json", timestamp)
@@ -547,10 +576,8 @@ def cmd_eval(args) -> int:
 def cmd_estimate_noise(args) -> int:
     params = load_checkpoint(args.checkpoint)
     corpus = load_web_corpus(args.web)
-    try:
+    with named(f"{args.web}, oracle {args.checkpoint}: "):
         transition = estimate_transition(params, corpus)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.web}, oracle {args.checkpoint}: {exc}") from None
     out_path = Path(args.out or "transition.json")
     save_transition(transition, out_path)
     diag = validate_transition(transition)
@@ -590,8 +617,7 @@ def cmd_report(args) -> int:
             except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSON or a score
                 rows.append(_summary_row(arm_dir.name, seed,
                                          error=f"malformed {eval_path}: {exc!r}"))
-    _write_summary(rows, runs_dir / "summary.csv")
-    _print_aggregates(rows, arms_seen)
+    _summarize(rows, arms_seen, runs_dir)
     print(f"wrote {runs_dir / 'summary.csv'} ({len(rows)} rows)")
     return 0
 

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, named
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -388,11 +388,9 @@ def load_dataset(path: str | Path, num_classes: int | None = None) -> Dataset:
     k = num_classes if num_classes is not None else inferred_k
     if inferred_k > k:
         raise ValidationError(f"{path}: label {inferred_k - 1} exceeds num_classes={k}")
-    try:
+    with named(f"{path}: "):  # a duplicate id
         return Dataset(ids=ids, group_ids=group_ids, X=X, y=labels, num_classes=k,
                        name=path.stem)
-    except ValidationError as exc:  # a duplicate id
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
@@ -442,7 +440,7 @@ def grouped_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Datase
     order = np.argsort(first)[np.random.default_rng(seed).permutation(len(first))]
     n_train = int(np.argmax(np.cumsum(sizes[order]) >= train_fraction * len(ds))) + 1
     if n_train == len(first):
-        raise ValidationError("train_fraction leaves no test groups")
+        raise ValidationError(f"train_fraction leaves no test groups at split seed {seed}")
     in_train = np.isin(group_of_row, order[:n_train])
     return (ds.take(in_train, f"{ds.name}-train"),
             ds.take(~in_train, f"{ds.name}-test"))
@@ -616,7 +614,9 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
 
     decode, space = json.JSONDecoder(object_hook=pack).raw_decode, json.decoder.WHITESPACE.match
     doc, query_ids, labels, sizes, packed, hidden, hidden_sizes = {}, [], [], [], [], [], []
-    try:
+    # ValueError covers UnicodeDecodeError
+    with named(f"{path}: malformed web corpus document: ", ParseError, (OSError, ValueError,
+               KeyError, TypeError, AttributeError, OverflowError, ValidationError)):
         with open(path, encoding="utf-8") as fh:
             text, pos, eof, start = "", 0, False, 0  # start: text[0]'s place in the file
             def fill():  # keep the text from pos on, and read as much again, at least a window
@@ -684,10 +684,6 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
         columns = dict(query_ids=query_ids, labels=labels, offsets=np.cumsum([0] + sizes))
         if sizes and None not in hidden_sizes:
             columns["true_labels_hidden"] = hidden
-    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError,
-            ValidationError) as exc:
-        # ValueError covers UnicodeDecodeError
-        raise ParseError(f"{path}: malformed web corpus document: {exc}") from None
 
     if not {*map(type, query_ids), *map(type, member_ids)} <= {str}:
         raise ParseError(f"{path}: query and member ids must be strings")
@@ -705,7 +701,6 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
         raise ParseError(f"{path}: true_labels_hidden must be null in every bag or "
                          "hold one label per member in every bag")
     X = np.frombuffer(features, dtype=np.float64).reshape(len(member_ids), d)
-    try:
+    # OverflowError: int64 columns
+    with named(f"{path}: ", ParseError, (ValidationError, OverflowError)):
         return WebCorpus(num_classes=k, member_ids=member_ids, X=X, **columns)
-    except (ValidationError, OverflowError) as exc:   # OverflowError: int64 columns
-        raise ParseError(f"{path}: {exc}") from None

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and ``named``, which says where one arose."""
+
+from contextlib import contextmanager
 
 
 class WeblyError(Exception):
@@ -26,3 +28,13 @@ class DivergenceError(WeblyError, RuntimeError):
     def __init__(self, message: str, members: tuple[int, ...] = ()):
         super().__init__(message)
         self.members = members
+
+
+@contextmanager
+def named(where: str, kind: type | None = None, catch=ValidationError):
+    """Re-raise a ``catch`` error of the block as ``kind`` (by default its own class),
+    unchained, with ``where`` (a file, key or verb) in front of its message."""
+    try:
+        yield
+    except catch as exc:
+        raise (kind or type(exc))(f"{where}{exc}") from None

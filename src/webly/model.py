@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, WebCorpus, canonical_json, check_fields, integer, integers, real
-from .errors import CheckpointError, ValidationError
+from .errors import CheckpointError, ValidationError, named
 
 CHECKPOINT_MAGIC = b"WSLCKPT1"
 INIT_SCALE_RULE = "sqrt_2_over_fan_in"
@@ -561,10 +561,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{path}: header length {header_len} runs past the "
                               f"end of the {len(blob)}-byte file")
     header = blob[16:16 + header_len]
-    try:
+    with named(f"{path}: malformed header: ", CheckpointError, (ValueError, KeyError, TypeError)):
         cfg = ModelConfig(**json.loads(header.decode("utf-8"))["config"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: malformed header: {exc}") from None
     if header != _header_bytes(cfg):
         raise CheckpointError(f"{path}: layer shapes or offsets do not match the "
                               "packed layout of the config")

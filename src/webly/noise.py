@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import (WebCorpus, _reject, canonical_json, check_fields, check_row_stochastic,
                    flatten_web, integer, reals)
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, named
 from .model import ModelParams, check_fit, fingerprint, predict
 
 
@@ -117,7 +117,5 @@ def load_transition(path: str | Path) -> TransitionMatrix:
         raise ParseError(f"{path}: malformed transition document: {exc!r}") from None
     if entries.shape != (k, k):
         raise ParseError(f"{path}: rows shape {entries.shape} != k={k!r}")
-    try:
+    with named(f"{path}: ", ParseError):
         return TransitionMatrix(entries=entries, provenance=provenance)
-    except ValidationError as exc:
-        raise ParseError(f"{path}: {exc}") from None

@@ -101,7 +101,6 @@ class ArmResult:
     """Provenance bundle for a finished arm: every stage, the transition used,
     the oracle (when one was trained), and web-access counter snapshots."""
 
-    arm: str
     stages: list[StageResult] = field(default_factory=list)
     transition: TransitionMatrix | None = None
     oracle: ModelParams | None = None
@@ -345,7 +344,7 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
     inits = [init_params(replace(model_cfg, init_seed=model_cfg.init_seed + seed.seed))
              for seed in seeds]
     # each (seed, arm) cell's ArmResult, filled phase by phase, or its error
-    cells = [{arm: ArmResult(arm, web_access_log=[("start", 0)]) for arm in arms} for _ in seeds]
+    cells = [{arm: ArmResult(web_access_log=[("start", 0)]) for arm in arms} for _ in seeds]
     order = range(len(seeds))
 
     def live(s, phase):

@@ -152,6 +152,18 @@ class TestSynth:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_split_failing_at_a_seed_names_its_split_seed(self, tmp_path, capsys):
+        # at the paper's shape, train_fraction 0.8 leaves no test group at split seed
+        # 200 + 5 (see TestRun's split test)
+        doc = json.loads(TestPaperShapedConfigs.CONFIGS.joinpath("paper_shaped.json").read_text())
+        doc["data"]["synth"]["train_fraction"] = 0.8
+        cfg, out = tmp_path / "paper.json", tmp_path / "out"
+        cfg.write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}: data.synth.train_fraction leaves "
+                                           "no test groups at split seed 205\n")
+        assert not out.exists()
+
 
 class TestRun:
     def test_bl1_cell_layout(self, tmp_path):
@@ -414,7 +426,7 @@ class TestRun:
         for row in rows:
             if row["seed"] == "0":
                 assert row["error"] == ("ValidationError: data.synth.train_fraction leaves no "
-                                        "test groups")
+                                        "test groups at split seed 200")
 
     @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
     def test_bad_source_date_epoch_exits_2_without_output(self, tmp_path, capsys,
@@ -806,6 +818,17 @@ class TestEval:
         assert f"error: {ckpt}: non-finite parameter" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_exits_2_naming_its_line(self, tmp_path, capsys, value):
+        ckpt, data, out = tmp_path / "m.wslckpt", tmp_path / "nan.csv", tmp_path / "out"
+        save_checkpoint(init_params(ModelConfig(input_dim=2, hidden_sizes=[2],
+                                                num_classes=2)), ckpt)
+        data.write_text(f"id,group_id,label,f0,f1\na,g,0,1.0,2.0\nb,g,1,{value},2.0\n")
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {data}: line 3: non-finite feature\n"
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_nonzero_without_output(self, tmp_path):
         eval_dir = tmp_path / "eval"
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.wslckpt"),
@@ -997,6 +1020,38 @@ class TestOneFitRule:
         assert not out.exists()
 
 
+class TestNamedSources:
+    """A verb puts the config file, and the key's section, in front of the
+    error it fails with: each case pins the whole line."""
+
+    CASES = {  # the config text, the verb, and the error after "<config>: "
+        "not-json": ("not json", "run",
+                     "cannot read a JSON document: Expecting value: line 1 column 1 (char 0)"),
+        "unknown-key": ('{"train_web": {"epoch": 1}}', "run",
+                        "unknown config key train_web.epoch"),
+        "hidden-sizes-over-the-bound": (
+            '{"model": {"hidden_sizes": [10000000000]}}', "run",
+            "model.hidden_sizes [10000000000] with input_dim 8 and num_classes 5 pack "
+            "140000000005 parameters, more than the 134217728 a model holds"),
+        "class-means-shape": (
+            '{"data": {"synth": {"class_means": [[1, 2]]}}}', "run",
+            "data.synth.class_means must be num_classes x feature_dim = 5 x 8, "
+            "got shape (1, 2)"),
+        "synth-no-test-group": ('{"data": {"synth": {"train_fraction": 0.99}}}', "synth",
+                                "data.synth.train_fraction leaves no test groups at split "
+                                "seed 200"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_with_the_one_line(self, tmp_path, capsys, case):
+        text, verb, message = self.CASES[case]
+        cfg, out = tmp_path / "config.json", tmp_path / "out"
+        cfg.write_text(text)
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out.exists()
+
+
 class TestReport:
     def test_reaggregates_existing_run_directory(self, tmp_path):
         cfg = tiny_config(tmp_path, arms=["BL1", "BL2"], seeds=[0, 1])
@@ -1074,6 +1129,58 @@ class TestReport:
             assert str(out / "BL1" / seed / "eval.json") in rows[seed]["error"]
         assert "accuracy inf" in rows["2"]["error"] and "accuracy 1.5" in rows["3"]["error"]
         assert rows["4"]["status"] == "ok"
+
+
+class TestVerdicts:
+    """``run`` and ``report`` write verdicts.csv beside summary.csv: per pair of
+    arms, the paired accuracy difference over the seeds where both cells are ok."""
+
+    @staticmethod
+    def write_accuracies(root, accuracies):
+        for (arm, seed), accuracy in accuracies.items():
+            (root / arm / str(seed)).mkdir(parents=True)
+            (root / arm / str(seed) / "eval.json").write_text(json.dumps(
+                {"accuracy": accuracy, "macro_recall": 0.5, "kappa": 0.25, "auc_mean": None}))
+
+    def test_known_differences_give_their_mean_se_and_t(self):
+        accuracies = {"BL1": [0.5, 0.25], "BL2": [0.75, 1.0], "Proposed": [0.5, 0.25]}
+        rows = [cli._summary_row(arm, seed, dict.fromkeys(cli.SCORES, accuracy))
+                for arm, column in accuracies.items() for seed, accuracy in enumerate(column)]
+        # differences [0.25, 0.75]: mean 0.5, sample std sqrt(0.125), SE that over sqrt(2)
+        assert cli._verdicts(rows, list(accuracies)) == [
+            {"earlier": "BL1", "later": "BL2", "accuracy_diff": 0.5, "se": 0.25, "t": 2.0,
+             "n": 2, "left_out": 0},
+            {"earlier": "BL1", "later": "Proposed", "accuracy_diff": 0.0, "se": None,
+             "t": None, "n": 2, "left_out": 0},
+            {"earlier": "BL2", "later": "Proposed", "accuracy_diff": -0.5, "se": 0.25,
+             "t": -2.0, "n": 2, "left_out": 0}]
+
+    def test_failed_cell_is_left_out_and_counted(self, tmp_path, capsys):
+        self.write_accuracies(tmp_path, {("BL1", 0): 0.5, ("BL1", 1): 0.25, ("BL1", 2): 0.5,
+                                         ("BL2", 0): 0.75, ("BL2", 1): 1.0})
+        (tmp_path / "BL2" / "2").mkdir()  # no eval.json: a failed cell
+        assert main(["report", "--runs", str(tmp_path)]) == 0
+        assert (tmp_path / "verdicts.csv").read_bytes() == (
+            b"earlier,later,accuracy_diff,se,t,n,left_out\r\nBL1,BL2,0.5,0.25,2.0,2,1\r\n")
+        out = capsys.readouterr().out
+        aggregates = out.index("per-arm aggregates")
+        assert out.index("  BL2 - BL1: diff=0.5000 se=0.2500 t=2.0000 (n=2, left out 1)\n",
+                         aggregates) > aggregates
+
+    def test_one_seed_leaves_se_and_t_undefined_in_run_and_report(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        cfg = tiny_config(tmp_path, arms=["BL1", "BL2"], seeds=[0])
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        rows = read_summary(out / "summary.csv")
+        diff = float(rows[1]["accuracy"]) - float(rows[0]["accuracy"])
+        written = (out / "verdicts.csv").read_bytes()
+        assert written == ("earlier,later,accuracy_diff,se,t,n,left_out\r\n"
+                           f"BL1,BL2,{diff!r},,,1,0\r\n").encode()
+        assert f"  BL2 - BL1: diff={diff:.4f} se=n/a t=n/a (n=1, left out 0)\n" in printed
+        (out / "verdicts.csv").unlink()
+        assert main(["report", "--runs", str(out)]) == 0
+        assert (out / "verdicts.csv").read_bytes() == written
 
 
 def reference_write_summary(rows, path):

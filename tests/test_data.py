@@ -185,6 +185,22 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="duplicate"):
             load_dataset(p)
 
+    def test_duplicate_id_message_names_the_path(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["a,g1,0,1.0,2.0", "a,g2,1,0.5,0.5"])
+        with pytest.raises(ValidationError) as info:
+            load_dataset(p)
+        assert str(info.value) == f"{p}: duplicate example id 'a'"
+
+    def test_non_utf8_byte_after_rows_read_raises_the_read_error(self, tmp_path):
+        # the rows read before the bad byte are checked first, and all are good
+        p = tmp_path / "late_bad.csv"
+        p.write_bytes(b"id,group_id,label,f0,f1\n"
+                      + b"".join(b"r%d,g,0,1.0,2.0\n" % i for i in range(2000)) + b"\xff\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(p)
+        assert str(info.value) == f"{p}: not UTF-8 text: invalid start byte"
+
     def test_num_classes_override(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, ["a,g1,0,1.0,2.0", "b,g2,1,0.5,0.5"])
@@ -325,6 +341,10 @@ class TestGroupedSplit:
         with pytest.raises(ValidationError, match="one group"):
             grouped_split(ds, 0.5, seed=0)
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValidationError, match="^cannot split an empty dataset$"):
+            grouped_split(self.make([]), 0.5, seed=0)
+
     def test_bad_fraction_rejected(self):
         ds = self.make(["g0", "g1"])
         for frac in (0.0, 1.0, -0.1, 1.5):
@@ -388,6 +408,13 @@ def make_clean(k=3, per_class=20, sep=8.0, sigma=0.5, seed=0, d=None):
 
 
 class TestSynthWebCorpus:
+    def test_empty_clean_train_rejected(self):
+        empty = make_clean().take(slice(0, 0), "empty")
+        noise = NoiseSpec(cross_category_kernel=np.eye(3), cross_domain_rate=0.0,
+                          bag_size=5, seed=2)
+        with pytest.raises(ValidationError, match="^clean_train is empty$"):
+            synth_web_corpus(empty, noise, BackgroundSpec())
+
     def test_identity_kernel_no_outliers_means_no_noise(self):
         clean = make_clean()
         noise = NoiseSpec(cross_category_kernel=np.eye(3),
@@ -657,6 +684,24 @@ class TestWebCorpusJson:
         path.write_text(SMALL_WEB_JSON.replace("[0.5,-1.25]", features))
         with pytest.raises(ParseError, match=re.escape(str(path))):
             load_web_corpus(path)
+
+    def test_syntax_error_names_the_path_and_its_character(self, tmp_path):
+        path = tmp_path / "web.json"
+        path.write_text('{"bags": [}')
+        with pytest.raises(ParseError) as info:
+            load_web_corpus(path)
+        assert str(info.value) == (f"{path}: malformed web corpus document: "
+                                   "Expecting value (character 10)")
+
+    def test_label_past_int64_names_the_path(self, tmp_path):
+        path = tmp_path / "web.json"
+        path.write_text(SMALL_WEB_JSON.replace('"transferred_label":1',
+                                               f'"transferred_label":{2 ** 63}'))
+        with pytest.raises(OverflowError) as overflow:  # numpy's own words for it
+            np.asarray([2 ** 63], dtype=np.int64)
+        with pytest.raises(ParseError) as info:
+            load_web_corpus(path)
+        assert str(info.value) == f"{path}: {overflow.value}"
 
     def test_escaped_surrogate_pair_is_one_character_of_an_id(self, tmp_path):
         path = tmp_path / "web.json"

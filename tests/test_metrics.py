@@ -168,6 +168,12 @@ class TestEvaluate:
                            match=f"row {ds.ids[0]!r}: its features overflow the model"):
             evaluate(huge, ds)
 
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(ids=[], group_ids=[], X=np.empty((0, 3)), y=[], num_classes=3)
+        params = init_params(ModelConfig(input_dim=3, hidden_sizes=[2], num_classes=3))
+        with pytest.raises(ValidationError, match="^cannot evaluate on an empty dataset$"):
+            evaluate(params, empty)
+
     def test_perfect_model(self):
         # saturated linear model on near-one-hot features
         ds = make_clean_dataset(k=3, per_class=10, separation=1.0, sigma=0.01,

@@ -65,6 +65,15 @@ class TestInit:
         for b in params.biases:
             assert np.array_equal(b, np.zeros_like(b))
 
+    def test_layers_off_the_config_rejected(self):
+        cfg = ModelConfig(input_dim=2, hidden_sizes=[3], num_classes=2)
+        weights, biases = [np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(3), np.zeros(2)]
+        with pytest.raises(ValidationError, match="^layer count does not match config$"):
+            ModelParams(cfg, weights[:1], biases[:1])
+        with pytest.raises(ValidationError,
+                           match=re.escape("layer shapes (3, 2)/(3,) != (2,3)/(3,)")):
+            ModelParams(cfg, [np.zeros((3, 2)), weights[1]], biases)
+
     def test_layers_are_views_of_one_flat_vector(self):
         cfg = ModelConfig(input_dim=5, hidden_sizes=[6, 7], num_classes=2)
         params = init_params(cfg)
@@ -714,6 +723,16 @@ class TestCheckpoint:
             path.write_bytes(blob[:n])
             with pytest.raises(CheckpointError, match=re.escape(str(path))):
                 load_checkpoint(path)
+
+    def test_header_not_json_names_the_path(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        path = tmp_path / "bad.wslckpt"
+        path.write_bytes(blob[:16] + b"x" * header_len + blob[16 + header_len:])
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (f"{path}: malformed header: "
+                                   "Expecting value: line 1 column 1 (char 0)")
 
     def test_trailing_bytes_and_offsets_outside_payload_rejected(self, tmp_path):
         blob = self.saved_blob(tmp_path)

@@ -260,6 +260,14 @@ class TestTransitionJson:
             with pytest.raises(ParseError, match=re.escape(str(path))):
                 load_transition(path)
 
+    def test_rows_not_stochastic_name_the_path(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"k":2,"provenance":{},"rows":[[0.5,0.6],[0.5,0.5]]}')
+        with pytest.raises(ParseError) as info:
+            load_transition(path)
+        assert str(info.value) == (f"{path}: transition must be row-stochastic: square, "
+                                   "entries in [0, 1], each row summing to 1 within 1e-9")
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

@@ -353,6 +353,11 @@ class TestTrainStage:
         return ModelConfig(input_dim=4, hidden_sizes=[8], num_classes=2,
                            init_seed=seed)
 
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(ids=[], group_ids=[], X=np.empty((0, 4)), y=[], num_classes=2)
+        with pytest.raises(ValidationError, match="^cannot train on an empty dataset$"):
+            train_stage(init_params(self.model_cfg()), empty, TrainConfig(epochs=1, batch_size=8))
+
     def test_zero_epochs_returns_init_unchanged(self):
         ds = self.make_ds()
         init = init_params(self.model_cfg())
