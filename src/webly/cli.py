@@ -325,8 +325,8 @@ def _model_config(config: dict, input_dim: int, num_classes: int,
 # ---------------------------------------------------------------------------
 
 def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
-             data: tuple, arm_result, inputs: dict | None) -> dict:
-    """Write one (arm, seed) cell's artifacts and return its summary row.
+             data: tuple, arm_result, inputs: dict | None) -> None:
+    """Write one (arm, seed) cell's artifacts.
 
     ``data`` is the seed's (clean_train, clean_test, web), ``inputs`` their
     fingerprints by name, and ``arm_result`` the arm's ArmResult from
@@ -369,8 +369,6 @@ def run_cell(config: dict, arm: str, seed: int, cell_dir: Path, timestamp: str,
     }
     write_json(provenance, cell_dir / "provenance.json")
 
-    return _summary_row(arm, seed, vars(report))
-
 
 def _with_inputs(data: tuple) -> tuple[tuple, dict]:
     """A seed's (clean_train, clean_test, web) and their fingerprints by name."""
@@ -399,35 +397,21 @@ def _train_seeds(config: dict, files: tuple | None, model_cfg: ModelConfig) -> d
     return {seed: cells[seed] for seed in config["seeds"]}
 
 
-def _write_summary(rows: list[dict], path: Path) -> None:
-    write_csv(path, SUMMARY_FIELDS, [[str(row[key]) for row in rows] for key in SUMMARY_FIELDS],
+def _write_summary(rows: list[dict], path: Path, fields: list[str] = SUMMARY_FIELDS) -> None:
+    """Write ``rows`` under ``fields``: None as an empty field, a float as its repr."""
+    write_csv(path, fields, [["" if r[k] is None else str(r[k]) for r in rows] for k in fields],
               np.empty((len(rows), 0)))
 
 
-def _print_aggregates(rows: list[dict], arms: list[str]) -> None:
-    print("per-arm aggregates over seeds (mean +/- std):")
-    for arm in arms:
-        vals = [r for r in rows if r["arm"] == arm and r["status"] == "ok"]
-        if not vals:
-            print(f"  {arm}: no successful cells")
-            continue
-        parts = []
-        for key in SCORES:
-            nums = [float(r[key]) for r in vals if r[key] != ""]
-            if nums:
-                parts.append(f"{key}={np.mean(nums):.4f}+/-{np.std(nums):.4f}")
-        print(f"  {arm} (n={len(vals)}): " + " ".join(parts))
-
-
-def _verdicts(rows: list[dict], arms: list[str]) -> list[dict]:
-    """Per pair of ``arms`` (earlier, later), in order: over the n seeds where
-    both cells are ok, the mean per-seed accuracy difference later minus
+def _verdicts(rows: list[dict]) -> list[dict]:
+    """Per pair of the rows' arms (earlier, later), in order: over the n seeds
+    where both cells are ok, the mean per-seed accuracy difference later minus
     earlier, its paired SE (the differences' sample std over sqrt(n)) and t,
     and the count of the pair's other seeds, left out.  The mean is None at
     n 0, SE and t at n < 2 or an SE of 0."""
     acc = {(r["arm"], r["seed"]): float(r["accuracy"]) for r in rows if r["status"] == "ok"}
     verdicts = []
-    for earlier, later in combinations(arms, 2):
+    for earlier, later in combinations(dict.fromkeys(r["arm"] for r in rows), 2):
         seeds = dict.fromkeys(r["seed"] for r in rows if r["arm"] in (earlier, later))
         diffs = [acc[later, s] - acc[earlier, s] for s in seeds
                  if (earlier, s) in acc and (later, s) in acc]
@@ -440,15 +424,53 @@ def _verdicts(rows: list[dict], arms: list[str]) -> list[dict]:
     return verdicts
 
 
-def _summarize(rows: list[dict], arms: list[str], out_dir: Path) -> None:
-    """Write summary.csv and verdicts.csv to ``out_dir``, and print the
-    per-arm aggregates, then the verdicts."""
+def _cell_row(arm: str, seed: int, cell_dir: Path) -> dict:
+    """A cell's summary row: failed with the text of its error.txt, which
+    ``run`` writes for a cell it could not finish, else scored from eval.json."""
+    error_path, eval_path = cell_dir / "error.txt", cell_dir / "eval.json"
+    if error_path.is_file():
+        with open(error_path, encoding="utf-8", newline="") as fh:
+            return _summary_row(arm, seed, error=fh.read())
+    try:
+        with open(eval_path, encoding="utf-8") as fh:
+            return _summary_row(arm, seed, _checked_scores(json.load(fh)))
+    except FileNotFoundError:
+        return _summary_row(arm, seed, error="missing eval.json")
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSON or a score
+        return _summary_row(arm, seed, error=f"malformed {eval_path}: {exc!r}")
+
+
+def _summarize(out_dir: Path) -> list[dict]:
+    """The rows of ``out_dir``'s cells by arm in ``ARMS`` order, then seed; writes
+    summary.csv and verdicts.csv there and prints the aggregates, then the verdicts."""
+    arm_dirs = [out_dir / arm for arm in ARMS if (out_dir / arm).is_dir()]
+    if not arm_dirs:
+        raise WeblyError(f"run directory {out_dir} holds none of {', '.join(ARMS)}")
+    rows = []
+    for arm_dir in arm_dirs:
+        seeds = []
+        for cell_dir in (p for p in arm_dir.iterdir() if p.is_dir()):
+            name = cell_dir.name  # only a name that run writes: no sign, padding or "_"
+            if name.isdecimal() and str(int(name)) == name:
+                seeds.append((int(name), cell_dir))
+            else:
+                print(f"note: skipping {cell_dir}: not a seed directory", file=sys.stderr)
+        rows += [_cell_row(arm_dir.name, seed, cell_dir) for seed, cell_dir in sorted(seeds)]
     _write_summary(rows, out_dir / "summary.csv")
-    verdicts = _verdicts(rows, arms)
-    write_csv(out_dir / "verdicts.csv", VERDICT_FIELDS,  # str of a float is its repr
-              [["" if v[key] is None else str(v[key]) for v in verdicts] for key in VERDICT_FIELDS],
-              np.empty((len(verdicts), 0)))
-    _print_aggregates(rows, arms)
+    verdicts = _verdicts(rows)
+    _write_summary(verdicts, out_dir / "verdicts.csv", VERDICT_FIELDS)
+    print("per-arm aggregates over seeds (mean +/- std):")
+    for arm in dict.fromkeys(r["arm"] for r in rows):
+        vals = [r for r in rows if r["arm"] == arm and r["status"] == "ok"]
+        if not vals:
+            print(f"  {arm}: no successful cells")
+            continue
+        parts = []
+        for key in SCORES:
+            nums = [float(r[key]) for r in vals if r[key] != ""]
+            if nums:
+                parts.append(f"{key}={np.mean(nums):.4f}+/-{np.std(nums):.4f}")
+        print(f"  {arm} (n={len(vals)}): " + " ".join(parts))
     if verdicts:
         print("paired verdicts on accuracy (later - earlier, over seeds where both are ok):")
     for v in verdicts:
@@ -456,6 +478,7 @@ def _summarize(rows: list[dict], arms: list[str], out_dir: Path) -> None:
                        for key in ("accuracy_diff", "se", "t"))
         print(f"  {v['later']} - {v['earlier']}: diff={diff} se={se} t={t} "
               f"(n={v['n']}, left out {v['left_out']})")
+    return rows
 
 
 def cmd_run(args) -> int:
@@ -489,7 +512,7 @@ def cmd_run(args) -> int:
         except ValidationError as exc:
             raise ValidationError(f"{data[name]}: {exc} (sized by {data['clean_train']})") from None
         files = _with_inputs((train, test, web))
-    arms, timestamp = config["arms"], report_timestamp()
+    timestamp = report_timestamp()
 
     out_dir = Path(config["output_dir"])
     if out_dir.exists() and any(out_dir.iterdir()) and not args.overwrite:
@@ -501,17 +524,18 @@ def cmd_run(args) -> int:
     for arm_dir in (out_dir / arm for arm in ARMS):  # every cell of an earlier run
         if arm_dir.exists():
             shutil.rmtree(arm_dir)
-    cells, rows = _train_seeds(config, files, model_cfg), []
-    for arm in arms:
+    cells = _train_seeds(config, files, model_cfg)
+    for arm in config["arms"]:
         for seed, (data, inputs, outcomes) in cells.items():
+            cell_dir = out_dir / arm / str(seed)
             try:
-                rows.append(run_cell(config, arm, seed, out_dir / arm / str(seed),
-                                     timestamp, data, outcomes[arm], inputs))
+                run_cell(config, arm, seed, cell_dir, timestamp, data, outcomes[arm], inputs)
             except (WeblyError, OSError) as exc:  # a failed cell is recorded, others run
-                rows.append(_summary_row(arm, seed, error=f"{type(exc).__name__}: {exc}"))
+                cell_dir.mkdir(parents=True, exist_ok=True)
+                (cell_dir / "error.txt").write_text(f"{type(exc).__name__}: {exc}",
+                                                    encoding="utf-8", newline="")
 
-    _summarize(rows, arms, out_dir)
-    failed = [r for r in rows if r["status"] != "ok"]
+    failed = [r for r in _summarize(out_dir) if r["status"] != "ok"]
     for r in failed:
         print(f"failed cell {r['arm']}/{r['seed']}: {r['error']}", file=sys.stderr)
     return 1 if failed else 0
@@ -594,31 +618,7 @@ def cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     if not runs_dir.exists():
         raise WeblyError(f"run directory {runs_dir} not found")
-    rows = []
-    arms_seen = []
-    for arm_dir in sorted(p for p in runs_dir.iterdir() if p.is_dir()):
-        if arm_dir.name not in ARMS:
-            continue
-        arms_seen.append(arm_dir.name)
-        seeds = []
-        for cell_dir in (p for p in arm_dir.iterdir() if p.is_dir()):
-            name = cell_dir.name  # only a name that run writes: no sign, padding or "_"
-            if name.isdecimal() and str(int(name)) == name:
-                seeds.append((int(name), cell_dir))
-            else:
-                print(f"note: skipping {cell_dir}: not a seed directory", file=sys.stderr)
-        for seed, cell_dir in sorted(seeds):
-            eval_path = cell_dir / "eval.json"
-            try:
-                with open(eval_path, encoding="utf-8") as fh:
-                    rows.append(_summary_row(arm_dir.name, seed, _checked_scores(json.load(fh))))
-            except FileNotFoundError:
-                rows.append(_summary_row(arm_dir.name, seed, error="missing eval.json"))
-            except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSON or a score
-                rows.append(_summary_row(arm_dir.name, seed,
-                                         error=f"malformed {eval_path}: {exc!r}"))
-    _summarize(rows, arms_seen, runs_dir)
-    print(f"wrote {runs_dir / 'summary.csv'} ({len(rows)} rows)")
+    print(f"wrote {runs_dir / 'summary.csv'} ({len(_summarize(runs_dir))} rows)")
     return 0
 
 

@@ -69,12 +69,14 @@ def assert_matches_one_run_per_seed(run, per_seed):
     """Every cell file of ``run`` equals that of the one-seed run of its seed
     in ``per_seed``, and its summary rows are theirs.  ``elapsed_s`` is left
     out; provenance's ``config_sha256`` hashes the config without the run's
-    seed list, so provenance is compared whole."""
+    seed list, so provenance is compared whole.  A seed missing from
+    ``per_seed`` failed in ``run``: its cells' error.txt is left out."""
     def cells(root):
         return {p.relative_to(root) for p in root.rglob("*")
                 if p.is_file() and len(p.relative_to(root).parts) > 2}
 
-    files = cells(run)
+    files = {rel for rel in cells(run) if int(rel.parts[1]) in per_seed}
+    assert all(rel.name == "error.txt" for rel in cells(run) - files)
     assert files == {rel for single in per_seed.values() for rel in cells(single)}
     for rel in files:
         a, b = (run / rel).read_bytes(), (per_seed[int(rel.parts[1])] / rel).read_bytes()
@@ -476,7 +478,8 @@ class TestRun:
         for arm in ("BL1", "Proposed"):
             assert rows[arm]["status"] == "failed"
             assert rows[arm]["error"] == "DivergenceError: clean-only stage diverged"
-            assert not (out / arm / "0").exists()
+            assert [p.name for p in (out / arm / "0").iterdir()] == ["error.txt"]
+            assert (out / arm / "0" / "error.txt").read_bytes() == rows[arm]["error"].encode()
 
     def test_refuses_nonempty_out_dir_without_overwrite(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -1062,6 +1065,67 @@ class TestReport:
         assert main(["report", "--runs", str(out)]) == 0
         assert (out / "summary.csv").read_text() == original
 
+    @staticmethod
+    def seed_1_fails_its_data_build(monkeypatch):
+        real = cli.build_cell_data
+
+        def seed_1_fails(config, seed):
+            if seed == 1:  # error.txt keeps its line ends as they are
+                raise WeblyError("no data\r\nfor seed 1\n")
+            return real(config, seed)
+
+        monkeypatch.setattr(cli, "build_cell_data", seed_1_fails)
+
+    @staticmethod
+    def seed_1_bl1_overflows_in_evaluation(monkeypatch):
+        real = cli.run_seeds
+
+        def huge_bl1(*args, **kwargs):
+            cells = real(*args, **kwargs)
+            cells[1]["BL1"].stages[-1].params.flat[...] *= 1e120
+            return cells
+
+        monkeypatch.setattr(cli, "run_seeds", huge_bl1)
+
+    @pytest.mark.parametrize("case", [
+        # arms and seeds in another order than the recipe table's and ascending
+        ("arms-out-of-order", {"arms": ["BL2", "BL1"], "seeds": [0, 1]}, None),
+        ("seeds-out-of-order", {"seeds": [2, 0, 1]}, None),
+        ("failed-data-build", {"arms": ["BL1", "BL2"], "seeds": [0, 1, 2]},
+         seed_1_fails_its_data_build),
+        # three layers, so weights scaled by 1e120 overflow the logits
+        ("failed-evaluation", {"model": {"hidden_sizes": [16, 16]}, "seeds": [0, 1]},
+         seed_1_bl1_overflows_in_evaluation),
+    ], ids=lambda case: case[0])
+    def test_rewrites_what_run_wrote(self, tmp_path, capsys, monkeypatch, case):
+        _, overrides, fault = case
+        if fault is not None:
+            fault(monkeypatch)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(tiny_config(tmp_path, **overrides)),
+                     "--out", str(out)]) == (0 if fault is None else 1)
+        printed = capsys.readouterr().out
+        written = {name: (out / name).read_bytes() for name in ("summary.csv", "verdicts.csv")}
+        for name in written:
+            (out / name).unlink()
+        assert main(["report", "--runs", str(out)]) == 0
+        assert {name: (out / name).read_bytes() for name in written} == written
+        rows = read_summary(out / "summary.csv")
+        assert capsys.readouterr().out == (
+            printed + f"wrote {out / 'summary.csv'} ({len(rows)} rows)\n")
+        assert [(r["arm"], int(r["seed"])) for r in rows] == sorted(
+            ((r["arm"], int(r["seed"])) for r in rows), key=lambda c: (cli.ARMS.index(c[0]), c[1]))
+        assert len(rows) == len(overrides.get("arms", ["BL1"])) * len(overrides["seeds"])
+
+    def test_directory_without_arm_directories_exits_2_writing_nothing(self, tmp_path, capsys):
+        self.write_cells(tmp_path / "a", "0")  # a parent of several runs
+        (tmp_path / "summary.csv").write_bytes(b"arm,seed\r\nBL1,0\r\n")
+        assert main(["report", "--runs", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: run directory {tmp_path} holds none of BL1, BL2, Proposed\n")
+        assert (tmp_path / "summary.csv").read_bytes() == b"arm,seed\r\nBL1,0\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "summary.csv"]
+
     def test_skips_non_integer_seed_directory(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         out = tmp_path / "runs"
@@ -1147,7 +1211,7 @@ class TestVerdicts:
         rows = [cli._summary_row(arm, seed, dict.fromkeys(cli.SCORES, accuracy))
                 for arm, column in accuracies.items() for seed, accuracy in enumerate(column)]
         # differences [0.25, 0.75]: mean 0.5, sample std sqrt(0.125), SE that over sqrt(2)
-        assert cli._verdicts(rows, list(accuracies)) == [
+        assert cli._verdicts(rows) == [
             {"earlier": "BL1", "later": "BL2", "accuracy_diff": 0.5, "se": 0.25, "t": 2.0,
              "n": 2, "left_out": 0},
             {"earlier": "BL1", "later": "Proposed", "accuracy_diff": 0.0, "se": None,
