@@ -55,7 +55,8 @@ from .data import (
     write_dataset_csv,
     write_json,
 )
-from .errors import ParseError, ValidationError, WeblyError, named
+from .errors import MALFORMED, ParseError, ValidationError, WeblyError, named
+from .loss import median_frequency_weights
 from .metrics import (
     evaluate,
     report_timestamp,
@@ -129,7 +130,12 @@ DEFAULT_CONFIG = {
 }
 
 SYNTH_MAX_VALUES = 2**27  # float64 values (1 GiB) a data.synth section may ask for
-SCORES = ("accuracy", "macro_recall", "kappa", "auc_mean")
+_UNIT = real(lambda v: 0 <= v <= 1, "in [0, 1]")
+# eval.json's scores, in summary column order, and the rule each must keep
+SCORE_RULES = {"accuracy": _UNIT, "macro_recall": _UNIT,
+               "kappa": real(lambda v: -1 <= v <= 1, "in [-1, 1]"),
+               "auc_mean": ((lambda v: v is None or _UNIT[0](v)), "null or a number in [0, 1]")}
+SCORES = tuple(SCORE_RULES)
 SUMMARY_FIELDS = ["arm", "seed", "status", *SCORES, "error"]
 VERDICT_FIELDS = ["earlier", "later", "accuracy_diff", "se", "t", "n", "left_out"]
 
@@ -203,10 +209,10 @@ def load_config(path: str | None) -> dict:
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    with named(f"{path}: cannot read a JSON document: ", ParseError, (OSError, ValueError)):
+    with named(f"{path}: cannot read a JSON document: ", ParseError, (OSError, *MALFORMED)):
         with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)  # ValueError: JSON syntax or UTF-8 decoding
-    with named(f"{path}: "):
+            user = json.load(fh)
+    with named(f"{path}: ", ValidationError, MALFORMED):  # RecursionError: a deep value
         config = _checked(DEFAULT_CONFIG, user, "")
         keep = config["model"]["dropout_keep_prob"]
         for section in ("train_web", "train_clean"):  # dropout is set in model only
@@ -238,18 +244,6 @@ def _summary_row(arm: str, seed: int, scores=None, error: str = "") -> dict:
         return "" if scores is None or scores[key] is None else repr(float(scores[key]))
     return {"arm": arm, "seed": seed, "status": "failed" if scores is None else "ok",
             "error": error, **{key: score(key) for key in SCORES}}
-
-
-def _checked_scores(doc: dict) -> dict:
-    """An eval.json document whose scores are finite numbers in [0, 1], kappa
-    in [-1, 1] and ``auc_mean`` possibly null; else ValueError or KeyError."""
-    for key in SCORES:
-        value, low = doc[key], -1 if key == "kappa" else 0
-        if value is None and key == "auc_mean":
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not low <= value <= 1:
-            raise ValueError(f"{key} {value!r} is not a number in [{low}, 1]")
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +420,23 @@ def _verdicts(rows: list[dict]) -> list[dict]:
 
 def _cell_row(arm: str, seed: int, cell_dir: Path) -> dict:
     """A cell's summary row: failed with the text of its error.txt, which
-    ``run`` writes for a cell it could not finish, else scored from eval.json."""
-    error_path, eval_path = cell_dir / "error.txt", cell_dir / "eval.json"
-    if error_path.is_file():
-        with open(error_path, encoding="utf-8", newline="") as fh:
-            return _summary_row(arm, seed, error=fh.read())
+    ``run`` writes for a cell it could not finish, else scored from eval.json
+    by ``SCORE_RULES``; a fault in either file fails the row naming the file."""
+    path = cell_dir / "error.txt"
     try:
-        with open(eval_path, encoding="utf-8") as fh:
-            return _summary_row(arm, seed, _checked_scores(json.load(fh)))
+        if path.is_file():
+            with open(path, encoding="utf-8", newline="") as fh:
+                return _summary_row(arm, seed, error=fh.read())
+        path = cell_dir / "eval.json"
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        scores = {key: doc[key] for key in SCORES}
+        check_fields(scores, SCORE_RULES)
+        return _summary_row(arm, seed, scores)
     except FileNotFoundError:
-        return _summary_row(arm, seed, error="missing eval.json")
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSON or a score
-        return _summary_row(arm, seed, error=f"malformed {eval_path}: {exc!r}")
+        return _summary_row(arm, seed, error=f"missing {path.name}")
+    except (OSError, *MALFORMED) as exc:
+        return _summary_row(arm, seed, error=f"malformed {path}: {exc!r}")
 
 
 def _summarize(out_dir: Path) -> list[dict]:
@@ -485,7 +484,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.out:
         config["output_dir"] = args.out
-    if args.seed:
+    if args.seed is not None:
         config["seeds"] = _parse_seeds(args.seed)
     if args.jobs < 1:
         raise ValidationError(f"--jobs {args.jobs}: must be at least 1")
@@ -494,10 +493,8 @@ def cmd_run(args) -> int:
         model_cfg = _model_config(config, spec["feature_dim"], spec["num_classes"], 0)
     else:  # read once before any output, clean_train first to size the model
         train = load_dataset(data["clean_train"])
-        absent = np.flatnonzero(train.label_counts() == 0).tolist()
-        if absent:
-            raise ValidationError(f"{data['clean_train']}: class absent from training data: "
-                                  f"{absent}")
+        with named(f"{data['clean_train']}: "):  # the class rule train_stage applies
+            median_frequency_weights(train.label_counts())
         try:
             model_cfg = _model_config(config, train.feature_dim, train.num_classes, 0)
         except ValidationError as exc:
@@ -550,7 +547,7 @@ def cmd_synth(args) -> int:
     spec = config["data"].get("synth")
     if spec is None:
         raise ValidationError(f"{args.config}: config has no data.synth section")
-    offset, *more = _parse_seeds(args.seed or "0")
+    offset, *more = _parse_seeds("0" if args.seed is None else args.seed)
     if more:
         raise ValidationError(f"--seed {args.seed!r}: synth takes one seed offset")
     out_dir = Path(args.out or "synth-data")

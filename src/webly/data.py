@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, named
+from .errors import MALFORMED, ParseError, ValidationError, named
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -614,9 +614,7 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
 
     decode, space = json.JSONDecoder(object_hook=pack).raw_decode, json.decoder.WHITESPACE.match
     doc, query_ids, labels, sizes, packed, hidden, hidden_sizes = {}, [], [], [], [], [], []
-    # ValueError covers UnicodeDecodeError
-    with named(f"{path}: malformed web corpus document: ", ParseError, (OSError, ValueError,
-               KeyError, TypeError, AttributeError, OverflowError, ValidationError)):
+    with named(f"{path}: malformed web corpus document: ", ParseError, (OSError, *MALFORMED)):
         with open(path, encoding="utf-8") as fh:
             text, pos, eof, start = "", 0, False, 0  # start: text[0]'s place in the file
             def fill():  # keep the text from pos on, and read as much again, at least a window
@@ -701,6 +699,5 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
         raise ParseError(f"{path}: true_labels_hidden must be null in every bag or "
                          "hold one label per member in every bag")
     X = np.frombuffer(features, dtype=np.float64).reshape(len(member_ids), d)
-    # OverflowError: int64 columns
-    with named(f"{path}: ", ParseError, (ValidationError, OverflowError)):
+    with named(f"{path}: ", ParseError, MALFORMED):  # OverflowError: int64 columns
         return WebCorpus(num_classes=k, member_ids=member_ids, X=X, **columns)

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and ``named``, which says where one arose."""
+"""Exception types shared across the toolkit, the faults that make a document
+malformed (``MALFORMED``), and ``named``, which says where one arose."""
 
 from contextlib import contextmanager
 
@@ -28,6 +29,11 @@ class DivergenceError(WeblyError, RuntimeError):
     def __init__(self, message: str, members: tuple[int, ...] = ()):
         super().__init__(message)
         self.members = members
+
+
+# What a document's reader turns into its own error: ValueError covers JSON syntax,
+# UTF-8 and a broken ValidationError rule; RecursionError a document nested too deep.
+MALFORMED = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
 
 
 @contextmanager

@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, WebCorpus, canonical_json, check_fields, integer, integers, real
-from .errors import CheckpointError, ValidationError, named
+from .errors import MALFORMED, CheckpointError, ValidationError, named
 
 CHECKPOINT_MAGIC = b"WSLCKPT1"
 INIT_SCALE_RULE = "sqrt_2_over_fan_in"
@@ -561,7 +561,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{path}: header length {header_len} runs past the "
                               f"end of the {len(blob)}-byte file")
     header = blob[16:16 + header_len]
-    with named(f"{path}: malformed header: ", CheckpointError, (ValueError, KeyError, TypeError)):
+    with named(f"{path}: malformed header: ", CheckpointError, MALFORMED):
         cfg = ModelConfig(**json.loads(header.decode("utf-8"))["config"])
     if header != _header_bytes(cfg):
         raise CheckpointError(f"{path}: layer shapes or offsets do not match the "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import (WebCorpus, _reject, canonical_json, check_fields, check_row_stochastic,
                    flatten_web, integer, reals)
-from .errors import ParseError, ValidationError, named
+from .errors import MALFORMED, ParseError, named
 from .model import ModelParams, check_fit, fingerprint, predict
 
 
@@ -112,8 +112,7 @@ def load_transition(path: str | Path) -> TransitionMatrix:
         provenance = doc.get("provenance", {})
         check_fields(doc, {"k": integer(1), "rows": reals((2,), "equal-length lists of numbers"),
                            "provenance": (lambda v: isinstance(v, dict), "an object")})
-    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and ragged rows
+    except MALFORMED as exc:  # ValueError covers ragged rows
         raise ParseError(f"{path}: malformed transition document: {exc!r}") from None
     if entries.shape != (k, k):
         raise ParseError(f"{path}: rows shape {entries.shape} != k={k!r}")

@@ -5,6 +5,9 @@ import csv
 import hashlib
 import json
 import os
+import re
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -24,8 +27,14 @@ from webly.data import (
     save_web_corpus,
     write_dataset_csv,
 )
-from webly.errors import ValidationError, WeblyError
-from webly.model import ModelConfig, ModelParams, init_params, save_checkpoint
+from webly.errors import ParseError, ValidationError, WeblyError
+from webly.model import (
+    CHECKPOINT_MAGIC,
+    ModelConfig,
+    ModelParams,
+    init_params,
+    save_checkpoint,
+)
 from webly.noise import load_transition
 
 
@@ -216,6 +225,15 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out),
                      "--seed", "a"]) == 2
         assert "'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "synth"])
+    def test_empty_seed_exits_2_before_output(self, tmp_path, capsys, verb):
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(tiny_config(tmp_path)), "--out", str(out),
+                     "--seed", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: --seed '': expected distinct non-negative integers separated by commas\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["\u0663,1", "1,\uff12", "1_0"])
@@ -1055,6 +1073,67 @@ class TestNamedSources:
         assert not out.exists()
 
 
+class TestDeepDocuments:
+    """A JSON document nested 5,000 deep is malformed at every reader: a verb exits 2
+    naming its file, with no traceback and no output, and report fails only its cell."""
+
+    DEEP = "[" * 5000 + "]" * 5000
+
+    def assert_exits_2_naming(self, capsys, argv, path, out):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_of_run(self, tmp_path, capsys):
+        cfg, out = tmp_path / "deep.json", tmp_path / "runs"
+        cfg.write_text(self.DEEP)
+        self.assert_exits_2_naming(capsys, ["run", "--config", str(cfg), "--out", str(out)],
+                                   f"{cfg}: cannot read a JSON document", out)
+
+    def test_config_value_that_parses_but_nests_too_deep_for_the_check(self, tmp_path,
+                                                                       capsys):
+        cfg, out = tmp_path / "deep.json", tmp_path / "runs"
+        cfg.write_text('{"seeds": %s}' % ("[" * 600 + "]" * 600))
+        self.assert_exits_2_naming(capsys, ["run", "--config", str(cfg), "--out", str(out)],
+                                   cfg, out)
+
+    def test_web_corpus_of_estimate_noise(self, tmp_path, capsys):
+        ckpt, web, out = tmp_path / "m.wslckpt", tmp_path / "web.json", tmp_path / "t.json"
+        save_checkpoint(init_params(ModelConfig(input_dim=2, hidden_sizes=[3],
+                                                num_classes=2)), ckpt)
+        web.write_text('{"num_classes": %s, "feature_dim": 2, "bags": []}' % self.DEEP)
+        self.assert_exits_2_naming(capsys, ["estimate-noise", "--checkpoint", str(ckpt),
+                                            "--web", str(web), "--out", str(out)],
+                                   f"{web}: malformed web corpus document", out)
+
+    def test_checkpoint_header_of_eval(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "eval"
+        assert main(["synth", "--config", str(tiny_config(tmp_path)), "--out", str(data)]) == 0
+        ckpt = tmp_path / "deep.wslckpt"
+        header = ('{"config": %s}' % self.DEEP).encode()
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header)
+        self.assert_exits_2_naming(capsys, ["eval", "--checkpoint", str(ckpt), "--data",
+                                            str(data / "clean_test.csv"), "--out", str(out)],
+                                   f"{ckpt}: malformed header", out)
+
+    def test_transition_file(self, tmp_path):
+        path = tmp_path / "transition.json"
+        path.write_text('{"k": 2, "rows": %s}' % self.DEEP)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: malformed transition"):
+            load_transition(path)
+
+    def test_eval_json_of_a_report_cell(self, tmp_path, capsys):
+        TestVerdicts.write_accuracies(tmp_path, {("BL1", 0): 0.5, ("BL2", 0): 0.75})
+        path = tmp_path / "BL1" / "0" / "eval.json"
+        path.write_text(self.DEEP)
+        assert main(["report", "--runs", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = read_summary(tmp_path / "summary.csv")
+        assert rows[0]["status"] == "failed" and rows[0]["error"].startswith(f"malformed {path}: ")
+        assert rows[1]["status"] == "ok"
+
+
 class TestReport:
     def test_reaggregates_existing_run_directory(self, tmp_path):
         cfg = tiny_config(tmp_path, arms=["BL1", "BL2"], seeds=[0, 1])
@@ -1191,8 +1270,48 @@ class TestReport:
         for seed in bad:
             assert rows[seed]["status"] == "failed"
             assert str(out / "BL1" / seed / "eval.json") in rows[seed]["error"]
-        assert "accuracy inf" in rows["2"]["error"] and "accuracy 1.5" in rows["3"]["error"]
+        for seed, value in (("2", "inf"), ("3", "1.5")):
+            assert f"accuracy must be a number in [0, 1], got {value}" in rows[seed]["error"]
         assert rows["4"]["status"] == "ok"
+
+    @pytest.mark.parametrize("name", ["error.txt", "eval.json"])
+    def test_unreadable_cell_file_is_a_failed_row_naming_it(self, tmp_path, capsys, name):
+        TestVerdicts.write_accuracies(tmp_path, {(arm, 0): 0.5 for arm in cli.ARMS})
+        path = tmp_path / "BL1" / "0" / name
+        if name == "error.txt":
+            path.write_bytes(b"\xff\xfe not UTF-8")
+        else:
+            path.unlink()
+            path.mkdir()
+        assert main(["report", "--runs", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = {r["arm"]: r for r in read_summary(tmp_path / "summary.csv")}
+        assert rows["BL1"]["status"] == "failed"
+        assert rows["BL1"]["error"].startswith(f"malformed {path}: ")
+        assert [rows[arm]["status"] for arm in ("BL2", "Proposed")] == ["ok", "ok"]
+
+    SCORE_DOCS = st.fixed_dictionaries(
+        dict.fromkeys(cli.SCORES, st.none() | st.booleans() | st.integers() | st.floats()
+                      | st.text(max_size=3))).map(lambda doc: json.dumps(doc).encode())
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(["error.txt", "eval.json"]),
+           content=st.binary(max_size=64) | SCORE_DOCS)
+    def test_any_bytes_in_a_cell_file_leave_the_other_cells_ok(self, tmp_path, name,
+                                                              content):
+        root = tmp_path / "runs"
+        shutil.rmtree(root, ignore_errors=True)
+        TestVerdicts.write_accuracies(root, {("BL1", 0): 0.5, ("BL2", 0): 0.75})
+        path = root / "BL1" / "0" / name
+        path.write_bytes(content)
+        assert main(["report", "--runs", str(root)]) == 0
+        bl1, bl2 = read_summary(root / "summary.csv")
+        assert bl2["status"] == "ok"
+        if name == "error.txt":
+            assert bl1["status"] == "failed"
+        elif bl1["status"] == "failed":
+            assert bl1["error"].startswith(f"malformed {path}: ")
 
 
 class TestVerdicts:

@@ -1086,3 +1086,28 @@ class TestBagInvariants:
         with pytest.raises(ValidationError, match="example b: label 3"):
             Dataset(ids=["a", "b"], group_ids=["g", "g"], X=np.zeros((2, 1)),
                     y=[0, 3], num_classes=2)
+
+
+class TestColumnGuards:
+    """A Dataset or WebCorpus built from columns refuses a class count below 1
+    and columns whose lengths disagree, each with its one message."""
+
+    DATASET = dict(ids=["a", "b"], group_ids=["g", "h"], X=np.zeros((2, 3)), y=[0, 1],
+                   num_classes=2, name="clean")
+    CORPUS = dict(query_ids=["q"], labels=[0], offsets=[0, 2], member_ids=["m0", "m1"],
+                  X=np.zeros((2, 3)), num_classes=2)
+
+    @pytest.mark.parametrize("cls, overrides, message", [
+        (Dataset, {"num_classes": 0}, "num_classes must be >= 1"),
+        (Dataset, {"y": [0]}, "clean: column shapes disagree: ids (2,), group_ids (2,), "
+                              "X (2, 3), y (1,)"),
+        (WebCorpus, {"num_classes": 0}, "num_classes must be >= 1"),
+        (WebCorpus, {"offsets": [0, 1]}, "corpus columns disagree: 1 query ids, labels (1,), "
+                                         "offsets (2,) rising from 0 to 2 members, "
+                                         "member features (2, 3)"),
+    ], ids=["dataset-no-class", "dataset-columns", "corpus-no-class", "corpus-columns"])
+    def test_raises_its_message(self, cls, overrides, message):
+        columns = self.DATASET if cls is Dataset else self.CORPUS
+        with pytest.raises(ValidationError) as info:
+            cls(**{**columns, **overrides})
+        assert str(info.value) == message

@@ -216,3 +216,18 @@ class TestPlainWeightedCrossEntropy:
                        - np.mean(-w[labels] * np.log(p[np.arange(4), labels]))) < 1e-15
             expected = w[labels, None] * (p - np.eye(k)[labels]) / 4
             assert np.max(np.abs(report.logit_grads - expected)) < 1e-15
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: median_frequency_weights([[1, 2]]), "label_counts must be a 1-D vector"),
+    (lambda: modulated_cross_entropy(np.full(2, 0.5), [0], np.eye(2), np.ones(2)),
+     "posteriors must be a (batch, K) matrix or an (M, batch, K) stack"),
+    (lambda: modulated_cross_entropy(np.full((2, 2), 0.5), [0], np.eye(2), np.ones(2)),
+     "labels length must match batch size"),
+    (lambda: modulated_cross_entropy(np.full((2, 2), 0.5), [0, 2], np.eye(2), np.ones(2)),
+     "label out of range"),
+], ids=["counts-not-1d", "posteriors-1d", "labels-length", "label-out-of-range"])
+def test_shape_guard_raises_its_message(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -380,3 +380,20 @@ class TestFeaturesCsv:
                                                  max_size=n * d)), (n, d))
         assert (csv_outcome(write_features_csv, tmp_path / "new.csv", ids, features)
                 == csv_outcome(reference_write_features_csv, tmp_path / "old.csv", ids, features))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: confusion_matrix([0, 1], [0], 2), "label vectors must have equal length"),
+    (lambda path: macro_recall(np.zeros((2, 2), dtype=np.int64)), "empty confusion matrix"),
+    (lambda path: cohens_kappa(np.zeros((2, 2), dtype=np.int64)), "empty confusion matrix"),
+    (lambda path: roc_auc_one_vs_rest([0.1, 0.2], [True]),
+     "scores and is_positive must be equal-length vectors"),
+    (lambda path: write_features_csv(["a"], np.zeros((2, 3)), path),
+     "ids and feature rows must align"),
+], ids=["confusion-lengths", "macro-recall-empty", "kappa-empty", "auc-shapes",
+        "features-ids"])
+def test_input_guard_raises_its_message(tmp_path, call, message):
+    with pytest.raises(ValidationError) as info:
+        call(tmp_path / "features.csv")
+    assert str(info.value) == message
+    assert not (tmp_path / "features.csv").exists()
