@@ -23,56 +23,23 @@ import os
 import shutil
 import statistics
 import sys
+from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import (
-    BACKGROUND_RULES,
-    CLEAN_RULES,
-    NOISE_RULES,
-    BackgroundSpec,
-    CleanSpec,
-    Dataset,
-    NoiseSpec,
-    WebCorpus,
-    canonical_json,
-    check_crawl_fits,
-    check_fields,
-    grouped_split,
-    integer,
-    integers,
-    load_dataset,
-    load_web_corpus,
-    real,
-    reals,
-    save_web_corpus,
-    synth_clean,
-    synth_web_corpus,
-    write_csv,
-    write_dataset_csv,
-    write_json,
-)
-from .errors import MALFORMED, ParseError, ValidationError, WeblyError, named
+from .data import (BACKGROUND_RULES, CLEAN_RULES, NOISE_RULES, BackgroundSpec, CleanSpec, Dataset,
+                   NoiseSpec, WebCorpus, canonical_json, check_crawl_fits, check_fields,
+                   grouped_split, integer, integers, load_dataset, load_web_corpus, real, reals,
+                   save_web_corpus, synth_clean, synth_web_corpus, write_csv, write_dataset_csv,
+                   write_json)
+from .errors import MALFORMED, ParseError, ValidationError, WeblyError, clipped, named, shown
 from .loss import median_frequency_weights
-from .metrics import (
-    evaluate,
-    report_timestamp,
-    write_eval_csv,
-    write_eval_json,
-    write_features_csv,
-)
-from .model import (
-    MODEL_RULES,
-    ModelConfig,
-    check_fit,
-    fingerprint,
-    load_checkpoint,
-    penultimate_features,
-    save_checkpoint,
-)
+from .metrics import evaluate, report_timestamp, write_eval_csv, write_eval_json, write_features_csv
+from .model import (MODEL_RULES, ModelConfig, check_fit, fingerprint, load_checkpoint,
+                    penultimate_features, save_checkpoint)
 from .noise import estimate_transition, save_transition, validate_transition
 from .train import ARMS, TRAIN_RULES, SeedInputs, TrainConfig, run_seeds
 
@@ -83,24 +50,9 @@ DEFAULT_CONFIG = {
         "init_seed": 0,
         "init_scale": "sqrt_2_over_fan_in",
     },
-    "train_web": {
-        "epochs": 20,
-        "batch_size": 32,
-        "learning_rate_init": 0.01,
-        "momentum": 0.9,
-        "lr_decay_factor": 0.5,
-        "lr_decay_every": 10,
-        "shuffle_seed": 0,
-    },
-    "train_clean": {
-        "epochs": 40,
-        "batch_size": 16,
-        "learning_rate_init": 0.01,
-        "momentum": 0.9,
-        "lr_decay_factor": 0.5,
-        "lr_decay_every": 10,
-        "shuffle_seed": 1,
-    },
+    # the rate schedule and momentum of both stages are TrainConfig's defaults
+    "train_web": asdict(TrainConfig(epochs=20, batch_size=32, shuffle_seed=0)),
+    "train_clean": asdict(TrainConfig(epochs=40, batch_size=16, shuffle_seed=1)),
     "loss": {"renormalize_modulated": False},
     "data": {
         "synth": {
@@ -180,9 +132,9 @@ RULES = {
 
 
 def _checked(default: dict, user, name: str) -> dict:
-    """``user`` merged over ``default``, the config section at dotted path
-    ``name``; a section that is not an object, a key the default lacks or a
-    value that breaks its rule in ``RULES`` raises ValidationError naming it."""
+    """``user``, its values kept, merged over a copy of ``default``: the config section at
+    dotted path ``name``. A section that is not an object, a key the default lacks or a value
+    that breaks its rule in ``RULES``, however deep, raises ValidationError naming it."""
     if not isinstance(user, dict):
         raise ValidationError(f"{name or 'the config'} must be an object, "
                               f"got {type(user).__name__}")
@@ -191,12 +143,12 @@ def _checked(default: dict, user, name: str) -> dict:
     if name in ("train_web", "train_clean"):  # dropout, a model setting; see load_config
         default = {**default, "dropout_keep_prob": None}
     prefix = f"{name}." if name else ""
-    unknown = sorted(user.keys() - default.keys())
-    if unknown:
-        raise ValidationError("unknown config key " + ", ".join(prefix + k for k in unknown))
-    merged = {key: _checked(value, user[key], prefix + key)
-              if isinstance(value, dict) and key in user
-              else copy.deepcopy(user.get(key, value)) for key, value in default.items()}
+    if unknown := sorted(user.keys() - default.keys()):
+        raise ValidationError("unknown config key "
+                              + clipped(", ".join(prefix + k for k in unknown)))
+    merged = {key: (_checked(value, user[key], prefix + key) if isinstance(value, dict)
+                    else user[key]) if key in user else copy.deepcopy(value)
+              for key, value in default.items()}
     check_fields(merged, RULES.get(name, {}), prefix)
     return merged
 
@@ -217,7 +169,8 @@ def load_config(path: str | None) -> dict:
         keep = config["model"]["dropout_keep_prob"]
         for section in ("train_web", "train_clean"):  # dropout is set in model only
             if config[section].pop("dropout_keep_prob", None) not in (None, keep):
-                raise ValidationError(f"{section}.dropout_keep_prob must equal model's {keep!r}")
+                raise ValidationError(f"{section}.dropout_keep_prob must equal model's "
+                                      f"{shown(keep)}")
         dims = 1, 2  # cmd_run sizes it again at the input files' dims; here the smallest
         if "synth" in config["data"]:
             clean, _, _ = synth_specs(config["data"]["synth"])
@@ -230,9 +183,10 @@ def load_config(path: str | None) -> dict:
 def _parse_seeds(text: str) -> list[int]:
     """Comma-separated distinct non-negative integers from a ``--seed`` value."""
     parts = text.split(",")
-    seeds = [int(part) for part in parts if part.isascii() and part.strip().isdecimal()]
+    with named(f"--seed {shown(text)}: ", ValidationError, ValueError):  # int's digit limit
+        seeds = [int(part) for part in parts if part.isascii() and part.strip().isdecimal()]
     if len(seeds) != len(parts) or len(set(seeds)) != len(seeds):
-        raise ValidationError(f"--seed {text!r}: expected distinct non-negative "
+        raise ValidationError(f"--seed {shown(text)}: expected distinct non-negative "
                               "integers separated by commas")
     return seeds
 
@@ -282,8 +236,9 @@ def synth_specs(spec: dict, seed_offset: int = 0
         background = BackgroundSpec(**spec["background"])
         check_crawl_fits(crawl, background, k, d)
         if min(clean.groups_per_class, max(clean.class_counts)) < 2:  # ids cycle per class
-            raise ValidationError(f"groups_per_class {clean.groups_per_class} and data.synth"
-                                  f".class_counts {clean.class_counts} make 1 group; splits need 2")
+            raise ValidationError(f"groups_per_class {clean.groups_per_class} and data.synth."
+                                  f"class_counts {shown(clean.class_counts)} make 1 group; "
+                                  "splits need 2")
     return clean, crawl, background
 
 
@@ -436,7 +391,7 @@ def _cell_row(arm: str, seed: int, cell_dir: Path) -> dict:
     except FileNotFoundError:
         return _summary_row(arm, seed, error=f"missing {path.name}")
     except (OSError, *MALFORMED) as exc:
-        return _summary_row(arm, seed, error=f"malformed {path}: {exc!r}")
+        return _summary_row(arm, seed, error=f"malformed {path}: {shown(exc)}")
 
 
 def _summarize(out_dir: Path) -> list[dict]:
@@ -487,7 +442,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         config["seeds"] = _parse_seeds(args.seed)
     if args.jobs < 1:
-        raise ValidationError(f"--jobs {args.jobs}: must be at least 1")
+        raise ValidationError(f"--jobs {shown(args.jobs)}: must be at least 1")
     data, files, spec = config["data"], None, config["data"].get("synth")
     if spec is not None:  # the model's size at data.synth's dims, checked by load_config
         model_cfg = _model_config(config, spec["feature_dim"], spec["num_classes"], 0)
@@ -549,10 +504,9 @@ def cmd_synth(args) -> int:
         raise ValidationError(f"{args.config}: config has no data.synth section")
     offset, *more = _parse_seeds("0" if args.seed is None else args.seed)
     if more:
-        raise ValidationError(f"--seed {args.seed!r}: synth takes one seed offset")
+        raise ValidationError(f"--seed {shown(args.seed)}: synth takes one seed offset")
     out_dir = Path(args.out or "synth-data")
-    files = [out_dir / "clean_train.csv", out_dir / "clean_test.csv",
-             out_dir / "web.json"]
+    files = [out_dir / name for name in ("clean_train.csv", "clean_test.csv", "web.json")]
     if any(f.exists() for f in files) and not args.overwrite:
         raise WeblyError(f"outputs exist in {out_dir} (use --overwrite)")
     with named(f"{args.config}: "):

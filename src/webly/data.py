@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import MALFORMED, ParseError, ValidationError, named
+from .errors import MALFORMED, ParseError, ValidationError, clipped, named, shown
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -43,11 +43,25 @@ JSON_WINDOW = 1 << 18  # characters of web.json that load_web_corpus reads at a 
 
 def _reject(bad: np.ndarray, ids: np.ndarray, message: str, values=None) -> None:
     """Raise ValidationError for the first row flagged in ``bad``; ``message``
-    is formatted with that row's ``id`` and, if given, its entry of ``values``."""
+    is formatted with that row's ``id`` and, if given, its entry of ``values``,
+    ``{id!r}`` as ``shown`` quotes it and ``{id}`` as its plain text ``clipped``."""
     if np.any(bad):
         i = int(np.argmax(bad))
         value = None if values is None else values[i]
-        raise ValidationError(message.format(id=ids[i], value=value))
+        raise ValidationError(message.format(id=_Shown(ids[i]), value=_Shown(value)))
+
+
+class _Shown:
+    """A ``_reject`` field: ``{x!r}`` formats it by ``shown``, ``{x}`` as its text ``clipped``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return shown(self.value)
+
+    def __format__(self, spec):
+        return clipped(format(self.value, spec))
 
 
 def _is_real(v) -> bool:
@@ -93,7 +107,7 @@ def check_fields(values: dict, rules: dict, prefix: str = "") -> None:
     a rule are not checked."""
     for key, (ok, text) in rules.items():
         if key in values and not ok(values[key]):
-            raise ValidationError(f"{prefix}{key} must be {text}, got {values[key]!r}")
+            raise ValidationError(f"{prefix}{key} must be {text}, got {shown(values[key])}")
 
 
 def check_row_stochastic(m: np.ndarray, name: str) -> None:
@@ -304,7 +318,7 @@ class CleanSpec:
                                   f"{k} x {d}, got shape {self.class_means.shape}")
         if len(self.class_counts) != k:
             raise ValidationError(f"class_counts must hold num_classes = {k} counts, "
-                                  f"got {self.class_counts!r}")
+                                  f"got {shown(self.class_counts)}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +338,12 @@ def _check_rows(path: Path, rows: list, d: int) -> None:
         try:
             label = int(row[2])
         except ValueError:
-            raise ParseError(f"{path}: line {lineno}: label {row[2]!r} "
+            raise ParseError(f"{path}: line {lineno}: label {shown(row[2])} "
                              "is not a base-10 integer") from None
         if label < 0:
-            raise ParseError(f"{path}: line {lineno}: negative label {label}")
+            raise ParseError(f"{path}: line {lineno}: negative label {shown(label)}")
         if label > INT64_MAX:
-            raise ParseError(f"{path}: line {lineno}: label {label} does not fit int64")
+            raise ParseError(f"{path}: line {lineno}: label {shown(label)} does not fit int64")
         try:
             [*map(float, row[3:])]
         except ValueError:
@@ -358,7 +372,7 @@ def load_dataset(path: str | Path, num_classes: int | None = None) -> Dataset:
                 raise ParseError(f"{path}: empty file, header required")
             d = len(header) - 3
             if d < 1 or header != _expected_header(d):
-                raise ParseError(f"{path}: line 1: bad header {header!r}")
+                raise ParseError(f"{path}: line 1: bad header {shown(header)}")
             rows.extend(reader)  # the rows read before a read error are checked first
     except UnicodeDecodeError as exc:
         error = ParseError(f"{path}: not UTF-8 text: {exc.reason}")
@@ -656,7 +670,7 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
             while c != "}":
                 key, _ = value((":",))
                 if type(key) is not str or key == "bags" and key in doc:
-                    raise ValueError(f"a key that is not a string or is repeated: {key!r}")
+                    raise ValueError(f"a key that is not a string or is repeated: {shown(key)}")
                 if key != "bags":
                     doc[key], c = value((",", "}"))
                     continue
@@ -690,7 +704,7 @@ def load_web_corpus(path: str | Path) -> WebCorpus:
             text.encode()
     except UnicodeEncodeError as exc:
         raise ParseError(f"{path}: query and member ids must be UTF-8 text, not "
-                         f"{exc.object!r}") from None
+                         f"{shown(exc.object)}") from None
     if not {*map(type, labels), *map(type, hidden)} <= {int}:
         raise ParseError(f"{path}: transferred and hidden labels must be integers")
     if not widths <= {d}:

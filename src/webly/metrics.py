@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import _reject, write_csv, write_json
-from .errors import ValidationError
+from .errors import ValidationError, shown
 from .model import ModelParams, check_fit, fingerprint, predict
 
 
@@ -167,7 +167,7 @@ def report_timestamp() -> str:
     try:
         return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
     except (ValueError, OverflowError, OSError):
-        raise ValidationError(f"SOURCE_DATE_EPOCH={epoch!r}: expected a whole number "
+        raise ValidationError(f"SOURCE_DATE_EPOCH={shown(epoch)}: expected a whole number "
                               "of seconds since 1970-01-01 within the range of "
                               "dates") from None
 

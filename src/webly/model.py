@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, WebCorpus, canonical_json, check_fields, integer, integers, real
-from .errors import MALFORMED, CheckpointError, ValidationError, named
+from .errors import MALFORMED, CheckpointError, ValidationError, named, shown
 
 CHECKPOINT_MAGIC = b"WSLCKPT1"
 INIT_SCALE_RULE = "sqrt_2_over_fan_in"
@@ -79,7 +79,7 @@ class ModelConfig:
         count = self.param_count()
         if count > MODEL_MAX_PARAMS:
             raise ValidationError(
-                f"hidden_sizes {self.hidden_sizes} with input_dim {self.input_dim} and "
+                f"hidden_sizes {shown(self.hidden_sizes)} with input_dim {self.input_dim} and "
                 f"num_classes {self.num_classes} pack {count} parameters, more than "
                 f"the {MODEL_MAX_PARAMS} a model holds")
 
@@ -235,7 +235,7 @@ def _seed_words(seed, words: list) -> int:
     for value in seed if isinstance(seed, (tuple, list)) else (seed,):
         value = operator.index(value)
         if value < 0:
-            raise ValueError(f"seed {seed!r}: expected non-negative integers")
+            raise ValueError(f"seed {shown(seed)}: expected non-negative integers")
         words.append(value & 0xFFFFFFFF)
         while value >> 32:
             value >>= 32
@@ -517,8 +517,7 @@ def _parts(x: np.ndarray, *texts) -> list:
 # float64: layers in order, weights then bias per layer.
 
 def _header_bytes(cfg: ModelConfig) -> bytes:
-    layers = []
-    offset = 0
+    layers, offset = [], 0
     for fan_in, fan_out in cfg.layer_dims():
         layers.append({
             "weight_shape": [fan_in, fan_out],
@@ -555,7 +554,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(f"{path}: {len(blob)} bytes, shorter than the "
                               "16-byte preamble")
     if blob[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:8]!r}")
+        raise CheckpointError(f"{path}: bad magic {shown(blob[:8])}")
     (header_len,) = struct.unpack("<Q", blob[8:16])
     if header_len > len(blob) - 16:
         raise CheckpointError(f"{path}: header length {header_len} runs past the "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import (WebCorpus, _reject, canonical_json, check_fields, check_row_stochastic,
                    flatten_web, integer, reals)
-from .errors import MALFORMED, ParseError, named
+from .errors import MALFORMED, ParseError, named, shown
 from .model import ModelParams, check_fit, fingerprint, predict
 
 
@@ -113,8 +113,8 @@ def load_transition(path: str | Path) -> TransitionMatrix:
         check_fields(doc, {"k": integer(1), "rows": reals((2,), "equal-length lists of numbers"),
                            "provenance": (lambda v: isinstance(v, dict), "an object")})
     except MALFORMED as exc:  # ValueError covers ragged rows
-        raise ParseError(f"{path}: malformed transition document: {exc!r}") from None
+        raise ParseError(f"{path}: malformed transition document: {shown(exc)}") from None
     if entries.shape != (k, k):
-        raise ParseError(f"{path}: rows shape {entries.shape} != k={k!r}")
+        raise ParseError(f"{path}: rows shape {entries.shape} != k={shown(k)}")
     with named(f"{path}: ", ParseError):
         return TransitionMatrix(entries=entries, provenance=provenance)

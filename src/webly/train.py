@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, WebCorpus, check_fields, flatten_web, integer, real
-from .errors import DivergenceError, ValidationError, WeblyError
+from .errors import DivergenceError, ValidationError, WeblyError, shown
 from .loss import example_losses, median_frequency_weights, modulated_cross_entropy_rows
 # perfbench/tracing.py wraps this name as its loss.call span (its selftest needs it);
 # train_stage calls the _rows form, so the span records no call in training.
@@ -339,7 +339,7 @@ def run_seeds(arms, seeds: list[SeedInputs], cfg_web: TrainConfig, cfg_clean: Tr
     """
     for arm in arms:
         if arm not in RECIPES:
-            raise ValidationError(f"unknown arm {arm!r}; expected one of {tuple(RECIPES)}")
+            raise ValidationError(f"unknown arm {shown(arm)}; expected one of {tuple(RECIPES)}")
     webs, reads = [seed.web for seed in seeds], [0] * len(seeds)
     inits = [init_params(replace(model_cfg, init_seed=model_cfg.init_seed + seed.seed))
              for seed in seeds]

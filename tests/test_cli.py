@@ -1133,6 +1133,133 @@ class TestDeepDocuments:
         assert rows[0]["status"] == "failed" and rows[0]["error"].startswith(f"malformed {path}: ")
         assert rows[1]["status"] == "ok"
 
+    @pytest.mark.parametrize("doc, key", [
+        ('{"seeds": %s}' % ("[" * 600 + "]" * 600), "seeds"),
+        ('{"model": {"hidden_sizes": %s}}' % ("[" * 900 + "]" * 900), "model.hidden_sizes"),
+    ], ids=["seeds-600-deep", "hidden_sizes-900-deep"])
+    def test_config_value_nested_deep_names_its_key(self, tmp_path, capsys, doc, key):
+        cfg, out = tmp_path / "deep.json", tmp_path / "runs"
+        cfg.write_text(doc)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        # the value is shown 10 levels deep, so the rule's message survives
+        assert err.startswith(f"error: {cfg}: {key} must be ")
+        assert err.endswith(", got [[[[[[[[[[[...]]]]]]]]]]]\n") and not out.exists()
+
+
+def _oracle(tmp_path):
+    """A checkpoint of a 2-feature, 2-class model, for the verbs that read one first."""
+    path = tmp_path / "m.wslckpt"
+    save_checkpoint(init_params(ModelConfig(input_dim=2, hidden_sizes=[3], num_classes=2)), path)
+    return path
+
+
+def _long_config(tmp_path, doc):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    return ["run", "--config", str(path)], path
+
+
+LONG = "x" * 200_000
+
+
+def _hidden_sizes_of_zeros(tmp_path):
+    argv, path = _long_config(tmp_path, {"model": {"hidden_sizes": [0] * 100_000}})
+    return argv, f"{path}: model.hidden_sizes must be a list of integers >= 1, got [0, 0"
+
+
+def _unknown_key(tmp_path):
+    argv, path = _long_config(tmp_path, {LONG: 1})
+    return argv, f"{path}: unknown config key xxx"
+
+
+def _string_diagonal(tmp_path):
+    argv, path = _long_config(tmp_path, {"data": {"synth": {"noise": {"diagonal": LONG}}}})
+    return argv, f"{path}: data.synth.noise.diagonal must be a number in [0, 1], got 'xxx"
+
+
+def _seed_flag(tmp_path):
+    return ["run", "--config", str(tiny_config(tmp_path)), "--seed", "1" * 100_000], "--seed '111"
+
+
+def _seed_flag_of_letters(tmp_path):
+    return ["run", "--config", str(tiny_config(tmp_path)), "--seed", LONG], "--seed 'xxx"
+
+
+def _source_date_epoch(tmp_path):
+    # read before the checkpoint and data; the test's monkeypatch restores it
+    os.environ["SOURCE_DATE_EPOCH"] = "9" * 100_000
+    return (["eval", "--checkpoint", str(tmp_path / "m.wslckpt"), "--data", "d.csv"],
+            "SOURCE_DATE_EPOCH='999")
+
+
+def _web_query_id(tmp_path):
+    web = tmp_path / "web.json"
+    web.write_text(json.dumps({"bags": [{
+        "members": [{"features": [0.0, 0.0], "id": "m"}], "query_id": LONG,
+        "transferred_label": 7, "true_labels_hidden": None}], "feature_dim": 2, "num_classes": 2}))
+    return (["estimate-noise", "--checkpoint", str(_oracle(tmp_path)), "--web", str(web)],
+            f"{web}: bag xxx")
+
+
+def _checkpoint_hidden_sizes(tmp_path):
+    ckpt = tmp_path / "long.wslckpt"
+    header = canonical_json({"config": {"input_dim": 2, "hidden_sizes": list(range(100_000)),
+                                        "num_classes": 2}}).encode()
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header)
+    return (["eval", "--checkpoint", str(ckpt), "--data", "d.csv"],
+            f"{ckpt}: malformed header: hidden_sizes must be a list of integers >= 1, got [0, 1")
+
+
+def _csv(tmp_path, header, row):
+    data = tmp_path / "long.csv"
+    data.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+    return ["eval", "--checkpoint", str(_oracle(tmp_path)), "--data", str(data)], data
+
+
+def _csv_label(tmp_path):
+    label = "x" * 100_000  # csv reads a field of at most 131,072 characters
+    argv, data = _csv(tmp_path, ["id", "group_id", "label", "f0"], ["a", "g", label, "0"])
+    return argv, f"{data}: line 2: label 'xxx"
+
+
+def _csv_header(tmp_path):
+    argv, data = _csv(tmp_path, ["id", "x" * 100_000], ["a", "0"])
+    return argv, f"{data}: line 1: bad header ['id', 'xxx"
+
+
+class TestBoundedQuotes:
+    """A value a verb quotes from its input, hundreds of kilobytes of it here, is shown
+    cut (``errors.shown``): the verb exits 2 naming the key, flag, variable or file in
+    under 2,000 bytes, with no traceback and no output."""
+
+    @pytest.mark.parametrize("case", [
+        _hidden_sizes_of_zeros, _unknown_key, _string_diagonal, _seed_flag, _seed_flag_of_letters,
+        _source_date_epoch, _web_query_id, _checkpoint_hidden_sizes, _csv_label, _csv_header,
+    ])
+    def test_verb_exits_2_naming_its_input_in_under_2000_bytes(self, tmp_path, capsys,
+                                                                 monkeypatch, case):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")  # a case may replace it
+        argv, named = case(tmp_path)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and "Traceback" not in err
+        assert len(err.encode()) < 2000 and not out.exists()
+
+    def test_report_fails_only_the_row_of_a_long_score(self, tmp_path, capsys):
+        TestVerdicts.write_accuracies(tmp_path, {("BL1", 0): 0.5, ("BL2", 0): 0.75})
+        path = tmp_path / "BL1" / "0" / "eval.json"
+        path.write_text(json.dumps({"accuracy": LONG, "macro_recall": 0.5, "kappa": 0.25,
+                                    "auc_mean": None}))
+        assert main(["report", "--runs", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = read_summary(tmp_path / "summary.csv")
+        assert rows[0]["status"] == "failed" and rows[1]["status"] == "ok"
+        assert rows[0]["error"].startswith(f"malformed {path}: ValidationError(")
+        assert "accuracy must be a number in [0, 1], got " in rows[0]["error"]
+        assert len(rows[0]["error"].encode()) < 2000
+
 
 class TestReport:
     def test_reaggregates_existing_run_directory(self, tmp_path):
