@@ -192,12 +192,11 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _summary_row(arm: str, seed: int, scores=None, error: str = "") -> dict:
-    """One summary.csv row; ``scores`` maps accuracy, macro_recall, kappa and
-    auc_mean to floats (auc_mean may be None), and is None for a failed cell."""
-    def score(key):
-        return "" if scores is None or scores[key] is None else repr(float(scores[key]))
+    """One summary.csv row, its scores floats (None where absent); ``scores`` maps
+    accuracy, macro_recall, kappa and auc_mean to numbers, and is None for a failed cell."""
     return {"arm": arm, "seed": seed, "status": "failed" if scores is None else "ok",
-            "error": error, **{key: score(key) for key in SCORES}}
+            "error": error, **{key: None if scores is None or scores[key] is None
+                               else float(scores[key]) for key in SCORES}}
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def _verdicts(rows: list[dict]) -> list[dict]:
     earlier, its paired SE (the differences' sample std over sqrt(n)) and t,
     and the count of the pair's other seeds, left out.  The mean is None at
     n 0, SE and t at n < 2 or an SE of 0."""
-    acc = {(r["arm"], r["seed"]): float(r["accuracy"]) for r in rows if r["status"] == "ok"}
+    acc = {(r["arm"], r["seed"]): r["accuracy"] for r in rows if r["status"] == "ok"}
     verdicts = []
     for earlier, later in combinations(dict.fromkeys(r["arm"] for r in rows), 2):
         seeds = dict.fromkeys(r["seed"] for r in rows if r["arm"] in (earlier, later))
@@ -421,7 +420,7 @@ def _summarize(out_dir: Path) -> list[dict]:
             continue
         parts = []
         for key in SCORES:
-            nums = [float(r[key]) for r in vals if r[key] != ""]
+            nums = [r[key] for r in vals if r[key] is not None]
             if nums:
                 parts.append(f"{key}={np.mean(nums):.4f}+/-{np.std(nums):.4f}")
         print(f"  {arm} (n={len(vals)}): " + " ".join(parts))
@@ -441,8 +440,9 @@ def cmd_run(args) -> int:
         config["output_dir"] = args.out
     if args.seed is not None:
         config["seeds"] = _parse_seeds(args.seed)
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs {shown(args.jobs)}: must be at least 1")
+    with named(f"--jobs {clipped(args.jobs)}: ", ValidationError, ValueError):
+        if int(args.jobs) < 1:
+            raise ValidationError("must be at least 1")
     data, files, spec = config["data"], None, config["data"].get("synth")
     if spec is not None:  # the model's size at data.synth's dims, checked by load_config
         model_cfg = _model_config(config, spec["feature_dim"], spec["num_classes"], 0)
@@ -597,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute arms x seeds into a run directory")
     common(p_run, "comma-separated seed list overriding the config")
-    p_run.add_argument("--jobs", type=int, default=1,
+    p_run.add_argument("--jobs", default="1",
                        help="accepted (at least 1) and ignored: a run trains all its "
                             "seeds in one process, one stack per stage")
     p_run.set_defaults(func=cmd_run)

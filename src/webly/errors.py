@@ -41,11 +41,13 @@ MALFORMED = (ValueError, KeyError, TypeError, AttributeError, OverflowError, Rec
 @contextmanager
 def named(where: str, kind: type | None = None, catch=ValidationError):
     """Re-raise a ``catch`` error of the block as ``kind`` (by default its own class),
-    unchained, with ``where`` (a file, key or verb) in front of its message."""
+    unchained, with ``where`` (a file, key or verb) in front of its message. The text
+    of an error that is not a WeblyError, which may quote its input, is ``clipped``."""
     try:
         yield
     except catch as exc:
-        raise (kind or type(exc))(f"{where}{exc}") from None
+        text = str(exc) if isinstance(exc, WeblyError) else clipped(str(exc))
+        raise (kind or type(exc))(f"{where}{text}") from None
 
 
 SHOWN = 1000  # characters of a value that a message quotes (``shown``, ``clipped``)

@@ -32,10 +32,6 @@ class EvalReport:
     per_class_counts: np.ndarray
     metadata: dict
 
-    @property
-    def total(self) -> int:
-        return int(self.confusion.sum())
-
 
 def confusion_matrix(true_labels, predicted_labels, num_classes: int) -> np.ndarray:
     """K x K integer matrix; entry (i, j) counts true class i predicted as j."""

@@ -9,15 +9,12 @@ rows are posterior vectors and the matrix is row-stochastic by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import (WebCorpus, _reject, canonical_json, check_fields, check_row_stochastic,
-                   flatten_web, integer, reals)
-from .errors import MALFORMED, ParseError, named, shown
+from .data import WebCorpus, _reject, canonical_json, check_row_stochastic, flatten_web
 from .model import ModelParams, check_fit, fingerprint, predict
 
 
@@ -100,21 +97,3 @@ def save_transition(t: TransitionMatrix, path: str | Path) -> None:
     doc = f'{{"k":{t.k},"provenance":{provenance},"rows":{_format_rows(t.entries)}}}'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(doc)
-
-
-def load_transition(path: str | Path) -> TransitionMatrix:
-    """Read a ``save_transition`` file; any defect raises ParseError naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        k = doc["k"]
-        entries = np.array(doc["rows"], dtype=np.float64)
-        provenance = doc.get("provenance", {})
-        check_fields(doc, {"k": integer(1), "rows": reals((2,), "equal-length lists of numbers"),
-                           "provenance": (lambda v: isinstance(v, dict), "an object")})
-    except MALFORMED as exc:  # ValueError covers ragged rows
-        raise ParseError(f"{path}: malformed transition document: {shown(exc)}") from None
-    if entries.shape != (k, k):
-        raise ParseError(f"{path}: rows shape {entries.shape} != k={shown(k)}")
-    with named(f"{path}: ", ParseError):
-        return TransitionMatrix(entries=entries, provenance=provenance)

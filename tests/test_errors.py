@@ -33,6 +33,17 @@ class TestNamed:
         assert info.value.__cause__ is None
         assert info.value.__suppress_context__
 
+    def test_foreign_text_is_clipped_and_toolkit_text_kept_whole(self):
+        long = "x" * (3 * SHOWN)
+        with pytest.raises(CheckpointError) as info:
+            with named("m.wslckpt: ", CheckpointError, TypeError):
+                raise TypeError(long)
+        assert str(info.value) == "m.wslckpt: " + clipped(long)
+        with pytest.raises(ValidationError) as info:
+            with named("model."):
+                raise ValidationError(long)
+        assert str(info.value) == "model." + long
+
     def test_error_outside_catch_passes_through_untouched(self):
         error = TypeError("not caught")
         with pytest.raises(TypeError) as info:

@@ -1,10 +1,9 @@
 """Tests for representative mining and transition-matrix estimation."""
 
-import re
+import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_clean_dataset
 from webly.data import (
@@ -13,12 +12,11 @@ from webly.data import (
     WebCorpus,
     synth_web_corpus,
 )
-from webly.errors import ParseError, ValidationError, WeblyError
+from webly.errors import ValidationError
 from webly.model import ModelConfig, ModelParams, forward, init_params
 from webly.noise import (
     TransitionMatrix,
     estimate_transition,
-    load_transition,
     save_transition,
     validate_transition,
 )
@@ -234,65 +232,16 @@ class TestTransitionJson:
         t = TransitionMatrix(entries=rows, provenance={"oracle": "abc"})
         path = tmp_path / "t.json"
         save_transition(t, path)
-        loaded = load_transition(path)
-        assert np.array_equal(loaded.entries, t.entries)
-        assert loaded.provenance == t.provenance
-
-    def test_defects_raise_parse_error_naming_the_path(self, tmp_path):
-        good = '{"k":2,"provenance":{},"rows":[[0.75,0.25],[0.5,0.5]]}'
-        cases = {
-            "truncated": '{"k":',
-            "ragged": good.replace("[0.5,0.5]", "[0.5]"),
-            "not-an-object": "[[1.0]]",
-            "missing-rows": '{"k":2}',
-            "wrong-k": good.replace('"k":2', '"k":3'),
-            "not-stochastic": good.replace("0.25", "0.5"),
-            "not-utf8": '{"k":2,"provenance":{"\xff":1}}',
-            "k-boolean": '{"k":true,"provenance":{},"rows":[[1.0]]}',
-            "k-float": good.replace('"k":2', '"k":2.0'),
-            "provenance-list": good.replace('"provenance":{}', '"provenance":[]'),
-            "rows-boolean": '{"k":2,"provenance":{},"rows":[[true,false],[false,true]]}',
-            "rows-numeric-strings": '{"k":2,"provenance":{},"rows":[["1","0"],["0","1"]]}',
-        }
-        for name, text in cases.items():
-            path = tmp_path / f"{name}.json"
-            path.write_bytes(text.encode("latin-1"))
-            with pytest.raises(ParseError, match=re.escape(str(path))):
-                load_transition(path)
-
-    def test_rows_not_stochastic_name_the_path(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text('{"k":2,"provenance":{},"rows":[[0.5,0.6],[0.5,0.5]]}')
-        with pytest.raises(ParseError) as info:
-            load_transition(path)
-        assert str(info.value) == (f"{path}: transition must be row-stochastic: square, "
-                                   "entries in [0, 1], each row summing to 1 within 1e-9")
-
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_truncated_or_bit_flipped_file_loads_or_raises_webly_error(
-            self, tmp_path, data):
-        path = tmp_path / "t.json"
-        save_transition(TransitionMatrix(entries=[[0.75, 0.25], [1e-05, 0.99999]],
-                                         provenance={"oracle": "abc"}), path)
-        blob = path.read_bytes()
-        at = data.draw(st.integers(0, len(blob) - 1), label="at")
-        if data.draw(st.booleans(), label="truncate"):
-            blob = blob[:at]
-        else:
-            bit = data.draw(st.integers(0, 7), label="bit")
-            blob = blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1:]
-        path.write_bytes(blob)
-        try:
-            load_transition(path)
-        except WeblyError:
-            pass
+        doc = json.loads(path.read_text())
+        assert doc["k"] == 3
+        assert np.array_equal(np.array(doc["rows"], dtype=np.float64), t.entries)
+        assert doc["provenance"] == t.provenance
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         corpus = corpus_from_posteriors([[0.8, 0.2], [0.3, 0.7]])
         t = estimate_transition(posterior_oracle(2), corpus)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_transition(t, p1)
-        save_transition(load_transition(p1), p2)
+        doc = json.loads(p1.read_text())
+        save_transition(TransitionMatrix(entries=doc["rows"], provenance=doc["provenance"]), p2)
         assert p1.read_bytes() == p2.read_bytes()
