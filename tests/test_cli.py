@@ -279,6 +279,16 @@ class TestRun:
             assert f"--jobs {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_jobs_not_an_integer_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "runs"
+        for jobs in ("two", "1.5", ""):
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--jobs", jobs]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: --jobs {jobs}: invalid literal for int() with base 10: {jobs!r}")
+        assert not out.exists()
+
     def test_train_dropout_must_equal_the_model_setting(self, tmp_path, capsys):
         out = tmp_path / "runs"
         cfg = tiny_config(tmp_path, model={"hidden_sizes": [8], "init_seed": 0,
@@ -1519,6 +1529,18 @@ class TestSummaryCsv:
     def test_rows_of_any_error_text_as_csv_dictwriter_writes_them(self, tmp_path, rows):
         assert (csv_outcome(cli._write_summary, tmp_path / "new.csv", rows)
                 == csv_outcome(reference_write_summary, tmp_path / "old.csv", rows))
+
+    def test_rows_keep_scores_as_numbers_and_the_writer_formats_them(self, tmp_path):
+        ok = cli._summary_row("BL1", 0, {"accuracy": np.float64(0.5), "macro_recall": 1,
+                                         "kappa": 0.1, "auc_mean": None})
+        failed = cli._summary_row("BL2", 3, error="missing eval.json")
+        assert [type(ok[key]) for key in cli.SCORES] == [float, float, float, type(None)]
+        assert [failed[key] for key in cli.SCORES] == [None] * len(cli.SCORES)
+        cli._write_summary([ok, failed], tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            b"arm,seed,status,accuracy,macro_recall,kappa,auc_mean,error\r\n"
+            b"BL1,0,ok,0.5,1.0,0.1,,\r\n"
+            b"BL2,3,failed,,,,,missing eval.json\r\n")
 
 
 class TestOutputPathOfTheWrongKind:

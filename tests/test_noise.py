@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import make_clean_dataset
 from webly.data import (
@@ -245,3 +246,22 @@ class TestTransitionJson:
         doc = json.loads(p1.read_text())
         save_transition(TransitionMatrix(entries=doc["rows"], provenance=doc["provenance"]), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), k=st.integers(1, 5))
+    def test_any_row_stochastic_matrix_is_written_as_strict_json_of_its_exact_values(
+            self, tmp_path, data, k):
+        rows = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k), min_size=k, max_size=k)))
+        assume(np.all(rows.sum(axis=1) > 0))
+        t = TransitionMatrix(entries=rows / rows.sum(axis=1, keepdims=True),
+                             provenance={"oracle": "abc"})
+        path = tmp_path / "t.json"
+        save_transition(t, path)
+
+        def no_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=no_constant)
+        assert doc["k"] == k
+        assert np.array_equal(np.array(doc["rows"], dtype=np.float64), t.entries)
